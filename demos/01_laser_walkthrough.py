@@ -10,6 +10,8 @@ The learner maintains three statistics:
   f_t  a scalar completing the offline tracking cost (optional)
 
 and predicts with the last-step min-max value x^T D_t^{-1} (decayed e).
+The learner itself runs in covariance form, P = D^{-1} and w = D^{-1} e;
+the D, e and f printed below are derived from that state.
 """
 
 import numpy as np
@@ -25,8 +27,8 @@ state = laser.laser_init(params, d=1)
 print(f"init: D0 = {state.D[0,0]:.4f} (= bc/(c-b)), e0 = {state.e[0]:.1f}")
 
 for t, (x, y) in enumerate(zip(xs, ys), start=1):
-    yhat, next_D = laser.laser_predict(state, x)
-    state = laser.laser_update(state, x, y, next_D=next_D)
+    yhat, step = laser.laser_predict(state, x)
+    state = laser.laser_update(state, x, y, step=step)
     print(
         f"round {t}: x={x[0]:+.1f} y={y:+.2f} -> yhat={yhat:+.4f} "
         f"loss={(y - yhat)**2:.4f} "

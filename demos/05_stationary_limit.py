@@ -9,19 +9,25 @@ drifting stream, finite c wins: that is the whole point of the penalty.
 
 import math
 
+import numpy as np
 
-from driftlearn import baselines, laser
+from driftlearn import laser
 from driftlearn.datagen import DatasetSpec, gen_stream
+
+
+def ridge_prediction(xs, ys, t, b=1.0):
+    """Forward ridge solved from scratch: x_t . (b I + sum_{s<=t} x x^T)^{-1} sum_{s<t} y x."""
+    A = b * np.eye(xs.shape[1]) + xs[: t + 1].T @ xs[: t + 1]
+    return float(xs[t] @ np.linalg.solve(A, xs[:t].T @ ys[:t]))
 
 
 def laser_losses(stream, c):
     st = laser.laser_init(laser.LaserParams(b=1.0, c=c), stream.dim)
     total, dev = 0.0, 0.0
-    aar = baselines.aar_init(1.0, stream.dim)
     for t in range(stream.T):
-        yhat, nd = laser.laser_predict(st, stream.xs[t])
-        st = laser.laser_update(st, stream.xs[t], stream.ys[t], next_D=nd)
-        ref, aar = baselines.aar_step(aar, stream.xs[t], stream.ys[t])
+        yhat, step = laser.laser_predict(st, stream.xs[t])
+        st = laser.laser_update(st, stream.xs[t], stream.ys[t], step=step)
+        ref = ridge_prediction(stream.xs, stream.ys, t)
         total += (stream.ys[t] - yhat) ** 2
         dev = max(dev, abs(yhat - ref))
     return total, dev

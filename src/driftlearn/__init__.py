@@ -8,7 +8,6 @@ every recursion and regret bound the learners rely on.
 """
 
 from .baselines import (
-    AarState,
     CrRlsState,
     NlmsState,
     aar_init,
@@ -45,6 +44,7 @@ from .laser import (
     laser_init,
     laser_min_cost,
     laser_predict,
+    laser_trajectory,
     laser_update,
 )
 from .oracle import (
@@ -58,6 +58,8 @@ from .oracle import (
     drift_tuned_bound,
     eig_cap,
     eigenvalue_step_map,
+    hinf_direct,
+    laser_direct,
     logdet_bound_sides,
     regret_certificate_exact,
     regret_certificate_gap,

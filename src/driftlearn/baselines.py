@@ -1,8 +1,10 @@
 """Comparison learners: forward ridge (AAR), NLMS, and covariance-reset RLS.
 
-AAR is the stationary limit of the drift-aware learner: it keeps
-A_t = b I + sum x_s x_s^T and r_t = sum y_s x_s and predicts with the
-new input already folded in, yhat = x^T (A + x x^T)^{-1} r.
+AAR is the stationary limit of the drift-aware learner: with
+A_t = b I + sum x_s x_s^T and r_t = sum y_s x_s it predicts with the new
+input already folded in, yhat = x^T (A + x x^T)^{-1} r. That is exactly
+LASER at c = inf, so `aar_init` and `aar_step` are thin wrappers over the
+laser step and an AAR state is a `LaserState` (A = state.D).
 
 NLMS and CR-RLS use their canonical textbook updates; only their names
 and roles are fixed by the comparison, so the exact forms below are
@@ -14,39 +16,23 @@ artifact-defined:
             and P resets to b_reset^{-1} I every N steps.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
+from . import laser, linalg
 from .errors import InvalidParams
 
 
-@dataclass
-class AarState:
-    A: np.ndarray  # b I + sum of x x^T
-    r: np.ndarray  # sum of y x
-    t: int
-
-    @property
-    def dim(self) -> int:
-        return self.r.shape[0]
+def aar_init(b: float, d: int) -> laser.LaserState:
+    """Forward ridge with prior b I: the laser state at c = inf."""
+    return laser.laser_init(laser.LaserParams(b=b, c=math.inf), d)
 
 
-def aar_init(b: float, d: int) -> AarState:
-    if not b > 0:
-        raise InvalidParams(f"b must be positive, got {b}")
-    if d < 1:
-        raise InvalidParams(f"d must be >= 1, got {d}")
-    return AarState(A=b * np.eye(d), r=np.zeros(d), t=0)
-
-
-def aar_step(state: AarState, x, y: float) -> tuple[float, AarState]:
+def aar_step(state: laser.LaserState, x, y: float) -> tuple[float, laser.LaserState]:
     """Forward ridge prediction, then fold (x, y) into the statistics."""
-    x = linalg.as_vector(x, state.dim)
-    A_next = linalg.rank_one_update(state.A, x)
-    yhat = float(x @ linalg.spd_solve(A_next, state.r))
-    return yhat, replace(state, A=A_next, r=state.r + y * x, t=state.t + 1)
+    return laser.laser_round(state, x, y)
 
 
 @dataclass

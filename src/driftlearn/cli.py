@@ -56,8 +56,7 @@ def _dataset_from_args(args, seed=None) -> DatasetSpec:
 
 
 def _algo_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", required=True,
-                   choices=("laser", "aar", "nlms", "crrls", "hinf"))
+    p.add_argument("--algo", required=True, choices=harness.ALGO_IDS)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--c", type=float, default=None, help="use 'inf' for the stationary learner")
     p.add_argument("--a", type=float, default=None)
@@ -115,7 +114,36 @@ def _load_grid(text: str) -> dict:
     return json.loads(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+class ConfigError(DriftLearnError):
+    """A --config file is unreadable or holds a value its flag rejects."""
+
+
+def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
+    """The config entries naming flags of p, as defaults argparse will
+    type-convert (it converts string defaults only, so numbers become
+    strings) and check against the flag's choices. null keeps the
+    built-in default."""
+    defaults = {}
+    for action in p._actions:
+        value = config.get(action.dest)
+        if value is None or not action.option_strings:
+            continue
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                raise ConfigError(f"config {action.dest!r} must be true or false, got {value!r}")
+        elif action.nargs in ("+", "*"):
+            value = [str(v) for v in (value if isinstance(value, list) else [value])]
+        else:
+            value = str(value)
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config {action.dest!r}: {value!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
+        defaults[action.dest] = value
+    return defaults
+
+
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The driftlearn parser; config preloads the subcommands' flag defaults."""
     ap = argparse.ArgumentParser(
         prog="driftlearn",
         description="Online regression under target drift: learners, "
@@ -140,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out-prefix", default="run", help="prefix for <prefix>_report.csv etc.")
 
     s = sub.add_parser("sweep", help="grid-tune a learner on one stream")
-    s.add_argument("--algo", required=True,
-                   choices=("laser", "aar", "nlms", "crrls", "hinf"))
+    s.add_argument("--algo", required=True, choices=harness.ALGO_IDS)
     s.add_argument("--grid", required=True,
                    help="JSON grid {param: [values...]} or @file.json")
     _dataset_flags(s)
@@ -158,6 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--inputs", nargs="+", required=True)
     rp.add_argument("--out", required=True, help="summary CSV path")
     rp.add_argument("--plot", default=None, help="gnuplot script path")
+    if config:
+        for p in (g, r, s, v, rp):
+            p.set_defaults(**_config_defaults(p, config))
     return ap
 
 
@@ -273,30 +303,30 @@ _COMMANDS = {
 }
 
 
-def _apply_config(args: argparse.Namespace, config: dict, argv: list[str]) -> None:
-    """Fill in config values for flags not given explicitly on the line."""
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, value in config.items():
-        if key not in explicit and hasattr(args, key):
-            setattr(args, key, value)
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path} must hold a JSON object of flag defaults")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config is not None:
+        # re-parse with the config as defaults, so explicit flags (however
+        # abbreviated) win and config values get the flags' own conversion
         try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            parser = build_parser(_load_config(args.config))
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        _apply_config(args, config, argv)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except DriftLearnError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, LengthMismatch
+from .errors import BadDim, BadStream, LengthMismatch
 from .oracle import ComparatorSequence, comparator_from_us
 
 KINDS = ("A", "B", "C", "D")
@@ -224,27 +224,28 @@ def read_stream_csv(path_or_file) -> LabeledStream:
         with open(path_or_file, "r", newline="") as fh:
             return read_stream_csv(fh)
     reader = csv.reader(path_or_file)
-    header = next(reader)
-    if header[0] != "t" or "y" not in header:
-        raise ValueError("not a stream CSV: bad header")
+    header = next(reader, None)
+    if not header or header[0] != "t" or "y" not in header:
+        raise BadStream("not a stream CSV: bad header")
     d = header.index("y") - 1
     if len(header) != 2 * d + 2:
-        raise ValueError(f"header implies d={d} but has {len(header)} columns")
-    xs_rows, ys_vals, us_rows = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2 * d + 2:
-            raise LengthMismatch(f"row has {len(row)} fields, expected {2 * d + 2}")
-        xs_rows.append([float(v) for v in row[1 : d + 1]])
-        ys_vals.append(float(row[d + 1]))
-        us_rows.append([float(v) for v in row[d + 2 :]])
-    xs = np.asarray(xs_rows)
-    ys = np.asarray(ys_vals)
+        raise BadStream(f"header implies d={d} but has {len(header)} columns")
+    rows = [row for row in reader if row]
+    if not rows:
+        raise BadStream("stream CSV has no rows")
+    if any(len(row) != 2 * d + 2 for row in rows):
+        raise LengthMismatch(f"a row does not have the {2 * d + 2} fields of the header")
+    try:
+        table = np.array([row[1:] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise BadStream(f"stream CSV has a non-numeric field: {exc}") from exc
+    if not np.all(np.isfinite(table)):
+        raise BadStream("stream CSV has non-finite values")
+    xs, ys = table[:, :d], table[:, d]
     return LabeledStream(
         xs=xs,
         ys=ys,
-        truth=comparator_from_us(np.asarray(us_rows)),
+        truth=comparator_from_us(table[:, d + 1 :]),
         Y_bound=float(np.max(np.abs(ys))),
         X_bound=float(np.max(np.linalg.norm(xs, axis=1))),
     )

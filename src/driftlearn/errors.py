@@ -46,5 +46,9 @@ class BadDim(DriftLearnError, ValueError):
     """Stream dimension too small for the required input structure."""
 
 
+class BadStream(DriftLearnError, ValueError):
+    """A stream is empty, malformed, or carries non-finite values."""
+
+
 class UnknownAlgo(DriftLearnError, ValueError):
     """Unrecognized learner identifier."""

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, hinf, laser, linalg, oracle
+from . import baselines, hinf, laser, oracle
 from .datagen import DatasetSpec, LabeledStream, gen_stream
-from .errors import InvalidParams, LengthMismatch, UnknownAlgo
+from .errors import BadStream, InvalidParams, LengthMismatch, UnknownAlgo
 
 ALGO_IDS = ("laser", "aar", "nlms", "crrls", "hinf")
 ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -67,7 +67,10 @@ def _laser_params(params: dict, stream: LabeledStream):
     regime = None
     inputs = None
     if "tuned_regime" in params:
-        regime = oracle.DriftRegime(params["tuned_regime"])
+        try:
+            regime = oracle.DriftRegime(params["tuned_regime"])
+        except ValueError as exc:
+            raise InvalidParams(f"unknown tuned_regime {params['tuned_regime']!r}") from exc
         eps_ratio = params.get("eps_ratio")
         if eps_ratio is None:
             raise InvalidParams("tuned_regime requires eps_ratio")
@@ -96,14 +99,27 @@ def _laser_params(params: dict, stream: LabeledStream):
     return lp, regime, inputs
 
 
-def _check_keys(params: dict, allowed: set[str]) -> None:
+def _check_keys(params: dict, allowed: set[str], required: tuple[str, ...] = ()) -> None:
     unknown = set(params) - allowed
     if unknown:
         raise InvalidParams(f"unknown parameter(s): {sorted(unknown)}")
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise InvalidParams(f"missing parameter(s): {missing}")
+
+
+def _check_stream(stream: LabeledStream) -> None:
+    """Validate the stream once, so the learner loops need not."""
+    xs, ys = stream.xs, stream.ys
+    if xs.ndim != 2 or ys.shape != (xs.shape[0],):
+        raise LengthMismatch(f"inputs {xs.shape} and labels {ys.shape} are not aligned")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise BadStream("stream has non-finite inputs or labels")
 
 
 def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0) -> RunReport:
     """Run one learner over one stream under the online protocol."""
+    _check_stream(stream)
     T, d = stream.T, stream.dim
     xs, ys = stream.xs, stream.ys
     yhats = np.empty(T)
@@ -113,32 +129,26 @@ def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0
     if algo_id == "laser":
         _check_keys(params, {"b", "c", "track_f", "clip_bound", "tuned_regime", "eps_ratio"})
         lp, regime, inputs = _laser_params(params, stream)
-        state = laser.laser_init(lp, d)
-        quad_trace = np.empty(T)
-        D_traj = [state.D]
-        for t in range(T):
-            yhat, next_D = laser.laser_predict(state, xs[t])
-            state = laser.laser_update(state, xs[t], ys[t], next_D=next_D)
-            yhats[t] = yhat
-            quad_trace[t] = state.last_x_quad
-            D_traj.append(state.D)
+        traj = laser.laser_trajectory(lp, xs, ys, spectra=not lp.stationary)
+        yhats, quad_trace = traj.yhats, traj.quads
     elif algo_id == "aar":
-        _check_keys(params, {"b"})
+        # forward ridge is the laser step at c = inf; it certifies no bounds
+        _check_keys(params, {"b"}, required=("b",))
         st = baselines.aar_init(float(params["b"]), d)
         for t in range(T):
             yhats[t], st = baselines.aar_step(st, xs[t], ys[t])
     elif algo_id == "nlms":
-        _check_keys(params, {"eta", "eps"})
+        _check_keys(params, {"eta", "eps"}, required=("eta",))
         st = baselines.nlms_init(d, float(params["eta"]), float(params.get("eps", 0.0)))
         for t in range(T):
             yhats[t], st = baselines.nlms_step(st, xs[t], ys[t])
     elif algo_id == "crrls":
-        _check_keys(params, {"reset_period", "b_reset"})
+        _check_keys(params, {"reset_period", "b_reset"}, required=("reset_period", "b_reset"))
         st = baselines.crrls_init(d, int(params["reset_period"]), float(params["b_reset"]))
         for t in range(T):
             yhats[t], st = baselines.crrls_step(st, xs[t], ys[t])
     elif algo_id == "hinf":
-        _check_keys(params, {"a", "b", "c"})
+        _check_keys(params, {"a", "b", "c"}, required=("a", "b", "c"))
         hp = hinf.HInfParams(a=float(params["a"]), b=float(params["b"]), c=float(params["c"]))
         st = hinf.hinf_init(hp, d)
         post_ws = np.empty((T, d))
@@ -168,15 +178,13 @@ def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0
     )
 
     if algo_id == "laser":
-        report.bound_checks = _laser_bound_checks(
-            report, stream, lp, D_traj, regime, inputs
-        )
+        report.bound_checks = _laser_bound_checks(report, stream, lp, traj, regime, inputs)
     elif algo_id == "hinf":
         report.bound_checks = _hinf_bound_checks(report, stream, hp)
     return report
 
 
-def _laser_bound_checks(report, stream, lp, D_traj, regime, inputs) -> list[BoundCheck]:
+def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundCheck]:
     checks = []
     rhs = oracle.cumloss_bound(
         stream.truth, stream.xs, stream.ys, lp.b, lp.c,
@@ -185,15 +193,20 @@ def _laser_bound_checks(report, stream, lp, D_traj, regime, inputs) -> list[Boun
     checks.append(BoundCheck(
         "comparator_cumloss_bound", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
     ))
-    lhs, rhs = oracle.logdet_bound_sides(report.quad_trace, D_traj, lp.b, lp.c)
+    if lp.stationary:  # the trace term vanishes; only ln det D_T is needed
+        logdet_T, trace_sum = laser.d_spectrum(traj.state)[2], 0.0
+    else:
+        logdet_T, trace_sum = float(traj.logdet_D[-1]), float(np.sum(traj.trace_D[:-1]))
+    lhs = float(np.sum(report.quad_trace))
+    rhs = float(oracle.logdet_bound_rhs(logdet_T, trace_sum, stream.dim, lp.b, lp.c))
     checks.append(BoundCheck("logdet_quad_bound", lhs, rhs, lhs <= rhs + EIG_TOL))
-    if math.isfinite(lp.c):
-        lam = max(linalg.eig_extremes(D)[1] for D in D_traj[1:])
+    if not lp.stationary:
+        lam = float(np.max(traj.lam_max_D[1:]))
         cap = oracle.eig_cap(stream.X_bound**2, lp.b, lp.c)
         checks.append(BoundCheck("eig_cap", lam, cap, lam <= cap + EIG_TOL))
     if regime is not None:
         u1 = stream.truth.us[0]
-        ld = linalg.logdet(D_traj[-1]) - stream.dim * math.log(lp.b)
+        ld = logdet_T - stream.dim * math.log(lp.b)
         rhs = oracle.drift_tuned_bound(
             regime,
             inputs,

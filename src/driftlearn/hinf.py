@@ -10,13 +10,22 @@ starting from w_0 = 0, P_0 = b^{-1} I, with robustness level a > 1 and
 penalties b, c > 0. The c^{-1} I refresh keeps P_t bounded away from
 zero, which is what lets the filter track a moving target.
 
+`hinf_step` applies Ptilde_t as a rank-one (Sherman-Morrison) update of
+P_{t-1} with weight a-1, so a round costs O(d^2) and no factorization:
+
+    Ptilde = P - (a-1) (Px)(Px)^T / (1 + (a-1) x^T P x)
+
+`oracle.hinf_direct` keeps the two-inverse transcription of the
+recursion above as the reference.
+
 The filtering guarantee bounds the error of the post-update weights
 (the w_t above), while the prediction-loss ceiling bounds the loss of
 the pre-update predictions; callers that certify both must keep both
 weight sequences, see `harness.RunReport`.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +71,13 @@ def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     x = linalg.as_vector(x, state.dim)
     p = state.params
     yhat = float(x @ state.w)
-    P_inv = linalg.spd_inverse(state.P)
-    P_tilde = linalg.spd_inverse(P_inv + (p.a - 1.0) * np.outer(x, x))
-    w_new = state.w + p.a * (y - yhat) * (P_tilde @ x)
-    P_new = linalg.symmetrize(P_tilde + np.eye(state.dim) / p.c)
-    return yhat, replace(state, w=w_new, P=P_new, t=state.t + 1)
+    Px = state.P @ x
+    k = 1.0 + (p.a - 1.0) * float(x @ Px)  # >= 1: P is SPD and a > 1
+    g = Px * math.sqrt((p.a - 1.0) / k)
+    P_new = state.P - g[:, None] * g  # Ptilde, exactly symmetric
+    P_new.ravel()[:: state.dim + 1] += 1.0 / p.c
+    w_new = state.w + Px * (p.a * (y - yhat) / k)  # a (y - yhat) Ptilde x
+    return yhat, HInfState(p, w_new, P_new, state.t + 1)
 
 
 def hinf_filter_loss(post_update_ws, xs, comparator: ComparatorSequence) -> float:

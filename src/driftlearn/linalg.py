@@ -20,7 +20,7 @@ def as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -32,7 +32,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
         raise DimMismatch(f"expected a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimMismatch(f"expected length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -55,11 +55,21 @@ def rank_one_update(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return symmetrize(A + np.outer(x, x))
 
 
-def _cholesky(A: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A (the strict upper triangle is not
+    cleared), straight from LAPACK potrf: scipy's cho_factor/cho_solve
+    wrappers cost several times the factorization itself at small d."""
+    L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (potrf info {info})")
+    return L
+
+
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    Z, info = scipy.linalg.lapack.dpotrs(L, B, lower=1)
+    if info != 0:
+        raise ValueError(f"potrs failed (info {info})")
+    return Z
 
 
 def spd_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -70,7 +80,7 @@ def spd_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     A = as_matrix(A)
     v = as_vector(v, A.shape[0])
-    return scipy.linalg.cho_solve(_cholesky(A), v, check_finite=False)
+    return _cho_solve(_cholesky(A), v)
 
 
 def spd_solve_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -79,21 +89,19 @@ def spd_solve_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = as_matrix(B)
     if B.shape[0] != A.shape[0]:
         raise DimMismatch(f"rhs rows {B.shape[0]} != dim {A.shape[0]}")
-    return scipy.linalg.cho_solve(_cholesky(A), B, check_finite=False)
+    return _cho_solve(_cholesky(A), B)
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of SPD A (one solve against the identity), symmetrized."""
     A = as_matrix(A)
-    inv = scipy.linalg.cho_solve(_cholesky(A), np.eye(A.shape[0]), check_finite=False)
-    return symmetrize(inv)
+    return symmetrize(_cho_solve(_cholesky(A), np.eye(A.shape[0])))
 
 
 def logdet(A: np.ndarray) -> float:
     """ln det(A) for SPD A."""
     A = as_matrix(A)
-    L = _cholesky(A)[0]
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+    return float(2.0 * np.sum(np.log(np.diag(_cholesky(A)))))
 
 
 def eig_extremes(A: np.ndarray) -> tuple[float, float]:

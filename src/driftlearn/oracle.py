@@ -3,13 +3,16 @@
 Everything in this module is deliberately boring: the brute-force
 minimizer assembles the full stacked normal equations and solves them
 densely, the certificate evaluators build the exact matrices and take
-eigenvalues. These are the trusted references against which the fast
-recursions are certified.
+eigenvalues, and `laser_direct` / `hinf_direct` transcribe the learners'
+defining recursions literally, with a factorization wherever the
+recursion inverts a matrix. These are the trusted references against
+which the fast covariance-form learners are certified.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -241,6 +244,15 @@ def cumloss_bound(
     )
 
 
+def logdet_bound_rhs(logdet_DT, trace_sum, d: int, b: float, c: float):
+    """RHS of the log-det inequality, ln|D_T / b| + c^{-1} sum_{t<T} Tr(D_t),
+    from ln det D_T and the trace sum (scalars or aligned arrays)."""
+    rhs = logdet_DT - d * math.log(b)
+    if math.isfinite(c):
+        rhs = rhs + trace_sum / c
+    return rhs
+
+
 def logdet_bound_sides(quad_trace, D_traj, b: float, c: float) -> tuple[float, float]:
     """Both sides of the log-det inequality
 
@@ -254,10 +266,95 @@ def logdet_bound_sides(quad_trace, D_traj, b: float, c: float) -> tuple[float, f
         raise LengthMismatch(f"need T+1 = {T + 1} matrices, got {len(D_traj)}")
     d = np.asarray(D_traj[0]).shape[0]
     lhs = float(np.sum(quad_trace))
-    rhs = linalg.logdet(np.asarray(D_traj[-1])) - d * math.log(b)
-    if math.isfinite(c):
-        rhs += sum(float(np.trace(np.asarray(D_traj[t]))) for t in range(T)) / c
+    trace_sum = sum(float(np.trace(np.asarray(D_traj[t]))) for t in range(T))
+    rhs = logdet_bound_rhs(linalg.logdet(np.asarray(D_traj[-1])), trace_sum, d, b, c)
     return lhs, float(rhs)
+
+
+# ---------------------------------------------------------------------------
+# Direct transcriptions of the learners' recursions
+# ---------------------------------------------------------------------------
+
+class DirectLaserRun(NamedTuple):
+    """Every quantity of the LASER recursions along one stream: D_t, e_t,
+    f_t for t = 0..T; per round the prediction, x_t^T D_t^{-1} x_t and the
+    offline optimum f_t - e_t^T D_t^{-1} e_t."""
+
+    yhats: np.ndarray
+    quads: np.ndarray
+    min_costs: np.ndarray
+    Ds: np.ndarray
+    es: np.ndarray
+    fs: np.ndarray
+
+
+def laser_direct(xs, ys, b: float, c: float) -> DirectLaserRun:
+    """The LASER recursions exactly as stated, one SPD solve per inverse:
+
+        D_0 = (bc/(c-b)) I,  D_t = (D_{t-1}^{-1} + c^{-1} I)^{-1} + x_t x_t^T
+        e_0 = 0,             e_t = (I + c^{-1} D_{t-1})^{-1} e_{t-1} + y_t x_t
+        f_0 = 0,             f_t = f_{t-1} - e_{t-1}^T (cI + D_{t-1})^{-1} e_{t-1} + y_t^2
+
+        yhat_t = x_t^T D_t^{-1} (I + c^{-1} D_{t-1})^{-1} e_{t-1}
+
+    with every c^{-1} term dropped at c = inf (D_0 = b I).
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    T, d = xs.shape
+    I = np.eye(d)
+    stationary = math.isinf(c)
+    D = (b if stationary else b * c / (c - b)) * I
+    e = np.zeros(d)
+    f = 0.0
+    Ds, es, fs = [D], [e], [f]
+    yhats, quads, min_costs = np.empty(T), np.empty(T), np.empty(T)
+    for t in range(T):
+        x = xs[t]
+        if stationary:
+            blend, decayed, shrink = D, e, 0.0
+        else:
+            blend = linalg.symmetrize(linalg.spd_solve_matrix(I + D / c, D))
+            decayed = linalg.spd_solve(I + D / c, e)
+            shrink = float(e @ linalg.spd_solve(c * I + D, e))
+        D = linalg.rank_one_update(blend, x)
+        Dinv_x = linalg.spd_solve(D, x)
+        yhats[t] = float(Dinv_x @ decayed)
+        quads[t] = float(x @ Dinv_x)
+        e = decayed + ys[t] * x
+        f = f - shrink + ys[t] * ys[t]
+        min_costs[t] = f - float(e @ linalg.spd_solve(D, e))
+        Ds.append(D)
+        es.append(e)
+        fs.append(f)
+    return DirectLaserRun(yhats, quads, min_costs, np.array(Ds), np.array(es), np.array(fs))
+
+
+def hinf_direct(xs, ys, a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The H-infinity recursion exactly as stated, with two inverses per round:
+
+        yhat_t = x_t . w_{t-1}
+        Ptilde_t = (P_{t-1}^{-1} + (a-1) x_t x_t^T)^{-1}
+        w_t = w_{t-1} + a Ptilde_t (y_t - yhat_t) x_t,  P_t = Ptilde_t + c^{-1} I
+
+    from w_0 = 0, P_0 = b^{-1} I. Returns (yhats, post-update ws (T, d),
+    Ps for t = 0..T).
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    T, d = xs.shape
+    w = np.zeros(d)
+    P = np.eye(d) / b
+    yhats, ws, Ps = np.empty(T), np.empty((T, d)), [P]
+    for t in range(T):
+        x = xs[t]
+        yhats[t] = float(x @ w)
+        P_tilde = linalg.spd_inverse(linalg.spd_inverse(P) + (a - 1.0) * np.outer(x, x))
+        w = w + a * (ys[t] - yhats[t]) * (P_tilde @ x)
+        P = linalg.symmetrize(P_tilde + np.eye(d) / c)
+        ws[t] = w
+        Ps.append(P)
+    return yhats, ws, np.array(Ps)
 
 
 # ---------------------------------------------------------------------------

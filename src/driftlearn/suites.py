@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harness, laser, linalg, oracle
+from . import harness, laser, oracle
 from .datagen import DatasetSpec, gen_stream
 
 DESK_T = 200
@@ -120,21 +120,11 @@ def _desk_specs(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS):
     return [DatasetSpec(kind=k, T=T, d=d, seed=s) for k in kinds for s in seeds]
 
 
-def _laser_trajectory(stream, params: dict):
+def _cert_trajectory(stream, params: dict, spectra: bool = False):
     lp = laser.LaserParams(
         b=float(params["b"]), c=float(params["c"]), track_f=bool(params.get("track_f", False))
     )
-    state = laser.laser_init(lp, stream.dim)
-    D_traj = [state.D]
-    quads = np.empty(stream.T)
-    yhats = np.empty(stream.T)
-    for t in range(stream.T):
-        yhat, next_D = laser.laser_predict(state, stream.xs[t])
-        state = laser.laser_update(state, stream.xs[t], stream.ys[t], next_D=next_D)
-        yhats[t] = yhat
-        quads[t] = state.last_x_quad
-        D_traj.append(state.D)
-    return lp, yhats, quads, D_traj
+    return lp, laser.laser_trajectory(lp, stream.xs, stream.ys, spectra=spectra)
 
 
 def logdet_trajectory_suite(
@@ -145,15 +135,13 @@ def logdet_trajectory_suite(
     cases = 0
     for spec in _desk_specs(kinds, T, d, seeds):
         stream = gen_stream(spec)
-        lp, _, quads, D_traj = _laser_trajectory(stream, params)
-        lhs = 0.0
-        trace_sum = 0.0
-        for t in range(stream.T):
-            lhs += quads[t]
-            trace_sum += float(np.trace(D_traj[t]))
-            rhs = linalg.logdet(D_traj[t + 1]) - stream.dim * math.log(lp.b) + trace_sum / lp.c
-            worst = max(worst, lhs - rhs)
-            cases += 1
+        lp, traj = _cert_trajectory(stream, params, spectra=True)
+        lhs = np.cumsum(traj.quads)
+        rhs = oracle.logdet_bound_rhs(
+            traj.logdet_D[1:], np.cumsum(traj.trace_D[:-1]), stream.dim, lp.b, lp.c
+        )
+        worst = max(worst, float(np.max(lhs - rhs)))
+        cases += stream.T
     return _result("log-det quad-sum inequality", cases, worst, 1e-9)
 
 
@@ -165,14 +153,11 @@ def eig_cap_suite(
     cases = 0
     for spec in _desk_specs(kinds, T, d, seeds):
         stream = gen_stream(spec)
-        lp, _, _, D_traj = _laser_trajectory(stream, params)
-        x_sq_max = 0.0
-        for t in range(stream.T):
-            x_sq_max = max(x_sq_max, float(stream.xs[t] @ stream.xs[t]))
-            lam = linalg.eig_extremes(D_traj[t + 1])[1]
-            cap = oracle.eig_cap(x_sq_max, lp.b, lp.c)
-            worst = max(worst, lam - cap)
-            cases += 1
+        lp, traj = _cert_trajectory(stream, params, spectra=True)
+        x_sq_max = np.maximum.accumulate(np.einsum("td,td->t", stream.xs, stream.xs))
+        caps = np.array([oracle.eig_cap(float(v), lp.b, lp.c) for v in x_sq_max])
+        worst = max(worst, float(np.max(traj.lam_max_D[1:] - caps)))
+        cases += stream.T
     return _result("covariance eigenvalue cap", cases, worst, 1e-9)
 
 
@@ -190,7 +175,8 @@ def comparator_bound_suite(
     cases = 0
     for spec in _desk_specs(kinds, T, d, seeds):
         stream = gen_stream(spec)
-        lp, yhats, quads, _ = _laser_trajectory(stream, params)
+        lp, traj = _cert_trajectory(stream, params)
+        yhats, quads = traj.yhats, traj.quads
         L_T = float(np.sum((stream.ys - yhats) ** 2))
         rhs = oracle.cumloss_bound(
             stream.truth, stream.xs, stream.ys, lp.b, lp.c, stream.Y_bound, quads

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from driftlearn import baselines, cli, harness, laser, oracle, suites
+from driftlearn import cli, harness, laser, oracle, suites
 from driftlearn.datagen import DatasetSpec
 
 
@@ -47,8 +47,8 @@ def test_hand_trace_fixture():
     }
     worst = 0.0
     for i in range(2):
-        yhat, next_D = laser.laser_predict(state, xs[i])
-        state = laser.laser_update(state, xs[i], ys[i], next_D=next_D)
+        yhat, step = laser.laser_predict(state, xs[i])
+        state = laser.laser_update(state, xs[i], ys[i], step=step)
         brute_value, _ = oracle.brute_min_cost(xs[: i + 1], ys[: i + 1], 1.0, 2.0)
         worst = max(
             worst,
@@ -114,7 +114,7 @@ def test_tuned_bounds_both_regimes():
     )
 
 
-def test_stationary_reduction():
+def test_stationary_reduction(forward_ridge):
     rng = np.random.default_rng(88)
     worst_big_c, worst_inf = 0.0, 0.0
     for _ in range(5):
@@ -126,14 +126,11 @@ def test_stationary_reduction():
             st = laser.laser_init(laser.LaserParams(b=1.0, c=c), d)
             out = np.empty(T)
             for t in range(T):
-                out[t], nd = laser.laser_predict(st, xs[t])
-                st = laser.laser_update(st, xs[t], ys[t], next_D=nd)
+                out[t], step = laser.laser_predict(st, xs[t])
+                st = laser.laser_update(st, xs[t], ys[t], step=step)
             return out
 
-        aar_state = baselines.aar_init(1.0, d)
-        ref = np.empty(T)
-        for t in range(T):
-            ref[t], aar_state = baselines.aar_step(aar_state, xs[t], ys[t])
+        ref = forward_ridge(xs, ys, 1.0)
         worst_big_c = max(worst_big_c, np.max(np.abs(predictions(1e12) - ref)))
         worst_inf = max(worst_inf, np.max(np.abs(predictions(math.inf) - ref)))
     _report(

@@ -20,7 +20,7 @@ def test_aar_min_eigenvalue_never_decreases():
     prev = b
     for _ in range(50):
         _, st = baselines.aar_step(st, rng.standard_normal(3), rng.standard_normal())
-        lam = linalg.eig_extremes(st.A)[0]
+        lam = linalg.eig_extremes(st.D)[0]  # A = b I + sum x x^T
         assert lam >= prev - 1e-10
         assert lam >= b - 1e-12
         prev = lam

@@ -167,3 +167,37 @@ def test_missing_input_file_exits_nonzero(tmp_path):
                    "--data", str(tmp_path / "absent.csv"),
                    "--out-prefix", str(tmp_path / "x"))
     assert code == 1
+
+
+def test_header_only_stream_csv_exits_two(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("t,x_1,x_2,y,u_1,u_2\n")
+    code = run_cli("run", "--algo", "laser", "--b", "1", "--c", "2",
+                   "--data", str(data), "--out-prefix", str(tmp_path / "x"))
+    assert code == 2
+    assert "no rows" in capsys.readouterr().err
+
+
+def test_config_values_get_the_flags_type_conversion(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "A", "T": "9", "d": 10}))
+    out = tmp_path / "s.csv"
+    assert run_cli("--config", str(config), "gen", "--out", str(out)) == 0
+    assert read_stream_csv(out).T == 9
+    config.write_text(json.dumps({"kind": "A", "T": "nine"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(config), "gen", "--out", str(out))
+    assert exc.value.code == 2
+    config.write_text(json.dumps({"kind": "Z"}))
+    assert run_cli("--config", str(config), "gen", "--out", str(out)) == 2
+
+
+def test_abbreviated_flag_overrides_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"base_seed": 7}))
+    prefix = tmp_path / "r"
+    assert run_cli("--config", str(config), "run", "--algo", "aar", "--b", "1",
+                   "--kind", "A", "--T", "5", "--d", "4", "--base", "0",
+                   "--out-prefix", str(prefix)) == 0
+    rows = (tmp_path / "r_report.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {"0"}

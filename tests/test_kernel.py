@@ -1,0 +1,255 @@
+"""The covariance-form learners against their references.
+
+Three references, each independent of the kernel's floating-point path:
+the literal (D, e, f) transcriptions in `oracle` on well-conditioned
+streams, the brute-force offline optimum, and the same covariance
+recursion carried out in 40-digit `mpmath` arithmetic, which stays exact
+where the direct transcription loses digits (large inputs, c close to b).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from driftlearn import baselines, harness, hinf, laser, oracle
+from driftlearn.datagen import DatasetSpec, gen_stream
+
+
+def kernel_run(xs, ys, b, c, track_f=True):
+    """Predictions and every committed state of the covariance-form kernel."""
+    state = laser.laser_init(laser.LaserParams(b=b, c=c, track_f=track_f), xs.shape[1])
+    yhats, states = [], [state]
+    for x, y in zip(xs, ys):
+        yhat, step = laser.laser_predict(state, x)
+        state = laser.laser_update(state, x, y, step=step)
+        yhats.append(yhat)
+        states.append(state)
+    return np.array(yhats), states
+
+
+def mp_predictions(xs, ys, b, c, dps=40):
+    """The covariance recursion of laser.py in dps-digit arithmetic."""
+    with mpmath.workdps(dps):
+        d = xs.shape[1]
+        b = mpmath.mpf(b)
+        inflation = mpmath.mpf(0) if math.isinf(c) else 1 / mpmath.mpf(c)
+        p0 = 1 / b - inflation
+        P = [[p0 if i == j else mpmath.mpf(0) for j in range(d)] for i in range(d)]
+        w = [mpmath.mpf(0)] * d
+        yhats = []
+        for x_row, y in zip(xs, ys):
+            x = [mpmath.mpf(float(v)) for v in x_row]
+            for i in range(d):
+                P[i][i] += inflation
+            Px = [mpmath.fsum(P[i][j] * x[j] for j in range(d)) for i in range(d)]
+            s = 1 + mpmath.fsum(x[i] * Px[i] for i in range(d))
+            xw = mpmath.fsum(x[i] * w[i] for i in range(d))
+            yhats.append(xw / s)
+            P = [[P[i][j] - Px[i] * Px[j] / s for j in range(d)] for i in range(d)]
+            err = (mpmath.mpf(float(y)) - xw) / s
+            w = [w[i] + Px[i] * err for i in range(d)]
+        return np.array([float(v) for v in yhats])
+
+
+def rel_dev(yhats, ref):
+    return float(np.max(np.abs(yhats - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+# -- agreement with the direct transcription ----------------------------------
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_matches_direct_recursion(seed):
+    rng = np.random.default_rng(seed)
+    T, d = int(rng.integers(1, 31)), int(rng.integers(1, 6))
+    lo, hi = np.sort(rng.uniform(0.1, 10.0, size=2))
+    b, c = float(lo), float(hi) if seed % 4 else math.inf
+    xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
+    yhats, states = kernel_run(xs, ys, b, c)
+    ref = oracle.laser_direct(xs, ys, b, c)
+    np.testing.assert_allclose(yhats, ref.yhats, rtol=0, atol=1e-12 * (1 + np.abs(ref.yhats).max()))
+    for t, state in enumerate(states):
+        scale = 1.0 + np.abs(ref.Ds[t]).max()
+        np.testing.assert_allclose(state.D, ref.Ds[t], rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(state.e, ref.es[t], rtol=0, atol=1e-10 * scale)
+        assert state.f == pytest.approx(ref.fs[t], rel=1e-10, abs=1e-10)
+    mins = np.array([laser.laser_min_cost(s) for s in states[1:]])
+    np.testing.assert_allclose(mins, ref.min_costs, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose([s.last_x_quad for s in states[1:]], ref.quads, atol=1e-12)
+
+
+def test_innovation_min_cost_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        T, d = int(rng.integers(1, 21)), int(rng.integers(1, 6))
+        lo, hi = np.sort(rng.uniform(0.1, 10.0, size=2))
+        xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
+        _, states = kernel_run(xs, ys, float(lo), float(hi))
+        value, _ = oracle.brute_min_cost(xs, ys, float(lo), float(hi))
+        assert laser.laser_min_cost(states[-1]) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_hinf_matches_direct_recursion():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        T, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        a, b, c = rng.uniform(1.1, 30.0), rng.uniform(0.5, 500.0), rng.uniform(0.5, 500.0)
+        xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
+        st_ = hinf.hinf_init(hinf.HInfParams(a=a, b=b, c=c), d)
+        yhats, ws = [], []
+        for x, y in zip(xs, ys):
+            yhat, st_ = hinf.hinf_step(st_, x, y)
+            yhats.append(yhat)
+            ws.append(st_.w)
+        ref_yhats, ref_ws, ref_Ps = oracle.hinf_direct(xs, ys, a, b, c)
+        np.testing.assert_allclose(yhats, ref_yhats, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ws, ref_ws, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(st_.P, ref_Ps[-1], rtol=1e-10, atol=1e-12)
+
+
+def test_aar_is_laser_at_infinite_c():
+    stream = gen_stream(DatasetSpec(kind="C", T=60, d=4, seed=2))
+    st_ = baselines.aar_init(0.5, 4)
+    yhats = []
+    for x, y in zip(stream.xs, stream.ys):
+        yhat, st_ = baselines.aar_step(st_, x, y)
+        yhats.append(yhat)
+    report = harness.run_learner("aar", {"b": 0.5}, stream)
+    assert np.array_equal(report.yhats, yhats)
+    assert report.bound_checks == [] and report.quad_trace is None
+    ref = oracle.laser_direct(stream.xs, stream.ys, 0.5, math.inf).yhats
+    np.testing.assert_allclose(yhats, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+def test_trajectory_spectra_match_direct_matrices():
+    stream = gen_stream(DatasetSpec(kind="D", T=40, d=4, seed=5))
+    traj = laser.laser_trajectory(laser.LaserParams(b=1.0, c=100.0), stream.xs, stream.ys,
+                                  spectra=True)
+    ref = oracle.laser_direct(stream.xs, stream.ys, 1.0, 100.0)
+    lam = np.linalg.eigvalsh(ref.Ds)
+    np.testing.assert_allclose(traj.trace_D, lam.sum(axis=1), rtol=1e-10)
+    np.testing.assert_allclose(traj.lam_max_D, lam[:, -1], rtol=1e-10)
+    np.testing.assert_allclose(traj.logdet_D, np.log(lam).sum(axis=1), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(traj.quads, ref.quads, atol=1e-12)
+
+
+# -- high-precision reference ---------------------------------------------------
+
+@pytest.mark.parametrize("b, c", [(0.1, 0.2), (1.0, 100.0), (10.0, 1000.0), (1.0, math.inf)])
+def test_kernel_matches_40_digit_reference(b, c):
+    stream = gen_stream(DatasetSpec(kind="C", T=400, d=6, seed=11))
+    yhats, _ = kernel_run(stream.xs, stream.ys, b, c, track_f=False)
+    assert rel_dev(yhats, mp_predictions(stream.xs, stream.ys, b, c)) <= 1e-13
+
+
+def test_kernel_holds_at_large_input_scale():
+    # at scale 1e6 the inflation I/c dominates P's small eigenvalues and the
+    # covariance form keeps full accuracy; the direct (D, e) transcription
+    # loses about 1e-5 relative here, in its I + D/c solves
+    rng = np.random.default_rng(1)
+    xs, ys = rng.standard_normal((300, 5)) * 1e6, rng.standard_normal(300) * 1e6
+    yhats, _ = kernel_run(xs, ys, 1.0, 100.0, track_f=False)
+    assert rel_dev(yhats, mp_predictions(xs, ys, 1.0, 100.0, dps=50)) <= 1e-13
+
+
+@st.composite
+def hard_streams(draw):
+    """Short streams at input scale 1e-6..1e6, with c/b near 1, c = 1e12
+    or moderate, and some all-zero inputs."""
+    d = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    b = 10.0 ** draw(st.floats(-2.0, 2.0))
+    c = draw(st.sampled_from(["near", "huge", "ratio"]))
+    if c == "near":
+        c = b * (1.0 + 10.0 ** draw(st.floats(-9.0, -1.0)))
+    elif c == "huge":
+        c = 1e12
+    else:
+        c = b * 10.0 ** draw(st.floats(0.5, 4.0))
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((T, d)) * scale
+    xs[rng.random(T) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    ys = rng.standard_normal(T) * scale
+    return xs, ys, b, c
+
+
+def kappa_of(xs, b, c):
+    """min(max_t |x_t|^2, c) / b: how far a round can shrink P below its
+    prior scale 1/b."""
+    return min(float(np.max(np.einsum("td,td->t", xs, xs), initial=0.0)), c) / b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(hard_streams())
+def test_stress_stays_spd_and_matches_high_precision(case):
+    """The held matrix (P, or D in information form) stays exactly
+    symmetric and positive definite, and the predictions agree with the
+    40-digit reference to 1e-12 of max |yhat|. Streams with kappa > 1e3
+    (weak prior against the inputs, slow forgetting) are the known defect
+    covered by the xfail tests below: there the covariance form can reach
+    2e-12 and, on streams shorter than d, the information form 1e-11."""
+    xs, ys, b, c = case
+    assume(kappa_of(xs, b, c) <= 1e3)
+    yhats, states = kernel_run(xs, ys, b, c, track_f=False)
+    for state in states:
+        M = state.cov if state.info is None else state.info.D
+        assert np.array_equal(M, M.T)
+        assert np.linalg.eigvalsh(M)[0] > 0.0
+    ref = mp_predictions(xs, ys, b, c)
+    if not np.any(ref):
+        assert not np.any(yhats)
+        return
+    assert rel_dev(yhats, ref) <= 1e-12
+
+
+def big_stream(scale, seed=1, T=300, d=5):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((T, d)) * scale, rng.standard_normal(T) * scale
+
+
+@pytest.mark.parametrize("b, c", [(1.0, 1e12), (1.0, math.inf), (0.01, 1e12)])
+def test_weak_prior_slow_forgetting_switches_to_information_form(b, c):
+    # at |x| ~ 1e6 the covariance downdate would cancel about
+    # log10(min(|x|^2, c)/b) digits; the state moves to information form
+    xs, ys = big_stream(1e6)
+    yhats, states = kernel_run(xs, ys, b, c, track_f=False)
+    assert states[0].info is None and states[-1].info is not None
+    assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-13
+
+
+def test_moderate_inputs_stay_in_covariance_form():
+    stream = gen_stream(DatasetSpec(kind="C", T=250, d=20, seed=4))
+    for b, c in [(10.0, 300.0), (10.0, 10000.0), (300.0, 1000.0), (100.0, math.inf)]:
+        _, states = kernel_run(stream.xs, stream.ys, b, c, track_f=False)
+        assert states[-1].info is None
+
+
+KNOWN_DEFECT = ("known defect (CHANGES.md, FOUND): with max|x|^2/b >> 1e4 the "
+                "information form loses about eps max|x|^2/b while some direction "
+                "still sits at the prior scale, and near c = sqrt(b max|x|^2) both "
+                "forms lose about eps sqrt(max|x|^2/b)")
+
+
+@pytest.mark.xfail(strict=True, reason=KNOWN_DEFECT)
+@pytest.mark.parametrize("c", [1e12, math.inf])
+def test_short_stream_with_weak_prior(c):
+    # four rounds in four dimensions at |x| ~ 2e4 with b = 0.01: the
+    # information form (like the direct transcription) is off by ~3e-6
+    xs, ys = big_stream(1e4, seed=0, T=4, d=4)
+    yhats, _ = kernel_run(xs, ys, 0.01, c, track_f=False)
+    assert rel_dev(yhats, mp_predictions(xs, ys, 0.01, c)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=KNOWN_DEFECT)
+def test_large_inputs_at_intermediate_forgetting():
+    xs, ys = big_stream(1e6)
+    b = 1.0
+    c = math.sqrt(b * float(np.max(np.einsum("td,td->t", xs, xs))))
+    yhats, _ = kernel_run(xs, ys, b, c, track_f=False)
+    assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftlearn import baselines, laser, linalg, oracle
+from driftlearn import laser, linalg, oracle
 from driftlearn.errors import FNotTracked, InvalidParams
 
 # Two-round fixture on (x, y) = (1, 1), (1, 0.5) with b=1, c=2. Values
@@ -24,8 +24,8 @@ def run_trace():
     state = laser.laser_init(params, 1)
     steps = []
     for x, y in zip(TRACE_XS, TRACE_YS):
-        yhat, next_D = laser.laser_predict(state, x)
-        state = laser.laser_update(state, x, y, next_D=next_D)
+        yhat, step = laser.laser_predict(state, x)
+        state = laser.laser_update(state, x, y, step=step)
         steps.append((yhat, state))
     return steps
 
@@ -72,11 +72,11 @@ def test_predict_zero_input_predicts_zero():
     params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 2)
     state = laser.laser_update(state, [1.0, 0.0], 1.0)
-    yhat, next_D = laser.laser_predict(state, [0.0, 0.0])
+    yhat, step = laser.laser_predict(state, [0.0, 0.0])
     assert yhat == 0.0
-    # propagation only: (D^{-1} + c^{-1} I)^{-1}
-    expected = linalg.spd_inverse(linalg.spd_inverse(state.D) + np.eye(2) / 2.0)
-    np.testing.assert_allclose(next_D, expected, atol=1e-12)
+    # propagation only: D becomes (D^{-1} + c^{-1} I)^{-1}, so P becomes P + I/c
+    propagated = laser.laser_update(state, [0.0, 0.0], 0.0, step=step)
+    np.testing.assert_allclose(propagated.P, state.P + np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_update_zero_round_decays_e_only():
@@ -118,11 +118,11 @@ def test_forward_property():
     for t in range(30):
         x = rng.standard_normal(3)
         y = rng.standard_normal()
-        yhat, next_D = laser.laser_predict(state, x)
-        ghost = laser.laser_update(state, x, 0.0, next_D=next_D)
+        yhat, step = laser.laser_predict(state, x)
+        ghost = laser.laser_update(state, x, 0.0, step=step)
         forward = float(x @ linalg.spd_solve(ghost.D, ghost.e))
         assert abs(yhat - forward) <= 1e-12
-        state = laser.laser_update(state, x, y, next_D=next_D)
+        state = laser.laser_update(state, x, y, step=step)
 
 
 def test_eigenvalue_cap_along_trajectory():
@@ -138,7 +138,7 @@ def test_eigenvalue_cap_along_trajectory():
         assert lam <= oracle.eig_cap(x_sq_max, params.b, params.c) + 1e-9
 
 
-def test_stationary_reduction_to_forward_ridge():
+def test_stationary_reduction_to_forward_ridge(forward_ridge):
     rng = np.random.default_rng(14)
     T, d = 100, 5
     xs = rng.standard_normal((T, d))
@@ -148,20 +148,14 @@ def test_stationary_reduction_to_forward_ridge():
         state = laser.laser_init(laser.LaserParams(b=1.0, c=c), d)
         preds = []
         for t in range(T):
-            yhat, nd = laser.laser_predict(state, xs[t])
-            state = laser.laser_update(state, xs[t], ys[t], next_D=nd)
+            yhat, step = laser.laser_predict(state, xs[t])
+            state = laser.laser_update(state, xs[t], ys[t], step=step)
             preds.append(yhat)
         return np.array(preds)
 
-    aar_state = baselines.aar_init(1.0, d)
-    aar_preds = []
-    for t in range(T):
-        yhat, aar_state = baselines.aar_step(aar_state, xs[t], ys[t])
-        aar_preds.append(yhat)
-    aar_preds = np.array(aar_preds)
-
-    np.testing.assert_allclose(laser_preds(1e12), aar_preds, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(laser_preds(math.inf), aar_preds, rtol=0, atol=1e-10)
+    ridge = forward_ridge(xs, ys, 1.0)
+    np.testing.assert_allclose(laser_preds(1e12), ridge, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(laser_preds(math.inf), ridge, rtol=0, atol=1e-10)
 
 
 def test_per_step_regret_identity():
@@ -177,8 +171,8 @@ def test_per_step_regret_identity():
         for t in range(25):
             x = rng.standard_normal(d)
             y = rng.standard_normal()
-            yhat, nd = laser.laser_predict(state, x)
-            state = laser.laser_update(state, x, y, next_D=nd)
+            yhat, step = laser.laser_predict(state, x)
+            state = laser.laser_update(state, x, y, step=step)
             cost = laser.laser_min_cost(state)
             lhs = (y - yhat) ** 2 + prev_cost - cost
             rhs = y * y * state.last_x_quad
@@ -223,8 +217,8 @@ def test_update_without_predict_recomputes_propagation():
     b = laser.laser_init(params, 3)
     for _ in range(5):
         x, y = rng.standard_normal(3), rng.standard_normal()
-        _, nd = laser.laser_predict(a, x)
-        a = laser.laser_update(a, x, y, next_D=nd)
+        _, step = laser.laser_predict(a, x)
+        a = laser.laser_update(a, x, y, step=step)
         b = laser.laser_update(b, x, y)
     np.testing.assert_allclose(a.D, b.D, atol=1e-14)
     np.testing.assert_allclose(a.e, b.e, atol=1e-14)

@@ -165,8 +165,8 @@ def test_cumloss_bound_against_brute_optimal_comparator():
     state = laser.laser_init(params, d)
     yhats, quads = [], []
     for t in range(T):
-        yhat, nd = laser.laser_predict(state, xs[t])
-        state = laser.laser_update(state, xs[t], ys[t], next_D=nd)
+        yhat, step = laser.laser_predict(state, xs[t])
+        state = laser.laser_update(state, xs[t], ys[t], step=step)
         yhats.append(yhat)
         quads.append(state.last_x_quad)
     L = float(np.sum((ys - np.array(yhats)) ** 2))

@@ -22,6 +22,11 @@ from .datagen import DatasetSpec, gen_stream, read_stream_csv, write_stream_csv
 from .errors import DriftLearnError
 
 
+class ConfigError(DriftLearnError):
+    """A --config file is unreadable or holds a value its flag rejects, or
+    a value needed from a flag or the config is missing."""
+
+
 def _dataset_flags(p: argparse.ArgumentParser) -> None:
     # --kind stays optional at parse time so --config can supply it;
     # commands that need it validate after the merge
@@ -41,12 +46,14 @@ def _dataset_flags(p: argparse.ArgumentParser) -> None:
                    help="freeze on the last pair instead of cycling (kinds B/D)")
 
 
-def _dataset_from_args(args, seed=None) -> DatasetSpec:
+def _dataset_from_args(args) -> DatasetSpec:
+    if args.kind is None:
+        raise ConfigError("--kind is required (flag or config) to generate a stream")
     return DatasetSpec(
         kind=args.kind,
         T=args.T,
         d=args.d,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         rotation_rate=args.rotation_rate,
         switch_period=args.switch_period,
         noise_var=args.noise_var,
@@ -71,40 +78,11 @@ def _algo_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> dict:
-    params = {}
-    if args.algo == "laser":
-        if args.tuned_regime is not None:
-            params["tuned_regime"] = args.tuned_regime
-            if args.eps_ratio is not None:
-                params["eps_ratio"] = args.eps_ratio
-        else:
-            if args.b is not None:
-                params["b"] = args.b
-            if args.c is not None:
-                params["c"] = args.c
-        if args.track_f:
-            params["track_f"] = True
-        if args.clip_bound is not None:
-            params["clip_bound"] = args.clip_bound
-    elif args.algo == "aar":
-        if args.b is not None:
-            params["b"] = args.b
-    elif args.algo == "nlms":
-        if args.eta is not None:
-            params["eta"] = args.eta
-        if args.eps is not None:
-            params["eps"] = args.eps
-    elif args.algo == "crrls":
-        if args.reset_period is not None:
-            params["reset_period"] = args.reset_period
-        if args.b_reset is not None:
-            params["b_reset"] = args.b_reset
-    elif args.algo == "hinf":
-        for k in ("a", "b", "c"):
-            v = getattr(args, k)
-            if v is not None:
-                params[k] = v
-    return params
+    """args.algo's parameters from the given flags of the same names (an
+    unset --track-f reads False). Flags of other learners are ignored,
+    since a --config file may hold them for several learners."""
+    given = ((name, getattr(args, name)) for name in harness.LEARNER_PARAMS[args.algo])
+    return {name: v for name, v in given if v is not None and v is not False}
 
 
 def _load_grid(text: str) -> dict:
@@ -112,10 +90,6 @@ def _load_grid(text: str) -> dict:
         with open(text[1:]) as fh:
             return json.load(fh)
     return json.loads(text)
-
-
-class ConfigError(DriftLearnError):
-    """A --config file is unreadable or holds a value its flag rejects."""
 
 
 def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
@@ -192,9 +166,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind is None:
-        print("gen: --kind is required (flag or config)", file=sys.stderr)
-        return 2
     stream = gen_stream(_dataset_from_args(args))
     write_stream_csv(stream, args.out)
     return 0
@@ -206,9 +177,6 @@ def _cmd_run(args) -> int:
         reports = [harness.run_learner(args.algo, _params_from_args(args), stream,
                                        seed=args.base_seed)]
     else:
-        if args.kind is None:
-            print("run: need --data or --kind", file=sys.stderr)
-            return 2
         if args.full:
             args.T, args.d, args.seeds = 2000, 20, 100
         dataset = _dataset_from_args(args)
@@ -227,9 +195,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.kind is None:
-        print("sweep: --kind is required (flag or config)", file=sys.stderr)
-        return 2
     try:
         grid = _load_grid(args.grid)
     except json.JSONDecodeError as exc:

@@ -24,11 +24,12 @@ inputs and target at equal seeds, differing only in the noise stream.
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, BadStream, LengthMismatch
+from .errors import BadDim, BadStream, InvalidParams, LengthMismatch
 from .oracle import ComparatorSequence, comparator_from_us
 
 KINDS = ("A", "B", "C", "D")
@@ -73,18 +74,18 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise InvalidParams(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.T < 1:
-            raise ValueError(f"T must be positive, got {self.T}")
+            raise InvalidParams(f"T must be positive, got {self.T}")
         if self.d < 2:
             raise BadDim(f"need d >= 2 for one rotated input pair, got {self.d}")
         if self.switch_period < 1:
-            raise ValueError(f"switch_period must be positive, got {self.switch_period}")
+            raise InvalidParams(f"switch_period must be positive, got {self.switch_period}")
         if self.noise_var is not None:
             if self.noise_var < 0:
-                raise ValueError(f"noise_var must be non-negative, got {self.noise_var}")
+                raise InvalidParams(f"noise_var must be non-negative, got {self.noise_var}")
             if self.kind in ("A", "B") and self.noise_var != 0.0:
-                raise ValueError(f"kind {self.kind} is noise-free; noise_var must be 0")
+                raise InvalidParams(f"kind {self.kind} is noise-free; noise_var must be 0")
 
     @property
     def n_pairs(self) -> int:
@@ -187,11 +188,32 @@ def gen_stream(spec: DatasetSpec) -> LabeledStream:
 
 
 # ---------------------------------------------------------------------------
-# Stream file format: CSV with header t, x_1..x_d, y, u_1..u_d
+# CSV files. fmt, open_csv and write_csv serve every CSV reader and writer
+# here and in harness. Stream format: header t, x_1..x_d, y, u_1..u_d
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
+def fmt(v: float) -> str:
+    """17 significant digits: a float written this way reads back exactly."""
     return f"{v:.17g}"
+
+
+@contextmanager
+def open_csv(path_or_file, mode: str = "r"):
+    """Open a path for CSV I/O and close it afterwards; an open file is
+    used as it is and left open."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
+def write_csv(path_or_file, header, rows) -> None:
+    """A header line, then one line per row, each ended by a bare newline."""
+    with open_csv(path_or_file, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_stream_csv(stream: LabeledStream, path_or_file) -> None:
@@ -200,37 +222,23 @@ def write_stream_csv(stream: LabeledStream, path_or_file) -> None:
     header = ["t"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"] + [
         f"u_{j}" for j in range(1, d + 1)
     ]
-
-    def _write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for t in range(stream.T):
-            row = [str(t + 1)]
-            row += [_fmt(v) for v in stream.xs[t]]
-            row.append(_fmt(stream.ys[t]))
-            row += [_fmt(v) for v in stream.truth.us[t]]
-            w.writerow(row)
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
+    write_csv(path_or_file, header, (
+        [str(t + 1), *map(fmt, stream.xs[t]), fmt(stream.ys[t]), *map(fmt, stream.truth.us[t])]
+        for t in range(stream.T)
+    ))
 
 
 def read_stream_csv(path_or_file) -> LabeledStream:
     """Parse a stream CSV back into arrays; the drift is recomputed."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "r", newline="") as fh:
-            return read_stream_csv(fh)
-    reader = csv.reader(path_or_file)
-    header = next(reader, None)
-    if not header or header[0] != "t" or "y" not in header:
-        raise BadStream("not a stream CSV: bad header")
-    d = header.index("y") - 1
-    if len(header) != 2 * d + 2:
-        raise BadStream(f"header implies d={d} but has {len(header)} columns")
-    rows = [row for row in reader if row]
+    with open_csv(path_or_file) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "t" or "y" not in header:
+            raise BadStream("not a stream CSV: bad header")
+        d = header.index("y") - 1
+        if len(header) != 2 * d + 2:
+            raise BadStream(f"header implies d={d} but has {len(header)} columns")
+        rows = [row for row in reader if row]
     if not rows:
         raise BadStream("stream CSV has no rows")
     if any(len(row) != 2 * d + 2 for row in rows):

@@ -47,7 +47,8 @@ class BadDim(DriftLearnError, ValueError):
 
 
 class BadStream(DriftLearnError, ValueError):
-    """A stream is empty, malformed, or carries non-finite values."""
+    """A stream is empty, malformed, or carries non-finite values, or a
+    stream or report CSV is not in its format."""
 
 
 class UnknownAlgo(DriftLearnError, ValueError):

@@ -17,10 +17,36 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, hinf, laser, oracle
-from .datagen import DatasetSpec, LabeledStream, gen_stream
+from .datagen import DatasetSpec, LabeledStream, fmt, gen_stream, open_csv, write_csv
 from .errors import BadStream, InvalidParams, LengthMismatch, UnknownAlgo
 
-ALGO_IDS = ("laser", "aar", "nlms", "crrls", "hinf")
+REQUIRED = object()
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+# The one list of each learner's parameters: name -> (conversion, default).
+# run_learner rejects names not listed here and values their conversion
+# refuses, and needs each parameter whose default is REQUIRED; laser needs
+# b and c unless tuned_regime computes them. The CLI's params are the
+# flags of the same names.
+LEARNER_PARAMS = {
+    "laser": {
+        "b": (float, None),
+        "c": (float, None),
+        "track_f": (bool, False),
+        "clip_bound": (_optional_float, None),
+        "tuned_regime": (oracle.DriftRegime, None),
+        "eps_ratio": (float, None),
+    },
+    "aar": {"b": (float, REQUIRED)},
+    "nlms": {"eta": (float, REQUIRED), "eps": (float, 0.0)},
+    "crrls": {"reset_period": (int, REQUIRED), "b_reset": (float, REQUIRED)},
+    "hinf": {"a": (float, REQUIRED), "b": (float, REQUIRED), "c": (float, REQUIRED)},
+}
+ALGO_IDS = tuple(LEARNER_PARAMS)
 ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
 BOUND_TOL = 1e-6     # additive tolerance on O(1)-O(1e3) bound inequalities
@@ -62,19 +88,37 @@ class RunReport:
         return zip(self.ts, self.yhats, self.ys, self.losses, self.cumlosses)
 
 
-def _laser_params(params: dict, stream: LabeledStream):
-    """Resolve (LaserParams, tuned regime info) from a raw params dict."""
-    regime = None
-    inputs = None
-    if "tuned_regime" in params:
+def _checked(algo_id: str, params: dict) -> dict:
+    """Every parameter of the learner, converted, with defaults filled in."""
+    table = LEARNER_PARAMS.get(algo_id)
+    if table is None:
+        raise UnknownAlgo(f"no learner named {algo_id!r}; choose from {ALGO_IDS}")
+    unknown = set(params) - set(table)
+    if unknown:
+        raise InvalidParams(f"unknown parameter(s): {sorted(unknown)}")
+    missing = [k for k, (_, default) in table.items() if default is REQUIRED and k not in params]
+    if missing:
+        raise InvalidParams(f"missing parameter(s): {missing}")
+    out = {}
+    for name, (convert, default) in table.items():
+        if name not in params:
+            out[name] = default
+            continue
         try:
-            regime = oracle.DriftRegime(params["tuned_regime"])
-        except ValueError as exc:
-            raise InvalidParams(f"unknown tuned_regime {params['tuned_regime']!r}") from exc
-        eps_ratio = params.get("eps_ratio")
-        if eps_ratio is None:
+            out[name] = convert(params[name])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"parameter {name!r}: {exc}") from exc
+    return out
+
+
+def _laser_params(params: dict, stream: LabeledStream):
+    """Resolve (LaserParams, tuned regime, tuning inputs) from raw laser params."""
+    p = _checked("laser", params)
+    regime, inputs = p["tuned_regime"], None
+    if regime is not None:
+        if p["eps_ratio"] is None:
             raise InvalidParams("tuned_regime requires eps_ratio")
-        if "b" in params or "c" in params:
+        if p["b"] is not None or p["c"] is not None:
             raise InvalidParams("tuned_regime computes b and c; do not pass them")
         inputs = oracle.tuned_params(
             regime,
@@ -83,29 +127,15 @@ def _laser_params(params: dict, stream: LabeledStream):
             Y=stream.Y_bound,
             X=stream.X_bound,
             V=stream.truth.V,
-            eps_ratio=float(eps_ratio),
+            eps_ratio=p["eps_ratio"],
         )
         b, c = inputs.b, inputs.c
     else:
-        if "b" not in params or "c" not in params:
+        if p["b"] is None or p["c"] is None:
             raise InvalidParams("laser requires b and c (or tuned_regime + eps_ratio)")
-        b, c = float(params["b"]), float(params["c"])
-    lp = laser.LaserParams(
-        b=b,
-        c=c,
-        track_f=bool(params.get("track_f", False)),
-        clip_bound=params.get("clip_bound"),
-    )
+        b, c = p["b"], p["c"]
+    lp = laser.LaserParams(b=b, c=c, track_f=p["track_f"], clip_bound=p["clip_bound"])
     return lp, regime, inputs
-
-
-def _check_keys(params: dict, allowed: set[str], required: tuple[str, ...] = ()) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise InvalidParams(f"unknown parameter(s): {sorted(unknown)}")
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise InvalidParams(f"missing parameter(s): {missing}")
 
 
 def _check_stream(stream: LabeledStream) -> None:
@@ -127,36 +157,29 @@ def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0
     post_ws = None
 
     if algo_id == "laser":
-        _check_keys(params, {"b", "c", "track_f", "clip_bound", "tuned_regime", "eps_ratio"})
         lp, regime, inputs = _laser_params(params, stream)
         traj = laser.laser_trajectory(lp, xs, ys, spectra=not lp.stationary)
         yhats, quad_trace = traj.yhats, traj.quads
-    elif algo_id == "aar":
-        # forward ridge is the laser step at c = inf; it certifies no bounds
-        _check_keys(params, {"b"}, required=("b",))
-        st = baselines.aar_init(float(params["b"]), d)
-        for t in range(T):
-            yhats[t], st = baselines.aar_step(st, xs[t], ys[t])
-    elif algo_id == "nlms":
-        _check_keys(params, {"eta", "eps"}, required=("eta",))
-        st = baselines.nlms_init(d, float(params["eta"]), float(params.get("eps", 0.0)))
-        for t in range(T):
-            yhats[t], st = baselines.nlms_step(st, xs[t], ys[t])
-    elif algo_id == "crrls":
-        _check_keys(params, {"reset_period", "b_reset"}, required=("reset_period", "b_reset"))
-        st = baselines.crrls_init(d, int(params["reset_period"]), float(params["b_reset"]))
-        for t in range(T):
-            yhats[t], st = baselines.crrls_step(st, xs[t], ys[t])
     elif algo_id == "hinf":
-        _check_keys(params, {"a", "b", "c"}, required=("a", "b", "c"))
-        hp = hinf.HInfParams(a=float(params["a"]), b=float(params["b"]), c=float(params["c"]))
+        p = _checked(algo_id, params)
+        hp = hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"])
         st = hinf.hinf_init(hp, d)
         post_ws = np.empty((T, d))
         for t in range(T):
             yhats[t], st = hinf.hinf_step(st, xs[t], ys[t])
             post_ws[t] = st.w
     else:
-        raise UnknownAlgo(f"no learner named {algo_id!r}; choose from {ALGO_IDS}")
+        p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
+        # the step is read from its module per run, where tracing can wrap it
+        if algo_id == "aar":  # the laser step at c = inf; it certifies no bounds
+            st, step = baselines.aar_init(p["b"], d), baselines.aar_step
+        elif algo_id == "nlms":
+            st, step = baselines.nlms_init(d, p["eta"], p["eps"]), baselines.nlms_step
+        else:
+            st = baselines.crrls_init(d, p["reset_period"], p["b_reset"])
+            step = baselines.crrls_step
+        for t in range(T):
+            yhats[t], st = step(st, xs[t], ys[t])
 
     losses = (ys - yhats) ** 2
     cumlosses = np.cumsum(losses)
@@ -322,24 +345,46 @@ def _stderr(stacked: np.ndarray) -> np.ndarray:
     return stacked.std(axis=0, ddof=1) / math.sqrt(n)
 
 
-def aggregate(reports: list[RunReport]) -> list[SummaryRow]:
-    """Pointwise mean and standard error of the cumulative loss, per step
-    and per learner, in deterministic (algo, t) order."""
-    by_algo: dict[str, list[RunReport]] = {}
-    for r in reports:
-        by_algo.setdefault(r.algo_id, []).append(r)
+def _mean_curves(curves) -> list[SummaryRow]:
+    """Pointwise mean and standard error of (algo_id, cumulative-loss curve)
+    pairs per learner, in (algo, t) order; each learner's curves are
+    stacked in the order given."""
+    by_algo: dict[str, list[np.ndarray]] = {}
+    for algo_id, curve in curves:
+        by_algo.setdefault(algo_id, []).append(curve)
     rows: list[SummaryRow] = []
     for algo_id in sorted(by_algo):
         group = by_algo[algo_id]
-        T = len(group[0].cumlosses)
-        if any(len(g.cumlosses) != T for g in group):
+        T = len(group[0])
+        if any(len(g) != T for g in group):
             raise LengthMismatch(f"unequal horizons in group {algo_id!r}")
-        stacked = np.vstack([g.cumlosses for g in group])
+        stacked = np.vstack(group)
         mean = stacked.mean(axis=0)
         stderr = _stderr(stacked)
         for t in range(T):
             rows.append(SummaryRow(algo_id, t + 1, float(mean[t]), float(stderr[t]), len(group)))
     return rows
+
+
+def aggregate(reports: list[RunReport]) -> list[SummaryRow]:
+    """Pointwise mean and standard error of the cumulative loss, per step
+    and per learner, in deterministic (algo, t) order."""
+    return _mean_curves((r.algo_id, r.cumlosses) for r in reports)
+
+
+def summarize_report_rows(rows: list[dict]) -> list[SummaryRow]:
+    """Aggregate raw report rows (any order) into mean curves; sorting
+    happens internally so the result is reorder-invariant."""
+    by_run: dict[tuple, dict[int, float]] = {}
+    for row in rows:
+        by_run.setdefault((row["algo"], row["seed"]), {})[row["t"]] = row["cumloss"]
+    curves = []
+    for (algo, _seed), curve in sorted(by_run.items()):
+        ts = sorted(curve)
+        if ts != list(range(1, len(ts) + 1)):
+            raise LengthMismatch(f"run {algo!r} has gaps in its step index")
+        curves.append((algo, np.array([curve[t] for t in ts])))
+    return _mean_curves(curves)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +398,12 @@ class SweepSpec:
     algo_id: str
     grid: dict
     tuning_seed: int
-    selection_metric: str = "cumloss"
 
     def __post_init__(self):
-        if not self.grid:
-            raise InvalidParams("sweep grid must be non-empty")
-        if self.selection_metric != "cumloss":
-            raise InvalidParams(f"unsupported metric {self.selection_metric!r}")
+        grid = self.grid
+        if not (isinstance(grid, dict) and grid
+                and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
+            raise InvalidParams(f"sweep grid must map parameters to non-empty lists, got {grid!r}")
 
 
 @dataclass
@@ -374,9 +418,7 @@ def _grid_candidates(grid: dict) -> list[dict]:
     keys = sorted(grid)
 
     def sort_key(v):
-        if isinstance(v, bool):
-            return (0, float(v))
-        if isinstance(v, (int, float)):
+        if isinstance(v, (int, float)):  # bool included
             return (0, float(v))
         return (1, str(v))
 
@@ -409,65 +451,44 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _open_maybe(path_or_file, mode="w"):
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        return open(path_or_file, mode, newline=""), True
-    return path_or_file, False
+_REPORT_FIELDS = ("algo", "seed", "t", "yhat", "y", "loss", "cumloss")
 
 
 def write_report_csv(reports: list[RunReport], path_or_file) -> None:
     """Per-step rows: algo, seed, t, yhat, y, loss, cumloss."""
-    fh, owned = _open_maybe(path_or_file)
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["algo", "seed", "t", "yhat", "y", "loss", "cumloss"])
-        for r in reports:
-            for t, yhat, y, loss, cum in r.per_step:
-                w.writerow([r.algo_id, r.seed, t, _fmt(yhat), _fmt(y), _fmt(loss), _fmt(cum)])
-    finally:
-        if owned:
-            fh.close()
+    write_csv(path_or_file, _REPORT_FIELDS, (
+        [r.algo_id, r.seed, t, fmt(yhat), fmt(y), fmt(loss), fmt(cum)]
+        for r in reports
+        for t, yhat, y, loss, cum in r.per_step
+    ))
 
 
 def write_bounds_csv(reports: list[RunReport], path_or_file) -> None:
     """Bound rows: algo, seed, bound_name, lhs, rhs, slack."""
-    fh, owned = _open_maybe(path_or_file)
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["algo", "seed", "bound_name", "lhs", "rhs", "slack"])
-        for r in reports:
-            for b in r.bound_checks:
-                w.writerow([r.algo_id, r.seed, b.name, _fmt(b.lhs), _fmt(b.rhs), _fmt(b.slack)])
-    finally:
-        if owned:
-            fh.close()
+    write_csv(path_or_file, ["algo", "seed", "bound_name", "lhs", "rhs", "slack"], (
+        [r.algo_id, r.seed, b.name, fmt(b.lhs), fmt(b.rhs), fmt(b.slack)]
+        for r in reports
+        for b in r.bound_checks
+    ))
 
 
 def write_summary_csv(rows: list[SummaryRow], path_or_file) -> None:
     """Summary rows: algo, t, mean_cumloss, stderr, n."""
-    fh, owned = _open_maybe(path_or_file)
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["algo", "t", "mean_cumloss", "stderr", "n"])
-        for r in rows:
-            w.writerow([r.algo_id, r.t, _fmt(r.mean_cumloss), _fmt(r.stderr), r.n])
-    finally:
-        if owned:
-            fh.close()
+    write_csv(path_or_file, ["algo", "t", "mean_cumloss", "stderr", "n"], (
+        [r.algo_id, r.t, fmt(r.mean_cumloss), fmt(r.stderr), r.n] for r in rows
+    ))
 
 
 def read_report_csv(path_or_file) -> list[dict]:
-    """Rows of a report CSV as dicts with typed fields."""
-    fh, owned = _open_maybe(path_or_file, mode="r")
-    try:
+    """Rows of a report CSV as dicts with typed fields; BadStream if it is
+    not a report CSV or a field does not convert."""
+    with open_csv(path_or_file) as fh:
         reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            rows.append({
+        missing = [k for k in _REPORT_FIELDS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise BadStream(f"not a report CSV: no column(s) {missing}")
+        try:
+            return [{
                 "algo": row["algo"],
                 "seed": int(row["seed"]),
                 "t": int(row["t"]),
@@ -475,34 +496,6 @@ def read_report_csv(path_or_file) -> list[dict]:
                 "y": float(row["y"]),
                 "loss": float(row["loss"]),
                 "cumloss": float(row["cumloss"]),
-            })
-        return rows
-    finally:
-        if owned:
-            fh.close()
-
-
-def summarize_report_rows(rows: list[dict]) -> list[SummaryRow]:
-    """Aggregate raw report rows (any order) into mean curves; sorting
-    happens internally so the result is reorder-invariant."""
-    by_run: dict[tuple, dict[int, float]] = {}
-    for row in rows:
-        by_run.setdefault((row["algo"], row["seed"]), {})[row["t"]] = row["cumloss"]
-    by_algo: dict[str, list[np.ndarray]] = {}
-    for (algo, _seed), curve in sorted(by_run.items()):
-        ts = sorted(curve)
-        if ts != list(range(1, len(ts) + 1)):
-            raise LengthMismatch(f"run {algo!r} has gaps in its step index")
-        by_algo.setdefault(algo, []).append(np.array([curve[t] for t in ts]))
-    out: list[SummaryRow] = []
-    for algo in sorted(by_algo):
-        group = by_algo[algo]
-        T = len(group[0])
-        if any(len(g) != T for g in group):
-            raise LengthMismatch(f"unequal horizons in group {algo!r}")
-        stacked = np.vstack(group)
-        mean = stacked.mean(axis=0)
-        stderr = _stderr(stacked)
-        for t in range(T):
-            out.append(SummaryRow(algo, t + 1, float(mean[t]), float(stderr[t]), len(group)))
-    return out
+            } for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise BadStream(f"report CSV line {reader.line_num}: {exc}") from exc

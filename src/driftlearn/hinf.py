@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidParams, LengthMismatch
-from .oracle import ComparatorSequence, comparator_loss
+from .oracle import ComparatorSequence, comparator_loss, drift_term
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def filter_bound_rhs(params: HInfParams, comparator: ComparatorSequence, xs, ys)
     return float(
         params.a * comparator_loss(comparator, xs, ys)
         + params.b * (u1 @ u1)
-        + params.c * comparator.V
+        + drift_term(params.c, comparator.V)
     )
 
 
@@ -118,7 +118,7 @@ def regret_bound_rhs(
     return float(
         (1.0 + 1.0 / alpha + (1.0 + alpha) * params.a) * comparator_loss_value
         + (1.0 + alpha) * params.b * u1_norm_sq
-        + (1.0 + alpha) * params.c * V
+        + drift_term((1.0 + alpha) * params.c, V)
     )
 
 
@@ -127,10 +127,12 @@ def optimized_alpha(
 ) -> float | None:
     """alpha = sqrt(L_T({u}) / (a L_T({u}) + c V + b ||u_1||^2)).
 
-    None when the comparator loss is zero (noise-free realizable data)
-    or the denominator vanishes; only the fixed grid applies then.
+    None unless that alpha is positive and finite: the comparator loss is
+    zero (noise-free realizable data), the denominator vanishes, or c V is
+    infinite; only the fixed grid applies then.
     """
-    denom = params.a * comparator_loss_value + params.c * V + params.b * u1_norm_sq
+    denom = params.a * comparator_loss_value + drift_term(params.c, V) + params.b * u1_norm_sq
     if comparator_loss_value <= 0 or denom <= 0:
         return None
-    return float(np.sqrt(comparator_loss_value / denom))
+    alpha = math.sqrt(comparator_loss_value / denom)
+    return alpha if 0.0 < alpha < math.inf else None

@@ -96,7 +96,7 @@ def tracking_cost(us, xs, ys, b: float, c: float) -> float:
     ys = np.asarray(ys, dtype=float)
     preds = np.einsum("td,td->t", xs, us)
     return float(
-        b * us[0] @ us[0] + c * drift_of(us) + np.sum((ys - preds) ** 2)
+        b * us[0] @ us[0] + drift_term(c, drift_of(us)) + np.sum((ys - preds) ** 2)
     )
 
 
@@ -214,6 +214,12 @@ def regret_certificate_exact(D_prev: np.ndarray, x, c: float) -> np.ndarray:
 # Cumulative-loss bound vs a comparator
 # ---------------------------------------------------------------------------
 
+def drift_term(c: float, V: float) -> float:
+    """The drift penalty c V, read as 0 at V = 0 even for the stationary
+    sentinel c = inf (where the product is NaN)."""
+    return c * V if V > 0.0 else 0.0
+
+
 def cumloss_bound(
     comparator: ComparatorSequence,
     xs,
@@ -234,11 +240,9 @@ def cumloss_bound(
     if len(quad_trace) != comparator.T:
         raise LengthMismatch("quad_trace length differs from comparator")
     u1 = comparator.us[0]
-    # c*V reads 0 at V=0 even for the stationary sentinel c = inf
-    drift_term = c * comparator.V if comparator.V > 0.0 else 0.0
     return float(
         b * (u1 @ u1)
-        + drift_term
+        + drift_term(c, comparator.V)
         + comparator_loss(comparator, xs, ys)
         + Y * Y * np.sum(quad_trace)
     )

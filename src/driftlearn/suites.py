@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness, laser, oracle
 from .datagen import DatasetSpec, gen_stream
+from .errors import InvalidParams
 
 DESK_T = 200
 DESK_D = 4
@@ -121,9 +122,7 @@ def _desk_specs(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS):
 
 
 def _cert_trajectory(stream, params: dict, spectra: bool = False):
-    lp = laser.LaserParams(
-        b=float(params["b"]), c=float(params["c"]), track_f=bool(params.get("track_f", False))
-    )
+    lp, _, _ = harness._laser_params(params, stream)
     return lp, laser.laser_trajectory(lp, stream.xs, stream.ys, spectra=spectra)
 
 
@@ -252,11 +251,13 @@ SUITE_KEYS = ("oracle", "lemma3", "lemma5", "lemma6", "lemma7", "bounds", "all")
 
 def run_suites(which: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
     """Dispatch for the verify command; `which` is one of SUITE_KEYS."""
+    if trials is not None and trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
     results: list[SuiteResult] = []
     if which in ("oracle", "all"):
-        results.append(oracle_equivalence_suite(trials or 500, seed))
+        results.append(oracle_equivalence_suite(500 if trials is None else trials, seed))
     if which in ("lemma3", "all"):
-        results.append(certificate_suite(trials or 1000, seed))
+        results.append(certificate_suite(1000 if trials is None else trials, seed))
     if which in ("lemma5", "all"):
         results.append(logdet_trajectory_suite())
     if which in ("lemma6", "all"):

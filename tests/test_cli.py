@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from driftlearn import cli, suites
+from driftlearn import cli, harness, suites
 from driftlearn.datagen import read_stream_csv
 
 
@@ -201,3 +201,56 @@ def test_abbreviated_flag_overrides_config(tmp_path):
                    "--out-prefix", str(prefix)) == 0
     rows = (tmp_path / "r_report.csv").read_text().splitlines()[1:]
     assert {row.split(",")[1] for row in rows} == {"0"}
+
+
+# bad user input: each must exit 2 with an error line, not a traceback
+BAD_INPUTS = {
+    "gen-T-0": ["gen", "--kind", "A", "--T", "0", "--out", "TMP/x.csv"],
+    "gen-switch-period-0": ["gen", "--kind", "A", "--switch-period", "0", "--out", "TMP/x.csv"],
+    "gen-noise-on-kind-A": ["gen", "--kind", "A", "--noise-var", "1", "--out", "TMP/x.csv"],
+    "sweep-grid-list": ["sweep", "--algo", "laser", "--grid", "[1]"],
+    "sweep-grid-scalar": ["sweep", "--algo", "laser", "--grid", '{"b": 1, "c": [10]}'],
+    "sweep-grid-text": ["sweep", "--algo", "laser", "--grid", '{"b": ["x"], "c": [10]}'],
+    "report-on-stream-csv": ["report", "--inputs", "TMP/stream.csv", "--out", "TMP/s.csv"],
+    "report-non-numeric": ["report", "--inputs", "TMP/bad_report.csv", "--out", "TMP/s.csv"],
+    "verify-trials-0": ["verify", "--trials", "0"],
+    "verify-trials-negative": ["verify", "--trials", "-1"],
+    "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
+                            "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
+}
+SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
+RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    assert run_cli("gen", "--kind", "A", "--T", "5", "--d", "4", "--out", str(stream)) == 0
+    (tmp_path / "bad_report.csv").write_text(
+        "algo,seed,t,yhat,y,loss,cumloss\nlaser,0,1,x,1,1,1\n"
+    )
+    extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
+    capsys.readouterr()
+    code = run_cli(*[a.replace("TMP", str(tmp_path)) for a in argv + extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+FLAG_VALUES = {"b": 1.0, "c": 2.0, "a": 3.0, "eta": 0.5, "eps": 0.1, "reset_period": 4,
+               "b_reset": 5.0, "track_f": True, "clip_bound": 6.0, "tuned_regime": "low",
+               "eps_ratio": 0.25}
+
+
+@pytest.mark.parametrize("algo", harness.ALGO_IDS)
+def test_cli_params_are_the_learner_table(algo):
+    every_flag = []
+    for name, value in FLAG_VALUES.items():
+        every_flag.append("--" + name.replace("_", "-"))
+        if value is not True:
+            every_flag.append(str(value))
+    parser = cli.build_parser()
+    args = parser.parse_args(["run", "--algo", algo, *every_flag])
+    table = harness.LEARNER_PARAMS[algo]
+    assert cli._params_from_args(args) == {name: FLAG_VALUES[name] for name in table}
+    assert cli._params_from_args(parser.parse_args(["run", "--algo", algo])) == {}

@@ -60,6 +60,10 @@ def test_unknown_algo_and_bad_params():
         harness.run_learner("laser", {"b": 1.0, "c": 2.0, "bogus": 3}, stream)
     with pytest.raises(InvalidParams):
         harness.run_learner("laser", {"b": 3.0, "c": 2.0}, stream)
+    with pytest.raises(InvalidParams):
+        harness.run_learner("hinf", {"a": 2.0, "b": "x", "c": 2.0}, stream)
+    with pytest.raises(InvalidParams):
+        harness.run_learner("laser", {"b": 1.0, "c": 2.0, "clip_bound": "x"}, stream)
 
 
 def test_realizable_regret_equals_loss():

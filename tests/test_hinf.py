@@ -92,3 +92,24 @@ def test_bounds_hold_at_certification_params_on_desk_streams():
         # noisy stream has positive comparator loss, so the optimized
         # alpha applies there; the noise-free one uses only the grid
         assert ("regret_alpha_opt" in names) == (kind == "C")
+
+
+def test_stationary_sentinel_without_drift_gives_finite_bounds():
+    # c V reads 0 at V = 0, so c = inf leaves every right side finite
+    inf_c = {"a": 8.0, "b": 500.0, "c": float("inf")}
+    for kind in "AC":
+        stream = gen_stream(DatasetSpec(kind=kind, T=50, d=4, seed=0, rotation_rate=0.0))
+        assert stream.truth.V == 0.0
+        report = run_learner("hinf", inf_c, stream)
+        assert all(np.isfinite(b.rhs) and b.holds for b in report.bound_checks)
+        assert ("regret_alpha_opt" in [b.name for b in report.bound_checks]) == (kind == "C")
+
+
+def test_stationary_sentinel_with_drift_has_no_optimized_alpha():
+    params = hinf.HInfParams(a=8.0, b=500.0, c=float("inf"))
+    assert hinf.optimized_alpha(params, 4.0, 1.0, 0.5) is None
+    stream = gen_stream(DatasetSpec(kind="C", T=50, d=4, seed=0))
+    assert stream.truth.V > 0.0
+    report = run_learner("hinf", {"a": 8.0, "b": 500.0, "c": float("inf")}, stream)
+    assert "regret_alpha_opt" not in [b.name for b in report.bound_checks]
+    assert all(b.rhs == np.inf and b.holds for b in report.bound_checks)

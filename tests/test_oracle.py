@@ -85,6 +85,10 @@ def test_brute_value_matches_direct_cost_at_minimizer():
     ys = rng.standard_normal(8)
     value, comp = oracle.brute_min_cost(xs, ys, 0.8, 3.0)
     assert value == pytest.approx(oracle.tracking_cost(comp.us, xs, ys, 0.8, 3.0), abs=1e-10)
+    # a constant comparator pays no drift penalty, even at c = inf
+    still = np.tile(comp.us[:1], (8, 1))
+    cost = oracle.tracking_cost(still, xs, ys, 0.8, 3.0)
+    assert oracle.tracking_cost(still, xs, ys, 0.8, math.inf) == cost
 
 
 def test_comparator_bookkeeping():

@@ -34,6 +34,7 @@ from .harness import (
     SweepSpec,
     aggregate,
     experiment,
+    run_batch,
     run_learner,
     sweep,
 )
@@ -44,6 +45,7 @@ from .laser import (
     laser_init,
     laser_min_cost,
     laser_predict,
+    laser_trajectories,
     laser_trajectory,
     laser_update,
 )

@@ -14,6 +14,11 @@ artifact-defined:
     CR-RLS: yhat = x . w;  P -= (P x x^T P) / (1 + x^T P x);
             w += P x (y - yhat)   [updated P]
             and P resets to b_reset^{-1} I every N steps.
+
+Each round is written once, over leading member axes: the `*_step`
+functions run it on one state and the `*_trajectories` functions run S
+members (per-member parameters) through one step loop. A batched AAR
+member is a `laser.laser_trajectories` member at c = inf.
 """
 
 import math
@@ -54,15 +59,31 @@ def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
     return NlmsState(w=np.zeros(d), eta=eta, eps=eps)
 
 
+def _nlms_round(w, x, y, eta, eps):
+    """(yhat, w) after one round, over any leading member axes."""
+    yhat = np.vecdot(x, w)
+    denom = eps + np.vecdot(x, x)
+    # a zero denominator means x = 0 (with eps = 0): the step is then zero
+    denom = np.where(denom > 0.0, denom, 1.0)
+    return yhat, w + (eta * (y - yhat))[..., None] * x / denom[..., None]
+
+
 def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
     x = linalg.as_vector(x, state.dim)
-    yhat = float(x @ state.w)
-    denom = state.eps + float(x @ x)
-    if denom > 0.0:
-        w_new = state.w + state.eta * (y - yhat) * x / denom
-    else:
-        w_new = state.w.copy()  # zero input with eps = 0: nothing to normalize
-    return yhat, replace(state, w=w_new)
+    yhat, w = _nlms_round(state.w, x, y, state.eta, state.eps)
+    return float(yhat), replace(state, w=w)
+
+
+def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
+    """Run S NLMS members from the given states in one step loop; returns
+    the predictions (S, T). xs and ys as in `crrls_trajectories`."""
+    eta = np.array([st.eta for st in states])
+    eps = np.array([st.eps for st in states])
+    w = np.stack([st.w for st in states])
+    yhats = np.empty((len(states), xs.shape[0]))
+    for t in range(xs.shape[0]):
+        yhats[:, t], w = _nlms_round(w, xs[t], ys[t], eta, eps)
+    return yhats
 
 
 @dataclass
@@ -88,16 +109,46 @@ def crrls_init(d: int, reset_period: int, b_reset: float) -> CrRlsState:
     )
 
 
+def _crrls_round(P, w, x, y, t, reset_period, b_reset):
+    """(yhat, P, w) after round t (counted from 1), over any leading member
+    axes: the RLS step, then P = b_reset^{-1} I where t is a multiple of
+    the member's reset period."""
+    yhat = np.vecdot(x, w)
+    Px = np.matvec(P, x)
+    outer = Px[..., :, None] * Px[..., None, :]
+    P = linalg.symmetrize(P - outer / (1.0 + np.vecdot(x, Px))[..., None, None])
+    w = w + np.matvec(P, x) * (y - yhat)[..., None]
+    reset = np.asarray(t % reset_period == 0)
+    if reset.any():
+        fresh = np.eye(P.shape[-1]) / np.asarray(b_reset)[..., None, None]
+        P = np.where(reset[..., None, None], fresh, P)
+    return yhat, P, w
+
+
 def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
     """RLS step with the pre-update P used for nothing but its own update;
     the covariance resets to b_reset^{-1} I whenever the new step count
     hits a multiple of the reset period."""
     x = linalg.as_vector(x, state.dim)
-    yhat = float(x @ state.w)
-    Px = state.P @ x
-    P_new = linalg.symmetrize(state.P - np.outer(Px, Px) / (1.0 + float(x @ Px)))
-    w_new = state.w + (P_new @ x) * (y - yhat)
-    t_new = state.t + 1
-    if t_new % state.reset_period == 0:
-        P_new = np.eye(state.dim) / state.b_reset
-    return yhat, replace(state, w=w_new, P=P_new, t=t_new)
+    t = state.t + 1
+    yhat, P, w = _crrls_round(state.P, state.w, x, y, t, state.reset_period, state.b_reset)
+    return float(yhat), replace(state, w=w, P=P, t=t)
+
+
+def crrls_trajectories(states: list[CrRlsState], xs, ys) -> np.ndarray:
+    """Run S CR-RLS members from the given states in one step loop; returns
+    the predictions (S, T).
+
+    xs is (T, d) and ys (T,) when every member reads the same stream, or
+    (T, S, d) and (T, S) for one stream per member.
+    """
+    t = np.array([st.t for st in states])
+    period = np.array([st.reset_period for st in states])
+    b_reset = np.array([st.b_reset for st in states])
+    P = np.stack([st.P for st in states])
+    w = np.stack([st.w for st in states])
+    yhats = np.empty((len(states), xs.shape[0]))
+    for k in range(xs.shape[0]):
+        t += 1
+        yhats[:, k], P, w = _crrls_round(P, w, xs[k], ys[k], t, period, b_reset)
+    return yhats

@@ -3,7 +3,8 @@
 Subcommands:
   gen     write a synthetic stream CSV
   run     run a learner over a stream (file or generated), write report CSVs
-  sweep   grid-tune a learner on a single stream, write best params JSON
+  sweep   grid-tune a learner on a single stream, write best params and
+          every evaluated point's loss as JSON
   verify  run the numerical certification suites (nonzero exit on violation)
   report  aggregate report CSVs into a summary CSV plus a gnuplot script
 
@@ -209,6 +210,7 @@ def _cmd_sweep(args) -> int:
         "best_params": result.best_params,
         "best_loss": result.best_loss,
         "evaluated": len(result.evaluated),
+        "losses": [{"params": p, "L_T": loss} for p, loss in result.evaluated],
         "skipped": [{"params": p, "reason": r} for p, r in result.skipped],
     }
     with open(args.out, "w") as fh:

@@ -3,8 +3,11 @@
 Every run follows the strict online protocol (predict on x_t before y_t
 is revealed) and produces a RunReport with per-step records, cumulative
 loss, regret against the generating target, and the applicable bound
-checks evaluated on the spot. Multi-seed experiments are embarrassingly
-parallel over (seed, learner) pairs and reduce deterministically.
+checks evaluated on the spot. Runs of one learner go in batches: a sweep
+runs all its grid points as one batch over the shared tuning stream, an
+experiment each learner as one batch over its seeds' streams, and
+run_learner is a batch of one. A member's results do not depend on its
+batch. Experiments reduce deterministically.
 """
 
 import csv
@@ -131,6 +134,8 @@ def _laser_params(params: dict, stream: LabeledStream):
         )
         b, c = inputs.b, inputs.c
     else:
+        if p["eps_ratio"] is not None:
+            raise InvalidParams("eps_ratio applies only with tuned_regime")
         if p["b"] is None or p["c"] is None:
             raise InvalidParams("laser requires b and c (or tuned_regime + eps_ratio)")
         b, c = p["b"], p["c"]
@@ -147,64 +152,103 @@ def _check_stream(stream: LabeledStream) -> None:
         raise BadStream("stream has non-finite inputs or labels")
 
 
-def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0) -> RunReport:
-    """Run one learner over one stream under the online protocol."""
-    _check_stream(stream)
-    T, d = stream.T, stream.dim
-    xs, ys = stream.xs, stream.ys
-    yhats = np.empty(T)
-    quad_trace = None
-    post_ws = None
-
+def _member(algo_id: str, params: dict, stream: LabeledStream):
+    """One batch member's validated set-up: the LaserParams with the tuned
+    regime and tuning inputs for laser and aar, the initial state for the
+    other learners. InvalidParams if params do not fit the learner."""
     if algo_id == "laser":
-        lp, regime, inputs = _laser_params(params, stream)
-        traj = laser.laser_trajectory(lp, xs, ys, spectra=not lp.stationary)
-        yhats, quad_trace = traj.yhats, traj.quads
+        return _laser_params(params, stream)
+    p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
+    d = stream.dim
+    if algo_id == "aar":  # the laser step at c = inf; it certifies no bounds
+        return laser.LaserParams(b=p["b"]), None, None
+    if algo_id == "hinf":
+        return hinf.hinf_init(hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"]), d)
+    if algo_id == "nlms":
+        return baselines.nlms_init(d, p["eta"], p["eps"])
+    return baselines.crrls_init(d, p["reset_period"], p["b_reset"])
+
+
+def _batch_inputs(streams: list[LabeledStream]):
+    """(xs, ys) for a step loop over one member per stream: the stream's own
+    (T, d) and (T,) arrays when every member reads the same stream, else
+    (T, S, d) and (T, S) stacks. All streams must share T and d."""
+    first = streams[0]
+    if all(s is first for s in streams):
+        return first.xs, first.ys
+    if any(s.xs.shape != first.xs.shape for s in streams):
+        raise LengthMismatch("the streams of one batch must share T and d")
+    return np.stack([s.xs for s in streams], axis=1), np.stack([s.ys for s in streams], axis=1)
+
+
+def _run_members(algo_id, members, params, streams, seeds, certify: bool) -> list[RunReport]:
+    """Run set-up members (from _member) in one step loop and report each.
+    Without certify no bound is checked and no spectrum computed."""
+    xs, ys = _batch_inputs(streams)
+    quads = post_ws = trajs = None
+    if algo_id in ("laser", "aar"):
+        lps = [m[0] for m in members]
+        spectra = certify and algo_id == "laser" and not all(lp.stationary for lp in lps)
+        trajs = laser.laser_trajectories(lps, xs, ys, spectra=spectra)
+        yhats = [tr.yhats for tr in trajs]
+        if algo_id == "laser":
+            quads = [tr.quads for tr in trajs]
     elif algo_id == "hinf":
-        p = _checked(algo_id, params)
-        hp = hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"])
-        st = hinf.hinf_init(hp, d)
-        post_ws = np.empty((T, d))
-        for t in range(T):
-            yhats[t], st = hinf.hinf_step(st, xs[t], ys[t])
-            post_ws[t] = st.w
+        yhats, post_ws = hinf.hinf_trajectories(members, xs, ys)
+    elif algo_id == "nlms":
+        yhats = baselines.nlms_trajectories(members, xs, ys)
     else:
-        p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
-        # the step is read from its module per run, where tracing can wrap it
-        if algo_id == "aar":  # the laser step at c = inf; it certifies no bounds
-            st, step = baselines.aar_init(p["b"], d), baselines.aar_step
-        elif algo_id == "nlms":
-            st, step = baselines.nlms_init(d, p["eta"], p["eps"]), baselines.nlms_step
-        else:
-            st = baselines.crrls_init(d, p["reset_period"], p["b_reset"])
-            step = baselines.crrls_step
-        for t in range(T):
-            yhats[t], st = step(st, xs[t], ys[t])
+        yhats = baselines.crrls_trajectories(members, xs, ys)
 
-    losses = (ys - yhats) ** 2
-    cumlosses = np.cumsum(losses)
-    L_T = float(cumlosses[-1]) if T else 0.0
-    truth_loss = oracle.comparator_loss(stream.truth, xs, ys)
-    report = RunReport(
-        algo_id=algo_id,
-        params=dict(params),
-        ts=np.arange(1, T + 1),
-        yhats=yhats,
-        ys=ys.copy(),
-        losses=losses,
-        cumlosses=cumlosses,
-        L_T=L_T,
-        regret_vs_truth=L_T - truth_loss,
-        quad_trace=quad_trace,
-        post_update_w=post_ws,
-        seed=seed,
-    )
+    truth_loss = {}
+    reports = []
+    for i, stream in enumerate(streams):
+        if id(stream) not in truth_loss:
+            truth_loss[id(stream)] = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
+        losses = (stream.ys - yhats[i]) ** 2
+        cumlosses = np.cumsum(losses)
+        L_T = float(cumlosses[-1]) if stream.T else 0.0
+        report = RunReport(
+            algo_id=algo_id,
+            params=dict(params[i]),
+            ts=np.arange(1, stream.T + 1),
+            yhats=yhats[i],
+            ys=stream.ys.copy(),
+            losses=losses,
+            cumlosses=cumlosses,
+            L_T=L_T,
+            regret_vs_truth=L_T - truth_loss[id(stream)],
+            quad_trace=None if quads is None else quads[i],
+            post_update_w=None if post_ws is None else post_ws[i],
+            seed=seeds[i],
+        )
+        if certify and algo_id == "laser":
+            lp, regime, inputs = members[i]
+            report.bound_checks = _laser_bound_checks(report, stream, lp, trajs[i], regime, inputs)
+        elif certify and algo_id == "hinf":
+            report.bound_checks = _hinf_bound_checks(report, stream, members[i].params)
+        reports.append(report)
+    return reports
 
-    if algo_id == "laser":
-        report.bound_checks = _laser_bound_checks(report, stream, lp, traj, regime, inputs)
-    elif algo_id == "hinf":
-        report.bound_checks = _hinf_bound_checks(report, stream, hp)
-    return report
+
+def run_batch(algo_id: str, params: list[dict], streams: list[LabeledStream],
+              seeds: list[int] | None = None) -> list[RunReport]:
+    """Run one learner as S members, params[i] on streams[i], through one
+    step loop, and report each member as run_learner would. Members reading
+    the same stream object share it; all streams must share T and d."""
+    if len(params) != len(streams) or not streams:
+        raise LengthMismatch(f"{len(params)} parameter sets for {len(streams)} streams")
+    for stream in {id(s): s for s in streams}.values():
+        _check_stream(stream)
+    members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
+    seeds = [0] * len(streams) if seeds is None else seeds
+    return _run_members(algo_id, members, params, streams, seeds, certify=True)
+
+
+def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0) -> RunReport:
+    """Run one learner over one stream under the online protocol: a batch
+    of one member."""
+    return run_batch(algo_id, [params], [stream], [seed])[0]
 
 
 def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundCheck]:
@@ -296,9 +340,9 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _run_job(args):
-    dataset_spec, algo_id, params, seed = args
-    stream = gen_stream(replace(dataset_spec, seed=seed))
-    return run_learner(algo_id, params, stream, seed=seed)
+    dataset_spec, algo_id, params, seeds = args
+    streams = [gen_stream(replace(dataset_spec, seed=seed)) for seed in seeds]
+    return run_batch(algo_id, [params] * len(seeds), streams, seeds)
 
 
 def experiment(
@@ -307,19 +351,20 @@ def experiment(
     seeds: list[int],
     workers: int | None = None,
 ) -> list[RunReport]:
-    """Run each (algo, params) on each seed's stream; reports come back
-    sorted by (algo_id, seed) regardless of completion order."""
-    jobs = [
-        (dataset_spec, algo_id, params, seed)
-        for (algo_id, params) in algos
-        for seed in seeds
-    ]
+    """Run each (algo, params) on each seed's stream, each learner as one
+    batch over its seeds; with n workers each learner's seeds are split
+    into n batches run in parallel. Reports come back sorted by
+    (algo_id, seed) regardless of completion order."""
     n = resolve_workers(workers)
+    size = max(1, -(-len(seeds) // n))  # ceil: n batches per learner at most
+    chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
+    jobs = [(dataset_spec, algo_id, params, chunk) for (algo_id, params) in algos for chunk in chunks]
     if n <= 1 or len(jobs) <= 1:
-        reports = [_run_job(j) for j in jobs]
+        batches = [_run_job(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=n) as pool:
-            reports = list(pool.map(_run_job, jobs))
+            batches = list(pool.map(_run_job, jobs))
+    reports = [r for batch in batches for r in batch]
     reports.sort(key=lambda r: (r.algo_id, r.seed))
     return reports
 
@@ -427,23 +472,31 @@ def _grid_candidates(grid: dict) -> list[dict]:
 
 
 def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
-    """Evaluate every grid point on the tuning stream; invalid points are
-    skipped with a diagnostic; ties go to the lexicographically smallest
-    parameter tuple (candidates are enumerated in that order)."""
+    """Evaluate every grid point on the tuning stream, all valid points as
+    one batch that shares the stream, and select by L_T: no bound is
+    checked. Invalid points are skipped with a diagnostic; ties go to the
+    lexicographically smallest parameter tuple (candidates are enumerated
+    in that order)."""
     stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
-    best_params, best_loss = None, math.inf
-    evaluated, skipped = [], []
+    _check_stream(stream)
+    valid, members, skipped = [], [], []
     for params in _grid_candidates(spec.grid):
         try:
-            report = run_learner(spec.algo_id, params, stream, seed=spec.tuning_seed)
+            members.append(_member(spec.algo_id, params, stream))
         except InvalidParams as exc:
             skipped.append((params, str(exc)))
             continue
-        evaluated.append((params, report.L_T))
-        if report.L_T < best_loss:
-            best_params, best_loss = params, report.L_T
-    if best_params is None:
-        raise InvalidParams("every grid point was invalid")
+        valid.append(params)
+    if not valid:
+        reasons = "; ".join(f"{params}: {reason}" for params, reason in skipped)
+        raise InvalidParams(f"every grid point was invalid ({reasons})")
+    reports = _run_members(spec.algo_id, members, valid, [stream] * len(valid),
+                           [spec.tuning_seed] * len(valid), certify=False)
+    evaluated = [(params, r.L_T) for params, r in zip(valid, reports)]
+    best_params, best_loss = None, math.inf
+    for params, L_T in evaluated:
+        if L_T < best_loss:
+            best_params, best_loss = params, L_T
     return SweepResult(best_params, best_loss, evaluated, skipped)
 
 

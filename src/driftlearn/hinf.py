@@ -16,7 +16,9 @@ P_{t-1} with weight a-1, so a round costs O(d^2) and no factorization:
     Ptilde = P - (a-1) (Px)(Px)^T / (1 + (a-1) x^T P x)
 
 `oracle.hinf_direct` keeps the two-inverse transcription of the
-recursion above as the reference.
+recursion above as the reference. The round is written once, over leading
+member axes: `hinf_step` runs it on one state and `hinf_trajectories`
+runs S members (per-member a, b, c) through one step loop.
 
 The filtering guarantee bounds the error of the post-update weights
 (the w_t above), while the prediction-loss ceiling bounds the loss of
@@ -66,18 +68,45 @@ def hinf_init(params: HInfParams, d: int) -> HInfState:
     return HInfState(params=params, w=np.zeros(d), P=np.eye(d) / params.b, t=0)
 
 
+def _round(P, w, x, y, a, inv_c):
+    """One round over any leading member axes: (yhat, P, w) with a per
+    member and inv_c = 1/c broadcasting against the (..., d) diagonals."""
+    yhat = np.vecdot(x, w)
+    Px = np.matvec(P, x)
+    k = 1.0 + (a - 1.0) * np.vecdot(x, Px)  # >= 1: P is SPD and a > 1
+    g = Px * np.sqrt((a - 1.0) / k)[..., None]
+    P = P - g[..., :, None] * g[..., None, :]  # Ptilde, exactly symmetric
+    linalg.add_to_diagonal(P, inv_c)
+    w = w + Px * (a * (y - yhat) / k)[..., None]  # a (y - yhat) Ptilde x
+    return yhat, P, w
+
+
 def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     """One round: returns (yhat, new state). yhat uses the pre-update w."""
     x = linalg.as_vector(x, state.dim)
     p = state.params
-    yhat = float(x @ state.w)
-    Px = state.P @ x
-    k = 1.0 + (p.a - 1.0) * float(x @ Px)  # >= 1: P is SPD and a > 1
-    g = Px * math.sqrt((p.a - 1.0) / k)
-    P_new = state.P - g[:, None] * g  # Ptilde, exactly symmetric
-    P_new.ravel()[:: state.dim + 1] += 1.0 / p.c
-    w_new = state.w + Px * (p.a * (y - yhat) / k)  # a (y - yhat) Ptilde x
-    return yhat, HInfState(p, w_new, P_new, state.t + 1)
+    yhat, P, w = _round(state.P, state.w, x, y, p.a, 1.0 / p.c)
+    return float(yhat), HInfState(p, w, P, state.t + 1)
+
+
+def hinf_trajectories(states: list[HInfState], xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Run S filters from the given states in one step loop; returns the
+    predictions (S, T) and the post-update weights (S, T, d).
+
+    xs is (T, d) and ys (T,) when every member reads the same stream, or
+    (T, S, d) and (T, S) for one stream per member.
+    """
+    S, T, d = len(states), xs.shape[0], xs.shape[-1]
+    a = np.array([st.params.a for st in states])
+    inv_c = np.array([1.0 / st.params.c for st in states])[:, None]
+    P = np.stack([st.P for st in states])
+    w = np.stack([st.w for st in states])
+    yhats = np.empty((S, T))
+    ws = np.empty((S, T, d))
+    for t in range(T):
+        yhats[:, t], P, w = _round(P, w, xs[t], ys[t], a, inv_c)
+        ws[:, t] = w
+    return yhats, ws
 
 
 def hinf_filter_loss(post_update_ws, xs, comparator: ComparatorSequence) -> float:

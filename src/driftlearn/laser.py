@@ -40,9 +40,16 @@ of D still sits at the prior scale b (streams shorter than d), where the
 information form loses about eps * kappa; and c near sqrt(b X) with
 X/b >> 1e8, where both lose about eps * sqrt(X/b).
 
-`laser_trajectory` runs a whole stream. When a bound needs the spectrum of
-D_t it takes it from one eigvalsh per step: of D_t, or of P_t, since
-lambda(D) = 1/lambda(P).
+The covariance-form round is written once, over leading member axes, and
+serves both the single-state step functions and `laser_trajectories`,
+which runs S members (grid points, streams, or both, sharing T and d)
+through one step loop on (S, d, d) and (S, d) arrays with per-member b, c,
+clip bound and track_f. A member whose inputs would move it to
+information form runs alone on the step functions instead. When a bound
+needs the spectrum of D_t it comes from one stacked eigvalsh per step: of
+P_t, since lambda(D) = 1/lambda(P), or of D_t in information form.
+Per member and round the arithmetic is the same whatever the batch, so a
+member's results do not depend on the batch it runs in.
 """
 
 import math
@@ -161,16 +168,56 @@ def clip(x: float, y: float) -> float:
     return math.copysign(min(abs(x), y), x)
 
 
+def _p0(params: LaserParams) -> float:
+    """The prior scale of P: 1/b - 1/c, or 1/b when c is infinite."""
+    if params.stationary:
+        return 1.0 / params.b
+    return (params.c - params.b) / (params.b * params.c)
+
+
 def laser_init(params: LaserParams, d: int) -> LaserState:
     """Fresh state: P = (1/b - 1/c) I (I/b when c is infinite), w = 0."""
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
-    if params.stationary:
-        p0 = 1.0 / params.b
-    else:
-        p0 = (params.c - params.b) / (params.b * params.c)
-    return LaserState(params, np.zeros(d), p0 * np.eye(d), None, 0.0, 0.0, 0)
+    return LaserState(params, np.zeros(d), _p0(params) * np.eye(d), None, 0.0, 0.0, 0)
 
+
+# -- the covariance-form round, over any leading member axes --------------------
+
+def _cov_innovation(P, w, x, inflation):
+    """(P'x, q = x^T P' x, x . w) with P' = P + I/c. inflation is 1/c, as
+    a (S, 1) column for S members, or None when no member drifts. Callers
+    check q: it is finite unless x^T P' x overflowed."""
+    Px = np.matvec(P, x)
+    if inflation is not None:
+        Px += inflation * x
+    return Px, np.vecdot(x, Px), np.vecdot(x, w)
+
+
+def _cov_commit(P, w, Px, s, err, inflation):
+    """The new (P, w) after (x, y), from _cov_innovation's P'x, s = 1 + q
+    and err = y - x . w; s and err are (S, 1) columns for S members."""
+    g = Px * (1.0 / np.sqrt(s))
+    P = P - g[..., :, None] * g[..., None, :]
+    if inflation is not None:
+        linalg.add_to_diagonal(P, inflation)
+    return P, w + Px * (err / s)
+
+
+def _spectra(M, of_inverse: bool):
+    """(Tr D, lambda_max D, ln det D) from one eigvalsh of M = D, or of
+    M = P = D^{-1} when of_inverse; M may be a stack of matrices."""
+    lam = np.linalg.eigvalsh(M)
+    low = lam[..., 0].min()
+    if not low > 0.0:
+        raise NotPositiveDefinite(f"state lost definiteness: lambda_min = {low:.3e}")
+    if of_inverse:
+        inv = 1.0 / lam
+        return inv.sum(axis=-1), inv[..., 0], -np.log(lam).sum(axis=-1)
+    return lam.sum(axis=-1), lam[..., -1], np.log(lam).sum(axis=-1)
+
+
+# -- the single-state step functions --------------------------------------------
 
 def _innovation(state: LaserState, x: np.ndarray) -> LaserStep:
     params = state.params
@@ -182,23 +229,20 @@ def _innovation(state: LaserState, x: np.ndarray) -> LaserStep:
         if info is None and not params.covariance_holds(xsq):
             D = linalg.spd_inverse(state.cov)
             info = Information(D, D @ state.w)
-    inflation = params.inflation
     if info is None:
-        Px = state.cov @ x
-        if inflation:
-            Px = Px + inflation * x
-        q = float(x @ Px)
+        Px, q, xw = _cov_innovation(state.cov, state.w, x, params.inflation or None)
     else:
         Px = None
-        q = float(x @ linalg.spd_solve(info.D, x)) + xsq * inflation
+        q = float(x @ linalg.spd_solve(info.D, x)) + xsq * params.inflation
+        xw = float(x @ state.w)
     if not math.isfinite(q):  # x is finite, so x^T P' x overflowed
         raise ValueError(f"x^T P' x is not finite (q = {q})")
-    return LaserStep(x, q, float(x @ state.w), max_xsq, Px, info)
+    return LaserStep(x, q, xw, max_xsq, Px, info)
 
 
 def _predict(state: LaserState, x: np.ndarray) -> tuple[float, LaserStep]:
     step = _innovation(state, x)
-    yhat = step.xw / (1.0 + step.q)
+    yhat = float(step.xw / (1.0 + step.q))
     if state.params.clip_bound is not None:
         yhat = clip(yhat, state.params.clip_bound)
     return yhat, step
@@ -206,29 +250,24 @@ def _predict(state: LaserState, x: np.ndarray) -> tuple[float, LaserStep]:
 
 def _commit(state: LaserState, y: float, step: LaserStep) -> LaserState:
     params = state.params
-    inflation = params.inflation
     x, q, xw, max_xsq, Px, info = step
     s = 1.0 + q
     err = y - xw
-    min_cost = state.min_cost + err * err / s if params.track_f else 0.0
     if info is None:
-        g = Px * (1.0 / math.sqrt(s))
-        P = state.cov - g[:, None] * g
-        if inflation:
-            P.ravel()[:: P.shape[0] + 1] += inflation
-        w = state.w + Px * (err / s)
+        P, w = _cov_commit(state.cov, state.w, Px, s, err, params.inflation or None)
     else:
+        P = None
         D, e = info
-        if inflation:  # D' = (I + D/c)^{-1} D, e' = (I + D/c)^{-1} e
-            F = np.eye(D.shape[0]) + D * inflation
+        if params.inflation:  # D' = (I + D/c)^{-1} D, e' = (I + D/c)^{-1} e
+            F = np.eye(D.shape[0]) + D * params.inflation
             D = linalg.symmetrize(linalg.spd_solve_matrix(F, D))
             e = linalg.spd_solve(F, e)
         D = D + x[:, None] * x
         e = e + y * x
         w = linalg.spd_solve(D, e)
         info = Information(D, e)
-        P = None
-    return LaserState(params, w, P, info, max_xsq, min_cost, state.t + 1, q / s)
+    min_cost = float(state.min_cost + err * err / s) if params.track_f else 0.0
+    return LaserState(params, w, P, info, max_xsq, min_cost, state.t + 1, float(q / s))
 
 
 def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
@@ -276,13 +315,10 @@ def d_spectrum(state: LaserState) -> tuple[float, float, float]:
     """(Tr D, lambda_max D, ln det D) of the state's D_t, from one eigvalsh
     of D_t or, in covariance form, of P_t = D_t^{-1}."""
     M = state.cov if state.info is None else state.info.D
-    lam = np.linalg.eigvalsh(M)
-    if not lam[0] > 0.0:
-        raise NotPositiveDefinite(f"state lost definiteness: lambda_min = {lam[0]:.3e}")
-    if state.info is None:
-        return float(np.sum(1.0 / lam)), float(1.0 / lam[0]), float(-np.sum(np.log(lam)))
-    return float(np.sum(lam)), float(lam[-1]), float(np.sum(np.log(lam)))
+    return tuple(float(v) for v in _spectra(M, state.info is None))
 
+
+# -- whole streams ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LaserTrajectory:
@@ -301,14 +337,17 @@ class LaserTrajectory:
     logdet_D: np.ndarray | None = None
 
 
-def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:
-    """Run the learner over the stream (xs, ys) under the online protocol.
+def _stays_covariance(params: LaserParams, peaks: np.ndarray) -> bool:
+    """Whether a state keeps covariance form along a stream whose running
+    max |x|^2 takes the values in peaks (see _innovation)."""
+    return all(params.covariance_holds(float(v)) for v in np.unique(peaks))
 
-    xs is a (T, d) array and ys a (T,) array. Memory is O(T + d^2): no
-    per-step matrix is kept.
-    """
-    T, d = xs.shape
-    state = laser_init(params, d)
+
+def _single_trajectory(params: LaserParams, xs, ys, spectra: bool) -> LaserTrajectory:
+    """One member on the step functions, switching form where its inputs
+    call for it."""
+    T = xs.shape[0]
+    state = laser_init(params, xs.shape[1])
     yhats = np.empty(T)
     quads = np.empty(T)
     spec = np.empty((T + 1, 3)) if spectra else None
@@ -324,3 +363,99 @@ def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> Lase
     if spectra:
         return LaserTrajectory(yhats, quads, state, *spec.T)
     return LaserTrajectory(yhats, quads, state)
+
+
+def _batch_trajectories(params, xs, ys, max_xsq, spectra: bool) -> list[LaserTrajectory]:
+    """Covariance-form members in one step loop (see laser_trajectories);
+    max_xsq is each member's max |x|^2 over its stream."""
+    S, T, d = len(params), xs.shape[0], xs.shape[-1]
+    c = np.array([p.c for p in params])
+    drifting = np.isfinite(c)
+    inflation = (1.0 / c)[:, None] if drifting.any() else None
+    track_f = any(p.track_f for p in params)
+    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
+    clipping = bool(np.isfinite(bound).any())
+    guard = drifting if not spectra and drifting.any() else None
+
+    P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
+    w = np.zeros((S, d))
+    min_cost = np.zeros(S)
+    yhats = np.empty((S, T))
+    quads = np.empty((S, T))
+    spec = np.empty((T + 1, 3, S)) if spectra else None
+    if spectra:
+        spec[0] = _spectra(P, True)
+    for t in range(T):
+        x = xs[t]
+        Px, q, xw = _cov_innovation(P, w, x, inflation)
+        if not np.isfinite(q).all():
+            raise ValueError(f"x^T P' x is not finite at round {t + 1} (q = {q})")
+        s = 1.0 + q
+        yhat = xw / s
+        if clipping:
+            yhat = np.copysign(np.minimum(np.abs(yhat), bound), yhat)
+        yhats[:, t] = yhat
+        err = ys[t] - xw
+        P, w = _cov_commit(P, w, Px, s[:, None], err[:, None], inflation)
+        if track_f:
+            min_cost += err * err / s
+        quads[:, t] = q / s
+        if spectra:
+            spec[t + 1] = _spectra(P, True)
+        elif guard is not None:
+            try:
+                np.linalg.cholesky(P[guard])
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"state lost definiteness at round {t + 1}") from exc
+
+    max_xsq = np.broadcast_to(max_xsq, (S,))
+    out = []
+    for i, p in enumerate(params):
+        state = LaserState(p, w[i], P[i], None, float(max_xsq[i]),
+                           float(min_cost[i]) if p.track_f else 0.0, T,
+                           float(quads[i, -1]) if T else 0.0)
+        extra = spec[:, :, i].T if spectra else ()
+        out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
+    return out
+
+
+def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
+    """Run S members of the learner, params[i] for member i, under the
+    online protocol; one LaserTrajectory per member, in order.
+
+    xs is (T, d) and ys (T,) when every member reads the same stream, or
+    xs is (T, S, d) and ys (T, S) for one stream per member. Members stay
+    in one step loop on (S, d, d) arrays; a member whose inputs would move
+    it to information form runs alone on the step functions instead.
+    Without spectra, each drifting member's P is checked positive definite
+    every round by a stacked Cholesky factorization (the spectra check it
+    otherwise). Memory is O(S (T + d^2)): no per-step matrix is kept.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    shared = xs.ndim == 2
+    xsq = np.vecdot(xs, xs)
+    peaks = np.maximum.accumulate(xsq, axis=0)
+    out, batch = [None] * len(params), []
+    for i, p in enumerate(params):
+        if _stays_covariance(p, peaks if shared else peaks[:, i]):
+            batch.append(i)
+        else:
+            out[i] = _single_trajectory(p, xs if shared else xs[:, i],
+                                        ys if shared else ys[:, i], spectra)
+    if batch:
+        max_xsq = np.max(xsq, axis=0, initial=0.0)
+        if not shared and len(batch) < len(params):
+            xs, ys, max_xsq = xs[:, batch], ys[:, batch], max_xsq[batch]
+        trajs = _batch_trajectories([params[i] for i in batch], xs, ys, max_xsq, spectra)
+        for i, traj in zip(batch, trajs):
+            out[i] = traj
+    return out
+
+
+def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:
+    """Run the learner over the stream (xs, ys) under the online protocol.
+
+    xs is a (T, d) array and ys a (T,) array. Memory is O(T + d^2): no
+    per-step matrix is kept.
+    """
+    return laser_trajectories([params], xs, ys, spectra)[0]

@@ -38,9 +38,17 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2. Applied after every update; recursions are exactly
-    symmetric but floating point drifts."""
-    return 0.5 * (A + A.T)
+    """(A + A^T)/2, of each matrix in a stack. Applied after every update;
+    recursions are exactly symmetric but floating point drifts."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def add_to_diagonal(A: np.ndarray, v) -> None:
+    """A[..., i, i] += v in place, for a C-contiguous square matrix or
+    stack of them; v broadcasts against the (..., d) diagonals."""
+    if not A.flags.c_contiguous:  # reshape would copy, losing the update
+        raise ValueError("add_to_diagonal needs a C-contiguous array")
+    A.reshape(A.shape[:-2] + (-1,))[..., :: A.shape[-1] + 1] += v
 
 
 def is_symmetric(A: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:

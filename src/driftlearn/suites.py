@@ -11,6 +11,7 @@ defaults under which every inequality is expected to hold on the
 synthetic benchmarks.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,13 +118,14 @@ def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> Suite
     return _result("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
 
 
-def _desk_specs(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS):
-    return [DatasetSpec(kind=k, T=T, d=d, seed=s) for k in kinds for s in seeds]
+def _desk_streams(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS):
+    return [gen_stream(DatasetSpec(kind=k, T=T, d=d, seed=s)) for k in kinds for s in seeds]
 
 
-def _cert_trajectory(stream, params: dict, spectra: bool = False):
-    lp, _, _ = harness._laser_params(params, stream)
-    return lp, laser.laser_trajectory(lp, stream.xs, stream.ys, spectra=spectra)
+def _cert_trajectories(streams, params: dict, spectra: bool = False):
+    """One laser batch under params, one member per stream."""
+    lps = [harness._laser_params(params, stream)[0] for stream in streams]
+    return lps, laser.laser_trajectories(lps, *harness._batch_inputs(streams), spectra=spectra)
 
 
 def logdet_trajectory_suite(
@@ -132,9 +134,8 @@ def logdet_trajectory_suite(
     """Prefix log-det inequality at every step of every desk trajectory."""
     worst = -math.inf
     cases = 0
-    for spec in _desk_specs(kinds, T, d, seeds):
-        stream = gen_stream(spec)
-        lp, traj = _cert_trajectory(stream, params, spectra=True)
+    streams = _desk_streams(kinds, T, d, seeds)
+    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params, spectra=True)):
         lhs = np.cumsum(traj.quads)
         rhs = oracle.logdet_bound_rhs(
             traj.logdet_D[1:], np.cumsum(traj.trace_D[:-1]), stream.dim, lp.b, lp.c
@@ -150,9 +151,8 @@ def eig_cap_suite(
     """Per-step eigenvalue ceiling with the running input-norm bound."""
     worst = -math.inf
     cases = 0
-    for spec in _desk_specs(kinds, T, d, seeds):
-        stream = gen_stream(spec)
-        lp, traj = _cert_trajectory(stream, params, spectra=True)
+    streams = _desk_streams(kinds, T, d, seeds)
+    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params, spectra=True)):
         x_sq_max = np.maximum.accumulate(np.einsum("td,td->t", stream.xs, stream.xs))
         caps = np.array([oracle.eig_cap(float(v), lp.b, lp.c) for v in x_sq_max])
         worst = max(worst, float(np.max(traj.lam_max_D[1:] - caps)))
@@ -172,9 +172,8 @@ def comparator_bound_suite(
     desk runs) and the brute-force-optimal comparator (short prefixes)."""
     worst = -math.inf
     cases = 0
-    for spec in _desk_specs(kinds, T, d, seeds):
-        stream = gen_stream(spec)
-        lp, traj = _cert_trajectory(stream, params)
+    streams = _desk_streams(kinds, T, d, seeds)
+    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params)):
         yhats, quads = traj.yhats, traj.quads
         L_T = float(np.sum((stream.ys - yhats) ** 2))
         rhs = oracle.cumloss_bound(
@@ -195,31 +194,21 @@ def comparator_bound_suite(
     return _result("comparator cumulative-loss bound", cases, worst, 1e-6)
 
 
+def _tuned_worst(streams, regime: str) -> float:
+    params = {"tuned_regime": regime, "eps_ratio": TUNED_EPS}
+    reports = harness.run_batch("laser", [params] * len(streams), streams)
+    name = f"tuned_{regime}_drift_bound"
+    return max(b.lhs - b.rhs for r in reports for b in r.bound_checks if b.name == name)
+
+
 def tuned_bound_suite(seeds=DESK_SEEDS) -> SuiteResult:
     """Drift-tuned closed-form bounds, low regime (constant-rate stream at
     the desk default rate) and high regime (two-dimensional stream at the
     maximal rotation rate)."""
-    worst = -math.inf
-    cases = 0
-    for seed in seeds:
-        spec = DatasetSpec(kind="A", T=DESK_T, d=DESK_D, seed=seed)
-        stream = gen_stream(spec)
-        report = harness.run_learner(
-            "laser", {"tuned_regime": "low", "eps_ratio": TUNED_EPS}, stream
-        )
-        chk = [b for b in report.bound_checks if b.name == "tuned_low_drift_bound"]
-        worst = max(worst, chk[0].lhs - chk[0].rhs)
-        cases += 1
-
-        spec = DatasetSpec(seed=seed, **HIGH_DRIFT_SPEC)
-        stream = gen_stream(spec)
-        report = harness.run_learner(
-            "laser", {"tuned_regime": "high", "eps_ratio": TUNED_EPS}, stream
-        )
-        chk = [b for b in report.bound_checks if b.name == "tuned_high_drift_bound"]
-        worst = max(worst, chk[0].lhs - chk[0].rhs)
-        cases += 1
-    return _result("drift-tuned closed-form bounds", cases, worst, 1e-6)
+    low = [gen_stream(DatasetSpec(kind="A", T=DESK_T, d=DESK_D, seed=s)) for s in seeds]
+    high = [gen_stream(DatasetSpec(seed=s, **HIGH_DRIFT_SPEC)) for s in seeds]
+    worst = max(_tuned_worst(low, "low"), _tuned_worst(high, "high"))
+    return _result("drift-tuned closed-form bounds", 2 * len(seeds), worst, 1e-6)
 
 
 def hinf_bound_suite(
@@ -227,15 +216,33 @@ def hinf_bound_suite(
 ) -> SuiteResult:
     """Robust-filter guarantee and prediction-loss ceilings (alpha grid
     plus the optimized alpha where defined) on every desk run."""
-    worst = -math.inf
-    cases = 0
-    for spec in _desk_specs(kinds, T, d, seeds):
-        stream = gen_stream(spec)
-        report = harness.run_learner("hinf", dict(params), stream)
-        for b in report.bound_checks:
-            worst = max(worst, b.lhs - b.rhs)
-            cases += 1
-    return _result("robust-filter loss bounds", cases, worst, 1e-6)
+    streams = _desk_streams(kinds, T, d, seeds)
+    checks = [b for r in harness.run_batch("hinf", [dict(params)] * len(streams), streams)
+              for b in r.bound_checks]
+    worst = max(b.lhs - b.rhs for b in checks)
+    return _result("robust-filter loss bounds", len(checks), worst, 1e-6)
+
+
+# (b, c) of the kernel suite's members, cycled over the desk streams so
+# that one batch mixes forgetting rates, c near b and the stationary c = inf
+KERNEL_MEMBERS = ((1.0, 100.0), (0.1, 0.2), (10.0, 1000.0), (1.0, math.inf), (0.5, 5.0))
+
+
+def kernel_suite(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS) -> SuiteResult:
+    """The batched laser kernel against the direct recursion
+    (`oracle.laser_direct`): member i runs desk stream i with the i-th
+    (b, c) of KERNEL_MEMBERS, cycled, all in one batch. Reports the worst
+    prediction gap relative to 1 + max |yhat| of the direct run."""
+    streams = _desk_streams(kinds, T, d, seeds)
+    lps = [laser.LaserParams(b=b, c=c)
+           for (b, c), _ in zip(itertools.cycle(KERNEL_MEMBERS), streams)]
+    trajs = laser.laser_trajectories(lps, *harness._batch_inputs(streams))
+    worst = 0.0
+    for stream, lp, traj in zip(streams, lps, trajs):
+        ref = oracle.laser_direct(stream.xs, stream.ys, lp.b, lp.c).yhats
+        gap = float(np.max(np.abs(traj.yhats - ref))) / (1.0 + float(np.max(np.abs(ref))))
+        worst = max(worst, gap)
+    return _result("batched kernel vs direct recursion", len(streams) * T, worst, 1e-10)
 
 
 def bounds_suite(seeds=DESK_SEEDS) -> list[SuiteResult]:
@@ -246,7 +253,7 @@ def bounds_suite(seeds=DESK_SEEDS) -> list[SuiteResult]:
     ]
 
 
-SUITE_KEYS = ("oracle", "lemma3", "lemma5", "lemma6", "lemma7", "bounds", "all")
+SUITE_KEYS = ("oracle", "lemma3", "lemma5", "lemma6", "lemma7", "bounds", "kernel", "all")
 
 
 def run_suites(which: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
@@ -266,6 +273,8 @@ def run_suites(which: str, trials: int | None = None, seed: int = 0) -> list[Sui
         results.append(eig_cap_suite())
     if which in ("bounds", "all"):
         results.extend(bounds_suite())
+    if which in ("kernel", "all"):
+        results.append(kernel_suite())
     if not results:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_KEYS}")
     return results

@@ -1,0 +1,184 @@
+"""Batched execution: a member's results do not depend on its batch.
+
+Each learner runs a set of mixed members (different parameters, streams,
+forms) alone and inside batches of several sizes and orders; predictions,
+L_T, quads, spectral summaries and bound checks must agree to TOL. The
+sweep must match a per-point run_learner loop, and experiments must not
+depend on the worker count.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from driftlearn import harness, laser, oracle
+from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
+from driftlearn.errors import InvalidParams
+
+TOL = 1e-12  # relative to max |yhat| for predictions, to max(1, |v|) for scalars
+T, D = 200, 4
+
+
+def scaled(stream, k):
+    """The stream with inputs and labels multiplied by k (same target)."""
+    return LabeledStream(stream.xs * k, stream.ys * k, stream.truth,
+                         stream.Y_bound * k, stream.X_bound * k)
+
+
+STREAM_C = gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=1))
+STREAM_A = gen_stream(DatasetSpec(kind="A", T=T, d=D, seed=3))
+BIG = scaled(gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=5)), 1e6)
+ZERO = LabeledStream(np.zeros((T, D)), np.zeros(T), oracle.comparator_from_us(np.zeros((T, D))),
+                     1.0, 1.0)
+
+MEMBERS = {
+    "laser": [
+        ({"b": 1.0, "c": 100.0}, STREAM_C),
+        ({"b": 1.0, "c": math.inf}, STREAM_C),
+        ({"b": 1.0, "c": 50.0, "clip_bound": 0.5}, STREAM_C),
+        ({"b": 1.0, "c": 100.0, "track_f": True}, STREAM_A),
+        ({"tuned_regime": "low", "eps_ratio": 0.1}, STREAM_A),
+        ({"b": 1.0, "c": 1e12}, BIG),  # moves to information form
+    ],
+    "aar": [
+        ({"b": 0.5}, STREAM_C),
+        ({"b": 2.0}, STREAM_A),
+        ({"b": 1.0}, BIG),  # moves to information form
+        ({"b": 1.0}, STREAM_C),
+    ],
+    "hinf": [
+        ({"a": 8.0, "b": 500.0, "c": 500.0}, STREAM_C),
+        ({"a": 2.0, "b": 20.0, "c": 50.0}, STREAM_A),
+        ({"a": 2.0, "b": 1.0, "c": 1e12}, BIG),
+        ({"a": 32.0, "b": 1.0, "c": 1.0}, STREAM_C),
+    ],
+    "nlms": [
+        ({"eta": 0.5}, STREAM_C),
+        ({"eta": 1.5, "eps": 1e-6}, STREAM_A),
+        ({"eta": 0.25}, BIG),
+        ({"eta": 1.0}, ZERO),  # zero denominators
+    ],
+    "crrls": [
+        ({"reset_period": 10, "b_reset": 0.1}, STREAM_C),
+        ({"reset_period": 25, "b_reset": 1.0}, STREAM_A),
+        ({"reset_period": 7, "b_reset": 1.0}, BIG),
+        ({"reset_period": 1, "b_reset": 2.0}, ZERO),
+    ],
+}
+
+
+def close(a, b):
+    return a == b or abs(a - b) <= TOL * max(1.0, abs(b))  # a == b: equal infinities
+
+
+def assert_same_run(got, ref):
+    scale = max(1.0, float(np.max(np.abs(ref.yhats))))
+    assert np.max(np.abs(got.yhats - ref.yhats)) <= TOL * scale
+    assert close(got.L_T, ref.L_T)
+    assert (got.quad_trace is None) == (ref.quad_trace is None)
+    if ref.quad_trace is not None:
+        np.testing.assert_allclose(got.quad_trace, ref.quad_trace, rtol=0, atol=TOL)
+    assert [b.name for b in got.bound_checks] == [b.name for b in ref.bound_checks]
+    for b, r in zip(got.bound_checks, ref.bound_checks):
+        assert close(b.lhs, r.lhs) and close(b.rhs, r.rhs) and b.holds == r.holds
+
+
+def batches(n):
+    """Index batches of several sizes and orders covering members 0..n-1."""
+    idx = list(range(n))
+    return [idx, idx[::-1], idx[0::2], idx[1::2], idx[:3], idx[3:]]
+
+
+@pytest.mark.parametrize("algo", harness.ALGO_IDS)
+def test_member_alone_matches_member_in_batches(algo):
+    members = MEMBERS[algo]
+    alone = [harness.run_learner(algo, p, s, seed=i) for i, (p, s) in enumerate(members)]
+    for batch in batches(len(members)):
+        reports = harness.run_batch(algo, [members[i][0] for i in batch],
+                                    [members[i][1] for i in batch], batch)
+        for i, report in zip(batch, reports):
+            assert report.seed == i
+            assert_same_run(report, alone[i])
+
+
+def test_laser_spectra_and_states_do_not_depend_on_the_batch():
+    members = MEMBERS["laser"]
+    lps = [harness._laser_params(p, s)[0] for p, s in members]
+    alone = [laser.laser_trajectory(lp, s.xs, s.ys, spectra=True)
+             for lp, (_, s) in zip(lps, members)]
+    assert alone[-1].state.info is not None  # the large-input member switched
+    assert all(tr.state.info is None for tr in alone[:-1])
+    for batch in batches(len(members)):
+        streams = [members[i][1] for i in batch]
+        trajs = laser.laser_trajectories([lps[i] for i in batch],
+                                         *harness._batch_inputs(streams), spectra=True)
+        for i, traj in zip(batch, trajs):
+            ref = alone[i]
+            for name in ("quads", "trace_D", "lam_max_D", "logdet_D"):
+                got, want = getattr(traj, name), getattr(ref, name)
+                assert np.all(np.abs(got - want) <= TOL * np.maximum(1.0, np.abs(want))), name
+            assert traj.state.t == ref.state.t and close(traj.state.f, ref.state.f)
+            P = ref.state.P
+            np.testing.assert_allclose(traj.state.P, P, rtol=0, atol=TOL * np.abs(P).max())
+
+
+def test_shared_stream_batch_matches_stacked_copies():
+    params = [p for p, s in MEMBERS["laser"] if s is STREAM_C]
+    shared = harness.run_batch("laser", params, [STREAM_C] * len(params))
+    copies = [replace(STREAM_C, xs=STREAM_C.xs.copy()) for _ in params]
+    stacked = harness.run_batch("laser", params, copies)
+    for got, ref in zip(shared, stacked):
+        assert_same_run(got, ref)
+
+
+def per_point_sweep(spec, dataset):
+    """The sweep as a loop of run_learner calls, one per grid point."""
+    stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
+    evaluated, skipped = [], []
+    for params in harness._grid_candidates(spec.grid):
+        try:
+            report = harness.run_learner(spec.algo_id, params, stream, seed=spec.tuning_seed)
+        except InvalidParams as exc:
+            skipped.append((params, str(exc)))
+            continue
+        evaluated.append((params, report.L_T))
+    return min(evaluated, key=lambda e: e[1])[0], evaluated, skipped
+
+
+SWEEPS = {
+    "laser": {"b": [1.0, 5.0, 10.0], "c": [2.0, 50.0, 300.0, math.inf], "clip_bound": [None, 3.0]},
+    "aar": {"b": [0.1, 1.0, 100.0]},
+    "nlms": {"eta": [0.25, 0.5, 1.0, 1.5], "eps": [0.0, 1e-6]},
+    "crrls": {"reset_period": [10, 25, 0], "b_reset": [0.1, 1.0]},
+    "hinf": {"a": [0.5, 2.0, 8.0], "b": [20.0, 500.0], "c": [50.0, 500.0]},
+}
+
+
+@pytest.mark.parametrize("algo", harness.ALGO_IDS)
+def test_sweep_matches_per_point_run_learner(algo):
+    dataset = DatasetSpec(kind="C", T=100, d=6, seed=0)
+    spec = harness.SweepSpec(algo_id=algo, grid=SWEEPS[algo], tuning_seed=7)
+    result = harness.sweep(spec, dataset)
+    best, evaluated, skipped = per_point_sweep(spec, dataset)
+    assert result.best_params == best
+    assert [p for p, _ in result.evaluated] == [p for p, _ in evaluated]
+    assert all(close(a, b) for (_, a), (_, b) in zip(result.evaluated, evaluated))
+    assert result.skipped == skipped
+    assert (len(skipped) > 0) == (algo in ("laser", "crrls", "hinf"))
+
+
+def test_experiment_agrees_across_worker_counts(monkeypatch):
+    monkeypatch.delenv("DRIFTLEARN_THREADS", raising=False)
+    dataset = DatasetSpec(kind="D", T=60, d=5, seed=0)
+    algos = [(algo, MEMBERS[algo][0][0]) for algo in harness.ALGO_IDS]
+    seeds = [4, 0, 3, 1, 2]
+    serial = harness.experiment(dataset, algos, seeds, workers=1)
+    parallel = harness.experiment(dataset, algos, seeds, workers=2)
+    assert [(r.algo_id, r.seed) for r in serial] == [(r.algo_id, r.seed) for r in parallel]
+    assert len(serial) == len(algos) * len(seeds)
+    for got, ref in zip(parallel, serial):
+        assert_same_run(got, ref)
+    alone = harness.run_learner("laser", algos[0][1], gen_stream(replace(dataset, seed=3)), seed=3)
+    assert_same_run(next(r for r in serial if (r.algo_id, r.seed) == ("laser", 3)), alone)

@@ -111,6 +111,19 @@ def test_sweep_writes_best_params_json(tmp_path):
     assert payload["skipped"][0]["params"] == {"b": 5.0, "c": 2.0}
 
 
+def test_sweep_json_lists_every_evaluated_points_loss(tmp_path):
+    out = tmp_path / "best.json"
+    assert run_cli("sweep", "--algo", "nlms", "--grid", '{"eta": [0.25, 0.5, 1.0]}',
+                   "--kind", "C", "--T", "30", "--d", "4", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    losses = payload["losses"]
+    assert [entry["params"] for entry in losses] == [{"eta": 0.25}, {"eta": 0.5}, {"eta": 1.0}]
+    assert payload["evaluated"] == len(losses)
+    assert min(entry["L_T"] for entry in losses) == payload["best_loss"]
+    best = next(entry for entry in losses if entry["L_T"] == payload["best_loss"])
+    assert best["params"] == payload["best_params"]
+
+
 def test_sweep_reads_grid_from_file(tmp_path):
     grid_file = tmp_path / "grid.json"
     grid_file.write_text('{"b": [0.5, 2.0]}')
@@ -125,6 +138,13 @@ def test_verify_oracle_suite_exits_zero(capsys):
     assert run_cli("verify", "--suite", "oracle", "--trials", "40", "--seed", "7") == 0
     out = capsys.readouterr().out
     assert "oracle equivalence" in out and "[ok]" in out
+
+
+def test_verify_kernel_suite_exits_zero(capsys):
+    assert run_cli("verify", "--suite", "kernel") == 0
+    out = capsys.readouterr().out
+    assert "batched kernel vs direct recursion" in out and "[ok]" in out
+    assert "tol 1.0e-10" in out
 
 
 def test_verify_violation_exits_one(monkeypatch, capsys):
@@ -217,13 +237,21 @@ BAD_INPUTS = {
     "verify-trials-negative": ["verify", "--trials", "-1"],
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
+    "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
+                                       "--eps-ratio", "0.1", "--out-prefix", "TMP/r"],
+}
+# the reason each of these must name in its error line
+BAD_INPUT_REASONS = {
+    "sweep-grid-text": "parameter 'b': could not convert string to float: 'x'",
+    "eps-ratio-without-tuned-regime": "eps_ratio applies only with tuned_regime",
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case]
     stream = tmp_path / "stream.csv"
     assert run_cli("gen", "--kind", "A", "--T", "5", "--d", "4", "--out", str(stream)) == 0
     (tmp_path / "bad_report.csv").write_text(
@@ -235,6 +263,7 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert BAD_INPUT_REASONS.get(case, "") in err
 
 
 FLAG_VALUES = {"b": 1.0, "c": 2.0, "a": 3.0, "eta": 0.5, "eps": 0.1, "reset_period": 4,

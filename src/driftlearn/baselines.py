@@ -15,10 +15,10 @@ artifact-defined:
             w += P x (y - yhat)   [updated P]
             and P resets to b_reset^{-1} I every N steps.
 
-Each round is written once, over leading member axes: the `*_step`
-functions run it on one state and the `*_trajectories` functions run S
-members (per-member parameters) through one step loop. A batched AAR
-member is a `laser.laser_trajectories` member at c = inf.
+CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
+the reset: `crrls_step` runs one round and `harness` runs S members in
+`laser.cov_rounds`. The NLMS round is written once over leading member
+axes, for `nlms_step` and for `nlms_trajectories`, its S-member loop.
 """
 
 import math
@@ -76,7 +76,7 @@ def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
 
 def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     """Run S NLMS members from the given states in one step loop; returns
-    the predictions (S, T). xs and ys as in `crrls_trajectories`."""
+    the predictions (S, T). xs and ys as in `laser.cov_rounds`."""
     eta = np.array([st.eta for st in states])
     eps = np.array([st.eps for st in states])
     w = np.stack([st.w for st in states])
@@ -109,46 +109,14 @@ def crrls_init(d: int, reset_period: int, b_reset: float) -> CrRlsState:
     )
 
 
-def _crrls_round(P, w, x, y, t, reset_period, b_reset):
-    """(yhat, P, w) after round t (counted from 1), over any leading member
-    axes: the RLS step, then P = b_reset^{-1} I where t is a multiple of
-    the member's reset period."""
-    yhat = np.vecdot(x, w)
-    Px = np.matvec(P, x)
-    outer = Px[..., :, None] * Px[..., None, :]
-    P = linalg.symmetrize(P - outer / (1.0 + np.vecdot(x, Px))[..., None, None])
-    w = w + np.matvec(P, x) * (y - yhat)[..., None]
-    reset = np.asarray(t % reset_period == 0)
-    if reset.any():
-        fresh = np.eye(P.shape[-1]) / np.asarray(b_reset)[..., None, None]
-        P = np.where(reset[..., None, None], fresh, P)
-    return yhat, P, w
-
-
 def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
     """RLS step with the pre-update P used for nothing but its own update;
     the covariance resets to b_reset^{-1} I whenever the new step count
     hits a multiple of the reset period."""
     x = linalg.as_vector(x, state.dim)
     t = state.t + 1
-    yhat, P, w = _crrls_round(state.P, state.w, x, y, t, state.reset_period, state.b_reset)
-    return float(yhat), replace(state, w=w, P=P, t=t)
-
-
-def crrls_trajectories(states: list[CrRlsState], xs, ys) -> np.ndarray:
-    """Run S CR-RLS members from the given states in one step loop; returns
-    the predictions (S, T).
-
-    xs is (T, d) and ys (T,) when every member reads the same stream, or
-    (T, S, d) and (T, S) for one stream per member.
-    """
-    t = np.array([st.t for st in states])
-    period = np.array([st.reset_period for st in states])
-    b_reset = np.array([st.b_reset for st in states])
-    P = np.stack([st.P for st in states])
-    w = np.stack([st.w for st in states])
-    yhats = np.empty((len(states), xs.shape[0]))
-    for k in range(xs.shape[0]):
-        t += 1
-        yhats[:, k], P, w = _crrls_round(P, w, xs[k], ys[k], t, period, b_reset)
-    return yhats
+    Px, q, xw = laser._cov_innovation(state.P, state.w, x, None)
+    P, w = laser._cov_commit(state.P, state.w, Px, 1.0 + q, y - xw, None)
+    if t % state.reset_period == 0:
+        P = np.eye(state.dim) / state.b_reset
+    return float(xw), replace(state, w=w, P=P, t=t)

@@ -30,6 +30,20 @@ def _optional_float(value):
     return None if value is None else float(value)
 
 
+def _integer(value) -> int:
+    """An integral value as an int; int() would truncate 2.5 to 2."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(float(value))
+
+
+def _boolean(value) -> bool:
+    """A bool as is; bool() would read "false" as True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # The one list of each learner's parameters: name -> (conversion, default).
 # run_learner rejects names not listed here and values their conversion
 # refuses, and needs each parameter whose default is REQUIRED; laser needs
@@ -39,14 +53,14 @@ LEARNER_PARAMS = {
     "laser": {
         "b": (float, None),
         "c": (float, None),
-        "track_f": (bool, False),
+        "track_f": (_boolean, False),
         "clip_bound": (_optional_float, None),
         "tuned_regime": (oracle.DriftRegime, None),
         "eps_ratio": (float, None),
     },
     "aar": {"b": (float, REQUIRED)},
     "nlms": {"eta": (float, REQUIRED), "eps": (float, 0.0)},
-    "crrls": {"reset_period": (int, REQUIRED), "b_reset": (float, REQUIRED)},
+    "crrls": {"reset_period": (_integer, REQUIRED), "b_reset": (float, REQUIRED)},
     "hinf": {"a": (float, REQUIRED), "b": (float, REQUIRED), "c": (float, REQUIRED)},
 }
 ALGO_IDS = tuple(LEARNER_PARAMS)
@@ -109,7 +123,7 @@ def _checked(algo_id: str, params: dict) -> dict:
             continue
         try:
             out[name] = convert(params[name])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"parameter {name!r}: {exc}") from exc
     return out
 
@@ -193,12 +207,17 @@ def _run_members(algo_id, members, params, streams, seeds, certify: bool) -> lis
         yhats = [tr.yhats for tr in trajs]
         if algo_id == "laser":
             quads = [tr.quads for tr in trajs]
-    elif algo_id == "hinf":
-        yhats, post_ws = hinf.hinf_trajectories(members, xs, ys)
-    elif algo_id == "nlms":
-        yhats = baselines.nlms_trajectories(members, xs, ys)
+    elif algo_id == "hinf":  # the laser round with weight a - 1 and gain a, unshrunk
+        a = np.array([m.params.a for m in members])
+        inflation = 1.0 / np.array([m.params.c for m in members])
+        run = laser.cov_rounds(np.stack([m.P_tilde for m in members]), xs, ys, inflation,
+                               a - 1.0, a, keep_w=True)
+        yhats, post_ws = run.xw, run.ws
+    elif algo_id == "crrls":  # the laser round at c = inf, unshrunk, with the reset
+        yhats = laser.cov_rounds(np.stack([m.P for m in members]), xs, ys,
+                                 reset=np.array([m.reset_period for m in members])).xw
     else:
-        yhats = baselines.crrls_trajectories(members, xs, ys)
+        yhats = baselines.nlms_trajectories(members, xs, ys)
 
     truth_loss = {}
     reports = []

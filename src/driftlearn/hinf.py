@@ -10,15 +10,13 @@ starting from w_0 = 0, P_0 = b^{-1} I, with robustness level a > 1 and
 penalties b, c > 0. The c^{-1} I refresh keeps P_t bounded away from
 zero, which is what lets the filter track a moving target.
 
-`hinf_step` applies Ptilde_t as a rank-one (Sherman-Morrison) update of
-P_{t-1} with weight a-1, so a round costs O(d^2) and no factorization:
-
-    Ptilde = P - (a-1) (Px)(Px)^T / (1 + (a-1) x^T P x)
-
-`oracle.hinf_direct` keeps the two-inverse transcription of the
-recursion above as the reference. The round is written once, over leading
-member axes: `hinf_step` runs it on one state and `hinf_trajectories`
-runs S members (per-member a, b, c) through one step loop.
+A round is the covariance-form round of `laser` with downdate weight
+a - 1, gain a and no last-step shrinkage, O(d^2) with no factorization:
+with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T / s
+and a Ptilde_t x = a P'x / s. The state holds Ptilde_t = P_t - c^{-1} I,
+from (b^{-1} - c^{-1}) I (negative when b > c), and derives P_t.
+`hinf_step` runs one round; `harness` runs S members in `laser.cov_rounds`.
+`oracle.hinf_direct` transcribes the recursion above as the reference.
 
 The filtering guarantee bounds the error of the post-update weights
 (the w_t above), while the prediction-loss ceiling bounds the loss of
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import laser, linalg
 from .errors import InvalidParams, LengthMismatch
 from .oracle import ComparatorSequence, comparator_loss, drift_term
 
@@ -51,62 +49,37 @@ class HInfParams:
 
 @dataclass
 class HInfState:
+    """The filter after t rounds: w_t and Ptilde_t = P_t - c^{-1} I."""
+
     params: HInfParams
     w: np.ndarray
-    P: np.ndarray
+    P_tilde: np.ndarray
     t: int
 
     @property
     def dim(self) -> int:
         return self.w.shape[0]
 
+    @property
+    def P(self) -> np.ndarray:
+        return self.P_tilde + np.eye(self.dim) / self.params.c
+
 
 def hinf_init(params: HInfParams, d: int) -> HInfState:
     """w = 0, P = b^{-1} I."""
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
-    return HInfState(params=params, w=np.zeros(d), P=np.eye(d) / params.b, t=0)
-
-
-def _round(P, w, x, y, a, inv_c):
-    """One round over any leading member axes: (yhat, P, w) with a per
-    member and inv_c = 1/c broadcasting against the (..., d) diagonals."""
-    yhat = np.vecdot(x, w)
-    Px = np.matvec(P, x)
-    k = 1.0 + (a - 1.0) * np.vecdot(x, Px)  # >= 1: P is SPD and a > 1
-    g = Px * np.sqrt((a - 1.0) / k)[..., None]
-    P = P - g[..., :, None] * g[..., None, :]  # Ptilde, exactly symmetric
-    linalg.add_to_diagonal(P, inv_c)
-    w = w + Px * (a * (y - yhat) / k)[..., None]  # a (y - yhat) Ptilde x
-    return yhat, P, w
+    return HInfState(params, np.zeros(d), (1.0 / params.b - 1.0 / params.c) * np.eye(d), 0)
 
 
 def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     """One round: returns (yhat, new state). yhat uses the pre-update w."""
     x = linalg.as_vector(x, state.dim)
-    p = state.params
-    yhat, P, w = _round(state.P, state.w, x, y, p.a, 1.0 / p.c)
-    return float(yhat), HInfState(p, w, P, state.t + 1)
-
-
-def hinf_trajectories(states: list[HInfState], xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Run S filters from the given states in one step loop; returns the
-    predictions (S, T) and the post-update weights (S, T, d).
-
-    xs is (T, d) and ys (T,) when every member reads the same stream, or
-    (T, S, d) and (T, S) for one stream per member.
-    """
-    S, T, d = len(states), xs.shape[0], xs.shape[-1]
-    a = np.array([st.params.a for st in states])
-    inv_c = np.array([1.0 / st.params.c for st in states])[:, None]
-    P = np.stack([st.P for st in states])
-    w = np.stack([st.w for st in states])
-    yhats = np.empty((S, T))
-    ws = np.empty((S, T, d))
-    for t in range(T):
-        yhats[:, t], P, w = _round(P, w, xs[t], ys[t], a, inv_c)
-        ws[:, t] = w
-    return yhats, ws
+    a, inflation = state.params.a, 1.0 / state.params.c or None
+    Px, q, xw = laser._cov_innovation(state.P_tilde, state.w, x, inflation)
+    P, w = laser._cov_commit(state.P_tilde, state.w, Px, 1.0 + (a - 1.0) * q, a * (y - xw),
+                             inflation, math.sqrt(a - 1.0))
+    return float(xw), HInfState(state.params, w, P, state.t + 1)
 
 
 def hinf_filter_loss(post_update_ws, xs, comparator: ComparatorSequence) -> float:

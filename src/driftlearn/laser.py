@@ -40,16 +40,16 @@ of D still sits at the prior scale b (streams shorter than d), where the
 information form loses about eps * kappa; and c near sqrt(b X) with
 X/b >> 1e8, where both lose about eps * sqrt(X/b).
 
-The covariance-form round is written once, over leading member axes, and
-serves both the single-state step functions and `laser_trajectories`,
-which runs S members (grid points, streams, or both, sharing T and d)
-through one step loop on (S, d, d) and (S, d) arrays with per-member b, c,
-clip bound and track_f. A member whose inputs would move it to
-information form runs alone on the step functions instead. When a bound
-needs the spectrum of D_t it comes from one stacked eigvalsh per step: of
-P_t, since lambda(D) = 1/lambda(P), or of D_t in information form.
-Per member and round the arithmetic is the same whatever the batch, so a
-member's results do not depend on the batch it runs in.
+The covariance-form round is written once, over leading member axes. It
+serves the single-state step functions and `cov_rounds`, the one step
+loop over S members (grid points, streams, or both, sharing T and d) on
+(S, d, d) and (S, d) arrays, which also runs the H-infinity filter and
+CR-RLS (see `hinf`, `baselines`). `laser_trajectories` runs laser members
+in it, with per-member b, c, clip bound and track_f; a member whose inputs
+would move it to information form runs alone on the step functions. Bound
+checks take the spectrum of D_t from one stacked eigvalsh per step, of
+P_t (lambda(D) = 1/lambda(P)) or of D_t in information form. Per member
+the arithmetic does not depend on the batch, nor do the results.
 """
 
 import math
@@ -194,10 +194,12 @@ def _cov_innovation(P, w, x, inflation):
     return Px, np.vecdot(x, Px), np.vecdot(x, w)
 
 
-def _cov_commit(P, w, Px, s, err, inflation):
-    """The new (P, w) after (x, y), from _cov_innovation's P'x, s = 1 + q
-    and err = y - x . w; s and err are (S, 1) columns for S members."""
-    g = Px * (1.0 / np.sqrt(s))
+def _cov_commit(P, w, Px, s, err, inflation, root=1.0):
+    """The new (P, w) after (x, y) from _cov_innovation's P'x, s = 1 + weight q,
+    err = gain (y - x . w) and root = sqrt(weight), as (S, 1) columns for S
+    members: P <- P' - weight P'x (P'x)^T / s and w <- w + P'x err / s.
+    Laser and CR-RLS have weight = gain = 1, hinf a - 1 and a."""
+    g = Px * (root / np.sqrt(s))
     P = P - g[..., :, None] * g[..., None, :]
     if inflation is not None:
         linalg.add_to_diagonal(P, inflation)
@@ -215,6 +217,62 @@ def _spectra(M, of_inverse: bool):
         inv = 1.0 / lam
         return inv.sum(axis=-1), inv[..., 0], -np.log(lam).sum(axis=-1)
     return lam.sum(axis=-1), lam[..., -1], np.log(lam).sum(axis=-1)
+
+
+class CovRun(NamedTuple):
+    """What cov_rounds recorded of S members over T rounds."""
+
+    xw: np.ndarray               # (S, T): x_t . w_{t-1}
+    q: np.ndarray                # (S, T): x_t^T P' x_t, unweighted
+    P: np.ndarray                # (S, d, d) after the last round
+    w: np.ndarray                # (S, d) after the last round
+    ws: np.ndarray | None        # (S, T, d) post-update weights, with keep_w
+    spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, lambda_max D, ln det D)
+
+
+def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
+               keep_w=False, spectra=False, guard=None) -> CovRun:
+    """Run S members of the covariance-form round from P (S, d, d) and w = 0
+    over xs (T, d) and ys (T,), one stream for all, or xs (T, S, d) and
+    ys (T, S), one per member. Per member: inflation is 1/c (0 at c = inf),
+    weight and gain are those of _cov_commit (1 when None), and after each
+    reset-th round P returns to its start. keep_w keeps the post-update
+    weights; spectra the spectrum of D = P^{-1} before round 1 and after
+    each round. Members where guard holds have P checked positive definite
+    every round by one stacked Cholesky factorization.
+    """
+    S, T, d = P.shape[0], xs.shape[0], xs.shape[-1]
+    inflation = None if inflation is None or not inflation.any() else inflation[:, None]
+    root = 1.0 if weight is None else np.sqrt(weight)[:, None]
+    P0, w = P, np.zeros((S, d))
+    xws, qs = np.empty((S, T)), np.empty((S, T))
+    ws = np.empty((S, T, d)) if keep_w else None
+    spec = np.empty((T + 1, 3, S)) if spectra else None
+    if spectra:
+        spec[0] = _spectra(P, True)
+    for t in range(T):
+        Px, q, xw = _cov_innovation(P, w, xs[t], inflation)
+        if not np.isfinite(q).all():
+            raise ValueError(f"x^T P' x is not finite at round {t + 1} (q = {q})")
+        s = 1.0 + (q if weight is None else weight * q)
+        err = ys[t] - xw
+        if gain is not None:
+            err = gain * err
+        P, w = _cov_commit(P, w, Px, s[:, None], err[:, None], inflation, root)
+        if reset is not None:
+            due = (t + 1) % reset == 0
+            P[due] = P0[due]
+        xws[:, t], qs[:, t] = xw, q
+        if keep_w:
+            ws[:, t] = w
+        if spectra:
+            spec[t + 1] = _spectra(P, True)
+        elif guard is not None:
+            try:
+                np.linalg.cholesky(P[guard])
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"state lost definiteness at round {t + 1}") from exc
+    return CovRun(xws, qs, P, w, ws, spec)
 
 
 # -- the single-state step functions --------------------------------------------
@@ -360,61 +418,34 @@ def _single_trajectory(params: LaserParams, xs, ys, spectra: bool) -> LaserTraje
         quads[t] = state.last_x_quad
         if spectra:
             spec[t + 1] = d_spectrum(state)
-    if spectra:
-        return LaserTrajectory(yhats, quads, state, *spec.T)
-    return LaserTrajectory(yhats, quads, state)
+    return LaserTrajectory(yhats, quads, state, *(spec.T if spectra else ()))
 
 
 def _batch_trajectories(params, xs, ys, max_xsq, spectra: bool) -> list[LaserTrajectory]:
-    """Covariance-form members in one step loop (see laser_trajectories);
-    max_xsq is each member's max |x|^2 over its stream."""
+    """Covariance-form members in one cov_rounds loop (see
+    laser_trajectories); max_xsq is each member's max |x|^2 over its
+    stream. The shrinkage and the clip apply to the recorded (S, T) arrays."""
     S, T, d = len(params), xs.shape[0], xs.shape[-1]
     c = np.array([p.c for p in params])
     drifting = np.isfinite(c)
-    inflation = (1.0 / c)[:, None] if drifting.any() else None
-    track_f = any(p.track_f for p in params)
-    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
-    clipping = bool(np.isfinite(bound).any())
-    guard = drifting if not spectra and drifting.any() else None
-
     P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
-    w = np.zeros((S, d))
-    min_cost = np.zeros(S)
-    yhats = np.empty((S, T))
-    quads = np.empty((S, T))
-    spec = np.empty((T + 1, 3, S)) if spectra else None
-    if spectra:
-        spec[0] = _spectra(P, True)
-    for t in range(T):
-        x = xs[t]
-        Px, q, xw = _cov_innovation(P, w, x, inflation)
-        if not np.isfinite(q).all():
-            raise ValueError(f"x^T P' x is not finite at round {t + 1} (q = {q})")
-        s = 1.0 + q
-        yhat = xw / s
-        if clipping:
-            yhat = np.copysign(np.minimum(np.abs(yhat), bound), yhat)
-        yhats[:, t] = yhat
-        err = ys[t] - xw
-        P, w = _cov_commit(P, w, Px, s[:, None], err[:, None], inflation)
-        if track_f:
-            min_cost += err * err / s
-        quads[:, t] = q / s
-        if spectra:
-            spec[t + 1] = _spectra(P, True)
-        elif guard is not None:
-            try:
-                np.linalg.cholesky(P[guard])
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"state lost definiteness at round {t + 1}") from exc
+    guard = drifting if not spectra and drifting.any() else None
+    run = cov_rounds(P, xs, ys, 1.0 / c, spectra=spectra, guard=guard)
+    s = 1.0 + run.q
+    yhats, quads = run.xw / s, run.q / s
+    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
+    if np.isfinite(bound).any():
+        yhats = np.copysign(np.minimum(np.abs(yhats), bound[:, None]), yhats)
+    err = (ys if ys.ndim == 1 else ys.T) - run.xw  # cumsum adds in order, as _commit does
+    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
 
     max_xsq = np.broadcast_to(max_xsq, (S,))
     out = []
     for i, p in enumerate(params):
-        state = LaserState(p, w[i], P[i], None, float(max_xsq[i]),
+        state = LaserState(p, run.w[i], run.P[i], None, float(max_xsq[i]),
                            float(min_cost[i]) if p.track_f else 0.0, T,
                            float(quads[i, -1]) if T else 0.0)
-        extra = spec[:, :, i].T if spectra else ()
+        extra = run.spectra[:, :, i].T if spectra else ()
         out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
     return out
 

@@ -223,26 +223,34 @@ def hinf_bound_suite(
     return _result("robust-filter loss bounds", len(checks), worst, 1e-6)
 
 
-# (b, c) of the kernel suite's members, cycled over the desk streams so
-# that one batch mixes forgetting rates, c near b and the stationary c = inf
+# (b, c) of the kernel suite's laser members and (a, b, c) of its hinf
+# members, each cycled over the desk streams so that one batch mixes
+# forgetting rates, c near or equal to b and the stationary c = inf
 KERNEL_MEMBERS = ((1.0, 100.0), (0.1, 0.2), (10.0, 1000.0), (1.0, math.inf), (0.5, 5.0))
+KERNEL_HINF_MEMBERS = (tuple(HINF_CERT.values()), (2.0, 20.0, 50.0), (32.0, 1.0, 1.0))
+
+
+def _gap(got, ref) -> float:
+    return float(np.max(np.abs(got - ref))) / (1.0 + float(np.max(np.abs(ref))))
 
 
 def kernel_suite(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS) -> SuiteResult:
-    """The batched laser kernel against the direct recursion
-    (`oracle.laser_direct`): member i runs desk stream i with the i-th
-    (b, c) of KERNEL_MEMBERS, cycled, all in one batch. Reports the worst
-    prediction gap relative to 1 + max |yhat| of the direct run."""
+    """The batched kernel against the direct recursions: laser member i runs
+    desk stream i with the i-th (b, c) of KERNEL_MEMBERS, cycled, in one
+    batch, against `oracle.laser_direct`; hinf members likewise with
+    KERNEL_HINF_MEMBERS against `oracle.hinf_direct`, post-update weights
+    included. Reports the worst gap relative to 1 + max |reference|."""
     streams = _desk_streams(kinds, T, d, seeds)
     lps = [laser.LaserParams(b=b, c=c)
            for (b, c), _ in zip(itertools.cycle(KERNEL_MEMBERS), streams)]
     trajs = laser.laser_trajectories(lps, *harness._batch_inputs(streams))
-    worst = 0.0
-    for stream, lp, traj in zip(streams, lps, trajs):
-        ref = oracle.laser_direct(stream.xs, stream.ys, lp.b, lp.c).yhats
-        gap = float(np.max(np.abs(traj.yhats - ref))) / (1.0 + float(np.max(np.abs(ref))))
-        worst = max(worst, gap)
-    return _result("batched kernel vs direct recursion", len(streams) * T, worst, 1e-10)
+    worst = max(_gap(traj.yhats, oracle.laser_direct(stream.xs, stream.ys, lp.b, lp.c).yhats)
+                for stream, lp, traj in zip(streams, lps, trajs))
+    hps = [dict(zip("abc", m)) for m, _ in zip(itertools.cycle(KERNEL_HINF_MEMBERS), streams)]
+    for stream, hp, report in zip(streams, hps, harness.run_batch("hinf", hps, streams)):
+        yhats, ws, _ = oracle.hinf_direct(stream.xs, stream.ys, **hp)
+        worst = max(worst, _gap(report.yhats, yhats), _gap(report.post_update_w, ws))
+    return _result("batched kernel vs direct recursion", 2 * len(streams) * T, worst, 1e-10)
 
 
 def bounds_suite(seeds=DESK_SEEDS) -> list[SuiteResult]:

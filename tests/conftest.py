@@ -15,6 +15,27 @@ def ridge_predictions(xs, ys, b):
     ])
 
 
+def crrls_predictions(xs, ys, reset_period, b_reset):
+    """Independent CR-RLS reference with two inverses per round:
+    yhat_t = x_t . w_{t-1}, P_t = (P_{t-1}^{-1} + x_t x_t^T)^{-1},
+    w_t = w_{t-1} + P_t x_t (y_t - yhat_t), and P_t = I / b_reset where t is a
+    multiple of reset_period; from w_0 = 0, P_0 = I / b_reset."""
+    T, d = xs.shape
+    P, w, yhats = np.eye(d) / b_reset, np.zeros(d), np.empty(T)
+    for t in range(T):
+        yhats[t] = xs[t] @ w
+        P = np.linalg.inv(np.linalg.inv(P) + np.outer(xs[t], xs[t]))
+        w = w + P @ xs[t] * (ys[t] - yhats[t])
+        if (t + 1) % reset_period == 0:
+            P = np.eye(d) / b_reset
+    return yhats
+
+
 @pytest.fixture
 def forward_ridge():
     return ridge_predictions
+
+
+@pytest.fixture
+def crrls_reference():
+    return crrls_predictions

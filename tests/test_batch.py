@@ -2,9 +2,10 @@
 
 Each learner runs a set of mixed members (different parameters, streams,
 forms) alone and inside batches of several sizes and orders; predictions,
-L_T, quads, spectral summaries and bound checks must agree to TOL. The
-sweep must match a per-point run_learner loop, and experiments must not
-depend on the worker count.
+L_T, quads, spectral summaries and bound checks must agree to TOL. Each
+member's predictions equal, bit for bit, those of the learner's public
+single-state step function. The sweep must match a per-point run_learner
+loop, and experiments must not depend on the worker count.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftlearn import harness, laser, oracle
+from driftlearn import baselines, harness, hinf, laser, oracle
 from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
 from driftlearn.errors import InvalidParams
 
@@ -101,6 +102,38 @@ def test_member_alone_matches_member_in_batches(algo):
         for i, report in zip(batch, reports):
             assert report.seed == i
             assert_same_run(report, alone[i])
+
+
+def step_predictions(algo, params, stream):
+    """The member's predictions from the learner's public step function."""
+    d = stream.dim
+    if algo == "laser":
+        state = laser.laser_init(harness._laser_params(params, stream)[0], d)
+
+        def step(state, x, y):
+            yhat, innovation = laser.laser_predict(state, x)
+            return yhat, laser.laser_update(state, x, y, innovation)
+    elif algo == "aar":
+        state, step = baselines.aar_init(params["b"], d), baselines.aar_step
+    elif algo == "hinf":
+        state, step = hinf.hinf_init(hinf.HInfParams(**params), d), hinf.hinf_step
+    elif algo == "nlms":
+        state, step = baselines.nlms_init(d, **params), baselines.nlms_step
+    else:
+        state, step = baselines.crrls_init(d, **params), baselines.crrls_step
+    yhats = []
+    for x, y in zip(stream.xs, stream.ys):
+        yhat, state = step(state, x, y)
+        yhats.append(yhat)
+    return np.array(yhats)
+
+
+@pytest.mark.parametrize("algo", harness.ALGO_IDS)
+def test_step_function_matches_batch_member_bit_for_bit(algo):
+    members = MEMBERS[algo]
+    reports = harness.run_batch(algo, [p for p, _ in members], [s for _, s in members])
+    for (params, stream), report in zip(members, reports):
+        assert np.array_equal(step_predictions(algo, params, stream), report.yhats), params
 
 
 def test_laser_spectra_and_states_do_not_depend_on_the_batch():

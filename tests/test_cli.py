@@ -231,6 +231,8 @@ BAD_INPUTS = {
     "sweep-grid-list": ["sweep", "--algo", "laser", "--grid", "[1]"],
     "sweep-grid-scalar": ["sweep", "--algo", "laser", "--grid", '{"b": 1, "c": [10]}'],
     "sweep-grid-text": ["sweep", "--algo", "laser", "--grid", '{"b": ["x"], "c": [10]}'],
+    "sweep-grid-non-integral": ["sweep", "--algo", "crrls", "--grid",
+                                '{"reset_period": [2.5], "b_reset": [1]}'],
     "report-on-stream-csv": ["report", "--inputs", "TMP/stream.csv", "--out", "TMP/s.csv"],
     "report-non-numeric": ["report", "--inputs", "TMP/bad_report.csv", "--out", "TMP/s.csv"],
     "verify-trials-0": ["verify", "--trials", "0"],
@@ -243,6 +245,7 @@ BAD_INPUTS = {
 # the reason each of these must name in its error line
 BAD_INPUT_REASONS = {
     "sweep-grid-text": "parameter 'b': could not convert string to float: 'x'",
+    "sweep-grid-non-integral": "parameter 'reset_period': expected an integer, got 2.5",
     "eps-ratio-without-tuned-regime": "eps_ratio applies only with tuned_regime",
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]

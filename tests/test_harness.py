@@ -64,6 +64,14 @@ def test_unknown_algo_and_bad_params():
         harness.run_learner("hinf", {"a": 2.0, "b": "x", "c": 2.0}, stream)
     with pytest.raises(InvalidParams):
         harness.run_learner("laser", {"b": 1.0, "c": 2.0, "clip_bound": "x"}, stream)
+    # converted, not coerced: int() would truncate, bool() read "false" as True
+    for period in (2.5, True, "2.5", float("inf")):
+        with pytest.raises(InvalidParams, match="reset_period"):
+            harness.run_learner("crrls", {"reset_period": period, "b_reset": 1.0}, stream)
+    for track_f in ("false", 1, None):
+        with pytest.raises(InvalidParams, match="track_f"):
+            harness.run_learner("laser", {"b": 1.0, "c": 2.0, "track_f": track_f}, stream)
+    harness.run_learner("crrls", {"reset_period": 2.0, "b_reset": 1.0}, stream)
 
 
 def test_realizable_regret_equals_loss():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from driftlearn import baselines, harness, hinf, laser, oracle
-from driftlearn.datagen import DatasetSpec, gen_stream
+from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
 
 
 def kernel_run(xs, ys, b, c, track_f=True):
@@ -253,3 +253,52 @@ def test_large_inputs_at_intermediate_forgetting():
     c = math.sqrt(b * float(np.max(np.einsum("td,td->t", xs, xs))))
     yhats, _ = kernel_run(xs, ys, b, c, track_f=False)
     assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-12
+
+
+# -- hinf and CR-RLS members of the shared step loop ----------------------------
+
+LOOP_TOL = 1e-12  # relative to the reference's max |yhat| (max |w| for weights)
+LOOP_STREAMS = [gen_stream(DatasetSpec(kind=k, T=200, d=4, seed=s)) for k, s in zip("ACD", range(3))]
+
+
+def normal_stream(seed, T=60, d=4):
+    """Standard normal inputs and labels, on which the two-inverse
+    transcriptions keep their digits (desk inputs reach |x|^2 ~ 1e3)."""
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
+    return LabeledStream(xs, ys, oracle.comparator_from_us(np.zeros((T, d))), 1.0, 1.0)
+
+
+def run_loop_members(algo, params, streams):
+    """Every parameter set on every stream, all in one batch."""
+    members = [(p, s) for p in params for s in streams]
+    reports = harness.run_batch(algo, [p for p, _ in members], [s for _, s in members])
+    return [(p, s, r) for (p, s), r in zip(members, reports)]
+
+
+def within(got, ref):
+    return float(np.max(np.abs(got - ref))) <= LOOP_TOL * float(np.max(np.abs(ref)))
+
+
+def test_hinf_loop_members_match_direct_recursion():
+    params = [
+        {"a": 2.0, "b": 20.0, "c": 50.0},
+        {"a": 2.0, "b": 50.0, "c": 20.0},      # b > c: the held P - I/c starts negative
+        {"a": 8.0, "b": 500.0, "c": 500.0},    # b = c: it starts at zero
+        {"a": 8.0, "b": 500.0, "c": math.inf},  # no refresh
+    ]
+    for p, stream, report in run_loop_members("hinf", params, LOOP_STREAMS):
+        yhats, ws, _ = oracle.hinf_direct(stream.xs, stream.ys, **p)
+        assert within(report.yhats, yhats), p
+        assert within(report.post_update_w, ws), p
+
+
+def test_crrls_loop_members_match_two_inverse_reference(crrls_reference):
+    params = [
+        {"reset_period": 1, "b_reset": 2.0},
+        {"reset_period": 7, "b_reset": 0.1},   # does not divide T
+        {"reset_period": 50, "b_reset": 1.0},
+        {"reset_period": 10**9, "b_reset": 1.0},
+    ]
+    for p, stream, report in run_loop_members("crrls", params, [normal_stream(s) for s in range(3)]):
+        assert within(report.yhats, crrls_reference(stream.xs, stream.ys, **p)), p

@@ -45,6 +45,9 @@ class HInfParams:
             raise InvalidParams(f"a must exceed 1, got {self.a}")
         if not (self.b > 0 and self.c > 0):
             raise InvalidParams(f"b and c must be positive, got b={self.b}, c={self.c}")
+        if not (math.isfinite(1.0 / self.b) and math.isfinite(1.0 / self.c)):
+            raise InvalidParams(f"b and c must have finite reciprocals, "
+                                f"got b={self.b}, c={self.c}")
 
 
 @dataclass

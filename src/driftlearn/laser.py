@@ -29,27 +29,37 @@ and the learner is the forward ridge (AAR) recursion, P_0 = I/b.
 
 Accuracy. The downdate cancels digits when a round shrinks P far below
 its prior scale 1/b: on long streams predictions lose about eps * kappa
-relative, with kappa = min(X, c) / b and X = max_t |x_t|^2. The information
-form, which keeps D and e and solves with D (two Cholesky factorizations a
-round, four with drift), has the opposite weakness: its I + D/c solves lose
-about eps * X / c. A state therefore starts in covariance form and moves,
-once and for good, to information form as soon as the inputs seen so far
-put kappa above both KAPPA_MAX and X/c. Two regions stay inexact in both
-forms, as in `oracle.laser_direct`: kappa >> KAPPA_MAX while some direction
-of D still sits at the prior scale b (streams shorter than d), where the
-information form loses about eps * kappa; and c near sqrt(b X) with
-X/b >> 1e8, where both lose about eps * sqrt(X/b).
+relative, with kappa = min(X, c) / b and X = max_t |x_t|^2. A state
+therefore starts in covariance form and moves, once and for good, to
+square-root information form as soon as the inputs seen so far put kappa
+above both KAPPA_MAX and X/c. That form holds D = R^T R, R upper
+triangular, and z = R w, and changes them only by orthogonal
+transformations (Bierman 1977; Kailath, Sayed & Hassibi 2000, ch. 12), so
+D cannot lose definiteness. A round is two QR factorizations of a
+triangle stacked on a few rows, O(d^3) with drift and O(d^2) at c = inf:
 
-The covariance-form round is written once, over leading member axes. It
-serves the single-state step functions and `cov_rounds`, the one step
-loop over S members (grid points, streams, or both, sharing T and d) on
-(S, d, d) and (S, d) arrays, which also runs the H-infinity filter and
-CR-RLS (see `hinf`, `baselines`). `laser_trajectories` runs laser members
-in it, with per-member b, c, clip bound and track_f; a member whose inputs
-would move it to information form runs alone on the step functions. Bound
-checks take the spectrum of D_t from one stacked eigvalsh per step, of
-P_t (lambda(D) = 1/lambda(P)) or of D_t in information form. Per member
-the arithmetic does not depend on the batch, nor do the results.
+    drift: the QR of [[R, 0, z], [-sqrt(c) I, sqrt(c) I, 0]] leaves R', z'
+           with R'^T R' = (P + I/c)^{-1} and z' = R' w in its middle
+    v = R'^{-T} x;  s = 1 + v . v;  yhat = (v . z') / s
+    commit: the QR of [[R', z'], [x^T, y]] leaves the new R, z
+
+Two regions stay inexact, as in `oracle.laser_direct`: kappa >> KAPPA_MAX
+with slow forgetting while some direction of D still sits at the prior
+scale b (streams shorter than d), where the drift update loses digits
+(1e-8 relative at b = 0.01, c = 1e12, |x| ~ 2e4, d = 4); and c up to
+sqrt(b X) with X/b >> 1e8 where the rule keeps the covariance form, which
+loses about eps * sqrt(X/b).
+
+Each round is written once, the covariance-form one over leading member
+axes, and serves both the single-state step functions and `cov_rounds`,
+the one step loop over S members (grid points, streams, or both, sharing
+T and d), which also runs the H-infinity filter and CR-RLS (see `hinf`,
+`baselines`). `laser_trajectories` runs every laser member in it: members
+stay on (S, d, d) and (S, d) arrays until their inputs move them to
+square-root form, and then take their rounds on LAPACK calls of their own.
+Bound checks take the spectrum of D_t from one stacked eigvalsh of P_t
+per round, or from the singular values of R. Per member the arithmetic
+does not depend on the batch, nor do the results.
 """
 
 import math
@@ -59,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import FNotTracked, InvalidParams, NotPositiveDefinite
+from .errors import BadStream, FNotTracked, InvalidParams, NotPositiveDefinite
 
 # largest kappa = min(X, c)/b at which the covariance form is kept regardless
 # of X/c; its predictions then stay within a few 1e-13 relative
@@ -76,8 +86,9 @@ class LaserParams:
     clip_bound: float | None = None
 
     def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise InvalidParams(f"b must be a positive finite real, got {self.b}")
+        if not (self.b > 0 and math.isfinite(self.b) and math.isfinite(1.0 / self.b)):
+            raise InvalidParams(f"b must be a positive finite real with a finite "
+                                f"reciprocal, got {self.b}")
         if not self.b < self.c:
             raise InvalidParams(f"requires 0 < b < c, got b={self.b}, c={self.c}")
         if self.clip_bound is not None and not self.clip_bound > 0:
@@ -99,11 +110,12 @@ class LaserParams:
         return kappa <= max(KAPPA_MAX, max_xsq * self.inflation)
 
 
-class Information(NamedTuple):
-    """Information-form statistics: D_t and e_t."""
+class SqrtInformation(NamedTuple):
+    """Square-root information statistics: D_t = R^T R with R upper
+    triangular, and z = R w, so that e_t = R^T z."""
 
-    D: np.ndarray
-    e: np.ndarray
+    R: np.ndarray
+    z: np.ndarray
 
 
 @dataclass(slots=True)
@@ -111,18 +123,18 @@ class LaserState:
     """The learner after t observed rounds.
 
     w = D_t^{-1} e_t in both forms. In covariance form cov holds
-    P = D_t^{-1} and info is None; in information form cov is None and info
-    holds (D_t, e_t). min_cost is the minimum of the tracking cost over the
-    observed prefix (kept only with track_f); max_xsq is the largest |x|^2
-    seen. last_x_quad records the most recent x_t^T D_t^{-1} x_t for bound
-    diagnostics. P, D, e and f are derived for tests and diagnostics; the
-    ones the form does not hold cost a factorization per access.
+    P = D_t^{-1} and sqrt_info is None; in square-root information form cov
+    is None and sqrt_info holds (R, z). min_cost is the minimum of the
+    tracking cost over the observed prefix (kept only with track_f);
+    max_xsq is the largest |x|^2 seen. last_x_quad records the most recent
+    x_t^T D_t^{-1} x_t for bound diagnostics. P, D, e and f are derived for
+    tests and diagnostics and cost a factorization or a solve per access.
     """
 
     params: LaserParams
     w: np.ndarray
     cov: np.ndarray | None
-    info: Information | None
+    sqrt_info: SqrtInformation | None
     max_xsq: float
     min_cost: float
     t: int
@@ -134,15 +146,19 @@ class LaserState:
 
     @property
     def P(self) -> np.ndarray:
-        return self.cov if self.info is None else linalg.spd_inverse(self.info.D)
+        if self.cov is not None:
+            return self.cov
+        U = linalg.tri_solve(self.sqrt_info.R, np.eye(self.dim))  # R^{-1}
+        return U @ U.T
 
     @property
     def D(self) -> np.ndarray:
-        return linalg.spd_inverse(self.cov) if self.info is None else self.info.D
+        R = (self.sqrt_info or _to_sqrt_info(self.cov, self.w)).R
+        return R.T @ R
 
     @property
     def e(self) -> np.ndarray:
-        return linalg.spd_solve(self.cov, self.w) if self.info is None else self.info.e
+        return self.D @ self.w
 
     @property
     def f(self) -> float:
@@ -160,7 +176,7 @@ class LaserStep(NamedTuple):
     xw: float             # x . w
     max_xsq: float        # max |x|^2 including this input
     Px: np.ndarray | None  # P' x, in covariance form
-    info: Information | None  # the statistics to update, in information form
+    sqrt_info: SqrtInformation | None  # (R', z') to commit, in square-root form
 
 
 def clip(x: float, y: float) -> float:
@@ -180,6 +196,13 @@ def laser_init(params: LaserParams, d: int) -> LaserState:
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
     return LaserState(params, np.zeros(d), _p0(params) * np.eye(d), None, 0.0, 0.0, 0)
+
+
+def _check_q(q, t: int) -> None:
+    """x is finite, so x^T P' x, of one member or a stack, is too unless it
+    overflowed."""
+    if not (math.isfinite(q) if isinstance(q, float) else np.isfinite(q).all()):
+        raise BadStream(f"x^T P' x overflowed at round {t}: inputs too large for the prior")
 
 
 # -- the covariance-form round, over any leading member axes --------------------
@@ -206,17 +229,62 @@ def _cov_commit(P, w, Px, s, err, inflation, root=1.0):
     return P, w + Px * (err / s)
 
 
-def _spectra(M, of_inverse: bool):
-    """(Tr D, lambda_max D, ln det D) from one eigvalsh of M = D, or of
-    M = P = D^{-1} when of_inverse; M may be a stack of matrices."""
-    lam = np.linalg.eigvalsh(M)
-    low = lam[..., 0].min()
+# -- the square-root information round, for one member ---------------------------
+
+def _to_sqrt_info(P, w) -> SqrtInformation:
+    """(R, z) of the covariance-form state (P, w): R = U^{-1} and
+    z = U^{-1} w, from one factorization P = U U^T."""
+    d = w.shape[0]
+    Rz = linalg.tri_solve(linalg.cholesky_upper(P), np.column_stack((np.eye(d), w)))
+    return SqrtInformation(Rz[:, :d], Rz[:, d])
+
+
+def _sqrt_innovation(root: SqrtInformation, x, inflation):
+    """((R', z'), q = x^T P' x, x . w) from (R, z): the drift update (see
+    the module docstring; none when inflation = 1/c is 0), in which the
+    rows of the stacked triangle carry the prior on the old weights u and
+    the rows under it the drift c |u' - u|^2, then v = R'^{-T} x."""
+    R, z = root
+    if inflation:
+        d = z.shape[0]
+        A = np.zeros((2 * d + 1, 2 * d + 1), order="F")
+        A[:d, :d], A[:d, -1] = R, z
+        B = np.zeros((d, 2 * d + 1), order="F")
+        np.fill_diagonal(B, -1.0 / math.sqrt(inflation))
+        np.fill_diagonal(B[:, d:], 1.0 / math.sqrt(inflation))
+        F = linalg.qr_stacked(A, B)
+        R, z = F[d:-1, d:-1], F[d:-1, -1]
+    v = linalg.tri_solve(R, x, trans=1)
+    return SqrtInformation(R, z), v @ v, v @ z
+
+
+def _sqrt_commit(root: SqrtInformation, x, y) -> SqrtInformation:
+    """(R, z) after (x, y) from _sqrt_innovation's (R', z'): the QR of
+    [[R', z'], [x^T, y]]."""
+    R, z = root
+    d = z.shape[0]
+    A, B = np.zeros((d + 1, d + 1), order="F"), np.empty((1, d + 1))
+    A[:d, :d], A[:d, d], B[0, :d], B[0, d] = R, z, x, y
+    F = linalg.qr_stacked(A, B)
+    return SqrtInformation(F[:d, :d], F[:d, d])
+
+
+def _spectra(M, of_inverse: bool = True):
+    """(Tr D, lambda_max D, ln det D) of D = M^{-1} from one eigvalsh of M,
+    a matrix or a stack, or else of D = M^T M from the singular values of M."""
+    if of_inverse:
+        ev = np.linalg.eigvalsh(M)
+        low = ev[..., 0].min(initial=math.inf)
+    else:
+        sv = np.linalg.svd(M, compute_uv=False)
+        low = sv[-1]
     if not low > 0.0:
         raise NotPositiveDefinite(f"state lost definiteness: lambda_min = {low:.3e}")
     if of_inverse:
-        inv = 1.0 / lam
-        return inv.sum(axis=-1), inv[..., 0], -np.log(lam).sum(axis=-1)
-    return lam.sum(axis=-1), lam[..., -1], np.log(lam).sum(axis=-1)
+        inv = 1.0 / ev
+        return inv.sum(axis=-1), inv[..., 0], -np.log(ev).sum(axis=-1)
+    lam = sv * sv
+    return lam.sum(), lam[0], 2.0 * np.log(sv).sum()
 
 
 class CovRun(NamedTuple):
@@ -224,14 +292,14 @@ class CovRun(NamedTuple):
 
     xw: np.ndarray               # (S, T): x_t . w_{t-1}
     q: np.ndarray                # (S, T): x_t^T P' x_t, unweighted
-    P: np.ndarray                # (S, d, d) after the last round
-    w: np.ndarray                # (S, d) after the last round
+    final: list                  # per member after the last round: (P, w, None)
+                                 # in covariance form, else (None, w, (R, z))
     ws: np.ndarray | None        # (S, T, d) post-update weights, with keep_w
     spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, lambda_max D, ln det D)
 
 
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
-               keep_w=False, spectra=False, guard=None) -> CovRun:
+               keep_w=False, spectra=False, guard=None, switch=None) -> CovRun:
     """Run S members of the covariance-form round from P (S, d, d) and w = 0
     over xs (T, d) and ys (T,), one stream for all, or xs (T, S, d) and
     ys (T, S), one per member. Per member: inflation is 1/c (0 at c = inf),
@@ -240,8 +308,14 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     weights; spectra the spectrum of D = P^{-1} before round 1 and after
     each round. Members where guard holds have P checked positive definite
     every round by one stacked Cholesky factorization.
+
+    With switch, laser member i (weight, gain, reset and keep_w unset)
+    leaves the stacked arrays for square-root information form at round
+    switch[i] (never if switch[i] >= T) and runs its later rounds alone.
     """
     S, T, d = P.shape[0], xs.shape[0], xs.shape[-1]
+    shared = xs.ndim == 2
+    drift = inflation
     inflation = None if inflation is None or not inflation.any() else inflation[:, None]
     root = 1.0 if weight is None else np.sqrt(weight)[:, None]
     P0, w = P, np.zeros((S, d))
@@ -249,53 +323,72 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     ws = np.empty((S, T, d)) if keep_w else None
     spec = np.empty((T + 1, 3, S)) if spectra else None
     if spectra:
-        spec[0] = _spectra(P, True)
+        spec[0] = _spectra(P)
+    rows = slice(None)  # the members held in the stacked arrays
+    roots = {}          # member -> SqrtInformation, from its switch round on
     for t in range(T):
-        Px, q, xw = _cov_innovation(P, w, xs[t], inflation)
-        if not np.isfinite(q).all():
-            raise ValueError(f"x^T P' x is not finite at round {t + 1} (q = {q})")
+        x, y = xs[t], ys[t]
+        if switch is not None and (switch == t).any():
+            held = np.arange(S)[rows]
+            keep = switch[held] != t
+            for j in np.flatnonzero(~keep):
+                roots[int(held[j])] = _to_sqrt_info(P[j], w[j])
+            rows, P, w = held[keep], P[keep], w[keep]
+            inflation = None if inflation is None else inflation[keep]
+            guard = None if guard is None else guard[keep]
+        for i, r in roots.items():
+            xi, yi = (x, y) if shared else (x[i], y[i])
+            r, qs[i, t], xws[i, t] = _sqrt_innovation(r, xi, drift[i])
+            _check_q(qs[i, t], t + 1)
+            roots[i] = _sqrt_commit(r, xi, yi)
+        if not shared:
+            x, y = x[rows], y[rows]
+        Px, q, xw = _cov_innovation(P, w, x, inflation)
+        _check_q(q, t + 1)
         s = 1.0 + (q if weight is None else weight * q)
-        err = ys[t] - xw
+        err = y - xw
         if gain is not None:
             err = gain * err
         P, w = _cov_commit(P, w, Px, s[:, None], err[:, None], inflation, root)
+        xws[rows, t], qs[rows, t] = xw, q
         if reset is not None:
             due = (t + 1) % reset == 0
             P[due] = P0[due]
-        xws[:, t], qs[:, t] = xw, q
         if keep_w:
             ws[:, t] = w
         if spectra:
-            spec[t + 1] = _spectra(P, True)
+            spec[t + 1][:, rows] = _spectra(P)
+            for i, r in roots.items():
+                spec[t + 1][:, i] = _spectra(r.R, of_inverse=False)
         elif guard is not None:
             try:
                 np.linalg.cholesky(P[guard])
             except np.linalg.LinAlgError as exc:
                 raise NotPositiveDefinite(f"state lost definiteness at round {t + 1}") from exc
-    return CovRun(xws, qs, P, w, ws, spec)
+    held = zip(P, w)
+    final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
+             for i in range(S)]
+    return CovRun(xws, qs, final, ws, spec)
 
 
 # -- the single-state step functions --------------------------------------------
 
 def _innovation(state: LaserState, x: np.ndarray) -> LaserStep:
     params = state.params
-    info = state.info
+    cov, root = state.cov, state.sqrt_info
     max_xsq = state.max_xsq
     xsq = float(x @ x)
     if xsq > max_xsq:
         max_xsq = xsq
-        if info is None and not params.covariance_holds(xsq):
-            D = linalg.spd_inverse(state.cov)
-            info = Information(D, D @ state.w)
-    if info is None:
-        Px, q, xw = _cov_innovation(state.cov, state.w, x, params.inflation or None)
+        if root is None and not params.covariance_holds(xsq):
+            cov, root = None, _to_sqrt_info(cov, state.w)
+    if root is None:
+        Px, q, xw = _cov_innovation(cov, state.w, x, params.inflation or None)
     else:
         Px = None
-        q = float(x @ linalg.spd_solve(info.D, x)) + xsq * params.inflation
-        xw = float(x @ state.w)
-    if not math.isfinite(q):  # x is finite, so x^T P' x overflowed
-        raise ValueError(f"x^T P' x is not finite (q = {q})")
-    return LaserStep(x, q, xw, max_xsq, Px, info)
+        root, q, xw = _sqrt_innovation(root, x, params.inflation)
+    _check_q(q, state.t + 1)
+    return LaserStep(x, q, xw, max_xsq, Px, root)
 
 
 def _predict(state: LaserState, x: np.ndarray) -> tuple[float, LaserStep]:
@@ -308,24 +401,16 @@ def _predict(state: LaserState, x: np.ndarray) -> tuple[float, LaserStep]:
 
 def _commit(state: LaserState, y: float, step: LaserStep) -> LaserState:
     params = state.params
-    x, q, xw, max_xsq, Px, info = step
+    x, q, xw, max_xsq, Px, root = step
     s = 1.0 + q
     err = y - xw
-    if info is None:
+    if root is None:
         P, w = _cov_commit(state.cov, state.w, Px, s, err, params.inflation or None)
     else:
-        P = None
-        D, e = info
-        if params.inflation:  # D' = (I + D/c)^{-1} D, e' = (I + D/c)^{-1} e
-            F = np.eye(D.shape[0]) + D * params.inflation
-            D = linalg.symmetrize(linalg.spd_solve_matrix(F, D))
-            e = linalg.spd_solve(F, e)
-        D = D + x[:, None] * x
-        e = e + y * x
-        w = linalg.spd_solve(D, e)
-        info = Information(D, e)
+        P, root = None, _sqrt_commit(root, x, y)
+        w = linalg.tri_solve(*root)
     min_cost = float(state.min_cost + err * err / s) if params.track_f else 0.0
-    return LaserState(params, w, P, info, max_xsq, min_cost, state.t + 1, float(q / s))
+    return LaserState(params, w, P, root, max_xsq, min_cost, state.t + 1, float(q / s))
 
 
 def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
@@ -371,9 +456,12 @@ def laser_min_cost(state: LaserState) -> float:
 
 def d_spectrum(state: LaserState) -> tuple[float, float, float]:
     """(Tr D, lambda_max D, ln det D) of the state's D_t, from one eigvalsh
-    of D_t or, in covariance form, of P_t = D_t^{-1}."""
-    M = state.cov if state.info is None else state.info.D
-    return tuple(float(v) for v in _spectra(M, state.info is None))
+    of P_t = D_t^{-1} or, in square-root form, the singular values of R."""
+    if state.cov is not None:
+        spectrum = _spectra(state.cov)
+    else:
+        spectrum = _spectra(state.sqrt_info.R, of_inverse=False)
+    return tuple(float(v) for v in spectrum)
 
 
 # -- whole streams ---------------------------------------------------------------
@@ -395,59 +483,14 @@ class LaserTrajectory:
     logdet_D: np.ndarray | None = None
 
 
-def _stays_covariance(params: LaserParams, peaks: np.ndarray) -> bool:
-    """Whether a state keeps covariance form along a stream whose running
-    max |x|^2 takes the values in peaks (see _innovation)."""
-    return all(params.covariance_holds(float(v)) for v in np.unique(peaks))
-
-
-def _single_trajectory(params: LaserParams, xs, ys, spectra: bool) -> LaserTrajectory:
-    """One member on the step functions, switching form where its inputs
-    call for it."""
-    T = xs.shape[0]
-    state = laser_init(params, xs.shape[1])
-    yhats = np.empty(T)
-    quads = np.empty(T)
-    spec = np.empty((T + 1, 3)) if spectra else None
-    if spectra:
-        spec[0] = d_spectrum(state)
-    predict, update = laser_predict, laser_update
-    for t in range(T):
-        yhats[t], step = predict(state, xs[t])
-        state = update(state, xs[t], ys[t], step)
-        quads[t] = state.last_x_quad
-        if spectra:
-            spec[t + 1] = d_spectrum(state)
-    return LaserTrajectory(yhats, quads, state, *(spec.T if spectra else ()))
-
-
-def _batch_trajectories(params, xs, ys, max_xsq, spectra: bool) -> list[LaserTrajectory]:
-    """Covariance-form members in one cov_rounds loop (see
-    laser_trajectories); max_xsq is each member's max |x|^2 over its
-    stream. The shrinkage and the clip apply to the recorded (S, T) arrays."""
-    S, T, d = len(params), xs.shape[0], xs.shape[-1]
-    c = np.array([p.c for p in params])
-    drifting = np.isfinite(c)
-    P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
-    guard = drifting if not spectra and drifting.any() else None
-    run = cov_rounds(P, xs, ys, 1.0 / c, spectra=spectra, guard=guard)
-    s = 1.0 + run.q
-    yhats, quads = run.xw / s, run.q / s
-    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
-    if np.isfinite(bound).any():
-        yhats = np.copysign(np.minimum(np.abs(yhats), bound[:, None]), yhats)
-    err = (ys if ys.ndim == 1 else ys.T) - run.xw  # cumsum adds in order, as _commit does
-    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
-
-    max_xsq = np.broadcast_to(max_xsq, (S,))
-    out = []
-    for i, p in enumerate(params):
-        state = LaserState(p, run.w[i], run.P[i], None, float(max_xsq[i]),
-                           float(min_cost[i]) if p.track_f else 0.0, T,
-                           float(quads[i, -1]) if T else 0.0)
-        extra = run.spectra[:, :, i].T if spectra else ()
-        out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
-    return out
+def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
+    """The round at which a state moves to square-root information form
+    along a stream whose running max |x|^2 takes the values in peaks (see
+    _innovation), or len(peaks) if it never does."""
+    for t in np.flatnonzero(peaks > np.concatenate(([0.0], peaks[:-1]))):
+        if not params.covariance_holds(float(peaks[t])):
+            return int(t)
+    return len(peaks)
 
 
 def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
@@ -455,31 +498,44 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     online protocol; one LaserTrajectory per member, in order.
 
     xs is (T, d) and ys (T,) when every member reads the same stream, or
-    xs is (T, S, d) and ys (T, S) for one stream per member. Members stay
-    in one step loop on (S, d, d) arrays; a member whose inputs would move
-    it to information form runs alone on the step functions instead.
-    Without spectra, each drifting member's P is checked positive definite
-    every round by a stacked Cholesky factorization (the spectra check it
-    otherwise). Memory is O(S (T + d^2)): no per-step matrix is kept.
+    xs is (T, S, d) and ys (T, S) for one stream per member. Every member
+    runs in one cov_rounds loop; one whose inputs move it to square-root
+    information form leaves the stacked arrays at that round. Without
+    spectra, each drifting covariance-form member's P is checked positive
+    definite every round by a stacked Cholesky factorization (the spectra
+    check it otherwise). The shrinkage and the clip apply to the recorded
+    (S, T) arrays. Memory is O(S (T + d^2)): no per-step matrix is kept.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    S, T, d = len(params), xs.shape[0], xs.shape[-1]
     shared = xs.ndim == 2
     xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
-    out, batch = [None] * len(params), []
+    switch = np.array([_switch_round(p, peaks if shared else peaks[:, i])
+                       for i, p in enumerate(params)])
+    c = np.array([p.c for p in params])
+    drifting = np.isfinite(c)
+    P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
+    guard = drifting if not spectra and drifting.any() else None
+    run = cov_rounds(P, xs, ys, 1.0 / c, spectra=spectra, guard=guard,
+                     switch=switch if (switch < T).any() else None)
+    s = 1.0 + run.q
+    yhats, quads = run.xw / s, run.q / s
+    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
+    if np.isfinite(bound).any():
+        yhats = np.copysign(np.minimum(np.abs(yhats), bound[:, None]), yhats)
+    err = (ys if shared else ys.T) - run.xw  # cumsum adds in order, as _commit does
+    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
+
+    max_xsq = np.broadcast_to(np.max(xsq, axis=0, initial=0.0), (S,))
+    out = []
     for i, p in enumerate(params):
-        if _stays_covariance(p, peaks if shared else peaks[:, i]):
-            batch.append(i)
-        else:
-            out[i] = _single_trajectory(p, xs if shared else xs[:, i],
-                                        ys if shared else ys[:, i], spectra)
-    if batch:
-        max_xsq = np.max(xsq, axis=0, initial=0.0)
-        if not shared and len(batch) < len(params):
-            xs, ys, max_xsq = xs[:, batch], ys[:, batch], max_xsq[batch]
-        trajs = _batch_trajectories([params[i] for i in batch], xs, ys, max_xsq, spectra)
-        for i, traj in zip(batch, trajs):
-            out[i] = traj
+        cov, w, root = run.final[i]
+        state = LaserState(p, w, cov, root, float(max_xsq[i]),
+                           float(min_cost[i]) if p.track_f else 0.0, T,
+                           float(quads[i, -1]) if T else 0.0)
+        extra = run.spectra[:, :, i].T if spectra else ()
+        out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
     return out
 
 

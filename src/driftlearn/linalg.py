@@ -4,7 +4,8 @@ Everything here operates on plain float64 numpy arrays: square symmetric
 matrices and 1-d vectors. Matrices handed to a solve or log-det must be
 SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
 than returning garbage. Dimensions stay small (d of a few hundred at most),
-so Cholesky is the only factorization used.
+so Cholesky serves every solve, and QR and triangular solves the
+square-root information form of `laser`.
 """
 
 import numpy as np
@@ -48,7 +49,7 @@ def add_to_diagonal(A: np.ndarray, v) -> None:
     stack of them; v broadcasts against the (..., d) diagonals."""
     if not A.flags.c_contiguous:  # reshape would copy, losing the update
         raise ValueError("add_to_diagonal needs a C-contiguous array")
-    A.reshape(A.shape[:-2] + (-1,))[..., :: A.shape[-1] + 1] += v
+    A.reshape(A.shape[:-2] + (A.shape[-1] ** 2,))[..., :: A.shape[-1] + 1] += v
 
 
 def is_symmetric(A: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
@@ -71,6 +72,32 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (potrf info {info})")
     return L
+
+
+def cholesky_upper(A: np.ndarray) -> np.ndarray:
+    """Upper-triangular U with A = U U^T (the strict lower triangle is not
+    cleared): the Cholesky factor of A reversed in rows and columns."""
+    return _cholesky(A[::-1, ::-1])[::-1, ::-1]
+
+
+def tri_solve(R: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve R Z = B, or R^T Z = B with trans=1, for upper-triangular R
+    (its strict lower triangle is not read), straight from LAPACK trtrs."""
+    Z, info = scipy.linalg.lapack.dtrtrs(R, B, lower=0, trans=trans)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular factor is singular (trtrs info {info})")
+    return Z
+
+
+def qr_stacked(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """R of the QR of [A; B], for A (n, n) upper triangular and B (m, n)
+    upper trapezoidal, straight from LAPACK tpqrt: only the upper triangle
+    of A is read or written. Block size 16: unblocked is slower at n > 64."""
+    R, _, _, info = scipy.linalg.lapack.dtpqrt(B.shape[0], min(A.shape[0], 16), A, B,
+                                               overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"tpqrt failed (info {info})")
+    return R
 
 
 def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:

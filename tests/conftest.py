@@ -1,7 +1,12 @@
-"""References shared by several test modules."""
+"""References and fixtures shared by several test modules."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import driftlearn
 
 
 def ridge_predictions(xs, ys, b):
@@ -39,3 +44,12 @@ def forward_ridge():
 @pytest.fixture
 def crrls_reference():
     return crrls_predictions
+
+
+@pytest.fixture
+def subprocess_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    driftlearn, whether or not PYTHONPATH names it."""
+    root = str(Path(driftlearn.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))

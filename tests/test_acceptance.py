@@ -202,7 +202,7 @@ def test_full_scale_benchmark_ordering():
     )
 
 
-def test_byte_identical_outputs(tmp_path):
+def test_byte_identical_outputs(tmp_path, subprocess_env):
     pairs = []
     gen_argv = ["gen", "--kind", "A", "--T", "50", "--d", "10", "--seed", "3"]
     for i in (1, 2):
@@ -215,7 +215,7 @@ def test_byte_identical_outputs(tmp_path):
     out3 = tmp_path / "g3.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "driftlearn.cli", *gen_argv, "--out", str(out3)],
-        capture_output=True,
+        capture_output=True, env=subprocess_env,
     )
     same_fresh = proc.returncode == 0 and out3.read_bytes() == pairs[0]
 

@@ -41,13 +41,16 @@ MEMBERS = {
         ({"b": 1.0, "c": 50.0, "clip_bound": 0.5}, STREAM_C),
         ({"b": 1.0, "c": 100.0, "track_f": True}, STREAM_A),
         ({"tuned_regime": "low", "eps_ratio": 0.1}, STREAM_A),
-        ({"b": 1.0, "c": 1e12}, BIG),  # moves to information form
+        ({"b": 1.0, "c": 1e12}, BIG),  # these two move to square-root information form
+        ({"b": 1e-3, "c": 1e12}, BIG),  # at round 1
     ],
     "aar": [
         ({"b": 0.5}, STREAM_C),
         ({"b": 2.0}, STREAM_A),
-        ({"b": 1.0}, BIG),  # moves to information form
+        ({"b": 1.0}, BIG),  # moves to square-root information form
         ({"b": 1.0}, STREAM_C),
+        ({"b": 1e-3}, BIG),  # moves at round 1
+        ({"b": 0.1}, STREAM_C),  # moves at round 34
     ],
     "hinf": [
         ({"a": 8.0, "b": 500.0, "c": 500.0}, STREAM_C),
@@ -141,8 +144,8 @@ def test_laser_spectra_and_states_do_not_depend_on_the_batch():
     lps = [harness._laser_params(p, s)[0] for p, s in members]
     alone = [laser.laser_trajectory(lp, s.xs, s.ys, spectra=True)
              for lp, (_, s) in zip(lps, members)]
-    assert alone[-1].state.info is not None  # the large-input member switched
-    assert all(tr.state.info is None for tr in alone[:-1])
+    switched = [tr.state.sqrt_info is not None for tr in alone]
+    assert switched == [s is BIG for _, s in members]
     for batch in batches(len(members)):
         streams = [members[i][1] for i in batch]
         trajs = laser.laser_trajectories([lps[i] for i in batch],

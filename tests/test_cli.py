@@ -23,7 +23,7 @@ def test_gen_writes_deterministic_csv(tmp_path):
     assert stream.T == 10 and stream.dim == 10
 
 
-def test_gen_matches_fresh_subprocess(tmp_path):
+def test_gen_matches_fresh_subprocess(tmp_path, subprocess_env):
     # byte-identical across interpreter invocations, not just calls
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -31,7 +31,7 @@ def test_gen_matches_fresh_subprocess(tmp_path):
     assert run_cli(*argv, "--out", str(out1)) == 0
     proc = subprocess.run(
         [sys.executable, "-m", "driftlearn.cli", *argv, "--out", str(out2)],
-        capture_output=True,
+        capture_output=True, env=subprocess_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out1.read_bytes() == out2.read_bytes()
@@ -241,12 +241,31 @@ BAD_INPUTS = {
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
                                        "--eps-ratio", "0.1", "--out-prefix", "TMP/r"],
+    "laser-b-reciprocal-overflows": ["run", "--algo", "laser", "--b", "1e-310", "--c", "1",
+                                     "--out-prefix", "TMP/r"],
+    "aar-b-reciprocal-overflows": ["run", "--algo", "aar", "--b", "1e-310",
+                                   "--out-prefix", "TMP/r"],
+    "hinf-b-reciprocal-overflows": ["run", "--algo", "hinf", "--a", "2", "--b", "1e-310",
+                                    "--c", "1", "--out-prefix", "TMP/r"],
+    "crrls-b-reset-reciprocal-overflows": ["run", "--algo", "crrls", "--reset-period", "3",
+                                           "--b-reset", "1e-310", "--out-prefix", "TMP/r"],
+    **{f"{algo}-overflowing-inputs": ["run", "--algo", algo, *flags, "--data", "TMP/huge.csv",
+                                      "--out-prefix", "TMP/r"]
+       for algo, flags in [("laser", ["--b", "1", "--c", "10"]), ("aar", ["--b", "1"]),
+                           ("hinf", ["--a", "2", "--b", "1", "--c", "1"]),
+                           ("crrls", ["--reset-period", "3", "--b-reset", "1"])]},
 }
 # the reason each of these must name in its error line
 BAD_INPUT_REASONS = {
     "sweep-grid-text": "parameter 'b': could not convert string to float: 'x'",
     "sweep-grid-non-integral": "parameter 'reset_period': expected an integer, got 2.5",
     "eps-ratio-without-tuned-regime": "eps_ratio applies only with tuned_regime",
+    "laser-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
+    "aar-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
+    "hinf-b-reciprocal-overflows": "finite reciprocals, got b=1e-310",
+    "crrls-b-reset-reciprocal-overflows": "finite reciprocal, got 1e-310",
+    **{f"{algo}-overflowing-inputs": "x^T P' x overflowed at round 1"
+       for algo in ("laser", "aar", "hinf", "crrls")},
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
@@ -259,6 +278,9 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert run_cli("gen", "--kind", "A", "--T", "5", "--d", "4", "--out", str(stream)) == 0
     (tmp_path / "bad_report.csv").write_text(
         "algo,seed,t,yhat,y,loss,cumloss\nlaser,0,1,x,1,1,1\n"
+    )
+    (tmp_path / "huge.csv").write_text(
+        "t,x_1,x_2,y,u_1,u_2\n1,1e200,2e200,1,0,0\n2,-1e200,3e200,1,0,0\n"
     )
     extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
     capsys.readouterr()

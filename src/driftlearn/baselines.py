@@ -37,7 +37,8 @@ def aar_init(b: float, d: int) -> laser.LaserState:
 
 def aar_step(state: laser.LaserState, x, y: float) -> tuple[float, laser.LaserState]:
     """Forward ridge prediction, then fold (x, y) into the statistics."""
-    return laser.laser_round(state, x, y)
+    yhat, step = laser._predict(state, linalg.as_vector(x, state.dim))
+    return yhat, laser._commit(state, y, step)
 
 
 @dataclass

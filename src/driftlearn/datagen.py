@@ -250,12 +250,14 @@ def read_stream_csv(path_or_file) -> LabeledStream:
     if not np.all(np.isfinite(table)):
         raise BadStream("stream CSV has non-finite values")
     xs, ys = table[:, :d], table[:, d]
+    with np.errstate(over="ignore"):  # an infinite bound; the learners raise BadStream
+        X_bound = float(np.max(np.linalg.norm(xs, axis=1)))
     return LabeledStream(
         xs=xs,
         ys=ys,
         truth=comparator_from_us(table[:, d + 1 :]),
         Y_bound=float(np.max(np.abs(ys))),
-        X_bound=float(np.max(np.linalg.norm(xs, axis=1))),
+        X_bound=X_bound,
     )
 
 

@@ -269,22 +269,16 @@ def _sqrt_commit(root: SqrtInformation, x, y) -> SqrtInformation:
     return SqrtInformation(F[:d, :d], F[:d, d])
 
 
-def _spectra(M, of_inverse: bool = True):
-    """(Tr D, lambda_max D, ln det D) of D = M^{-1} from one eigvalsh of M,
-    a matrix or a stack, or else of D = M^T M from the singular values of M."""
-    if of_inverse:
-        ev = np.linalg.eigvalsh(M)
-        low = ev[..., 0].min(initial=math.inf)
-    else:
-        sv = np.linalg.svd(M, compute_uv=False)
-        low = sv[-1]
+def _spectra(P=None, R=None):
+    """(Tr D, lambda_max D, ln det D) of D = P^{-1}, a matrix or a stack,
+    from one eigvalsh of P, or of D = R^T R from the singular values of R."""
+    # the eigenvalues of P in ascending order (svd returns R's in descending order)
+    ev = np.linalg.eigvalsh(P) if R is None else np.linalg.svd(R, compute_uv=False) ** -2
+    low = ev[..., 0].min(initial=math.inf)
     if not low > 0.0:
         raise NotPositiveDefinite(f"state lost definiteness: lambda_min = {low:.3e}")
-    if of_inverse:
-        inv = 1.0 / ev
-        return inv.sum(axis=-1), inv[..., 0], -np.log(ev).sum(axis=-1)
-    lam = sv * sv
-    return lam.sum(), lam[0], 2.0 * np.log(sv).sum()
+    inv = 1.0 / ev
+    return inv.sum(axis=-1), inv[..., 0], -np.log(ev).sum(axis=-1)
 
 
 class CovRun(NamedTuple):
@@ -298,6 +292,7 @@ class CovRun(NamedTuple):
     spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, lambda_max D, ln det D)
 
 
+@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _check_q reports
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                keep_w=False, spectra=False, guard=None, switch=None) -> CovRun:
     """Run S members of the covariance-form round from P (S, d, d) and w = 0
@@ -309,10 +304,13 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     each round. Members where guard holds have P checked positive definite
     every round by one stacked Cholesky factorization.
 
-    With switch, laser member i (weight, gain, reset and keep_w unset)
-    leaves the stacked arrays for square-root information form at round
-    switch[i] (never if switch[i] >= T) and runs its later rounds alone.
+    With switch, laser member i leaves the stacked arrays for square-root
+    information form at round switch[i] (never if switch[i] >= T) and runs
+    its later rounds alone; weight, gain, reset and keep_w must be unset.
     """
+    if switch is not None and (weight is not None or gain is not None or reset is not None
+                               or keep_w):
+        raise ValueError("switch runs laser members: no weight, gain, reset or keep_w")
     S, T, d = P.shape[0], xs.shape[0], xs.shape[-1]
     shared = xs.ndim == 2
     drift = inflation
@@ -326,9 +324,10 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
         spec[0] = _spectra(P)
     rows = slice(None)  # the members held in the stacked arrays
     roots = {}          # member -> SqrtInformation, from its switch round on
+    moves = set() if switch is None else set(switch[switch < T].tolist())
     for t in range(T):
         x, y = xs[t], ys[t]
-        if switch is not None and (switch == t).any():
+        if t in moves:
             held = np.arange(S)[rows]
             keep = switch[held] != t
             for j in np.flatnonzero(~keep):
@@ -336,13 +335,14 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
             rows, P, w = held[keep], P[keep], w[keep]
             inflation = None if inflation is None else inflation[keep]
             guard = None if guard is None else guard[keep]
-        for i, r in roots.items():
-            xi, yi = (x, y) if shared else (x[i], y[i])
-            r, qs[i, t], xws[i, t] = _sqrt_innovation(r, xi, drift[i])
-            _check_q(qs[i, t], t + 1)
-            roots[i] = _sqrt_commit(r, xi, yi)
-        if not shared:
-            x, y = x[rows], y[rows]
+        if roots:
+            for i, r in roots.items():
+                xi, yi = (x, y) if shared else (x[i], y[i])
+                r, qs[i, t], xws[i, t] = _sqrt_innovation(r, xi, drift[i])
+                _check_q(qs[i, t], t + 1)
+                roots[i] = _sqrt_commit(r, xi, yi)
+            if not shared:
+                x, y = x[rows], y[rows]
         Px, q, xw = _cov_innovation(P, w, x, inflation)
         _check_q(q, t + 1)
         s = 1.0 + (q if weight is None else weight * q)
@@ -359,7 +359,7 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
         if spectra:
             spec[t + 1][:, rows] = _spectra(P)
             for i, r in roots.items():
-                spec[t + 1][:, i] = _spectra(r.R, of_inverse=False)
+                spec[t + 1][:, i] = _spectra(R=r.R)
         elif guard is not None:
             try:
                 np.linalg.cholesky(P[guard])
@@ -433,13 +433,6 @@ def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) 
     return _commit(state, y, step)
 
 
-def laser_round(state: LaserState, x, y: float) -> tuple[float, LaserState]:
-    """Predict for x, then commit (x, y): laser_predict and laser_update in
-    one call."""
-    yhat, step = _predict(state, linalg.as_vector(x, state.dim))
-    return yhat, _commit(state, y, step)
-
-
 def laser_min_cost(state: LaserState) -> float:
     """Minimum of the offline tracking cost over all comparator sequences
     for the observed prefix, f_t - e_t^T D_t^{-1} e_t, accumulated in
@@ -457,11 +450,8 @@ def laser_min_cost(state: LaserState) -> float:
 def d_spectrum(state: LaserState) -> tuple[float, float, float]:
     """(Tr D, lambda_max D, ln det D) of the state's D_t, from one eigvalsh
     of P_t = D_t^{-1} or, in square-root form, the singular values of R."""
-    if state.cov is not None:
-        spectrum = _spectra(state.cov)
-    else:
-        spectrum = _spectra(state.sqrt_info.R, of_inverse=False)
-    return tuple(float(v) for v in spectrum)
+    root = state.sqrt_info
+    return tuple(float(v) for v in (_spectra(state.cov) if root is None else _spectra(R=root.R)))
 
 
 # -- whole streams ---------------------------------------------------------------
@@ -509,7 +499,8 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     S, T, d = len(params), xs.shape[0], xs.shape[-1]
     shared = xs.ndim == 2
-    xsq = np.vecdot(xs, xs)
+    with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
+        xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
     switch = np.array([_switch_round(p, peaks if shared else peaks[:, i])
                        for i, p in enumerate(params)])

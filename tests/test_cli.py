@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -284,11 +285,15 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     )
     extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
     capsys.readouterr()
-    code = run_cli(*[a.replace("TMP", str(tmp_path)) for a in argv + extra])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*[a.replace("TMP", str(tmp_path)) for a in argv + extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert BAD_INPUT_REASONS.get(case, "") in err
+    # the error line is all the user sees: no second line, no numpy warning
+    assert err.count("\n") == 1 and not [str(w.message) for w in caught]
 
 
 FLAG_VALUES = {"b": 1.0, "c": 2.0, "a": 3.0, "eta": 0.5, "eps": 0.1, "reset_period": 4,

@@ -7,7 +7,7 @@ The learner maintains three statistics:
   D_t  a covariance-like SPD matrix, blended toward c*I each round so
        old information decays, then bumped by x_t x_t^T
   e_t  a decayed moving target of y_t x_t
-  f_t  a scalar completing the offline tracking cost (optional)
+  f_t  a scalar completing the offline tracking cost
 
 and predicts with the last-step min-max value x^T D_t^{-1} (decayed e).
 The learner itself runs in covariance form, P = D^{-1} and w = D^{-1} e;
@@ -22,7 +22,7 @@ xs = np.array([[1.0], [1.0], [0.5], [2.0]])
 ys = np.array([1.0, 0.5, 0.2, 1.8])
 b, c = 1.0, 2.0
 
-params = laser.LaserParams(b=b, c=c, track_f=True)
+params = laser.LaserParams(b=b, c=c)
 state = laser.laser_init(params, d=1)
 print(f"init: D0 = {state.D[0,0]:.4f} (= bc/(c-b)), e0 = {state.e[0]:.1f}")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import laser, linalg
-from .errors import InvalidParams
+from .errors import BadStream, InvalidParams
 
 
 def aar_init(b: float, d: int) -> laser.LaserState:
@@ -77,9 +77,15 @@ def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
 
 def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     """Run S NLMS members from the given states in one step loop; returns
-    the predictions (S, T). xs and ys as in `laser.cov_rounds`."""
+    the predictions (S, T). xs (T, S, d) and ys (T, S) as in
+    `laser.cov_rounds`. BadStream if some eps + |x|^2 overflows."""
     eta = np.array([st.eta for st in states])
     eps = np.array([st.eps for st in states])
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(eps + np.vecdot(xs, xs))
+    if not finite.all():
+        t = int(np.argmin(finite.all(axis=1)))
+        raise BadStream(f"eps + |x|^2 overflowed at round {t + 1}: inputs too large")
     w = np.stack([st.w for st in states])
     yhats = np.empty((len(states), xs.shape[0]))
     for t in range(xs.shape[0]):

@@ -72,18 +72,17 @@ def _algo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--reset-period", type=int, default=None)
     p.add_argument("--b-reset", type=float, default=None)
-    p.add_argument("--track-f", action="store_true")
     p.add_argument("--clip-bound", type=float, default=None)
     p.add_argument("--tuned-regime", choices=("low", "high"), default=None)
     p.add_argument("--eps-ratio", type=float, default=None)
 
 
 def _params_from_args(args) -> dict:
-    """args.algo's parameters from the given flags of the same names (an
-    unset --track-f reads False). Flags of other learners are ignored,
-    since a --config file may hold them for several learners."""
+    """args.algo's parameters from the given flags of the same names. Flags
+    of other learners are ignored, since a --config file may hold them for
+    several learners."""
     given = ((name, getattr(args, name)) for name in harness.LEARNER_PARAMS[args.algo])
-    return {name: v for name, v in given if v is not None and v is not False}
+    return {name: v for name, v in given if v is not None}
 
 
 def _load_grid(text: str) -> dict:

@@ -21,10 +21,6 @@ class InvalidParams(DriftLearnError, ValueError):
     """Learner parameters violate their constraints."""
 
 
-class FNotTracked(DriftLearnError):
-    """The scalar offset recursion was not enabled for this learner."""
-
-
 class TooLarge(DriftLearnError, ValueError):
     """Problem size exceeds the dense-solve budget of the brute-force oracle."""
 

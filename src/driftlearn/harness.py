@@ -37,13 +37,6 @@ def _integer(value) -> int:
     return int(float(value))
 
 
-def _boolean(value) -> bool:
-    """A bool as is; bool() would read "false" as True."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 # The one list of each learner's parameters: name -> (conversion, default).
 # run_learner rejects names not listed here and values their conversion
 # refuses, and needs each parameter whose default is REQUIRED; laser needs
@@ -53,7 +46,6 @@ LEARNER_PARAMS = {
     "laser": {
         "b": (float, None),
         "c": (float, None),
-        "track_f": (_boolean, False),
         "clip_bound": (_optional_float, None),
         "tuned_regime": (oracle.DriftRegime, None),
         "eps_ratio": (float, None),
@@ -153,7 +145,7 @@ def _laser_params(params: dict, stream: LabeledStream):
         if p["b"] is None or p["c"] is None:
             raise InvalidParams("laser requires b and c (or tuned_regime + eps_ratio)")
         b, c = p["b"], p["c"]
-    lp = laser.LaserParams(b=b, c=c, track_f=p["track_f"], clip_bound=p["clip_bound"])
+    lp = laser.LaserParams(b=b, c=c, clip_bound=p["clip_bound"])
     return lp, regime, inputs
 
 
@@ -184,12 +176,15 @@ def _member(algo_id: str, params: dict, stream: LabeledStream):
 
 
 def _batch_inputs(streams: list[LabeledStream]):
-    """(xs, ys) for a step loop over one member per stream: the stream's own
-    (T, d) and (T,) arrays when every member reads the same stream, else
-    (T, S, d) and (T, S) stacks. All streams must share T and d."""
+    """(xs, ys) as (T, S, d) and (T, S) for a step loop over one member per
+    stream: read-only broadcast views of the stream's own arrays, not
+    copies, when every member reads the same stream, else stacks. All
+    streams must share T and d."""
     first = streams[0]
     if all(s is first for s in streams):
-        return first.xs, first.ys
+        S, (T, d) = len(streams), first.xs.shape
+        return (np.broadcast_to(first.xs[:, None], (T, S, d)),
+                np.broadcast_to(first.ys[:, None], (T, S)))
     if any(s.xs.shape != first.xs.shape for s in streams):
         raise LengthMismatch("the streams of one batch must share T and d")
     return np.stack([s.xs for s in streams], axis=1), np.stack([s.ys for s in streams], axis=1)

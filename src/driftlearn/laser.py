@@ -18,7 +18,7 @@ shrinkage of the prediction. One round, with no factorization:
     yhat = (x . w) / s
     P  <- P' - (P'x)(P'x)^T / s
     w  <- w + P'x (y - x . w) / s
-    min cost += (y - x . w)^2 / s     (only with track_f)
+    min cost += (y - x . w)^2 / s
 
 from P_0 = (1/b - 1/c) I and w_0 = 0. x^T D_t^{-1} x = (s - 1)/s is kept for
 the bound checks. Rounding leaves P exactly symmetric: the rank-one term is
@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import BadStream, FNotTracked, InvalidParams, NotPositiveDefinite
+from .errors import BadStream, InvalidParams, NotPositiveDefinite
 
 # largest kappa = min(X, c)/b at which the covariance form is kept regardless
 # of X/c; its predictions then stay within a few 1e-13 relative
@@ -82,7 +82,6 @@ class LaserParams:
 
     b: float
     c: float = math.inf
-    track_f: bool = False
     clip_bound: float | None = None
 
     def __post_init__(self):
@@ -125,10 +124,10 @@ class LaserState:
     w = D_t^{-1} e_t in both forms. In covariance form cov holds
     P = D_t^{-1} and sqrt_info is None; in square-root information form cov
     is None and sqrt_info holds (R, z). min_cost is the minimum of the
-    tracking cost over the observed prefix (kept only with track_f);
-    max_xsq is the largest |x|^2 seen. last_x_quad records the most recent
-    x_t^T D_t^{-1} x_t for bound diagnostics. P, D, e and f are derived for
-    tests and diagnostics and cost a factorization or a solve per access.
+    tracking cost over the observed prefix; max_xsq is the largest |x|^2
+    seen. last_x_quad records the most recent x_t^T D_t^{-1} x_t for bound
+    diagnostics. P, D, e and f are derived for tests and diagnostics and
+    cost a factorization or a solve per access.
     """
 
     params: LaserParams
@@ -162,9 +161,7 @@ class LaserState:
 
     @property
     def f(self) -> float:
-        """f_t = min cost + e_t^T D_t^{-1} e_t; 0 without track_f."""
-        if not self.params.track_f:
-            return 0.0
+        """f_t = min cost + e_t^T D_t^{-1} e_t."""
         return self.min_cost + float(self.e @ self.w)
 
 
@@ -296,13 +293,14 @@ class CovRun(NamedTuple):
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                keep_w=False, spectra=False, guard=None, switch=None) -> CovRun:
     """Run S members of the covariance-form round from P (S, d, d) and w = 0
-    over xs (T, d) and ys (T,), one stream for all, or xs (T, S, d) and
-    ys (T, S), one per member. Per member: inflation is 1/c (0 at c = inf),
-    weight and gain are those of _cov_commit (1 when None), and after each
-    reset-th round P returns to its start. keep_w keeps the post-update
-    weights; spectra the spectrum of D = P^{-1} before round 1 and after
-    each round. Members where guard holds have P checked positive definite
-    every round by one stacked Cholesky factorization.
+    over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and ys[:, i]
+    (a broadcast view when all read one stream). Per member: inflation is
+    1/c (0 at c = inf), weight and gain are those of _cov_commit (1 when
+    None), and after each reset-th round P returns to its start. keep_w
+    keeps the post-update weights; spectra the spectrum of D = P^{-1}
+    before round 1 and after each round. Members where guard holds have P
+    checked positive definite every round by one stacked Cholesky
+    factorization.
 
     With switch, laser member i leaves the stacked arrays for square-root
     information form at round switch[i] (never if switch[i] >= T) and runs
@@ -311,8 +309,7 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     if switch is not None and (weight is not None or gain is not None or reset is not None
                                or keep_w):
         raise ValueError("switch runs laser members: no weight, gain, reset or keep_w")
-    S, T, d = P.shape[0], xs.shape[0], xs.shape[-1]
-    shared = xs.ndim == 2
+    T, S, d = xs.shape
     drift = inflation
     inflation = None if inflation is None or not inflation.any() else inflation[:, None]
     root = 1.0 if weight is None else np.sqrt(weight)[:, None]
@@ -337,12 +334,10 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
             guard = None if guard is None else guard[keep]
         if roots:
             for i, r in roots.items():
-                xi, yi = (x, y) if shared else (x[i], y[i])
-                r, qs[i, t], xws[i, t] = _sqrt_innovation(r, xi, drift[i])
+                r, qs[i, t], xws[i, t] = _sqrt_innovation(r, x[i], drift[i])
                 _check_q(qs[i, t], t + 1)
-                roots[i] = _sqrt_commit(r, xi, yi)
-            if not shared:
-                x, y = x[rows], y[rows]
+                roots[i] = _sqrt_commit(r, x[i], y[i])
+            x, y = x[rows], y[rows]
         Px, q, xw = _cov_innovation(P, w, x, inflation)
         _check_q(q, t + 1)
         s = 1.0 + (q if weight is None else weight * q)
@@ -409,8 +404,8 @@ def _commit(state: LaserState, y: float, step: LaserStep) -> LaserState:
     else:
         P, root = None, _sqrt_commit(root, x, y)
         w = linalg.tri_solve(*root)
-    min_cost = float(state.min_cost + err * err / s) if params.track_f else 0.0
-    return LaserState(params, w, P, root, max_xsq, min_cost, state.t + 1, float(q / s))
+    return LaserState(params, w, P, root, max_xsq, float(state.min_cost + err * err / s),
+                      state.t + 1, float(q / s))
 
 
 def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
@@ -438,10 +433,8 @@ def laser_min_cost(state: LaserState) -> float:
     for the observed prefix, f_t - e_t^T D_t^{-1} e_t, accumulated in
     innovation form.
 
-    Requires track_f and at least one committed round.
+    Requires at least one committed round.
     """
-    if not state.params.track_f:
-        raise FNotTracked("enable track_f to evaluate the offline optimum")
     if state.t < 1:
         raise ValueError("no rounds committed yet")
     return state.min_cost
@@ -487,23 +480,20 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     """Run S members of the learner, params[i] for member i, under the
     online protocol; one LaserTrajectory per member, in order.
 
-    xs is (T, d) and ys (T,) when every member reads the same stream, or
-    xs is (T, S, d) and ys (T, S) for one stream per member. Every member
-    runs in one cov_rounds loop; one whose inputs move it to square-root
-    information form leaves the stacked arrays at that round. Without
-    spectra, each drifting covariance-form member's P is checked positive
-    definite every round by a stacked Cholesky factorization (the spectra
-    check it otherwise). The shrinkage and the clip apply to the recorded
-    (S, T) arrays. Memory is O(S (T + d^2)): no per-step matrix is kept.
+    xs is (T, S, d) and ys (T, S), as in cov_rounds. Every member runs in
+    one cov_rounds loop; one whose inputs move it to square-root information
+    form leaves the stacked arrays at that round. Without spectra, each
+    drifting covariance-form member's P is checked positive definite every
+    round by a stacked Cholesky factorization (the spectra check it
+    otherwise). The shrinkage and the clip apply to the recorded (S, T)
+    arrays. Memory is O(S (T + d^2)): no per-step matrix is kept.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    S, T, d = len(params), xs.shape[0], xs.shape[-1]
-    shared = xs.ndim == 2
+    T, S, d = xs.shape
     with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
         xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
-    switch = np.array([_switch_round(p, peaks if shared else peaks[:, i])
-                       for i, p in enumerate(params)])
+    switch = np.array([_switch_round(p, peaks[:, i]) for i, p in enumerate(params)])
     c = np.array([p.c for p in params])
     drifting = np.isfinite(c)
     P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
@@ -515,15 +505,14 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
     if np.isfinite(bound).any():
         yhats = np.copysign(np.minimum(np.abs(yhats), bound[:, None]), yhats)
-    err = (ys if shared else ys.T) - run.xw  # cumsum adds in order, as _commit does
+    err = ys.T - run.xw  # cumsum adds in order, as _commit does
     min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
 
-    max_xsq = np.broadcast_to(np.max(xsq, axis=0, initial=0.0), (S,))
+    max_xsq = np.max(xsq, axis=0, initial=0.0)
     out = []
     for i, p in enumerate(params):
         cov, w, root = run.final[i]
-        state = LaserState(p, w, cov, root, float(max_xsq[i]),
-                           float(min_cost[i]) if p.track_f else 0.0, T,
+        state = LaserState(p, w, cov, root, float(max_xsq[i]), float(min_cost[i]), T,
                            float(quads[i, -1]) if T else 0.0)
         extra = run.spectra[:, :, i].T if spectra else ()
         out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
@@ -533,7 +522,8 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
 def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:
     """Run the learner over the stream (xs, ys) under the online protocol.
 
-    xs is a (T, d) array and ys a (T,) array. Memory is O(T + d^2): no
-    per-step matrix is kept.
+    xs is a (T, d) array and ys a (T,) array, run as the one-member
+    batch (T, 1, d) and (T, 1). Memory is O(T + d^2): no per-step matrix
+    is kept.
     """
-    return laser_trajectories([params], xs, ys, spectra)[0]
+    return laser_trajectories([params], np.expand_dims(xs, 1), np.expand_dims(ys, 1), spectra)[0]

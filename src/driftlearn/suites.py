@@ -26,7 +26,7 @@ DESK_D = 4
 DESK_SEEDS = tuple(range(20))
 
 # documented certification hyperparameters (see README)
-LASER_CERT = {"b": 1.0, "c": 100.0, "track_f": True}
+LASER_CERT = {"b": 1.0, "c": 100.0}
 HINF_CERT = {"a": 8.0, "b": 500.0, "c": 500.0}
 TUNED_EPS = 0.1
 HIGH_DRIFT_SPEC = dict(kind="A", T=DESK_T, d=2, rotation_rate=math.pi)
@@ -71,7 +71,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
             hi = lo + 1e-3
         xs = rng.standard_normal((T, d))
         ys = rng.standard_normal(T)
-        params = laser.LaserParams(b=float(lo), c=float(hi), track_f=True)
+        params = laser.LaserParams(b=float(lo), c=float(hi))
         state = laser.laser_init(params, d)
         for t in range(T):
             state = laser.laser_update(state, xs[t], ys[t])

@@ -34,7 +34,7 @@ def test_oracle_equivalence_500_instances():
 
 
 def test_hand_trace_fixture():
-    params = laser.LaserParams(b=1.0, c=2.0, track_f=True)
+    params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 1)
     xs = np.array([[1.0], [1.0]])
     ys = np.array([1.0, 0.5])
@@ -220,7 +220,7 @@ def test_byte_identical_outputs(tmp_path, subprocess_env):
     same_fresh = proc.returncode == 0 and out3.read_bytes() == pairs[0]
 
     run_argv = [
-        "run", "--algo", "laser", "--b", "1", "--c", "100", "--track-f",
+        "run", "--algo", "laser", "--b", "1", "--c", "100",
         "--kind", "C", "--T", "200", "--d", "4", "--seeds", "3",
     ]
     blobs = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftlearn import baselines, linalg
-from driftlearn.errors import InvalidParams
+from driftlearn.errors import BadStream, InvalidParams
 
 
 def test_aar_two_step_trace():
@@ -55,6 +55,14 @@ def test_nlms_zero_error_is_noop():
     y = float(x @ w)
     _, st = baselines.nlms_step(st, x, y)
     np.testing.assert_allclose(st.w, w, atol=1e-14)
+
+
+def test_nlms_overflowing_denominator_is_bad_stream():
+    xs, ys = np.full((2, 1, 2), 7e153), np.ones((2, 1))  # |x|^2 ~ 1e308 is finite
+    yhats = baselines.nlms_trajectories([baselines.nlms_init(2, eta=0.5)], xs, ys)
+    assert np.isfinite(yhats).all() and yhats[0, 1] > 0.0
+    with pytest.raises(BadStream, match="overflowed at round 1"):
+        baselines.nlms_trajectories([baselines.nlms_init(2, eta=0.5, eps=1e308)], xs, ys)
 
 
 def test_crrls_first_step_trace():

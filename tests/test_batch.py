@@ -39,7 +39,7 @@ MEMBERS = {
         ({"b": 1.0, "c": 100.0}, STREAM_C),
         ({"b": 1.0, "c": math.inf}, STREAM_C),
         ({"b": 1.0, "c": 50.0, "clip_bound": 0.5}, STREAM_C),
-        ({"b": 1.0, "c": 100.0, "track_f": True}, STREAM_A),
+        ({"b": 1.0, "c": 100.0}, STREAM_A),
         ({"tuned_regime": "low", "eps_ratio": 0.1}, STREAM_A),
         ({"b": 1.0, "c": 1e12}, BIG),  # these two move to square-root information form
         ({"b": 1e-3, "c": 1e12}, BIG),  # at round 1
@@ -167,6 +167,15 @@ def test_shared_stream_batch_matches_stacked_copies():
     stacked = harness.run_batch("laser", params, copies)
     for got, ref in zip(shared, stacked):
         assert_same_run(got, ref)
+
+
+def test_shared_stream_is_read_in_place():
+    xs, ys = harness._batch_inputs([STREAM_C] * 3)
+    assert xs.shape == (T, 3, D) and ys.shape == (T, 3)
+    assert np.shares_memory(xs, STREAM_C.xs) and np.shares_memory(ys, STREAM_C.ys)
+    xs, ys = harness._batch_inputs([STREAM_C, STREAM_A, STREAM_C])
+    assert not np.shares_memory(xs, STREAM_C.xs) and not np.shares_memory(ys, STREAM_C.ys)
+    assert np.array_equal(xs[:, 1], STREAM_A.xs) and np.array_equal(ys[:, 2], STREAM_C.ys)
 
 
 def per_point_sweep(spec, dataset):

@@ -254,7 +254,8 @@ BAD_INPUTS = {
                                       "--out-prefix", "TMP/r"]
        for algo, flags in [("laser", ["--b", "1", "--c", "10"]), ("aar", ["--b", "1"]),
                            ("hinf", ["--a", "2", "--b", "1", "--c", "1"]),
-                           ("crrls", ["--reset-period", "3", "--b-reset", "1"])]},
+                           ("crrls", ["--reset-period", "3", "--b-reset", "1"]),
+                           ("nlms", ["--eta", "0.5"])]},
 }
 # the reason each of these must name in its error line
 BAD_INPUT_REASONS = {
@@ -267,6 +268,7 @@ BAD_INPUT_REASONS = {
     "crrls-b-reset-reciprocal-overflows": "finite reciprocal, got 1e-310",
     **{f"{algo}-overflowing-inputs": "x^T P' x overflowed at round 1"
        for algo in ("laser", "aar", "hinf", "crrls")},
+    "nlms-overflowing-inputs": "eps + |x|^2 overflowed at round 1",
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
@@ -297,17 +299,14 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
 
 
 FLAG_VALUES = {"b": 1.0, "c": 2.0, "a": 3.0, "eta": 0.5, "eps": 0.1, "reset_period": 4,
-               "b_reset": 5.0, "track_f": True, "clip_bound": 6.0, "tuned_regime": "low",
-               "eps_ratio": 0.25}
+               "b_reset": 5.0, "clip_bound": 6.0, "tuned_regime": "low", "eps_ratio": 0.25}
 
 
 @pytest.mark.parametrize("algo", harness.ALGO_IDS)
 def test_cli_params_are_the_learner_table(algo):
     every_flag = []
     for name, value in FLAG_VALUES.items():
-        every_flag.append("--" + name.replace("_", "-"))
-        if value is not True:
-            every_flag.append(str(value))
+        every_flag += ["--" + name.replace("_", "-"), str(value)]
     parser = cli.build_parser()
     args = parser.parse_args(["run", "--algo", algo, *every_flag])
     table = harness.LEARNER_PARAMS[algo]

@@ -19,9 +19,9 @@ from driftlearn import baselines, harness, hinf, laser, oracle
 from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
 
 
-def kernel_run(xs, ys, b, c, track_f=True):
+def kernel_run(xs, ys, b, c):
     """Predictions and every committed state of the covariance-form kernel."""
-    state = laser.laser_init(laser.LaserParams(b=b, c=c, track_f=track_f), xs.shape[1])
+    state = laser.laser_init(laser.LaserParams(b=b, c=c), xs.shape[1])
     yhats, states = [], [state]
     for x, y in zip(xs, ys):
         yhat, step = laser.laser_predict(state, x)
@@ -141,7 +141,7 @@ def test_trajectory_spectra_match_direct_matrices():
 @pytest.mark.parametrize("b, c", [(0.1, 0.2), (1.0, 100.0), (10.0, 1000.0), (1.0, math.inf)])
 def test_kernel_matches_40_digit_reference(b, c):
     stream = gen_stream(DatasetSpec(kind="C", T=400, d=6, seed=11))
-    yhats, _ = kernel_run(stream.xs, stream.ys, b, c, track_f=False)
+    yhats, _ = kernel_run(stream.xs, stream.ys, b, c)
     assert rel_dev(yhats, mp_predictions(stream.xs, stream.ys, b, c)) <= 1e-13
 
 
@@ -151,7 +151,7 @@ def test_kernel_holds_at_large_input_scale():
     # loses about 1e-5 relative here, in its I + D/c solves
     rng = np.random.default_rng(1)
     xs, ys = rng.standard_normal((300, 5)) * 1e6, rng.standard_normal(300) * 1e6
-    yhats, _ = kernel_run(xs, ys, 1.0, 100.0, track_f=False)
+    yhats, _ = kernel_run(xs, ys, 1.0, 100.0)
     assert rel_dev(yhats, mp_predictions(xs, ys, 1.0, 100.0, dps=50)) <= 1e-13
 
 
@@ -208,7 +208,7 @@ def test_stress_stays_spd_and_matches_high_precision(case):
     information form 2.1e-9."""
     xs, ys, b, c = case
     assume(kappa_of(xs, b, c) <= 1e3)
-    yhats, states = kernel_run(xs, ys, b, c, track_f=False)
+    yhats, states = kernel_run(xs, ys, b, c)
     for state in states:
         if state.sqrt_info is None:
             assert np.array_equal(state.cov, state.cov.T)
@@ -234,7 +234,7 @@ def test_weak_prior_slow_forgetting_switches_to_information_form(b, c):
     # log10(min(|x|^2, c)/b) digits; the state moves to square-root
     # information form
     xs, ys = big_stream(1e6)
-    yhats, states = kernel_run(xs, ys, b, c, track_f=False)
+    yhats, states = kernel_run(xs, ys, b, c)
     assert states[0].sqrt_info is None and states[-1].sqrt_info is not None
     assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-13
 
@@ -242,7 +242,7 @@ def test_weak_prior_slow_forgetting_switches_to_information_form(b, c):
 def test_moderate_inputs_stay_in_covariance_form():
     stream = gen_stream(DatasetSpec(kind="C", T=250, d=20, seed=4))
     for b, c in [(10.0, 300.0), (10.0, 10000.0), (300.0, 1000.0), (100.0, math.inf)]:
-        _, states = kernel_run(stream.xs, stream.ys, b, c, track_f=False)
+        _, states = kernel_run(stream.xs, stream.ys, b, c)
         assert states[-1].sqrt_info is None
 
 
@@ -257,8 +257,23 @@ KNOWN_DEFECT = ("known defect: with max|x|^2/b >> 1e4 while some direction still
 def test_short_stream_with_weak_prior(c):
     # four rounds in four dimensions at |x| ~ 2e4 with b = 0.01
     xs, ys = big_stream(1e4, seed=0, T=4, d=4)
-    yhats, _ = kernel_run(xs, ys, 0.01, c, track_f=False)
+    yhats, _ = kernel_run(xs, ys, 0.01, c)
     assert rel_dev(yhats, mp_predictions(xs, ys, 0.01, c)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: at c <= sqrt(b max|x|^2) with "
+                   "max|x|^2/b >> 1e8 the switch rule keeps the covariance form when the "
+                   "largest input comes first, which is 5.2e-11 off the 50-digit run")
+def test_largest_input_first_at_intermediate_forgetting():
+    xs, ys = big_stream(1e6)
+    xsq = np.einsum("td,td->t", xs, xs)
+    first = int(np.argmax(xsq))
+    order = np.r_[first, np.delete(np.arange(len(xs)), first)]
+    xs, ys = xs[order], ys[order]
+    b = 1.0
+    c = 0.999 * math.sqrt(b * float(xsq[first]))
+    yhats, _ = kernel_run(xs, ys, b, c)
+    assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-12
 
 
 def test_large_inputs_at_intermediate_forgetting():
@@ -266,7 +281,7 @@ def test_large_inputs_at_intermediate_forgetting():
     xs, ys = big_stream(1e6)
     b = 1.0
     c = math.sqrt(b * float(np.max(np.einsum("td,td->t", xs, xs))))
-    yhats, _ = kernel_run(xs, ys, b, c, track_f=False)
+    yhats, _ = kernel_run(xs, ys, b, c)
     assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftlearn import laser, linalg, oracle
-from driftlearn.errors import FNotTracked, InvalidParams
+from driftlearn.errors import InvalidParams
 
 # Two-round fixture on (x, y) = (1, 1), (1, 0.5) with b=1, c=2. Values
 # below were derived by hand from the recursions and confirmed against
@@ -20,7 +20,7 @@ TRACE_MIN_COST = (0.5, 0.5)
 
 
 def run_trace():
-    params = laser.LaserParams(b=TRACE_B, c=TRACE_C, track_f=True)
+    params = laser.LaserParams(b=TRACE_B, c=TRACE_C)
     state = laser.laser_init(params, 1)
     steps = []
     for x, y in zip(TRACE_XS, TRACE_YS):
@@ -80,7 +80,7 @@ def test_predict_zero_input_predicts_zero():
 
 
 def test_update_zero_round_decays_e_only():
-    params = laser.LaserParams(b=1.0, c=2.0, track_f=True)
+    params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 1)
     state = laser.laser_update(state, [1.0], 1.0)
     e_prev, f_prev, D_prev = state.e.copy(), state.f, state.D.copy()
@@ -93,7 +93,7 @@ def test_update_zero_round_decays_e_only():
 
 
 def test_update_from_fresh_state_with_zero_round_is_noop():
-    params = laser.LaserParams(b=1.0, c=2.0, track_f=True)
+    params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 1)
     state = laser.laser_update(state, [0.0], 0.0)
     assert state.e[0] == 0.0 and state.f == 0.0
@@ -163,9 +163,7 @@ def test_per_step_regret_identity():
     rng = np.random.default_rng(15)
     for _ in range(10):
         d = int(rng.integers(1, 5))
-        params = laser.LaserParams(
-            b=rng.uniform(0.2, 2.0), c=rng.uniform(2.5, 30.0), track_f=True
-        )
+        params = laser.LaserParams(b=rng.uniform(0.2, 2.0), c=rng.uniform(2.5, 30.0))
         state = laser.laser_init(params, d)
         prev_cost = 0.0
         for t in range(25):
@@ -191,18 +189,14 @@ def test_clip_bound_applies_to_predictions():
     assert yhat == pytest.approx(0.1)  # unclipped value is 0.25
 
 
-def test_min_cost_requires_tracking_and_history():
+def test_min_cost_requires_history():
     state = laser.laser_init(laser.LaserParams(b=1.0, c=2.0), 1)
-    state = laser.laser_update(state, [1.0], 1.0)
-    with pytest.raises(FNotTracked):
-        laser.laser_min_cost(state)
-    tracked = laser.laser_init(laser.LaserParams(b=1.0, c=2.0, track_f=True), 1)
     with pytest.raises(ValueError):
-        laser.laser_min_cost(tracked)
+        laser.laser_min_cost(state)
 
 
 def test_zero_labels_give_zero_min_cost():
-    params = laser.LaserParams(b=1.0, c=2.0, track_f=True)
+    params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 2)
     rng = np.random.default_rng(16)
     for _ in range(10):

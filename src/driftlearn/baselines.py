@@ -70,7 +70,11 @@ def _nlms_round(w, x, y, eta, eps):
 
 
 def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
+    """One round; BadStream if eps + |x|^2 overflows."""
     x = linalg.as_vector(x, state.dim)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(state.eps + x @ x):
+            raise BadStream("eps + |x|^2 overflowed: inputs too large")
     yhat, w = _nlms_round(state.w, x, y, state.eta, state.eps)
     return float(yhat), replace(state, w=w)
 
@@ -122,7 +126,9 @@ def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
     hits a multiple of the reset period."""
     x = linalg.as_vector(x, state.dim)
     t = state.t + 1
-    Px, q, xw = laser._cov_innovation(state.P, state.w, x, None)
+    with np.errstate(over="ignore"):  # an overflowing x^T P x is inf, which _check_q reports
+        Px, q, xw = laser._cov_innovation(state.P, state.w, x, None)
+    laser._check_q(q, t)
     P, w = laser._cov_commit(state.P, state.w, Px, 1.0 + q, y - xw, None)
     if t % state.reset_period == 0:
         P = np.eye(state.dim) / state.b_reset

@@ -42,7 +42,6 @@ def _dataset_flags(p: argparse.ArgumentParser) -> None:
                    help="steps between pair switches for kinds B/D")
     p.add_argument("--noise-var", type=float, default=None,
                    help="label noise variance for kinds C/D (default 0.05)")
-    p.add_argument("--initial-angle", type=float, default=0.0)
     p.add_argument("--no-wrap", action="store_true",
                    help="freeze on the last pair instead of cycling (kinds B/D)")
 
@@ -58,23 +57,16 @@ def _dataset_from_args(args) -> DatasetSpec:
         rotation_rate=args.rotation_rate,
         switch_period=args.switch_period,
         noise_var=args.noise_var,
-        initial_angle=args.initial_angle,
         wrap_pairs=not args.no_wrap,
     )
 
 
 def _algo_flags(p: argparse.ArgumentParser) -> None:
+    """--algo plus one flag per learner parameter, kept as given: the
+    learner's own table converts and checks the values (harness._checked)."""
     p.add_argument("--algo", required=True, choices=harness.ALGO_IDS)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--c", type=float, default=None, help="use 'inf' for the stationary learner")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--reset-period", type=int, default=None)
-    p.add_argument("--b-reset", type=float, default=None)
-    p.add_argument("--clip-bound", type=float, default=None)
-    p.add_argument("--tuned-regime", choices=("low", "high"), default=None)
-    p.add_argument("--eps-ratio", type=float, default=None)
+    for name in dict.fromkeys(n for table in harness.LEARNER_PARAMS.values() for n in table):
+        p.add_argument("--" + name.replace("_", "-"), default=None)
 
 
 def _params_from_args(args) -> dict:

@@ -69,7 +69,6 @@ class DatasetSpec:
     rotation_rate: float | None = None
     switch_period: int = 50
     noise_var: float | None = None
-    initial_angle: float = 0.0
     wrap_pairs: bool = True
 
     def __post_init__(self):
@@ -149,19 +148,19 @@ def _active_pair(spec: DatasetSpec, t: int) -> int:
 def gen_truth(spec: DatasetSpec) -> ComparatorSequence:
     """Generating target sequence u_1..u_T.
 
-    Kinds A/C put (cos(theta0 + omega*t), sin(theta0 + omega*t)) in the
-    first pair. Kinds B/D advance the angle by 1/t each step and embed
+    Kinds A/C put (cos(omega*t), sin(omega*t)) in the first pair. Kinds
+    B/D advance the angle, from 0, by 1/t each step and embed
     the unit vector in the pair active for that step's segment.
     """
     T, d = spec.T, spec.d
     us = np.zeros((T, d))
     if spec.kind in ("A", "C"):
         t_idx = np.arange(1, T + 1)
-        angles = spec.initial_angle + spec.omega * t_idx
+        angles = spec.omega * t_idx
         us[:, 0] = np.cos(angles)
         us[:, 1] = np.sin(angles)
     else:
-        theta = spec.initial_angle
+        theta = 0.0
         for t in range(1, T + 1):
             theta += 1.0 / t
             p = _active_pair(spec, t)

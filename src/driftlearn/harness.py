@@ -206,7 +206,7 @@ def _run_members(algo_id, members, params, streams, seeds, certify: bool) -> lis
         a = np.array([m.params.a for m in members])
         inflation = 1.0 / np.array([m.params.c for m in members])
         run = laser.cov_rounds(np.stack([m.P_tilde for m in members]), xs, ys, inflation,
-                               a - 1.0, a, keep_w=True)
+                               a - 1.0, a, keep_w=certify)
         yhats, post_ws = run.xw, run.ws
     elif algo_id == "crrls":  # the laser round at c = inf, unshrunk, with the reset
         yhats = laser.cov_rounds(np.stack([m.P for m in members]), xs, ys,

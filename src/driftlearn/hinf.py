@@ -79,7 +79,9 @@ def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     """One round: returns (yhat, new state). yhat uses the pre-update w."""
     x = linalg.as_vector(x, state.dim)
     a, inflation = state.params.a, 1.0 / state.params.c or None
-    Px, q, xw = laser._cov_innovation(state.P_tilde, state.w, x, inflation)
+    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _check_q reports
+        Px, q, xw = laser._cov_innovation(state.P_tilde, state.w, x, inflation)
+    laser._check_q(q, state.t + 1)
     P, w = laser._cov_commit(state.P_tilde, state.w, Px, 1.0 + (a - 1.0) * q, a * (y - xw),
                              inflation, math.sqrt(a - 1.0))
     return float(xw), HInfState(state.params, w, P, state.t + 1)

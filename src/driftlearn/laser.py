@@ -176,9 +176,9 @@ class LaserStep(NamedTuple):
     sqrt_info: SqrtInformation | None  # (R', z') to commit, in square-root form
 
 
-def clip(x: float, y: float) -> float:
-    """sign(x) * min(|x|, y)."""
-    return math.copysign(min(abs(x), y), x)
+def clip(x, y):
+    """sign(x) * min(|x|, y), elementwise."""
+    return np.copysign(np.minimum(np.abs(x), y), x)
 
 
 def _p0(params: LaserParams) -> float:
@@ -368,6 +368,7 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
 
 # -- the single-state step functions --------------------------------------------
 
+@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _check_q reports
 def _innovation(state: LaserState, x: np.ndarray) -> LaserStep:
     params = state.params
     cov, root = state.cov, state.sqrt_info
@@ -504,7 +505,7 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     yhats, quads = run.xw / s, run.q / s
     bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
     if np.isfinite(bound).any():
-        yhats = np.copysign(np.minimum(np.abs(yhats), bound[:, None]), yhats)
+        yhats = clip(yhats, bound[:, None])
     err = ys.T - run.xw  # cumsum adds in order, as _commit does
     min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
 

@@ -13,9 +13,6 @@ import scipy.linalg
 
 from .errors import DimMismatch, NotPositiveDefinite
 
-SYMMETRY_RTOL = 1e-12
-
-
 def as_matrix(A) -> np.ndarray:
     """Validate and return A as a square float64 matrix."""
     A = np.asarray(A, dtype=float)
@@ -50,18 +47,6 @@ def add_to_diagonal(A: np.ndarray, v) -> None:
     if not A.flags.c_contiguous:  # reshape would copy, losing the update
         raise ValueError("add_to_diagonal needs a C-contiguous array")
     A.reshape(A.shape[:-2] + (A.shape[-1] ** 2,))[..., :: A.shape[-1] + 1] += v
-
-
-def is_symmetric(A: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    return bool(np.abs(A - A.T).max(initial=0.0) <= rtol * scale)
-
-
-def rank_one_update(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A + x x^T, symmetrized."""
-    A = as_matrix(A)
-    x = as_vector(x, A.shape[0])
-    return symmetrize(A + np.outer(x, x))
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:

@@ -180,9 +180,7 @@ def regret_certificate_gap(D_prev: np.ndarray, x, c: float) -> float:
     x = linalg.as_vector(x, d)
     I = np.eye(d)
     Dp = linalg.symmetrize(linalg.spd_solve_matrix(I + D_prev / c, I))  # (I + c^{-1}D)^{-1}
-    Dn = linalg.rank_one_update(
-        linalg.symmetrize(linalg.spd_solve_matrix(I + D_prev / c, D_prev)), x
-    )
+    Dn = linalg.symmetrize(linalg.spd_solve_matrix(I + D_prev / c, D_prev)) + np.outer(x, x)
     Dn_inv = linalg.spd_inverse(Dn)
     D_prev_inv = linalg.spd_inverse(D_prev)
     M = (
@@ -321,7 +319,7 @@ def laser_direct(xs, ys, b: float, c: float) -> DirectLaserRun:
             blend = linalg.symmetrize(linalg.spd_solve_matrix(I + D / c, D))
             decayed = linalg.spd_solve(I + D / c, e)
             shrink = float(e @ linalg.spd_solve(c * I + D, e))
-        D = linalg.rank_one_update(blend, x)
+        D = blend + np.outer(x, x)
         Dinv_x = linalg.spd_solve(D, x)
         yhats[t] = float(Dinv_x @ decayed)
         quads[t] = float(x @ Dinv_x)

@@ -81,13 +81,13 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
     return _result("offline-optimum oracle equivalence", trials, worst, 1e-8)
 
 
-def certificate_suite(draws: int = 1000, seed: int = 0, d_max: int = 6) -> SuiteResult:
+def certificate_suite(draws: int = 1000, seed: int = 0) -> SuiteResult:
     """Max eigenvalue of the per-step regret remainder matrix over random
-    (D, x, c) draws; must stay at or below zero."""
+    (D, x, c) draws with d <= 6; must stay at or below zero."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(draws):
-        d = int(rng.integers(1, d_max + 1))
+        d = int(rng.integers(1, 7))
         M = rng.standard_normal((d, d))
         D = M @ M.T + rng.uniform(0.05, 2.0) * np.eye(d)
         x = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
@@ -118,24 +118,24 @@ def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> Suite
     return _result("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
 
 
-def _desk_streams(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS):
-    return [gen_stream(DatasetSpec(kind=k, T=T, d=d, seed=s)) for k in kinds for s in seeds]
+def _desk_streams(T=DESK_T, seeds=DESK_SEEDS):
+    return [gen_stream(DatasetSpec(kind=k, T=T, d=DESK_D, seed=s)) for k in "ABCD" for s in seeds]
 
 
-def _cert_trajectories(streams, params: dict, spectra: bool = False):
-    """One laser batch under params, one member per stream."""
-    lps = [harness._laser_params(params, stream)[0] for stream in streams]
-    return lps, laser.laser_trajectories(lps, *harness._batch_inputs(streams), spectra=spectra)
+def _cert_trajectories(streams, spectra: bool = False):
+    """One laser batch at LASER_CERT, one member per stream."""
+    lp = laser.LaserParams(**LASER_CERT)
+    return lp, laser.laser_trajectories([lp] * len(streams), *harness._batch_inputs(streams),
+                                        spectra=spectra)
 
 
-def logdet_trajectory_suite(
-    kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS, params=LASER_CERT
-) -> SuiteResult:
+def logdet_trajectory_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     """Prefix log-det inequality at every step of every desk trajectory."""
     worst = -math.inf
     cases = 0
-    streams = _desk_streams(kinds, T, d, seeds)
-    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params, spectra=True)):
+    streams = _desk_streams(T, seeds)
+    lp, trajs = _cert_trajectories(streams, spectra=True)
+    for stream, traj in zip(streams, trajs):
         lhs = np.cumsum(traj.quads)
         rhs = oracle.logdet_bound_rhs(
             traj.logdet_D[1:], np.cumsum(traj.trace_D[:-1]), stream.dim, lp.b, lp.c
@@ -145,14 +145,13 @@ def logdet_trajectory_suite(
     return _result("log-det quad-sum inequality", cases, worst, 1e-9)
 
 
-def eig_cap_suite(
-    kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS, params=LASER_CERT
-) -> SuiteResult:
+def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     """Per-step eigenvalue ceiling with the running input-norm bound."""
     worst = -math.inf
     cases = 0
-    streams = _desk_streams(kinds, T, d, seeds)
-    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params, spectra=True)):
+    streams = _desk_streams(T, seeds)
+    lp, trajs = _cert_trajectories(streams, spectra=True)
+    for stream, traj in zip(streams, trajs):
         x_sq_max = np.maximum.accumulate(np.einsum("td,td->t", stream.xs, stream.xs))
         caps = np.array([oracle.eig_cap(float(v), lp.b, lp.c) for v in x_sq_max])
         worst = max(worst, float(np.max(traj.lam_max_D[1:] - caps)))
@@ -160,20 +159,14 @@ def eig_cap_suite(
     return _result("covariance eigenvalue cap", cases, worst, 1e-9)
 
 
-def comparator_bound_suite(
-    kinds="ABCD",
-    T=DESK_T,
-    d=DESK_D,
-    seeds=DESK_SEEDS,
-    params=LASER_CERT,
-    brute_prefix: int = 20,
-) -> SuiteResult:
+def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     """Cumulative-loss bound against both the generating comparator (full
-    desk runs) and the brute-force-optimal comparator (short prefixes)."""
+    desk runs) and the brute-force-optimal comparator (20-step prefixes)."""
     worst = -math.inf
     cases = 0
-    streams = _desk_streams(kinds, T, d, seeds)
-    for stream, lp, traj in zip(streams, *_cert_trajectories(streams, params)):
+    streams = _desk_streams(T, seeds)
+    lp, trajs = _cert_trajectories(streams)
+    for stream, traj in zip(streams, trajs):
         yhats, quads = traj.yhats, traj.quads
         L_T = float(np.sum((stream.ys - yhats) ** 2))
         rhs = oracle.cumloss_bound(
@@ -183,7 +176,7 @@ def comparator_bound_suite(
         cases += 1
 
         # tightest comparator on a short prefix
-        n = min(brute_prefix, stream.T)
+        n = min(20, stream.T)
         xs_p, ys_p = stream.xs[:n], stream.ys[:n]
         _, best = oracle.brute_min_cost(xs_p, ys_p, lp.b, lp.c)
         L_p = float(np.sum((ys_p - yhats[:n]) ** 2))
@@ -211,13 +204,11 @@ def tuned_bound_suite(seeds=DESK_SEEDS) -> SuiteResult:
     return _result("drift-tuned closed-form bounds", 2 * len(seeds), worst, 1e-6)
 
 
-def hinf_bound_suite(
-    kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS, params=HINF_CERT
-) -> SuiteResult:
+def hinf_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     """Robust-filter guarantee and prediction-loss ceilings (alpha grid
     plus the optimized alpha where defined) on every desk run."""
-    streams = _desk_streams(kinds, T, d, seeds)
-    checks = [b for r in harness.run_batch("hinf", [dict(params)] * len(streams), streams)
+    streams = _desk_streams(T, seeds)
+    checks = [b for r in harness.run_batch("hinf", [HINF_CERT] * len(streams), streams)
               for b in r.bound_checks]
     worst = max(b.lhs - b.rhs for b in checks)
     return _result("robust-filter loss bounds", len(checks), worst, 1e-6)
@@ -236,13 +227,13 @@ def _gap(got, ref) -> float:
     return float(np.max(np.abs(got - ref))) / (1.0 + float(np.max(np.abs(ref))))
 
 
-def kernel_suite(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS) -> SuiteResult:
+def kernel_suite() -> SuiteResult:
     """The batched kernel against the direct recursions: laser member i runs
     desk stream i with the i-th (b, c) of KERNEL_MEMBERS, cycled, in one
     batch, against `oracle.laser_direct`; hinf members likewise with
     KERNEL_HINF_MEMBERS against `oracle.hinf_direct`, post-update weights
     included. Reports the worst gap relative to 1 + max |reference|."""
-    streams = _desk_streams(kinds, T, d, seeds)
+    streams = _desk_streams()
     lps = [laser.LaserParams(b=b, c=c)
            for (b, c), _ in zip(itertools.cycle(KERNEL_MEMBERS), streams)]
     trajs = laser.laser_trajectories(lps, *harness._batch_inputs(streams))
@@ -252,41 +243,31 @@ def kernel_suite(kinds="ABCD", T=DESK_T, d=DESK_D, seeds=DESK_SEEDS) -> SuiteRes
     for stream, hp, report in zip(streams, hps, harness.run_batch("hinf", hps, streams)):
         yhats, ws, _ = oracle.hinf_direct(stream.xs, stream.ys, **hp)
         worst = max(worst, _gap(report.yhats, yhats), _gap(report.post_update_w, ws))
-    return _result("batched kernel vs direct recursion", 2 * len(streams) * T, worst, 1e-10,
+    return _result("batched kernel vs direct recursion", 2 * len(streams) * DESK_T, worst, 1e-10,
                    "the worst hinf gap, 2.4e-11 at (32, 1, 1), is oracle.hinf_direct's own "
                    "error against a 40-digit run")
 
 
-def bounds_suite(seeds=DESK_SEEDS) -> list[SuiteResult]:
-    return [
-        comparator_bound_suite(seeds=seeds),
-        tuned_bound_suite(seeds=seeds),
-        hinf_bound_suite(seeds=seeds),
-    ]
-
-
-SUITE_KEYS = ("oracle", "lemma3", "lemma5", "lemma6", "lemma7", "bounds", "kernel", "all")
+# verify's suites in run order: key -> runner(trials, seed), trials None for
+# the suite's own default; the randomized suites take both
+_SUITES = {
+    "oracle": lambda trials, seed: [oracle_equivalence_suite(trials or 500, seed)],
+    "lemma3": lambda trials, seed: [certificate_suite(trials or 1000, seed)],
+    "lemma5": lambda trials, seed: [logdet_trajectory_suite()],
+    "lemma6": lambda trials, seed: [scalar_map_suite()],
+    "lemma7": lambda trials, seed: [eig_cap_suite()],
+    "bounds": lambda trials, seed: [comparator_bound_suite(), tuned_bound_suite(),
+                                    hinf_bound_suite()],
+    "kernel": lambda trials, seed: [kernel_suite()],
+}
+SUITE_KEYS = (*_SUITES, "all")
 
 
 def run_suites(which: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
     """Dispatch for the verify command; `which` is one of SUITE_KEYS."""
     if trials is not None and trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
-    results: list[SuiteResult] = []
-    if which in ("oracle", "all"):
-        results.append(oracle_equivalence_suite(500 if trials is None else trials, seed))
-    if which in ("lemma3", "all"):
-        results.append(certificate_suite(1000 if trials is None else trials, seed))
-    if which in ("lemma5", "all"):
-        results.append(logdet_trajectory_suite())
-    if which in ("lemma6", "all"):
-        results.append(scalar_map_suite())
-    if which in ("lemma7", "all"):
-        results.append(eig_cap_suite())
-    if which in ("bounds", "all"):
-        results.extend(bounds_suite())
-    if which in ("kernel", "all"):
-        results.append(kernel_suite())
-    if not results:
+    if which not in SUITE_KEYS:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_KEYS}")
-    return results
+    keys = _SUITES if which == "all" else (which,)
+    return [r for key in keys for r in _SUITES[key](trials, seed)]

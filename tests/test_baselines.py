@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from driftlearn import baselines, linalg
+from driftlearn import baselines, hinf, laser, linalg
 from driftlearn.errors import BadStream, InvalidParams
 
 
@@ -63,6 +65,28 @@ def test_nlms_overflowing_denominator_is_bad_stream():
     assert np.isfinite(yhats).all() and yhats[0, 1] > 0.0
     with pytest.raises(BadStream, match="overflowed at round 1"):
         baselines.nlms_trajectories([baselines.nlms_init(2, eta=0.5, eps=1e308)], xs, ys)
+
+
+# each single-state step on a fresh state of dimension 2
+STEPS = {
+    "laser": lambda x: laser.laser_update(laser.laser_init(laser.LaserParams(b=1.0, c=10.0), 2),
+                                          x, 1.0),
+    "aar": lambda x: baselines.aar_step(baselines.aar_init(1.0, 2), x, 1.0),
+    "hinf": lambda x: hinf.hinf_step(hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=1.0), 2),
+                                     x, 1.0),
+    "crrls": lambda x: baselines.crrls_step(baselines.crrls_init(2, 3, 1.0), x, 1.0),
+    "nlms": lambda x: baselines.nlms_step(baselines.nlms_init(2, eta=0.5), x, 1.0),
+}
+
+
+@pytest.mark.parametrize("learner", STEPS)
+def test_single_state_step_on_overflowing_inputs_is_bad_stream(learner):
+    # as their step loops do: the round is refused, not silently dropped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(BadStream, match="overflowed"):
+            STEPS[learner]([1e200, 2e200])
+    assert not [str(w.message) for w in caught]
 
 
 def test_crrls_first_step_trace():

@@ -242,6 +242,11 @@ BAD_INPUTS = {
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
                                        "--eps-ratio", "0.1", "--out-prefix", "TMP/r"],
+    "laser-b-text": ["run", "--algo", "laser", "--b", "x", "--out-prefix", "TMP/r"],
+    "crrls-reset-period-non-integral": ["run", "--algo", "crrls", "--reset-period", "2.5",
+                                        "--b-reset", "1", "--out-prefix", "TMP/r"],
+    "tuned-regime-unknown": ["run", "--algo", "laser", "--tuned-regime", "mid",
+                             "--eps-ratio", "0.1", "--out-prefix", "TMP/r"],
     "laser-b-reciprocal-overflows": ["run", "--algo", "laser", "--b", "1e-310", "--c", "1",
                                      "--out-prefix", "TMP/r"],
     "aar-b-reciprocal-overflows": ["run", "--algo", "aar", "--b", "1e-310",
@@ -262,6 +267,9 @@ BAD_INPUT_REASONS = {
     "sweep-grid-text": "parameter 'b': could not convert string to float: 'x'",
     "sweep-grid-non-integral": "parameter 'reset_period': expected an integer, got 2.5",
     "eps-ratio-without-tuned-regime": "eps_ratio applies only with tuned_regime",
+    "laser-b-text": "parameter 'b': could not convert string to float: 'x'",
+    "crrls-reset-period-non-integral": "parameter 'reset_period': expected an integer, got '2.5'",
+    "tuned-regime-unknown": "parameter 'tuned_regime': 'mid' is not a valid DriftRegime",
     "laser-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
     "aar-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
     "hinf-b-reciprocal-overflows": "finite reciprocals, got b=1e-310",
@@ -310,5 +318,5 @@ def test_cli_params_are_the_learner_table(algo):
     parser = cli.build_parser()
     args = parser.parse_args(["run", "--algo", algo, *every_flag])
     table = harness.LEARNER_PARAMS[algo]
-    assert cli._params_from_args(args) == {name: FLAG_VALUES[name] for name in table}
+    assert cli._params_from_args(args) == {name: str(FLAG_VALUES[name]) for name in table}
     assert cli._params_from_args(parser.parse_args(["run", "--algo", algo])) == {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftlearn import laser, linalg, oracle
-from driftlearn.errors import InvalidParams
+from driftlearn.errors import InvalidParams, NotPositiveDefinite
 
 # Two-round fixture on (x, y) = (1, 1), (1, 0.5) with b=1, c=2. Values
 # below were derived by hand from the recursions and confirmed against
@@ -216,3 +216,22 @@ def test_update_without_predict_recomputes_propagation():
         b = laser.laser_update(b, x, y)
     np.testing.assert_allclose(a.D, b.D, atol=1e-14)
     np.testing.assert_allclose(a.e, b.e, atol=1e-14)
+
+
+def _indefinite_start():
+    """P = diag(1, -1e-3), a slightly negative eigenvalue in a direction the
+    input x = (1, 0) never touches, at c = 1e6: (P, xs, ys, inflation)."""
+    return np.diag([1.0, -1e-3])[None], np.array([[[1.0, 0.0]]]), np.ones((1, 1)), np.array([1e-6])
+
+
+def test_cov_rounds_guard_catches_lost_definiteness():
+    P, xs, ys, inflation = _indefinite_start()
+    with pytest.raises(NotPositiveDefinite, match="at round 1"):
+        laser.cov_rounds(P, xs, ys, inflation, guard=np.array([True]))
+
+
+def test_cov_rounds_spectra_check_the_start():
+    # P's own lambda_min, before round 1 moves it to -1e-3 + 1e-6
+    P, xs, ys, inflation = _indefinite_start()
+    with pytest.raises(NotPositiveDefinite, match="lambda_min = -1.000e-03"):
+        laser.cov_rounds(P, xs, ys, inflation, spectra=True)

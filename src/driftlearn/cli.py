@@ -144,8 +144,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run numerical certification suites")
     v.add_argument("--suite", choices=suites.SUITE_KEYS, default="all",
                    help="which certification suite to run")
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=int, default=None,
+                   help=f"cases of a randomized suite ({', '.join(suites.RANDOMIZED)})")
+    v.add_argument("--seed", type=int, default=None,
+                   help="seed of a randomized suite (default 0)")
 
     rp = sub.add_parser("report", help="aggregate report CSVs into mean curves")
     rp.add_argument("--inputs", nargs="+", required=True)

@@ -187,13 +187,19 @@ def gen_stream(spec: DatasetSpec) -> LabeledStream:
 
 
 # ---------------------------------------------------------------------------
-# CSV files. fmt, open_csv and write_csv serve every CSV reader and writer
-# here and in harness. Stream format: header t, x_1..x_d, y, u_1..u_d
+# CSV files. open_csv serves every CSV reader and writer here and in
+# harness, and FLOAT_FORMAT every float they write: through fmt and
+# write_csv, or in the stream writer through one template per row. Stream
+# format: header t, x_1..x_d, y, u_1..u_d
 # ---------------------------------------------------------------------------
 
+# 17 significant digits: a float written this way reads back exactly
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt(v: float) -> str:
-    """17 significant digits: a float written this way reads back exactly."""
-    return f"{v:.17g}"
+    """v in FLOAT_FORMAT."""
+    return FLOAT_FORMAT % v
 
 
 @contextmanager
@@ -216,15 +222,18 @@ def write_csv(path_or_file, header, rows) -> None:
 
 
 def write_stream_csv(stream: LabeledStream, path_or_file) -> None:
-    """Write a stream with 17-significant-digit floats (exact round-trip)."""
+    """Write a stream with 17-significant-digit floats (exact round-trip),
+    each row formatted by one template."""
     d = stream.dim
     header = ["t"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"] + [
         f"u_{j}" for j in range(1, d + 1)
     ]
-    write_csv(path_or_file, header, (
-        [str(t + 1), *map(fmt, stream.xs[t]), fmt(stream.ys[t]), *map(fmt, stream.truth.us[t])]
-        for t in range(stream.T)
-    ))
+    row = "%d" + ("," + FLOAT_FORMAT) * (2 * d + 1) + "\n"
+    xs, ys, us = stream.xs, stream.ys.tolist(), stream.truth.us
+    with open_csv(path_or_file, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % (t + 1, *xs[t].tolist(), ys[t], *us[t].tolist())
+                      for t in range(stream.T))
 
 
 def read_stream_csv(path_or_file) -> LabeledStream:

@@ -282,7 +282,7 @@ def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundC
     rhs = float(oracle.logdet_bound_rhs(logdet_T, trace_sum, stream.dim, lp.b, lp.c))
     checks.append(BoundCheck("logdet_quad_bound", lhs, rhs, lhs <= rhs + EIG_TOL))
     if not lp.stationary:
-        lam = float(np.max(traj.lam_max_D[1:]))
+        lam = float(traj.lam_peak_D[-1])  # the running maximum over t >= 1
         cap = oracle.eig_cap(stream.X_bound**2, lp.b, lp.c)
         checks.append(BoundCheck("eig_cap", lam, cap, lam <= cap + EIG_TOL))
     if regime is not None:

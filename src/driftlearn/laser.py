@@ -57,16 +57,23 @@ T and d), which also runs the H-infinity filter and CR-RLS (see `hinf`,
 `baselines`). `laser_trajectories` runs every laser member in it: members
 stay on (S, d, d) and (S, d) arrays until their inputs move them to
 square-root form, and then take their rounds on LAPACK calls of their own.
-Bound checks take the spectrum of D_t from one stacked eigvalsh of P_t
-per round, or from the singular values of R. Per member the arithmetic
-does not depend on the batch, nor do the results.
+Bound checks take Tr D_t and ln det D_t from one batched Cholesky factor
+L of P_t per round (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or
+from R, and need lambda_max D_t only through its running maximum. The
+exact value, from eigvalsh of P_t or the singular values of R, is taken
+only on rounds where a certified upper bound (Tr D_t, or the Lemma-6
+eigenvalue map of the last exact value plus |x_t|^2) could raise that
+maximum. Per member the arithmetic does not depend on the batch, nor do
+the results.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import BadStream, InvalidParams, NotPositiveDefinite
@@ -74,6 +81,10 @@ from .errors import BadStream, InvalidParams, NotPositiveDefinite
 # largest kappa = min(X, c)/b at which the covariance form is kept regardless
 # of X/c; its predictions then stay within a few 1e-13 relative
 KAPPA_MAX = 1e4
+
+# cov_rounds skips the exact lambda_max D_t only where its bound ub clears the
+# running peak by this relative margin, far above the rounding in Tr D and the map
+PEAK_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -266,16 +277,42 @@ def _sqrt_commit(root: SqrtInformation, x, y) -> SqrtInformation:
     return SqrtInformation(F[:d, :d], F[:d, d])
 
 
-def _spectra(P=None, R=None):
-    """(Tr D, lambda_max D, ln det D) of D = P^{-1}, a matrix or a stack,
-    from one eigvalsh of P, or of D = R^T R from the singular values of R."""
-    # the eigenvalues of P in ascending order (svd returns R's in descending order)
-    ev = np.linalg.eigvalsh(P) if R is None else np.linalg.svd(R, compute_uv=False) ** -2
-    low = ev[..., 0].min(initial=math.inf)
-    if not low > 0.0:
-        raise NotPositiveDefinite(f"state lost definiteness: lambda_min = {low:.3e}")
-    inv = 1.0 / ev
-    return inv.sum(axis=-1), inv[..., 0], -np.log(ev).sum(axis=-1)
+def _factor(P, t: int):
+    """Lower Cholesky factors of the stack P, which also guard definiteness:
+    a failure names round t and the least eigenvalue of the members whose
+    factorization failed."""
+    try:
+        return np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        low = min((np.linalg.eigvalsh(A)[0] for A in P if not linalg.factors(A)),
+                  default=math.nan)
+        raise NotPositiveDefinite(f"state lost definiteness at round {t}: "
+                                  f"lambda_min = {low:.3e}") from None
+
+
+def _trace_logdet(L):
+    """(Tr D, ln det D) of each D = P^{-1} of a stack from P's Cholesky
+    factors L: Tr D = |L^{-1}|_F^2 and ln det D = -2 sum ln L_ii."""
+    with warnings.catch_warnings():  # an ill-conditioned L still inverts to working accuracy
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        inv = scipy.linalg.inv(L, assume_a="lower triangular", check_finite=False)
+    return ((inv * inv).sum(axis=(-2, -1)),
+            -2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1))
+
+
+def _sqrt_trace_logdet(R):
+    """(Tr D, ln det D) of D = R^T R: |R|_F^2 and 2 sum ln |R_ii|."""
+    return float((R * R).sum()), 2.0 * float(np.log(np.abs(np.diagonal(R))).sum())
+
+
+def _lam_max(P=None, R=None):
+    """lambda_max D = 1 / lambda_min P, of each D = P^{-1} of a stack from
+    eigvalsh, or of D = R^T R from the largest singular value of R."""
+    if R is None:
+        return 1.0 / np.linalg.eigvalsh(P)[..., 0]
+    # the eigenvalues of P, descending, raised as an array: numpy's scalar
+    # power rounds differently in the last bit
+    return 1.0 / (np.linalg.svd(R, compute_uv=False) ** -2)[0]
 
 
 class CovRun(NamedTuple):
@@ -286,7 +323,7 @@ class CovRun(NamedTuple):
     final: list                  # per member after the last round: (P, w, None)
                                  # in covariance form, else (None, w, (R, z))
     ws: np.ndarray | None        # (S, T, d) post-update weights, with keep_w
-    spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, lambda_max D, ln det D)
+    spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, peak lambda_max D, ln det D)
 
 
 @np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _check_q reports
@@ -297,18 +334,29 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     (a broadcast view when all read one stream). Per member: inflation is
     1/c (0 at c = inf), weight and gain are those of _cov_commit (1 when
     None), and after each reset-th round P returns to its start. keep_w
-    keeps the post-update weights; spectra the spectrum of D = P^{-1}
-    before round 1 and after each round. Members where guard holds have P
-    checked positive definite every round by one stacked Cholesky
-    factorization.
+    keeps the post-update weights.
+
+    spectra records, before round 1 and after each round, Tr D and ln det D
+    of D = P^{-1}, from one batched Cholesky factorization of P, and the
+    peak of lambda_max D: lambda_max D_0 before round 1, then the running
+    maximum over rounds 1..t. The exact lambda_max D_t = 1/lambda_min P_t
+    (eigvalsh) is taken only where the bound ub_t = min(Tr D_t,
+    ub_{t-1}/(1 + ub_{t-1}/c) + |x_t|^2), the Lemma-6 map reset to each
+    exact value, could raise the member's peak. The factorization also
+    guards every held member; without spectra, the members where guard
+    holds are factorized alone. A failed factorization raises
+    NotPositiveDefinite.
 
     With switch, laser member i leaves the stacked arrays for square-root
     information form at round switch[i] (never if switch[i] >= T) and runs
-    its later rounds alone; weight, gain, reset and keep_w must be unset.
+    its later rounds alone. switch and spectra hold only for the laser
+    round: weight, gain and reset must be unset, and keep_w too with switch.
     """
-    if switch is not None and (weight is not None or gain is not None or reset is not None
-                               or keep_w):
-        raise ValueError("switch runs laser members: no weight, gain, reset or keep_w")
+    if (switch is not None or spectra) and (weight is not None or gain is not None
+                                            or reset is not None):
+        raise ValueError("switch and spectra run laser members: no weight, gain or reset")
+    if switch is not None and keep_w:
+        raise ValueError("switch runs laser members: no keep_w")
     T, S, d = xs.shape
     drift = inflation
     inflation = None if inflation is None or not inflation.any() else inflation[:, None]
@@ -318,12 +366,17 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     ws = np.empty((S, T, d)) if keep_w else None
     spec = np.empty((T + 1, 3, S)) if spectra else None
     if spectra:
-        spec[0] = _spectra(P)
+        spec[0, 0], spec[0, 2] = _trace_logdet(_factor(P, 0))
+        spec[0, 1] = ub = _lam_max(P)
+        peak = np.full(S, -math.inf)
+        rate = 0.0 if drift is None else drift
     rows = slice(None)  # the members held in the stacked arrays
     roots = {}          # member -> SqrtInformation, from its switch round on
     moves = set() if switch is None else set(switch[switch < T].tolist())
     for t in range(T):
         x, y = xs[t], ys[t]
+        if spectra:
+            xsq = np.vecdot(x, x)
         if t in moves:
             held = np.arange(S)[rows]
             keep = switch[held] != t
@@ -352,14 +405,21 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
         if keep_w:
             ws[:, t] = w
         if spectra:
-            spec[t + 1][:, rows] = _spectra(P)
+            tr, lam, ld = spec[t + 1]
+            tr[rows], ld[rows] = _trace_logdet(_factor(P, t + 1))
             for i, r in roots.items():
-                spec[t + 1][:, i] = _spectra(R=r.R)
+                tr[i], ld[i] = _sqrt_trace_logdet(r.R)
+            ub = np.minimum(tr, ub / (1.0 + ub * rate) + xsq)
+            need = ub * (1.0 + PEAK_MARGIN) > peak
+            exact = need[rows]
+            if exact.any():
+                ub[np.arange(S)[rows][exact]] = _lam_max(P[exact])
+            for i, r in roots.items():
+                if need[i]:
+                    ub[i] = _lam_max(R=r.R)
+            lam[:] = peak = np.maximum(peak, ub)  # a skipped ub lies below the peak
         elif guard is not None:
-            try:
-                np.linalg.cholesky(P[guard])
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"state lost definiteness at round {t + 1}") from exc
+            _factor(P[guard], t + 1)
     held = zip(P, w)
     final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
              for i in range(S)]
@@ -442,10 +502,15 @@ def laser_min_cost(state: LaserState) -> float:
 
 
 def d_spectrum(state: LaserState) -> tuple[float, float, float]:
-    """(Tr D, lambda_max D, ln det D) of the state's D_t, from one eigvalsh
-    of P_t = D_t^{-1} or, in square-root form, the singular values of R."""
+    """(Tr D, lambda_max D, ln det D) of the state's D_t, as cov_rounds
+    computes them: from the Cholesky factor of P_t = D_t^{-1} and its
+    eigvalsh or, in square-root form, from R and its singular values."""
     root = state.sqrt_info
-    return tuple(float(v) for v in (_spectra(state.cov) if root is None else _spectra(R=root.R)))
+    if root is not None:
+        tr, ld = _sqrt_trace_logdet(root.R)
+        return tr, float(_lam_max(R=root.R)), ld
+    (tr,), (ld,) = _trace_logdet(_factor(state.cov[None], state.t))
+    return float(tr), float(_lam_max(state.cov)), float(ld)
 
 
 # -- whole streams ---------------------------------------------------------------
@@ -455,15 +520,17 @@ class LaserTrajectory:
     """One pass of the learner over a stream.
 
     yhats and quads (x_t^T D_t^{-1} x_t) have one entry per round. With
-    spectra, trace_D, lam_max_D and logdet_D hold Tr D_t, lambda_max D_t
-    and ln det D_t for t = 0..T; otherwise they are None.
+    spectra, trace_D and logdet_D hold Tr D_t and ln det D_t for t = 0..T,
+    and lam_peak_D holds lambda_max D_0 and then, at t >= 1, the running
+    maximum of lambda_max D_s over 1 <= s <= t (see cov_rounds); otherwise
+    they are None.
     """
 
     yhats: np.ndarray
     quads: np.ndarray
     state: LaserState
     trace_D: np.ndarray | None = None
-    lam_max_D: np.ndarray | None = None
+    lam_peak_D: np.ndarray | None = None
     logdet_D: np.ndarray | None = None
 
 
@@ -483,10 +550,10 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
 
     xs is (T, S, d) and ys (T, S), as in cov_rounds. Every member runs in
     one cov_rounds loop; one whose inputs move it to square-root information
-    form leaves the stacked arrays at that round. Without spectra, each
-    drifting covariance-form member's P is checked positive definite every
-    round by a stacked Cholesky factorization (the spectra check it
-    otherwise). The shrinkage and the clip apply to the recorded (S, T)
+    form leaves the stacked arrays at that round. Each drifting
+    covariance-form member's P (with spectra, every one's) is checked positive
+    definite every round by the stacked Cholesky factorization that also
+    gives the spectra. The shrinkage and the clip apply to the recorded (S, T)
     arrays. Memory is O(S (T + d^2)): no per-step matrix is kept.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)

@@ -59,6 +59,11 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
     return L
 
 
+def factors(A: np.ndarray) -> bool:
+    """Whether LAPACK potrf factorizes symmetric A, reading its lower triangle."""
+    return scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)[1] == 0
+
+
 def cholesky_upper(A: np.ndarray) -> np.ndarray:
     """Upper-triangular U with A = U U^T (the strict lower triangle is not
     cleared): the Cholesky factor of A reversed in rows and columns."""

@@ -98,22 +98,19 @@ def certificate_suite(draws: int = 1000, seed: int = 0) -> SuiteResult:
 
 def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> SuiteResult:
     """Grid check of the three ceilings on the scalar eigenvalue map."""
+    lams = np.linspace(0.0, 100.0, n_lam).tolist()
+    betas = np.linspace(0.0, 100.0, n_beta).tolist()
     worst = -math.inf
     cases = 0
     for gammasq in (0.5, 1.0, 4.0):
-        for lam in np.linspace(0.0, 100.0, n_lam):
-            for beta in np.linspace(0.0, 100.0, n_beta):
-                for xsq in np.linspace(0.0, gammasq, n_xsq):
+        xsqs = np.linspace(0.0, gammasq, n_xsq).tolist()
+        for beta in betas:
+            ceiling = 0.5 * (3.0 * gammasq + math.sqrt(gammasq**2 + 4.0 * gammasq * beta))
+            for lam in lams:
+                cap3 = max(lam, ceiling)
+                for xsq in xsqs:
                     f = oracle.eigenvalue_step_map(lam, beta, xsq, gammasq)
-                    cap3 = max(
-                        lam, 0.5 * (3.0 * gammasq + math.sqrt(gammasq**2 + 4.0 * gammasq * beta))
-                    )
-                    worst = max(
-                        worst,
-                        f - (beta + gammasq),
-                        f - (lam + gammasq),
-                        f - cap3,
-                    )
+                    worst = max(worst, f - (beta + gammasq), f - (lam + gammasq), f - cap3)
                     cases += 1
     return _result("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
 
@@ -154,7 +151,8 @@ def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     for stream, traj in zip(streams, trajs):
         x_sq_max = np.maximum.accumulate(np.einsum("td,td->t", stream.xs, stream.xs))
         caps = np.array([oracle.eig_cap(float(v), lp.b, lp.c) for v in x_sq_max])
-        worst = max(worst, float(np.max(traj.lam_max_D[1:] - caps)))
+        # caps never decrease, so max_t (peak_t - cap_t) = max_t (lambda_max D_t - cap_t)
+        worst = max(worst, float(np.max(traj.lam_peak_D[1:] - caps)))
         cases += stream.T
     return _result("covariance eigenvalue cap", cases, worst, 1e-9)
 
@@ -249,7 +247,7 @@ def kernel_suite() -> SuiteResult:
 
 
 # verify's suites in run order: key -> runner(trials, seed), trials None for
-# the suite's own default; the randomized suites take both
+# the suite's own default; only the randomized suites read trials and seed
 _SUITES = {
     "oracle": lambda trials, seed: [oracle_equivalence_suite(trials or 500, seed)],
     "lemma3": lambda trials, seed: [certificate_suite(trials or 1000, seed)],
@@ -260,14 +258,23 @@ _SUITES = {
                                     hinf_bound_suite()],
     "kernel": lambda trials, seed: [kernel_suite()],
 }
+RANDOMIZED = ("oracle", "lemma3")
 SUITE_KEYS = (*_SUITES, "all")
 
 
-def run_suites(which: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
-    """Dispatch for the verify command; `which` is one of SUITE_KEYS."""
-    if trials is not None and trials < 1:
-        raise InvalidParams(f"trials must be at least 1, got {trials}")
+def run_suites(which: str, trials: int | None = None, seed: int | None = None
+               ) -> list[SuiteResult]:
+    """Dispatch for the verify command; `which` is one of SUITE_KEYS.
+    trials and seed, when given, need a suite that reads them (seed 0 when
+    not given)."""
     if which not in SUITE_KEYS:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_KEYS}")
+    if which not in (*RANDOMIZED, "all"):
+        for name, value in (("trials", trials), ("seed", seed)):
+            if value is not None:
+                raise InvalidParams(f"suite {which!r} does not read {name}; only "
+                                    f"{', '.join(RANDOMIZED)} and all do")
+    if trials is not None and trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
     keys = _SUITES if which == "all" else (which,)
-    return [r for key in keys for r in _SUITES[key](trials, seed)]
+    return [r for key in keys for r in _SUITES[key](trials, seed or 0)]

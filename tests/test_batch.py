@@ -152,7 +152,7 @@ def test_laser_spectra_and_states_do_not_depend_on_the_batch():
                                          *harness._batch_inputs(streams), spectra=True)
         for i, traj in zip(batch, trajs):
             ref = alone[i]
-            for name in ("quads", "trace_D", "lam_max_D", "logdet_D"):
+            for name in ("quads", "trace_D", "lam_peak_D", "logdet_D"):
                 got, want = getattr(traj, name), getattr(ref, name)
                 assert np.all(np.abs(got - want) <= TOL * np.maximum(1.0, np.abs(want))), name
             assert traj.state.t == ref.state.t and close(traj.state.f, ref.state.f)

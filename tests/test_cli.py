@@ -148,6 +148,21 @@ def test_verify_kernel_suite_exits_zero(capsys):
     assert "tol 1.0e-10" in out
 
 
+def test_randomized_suites_and_all_take_trials_and_seed(monkeypatch, capsys):
+    assert run_cli("verify", "--suite", "lemma3", "--trials", "20", "--seed", "5") == 0
+    assert "20 cases" in capsys.readouterr().out
+    calls = []
+
+    def runner(key):
+        return lambda trials, seed: calls.append((key, trials, seed)) or []
+
+    monkeypatch.setattr(suites, "_SUITES", {key: runner(key) for key in suites._SUITES})
+    assert suites.run_suites("all", trials=3, seed=5) == []
+    assert calls == [(key, 3, 5) for key in suites._SUITES]
+    suites.run_suites("lemma6")
+    assert calls[-1] == ("lemma6", None, 0)
+
+
 def test_verify_violation_exits_one(monkeypatch, capsys):
     fake = suites.SuiteResult(name="fake", cases=1, worst=1.0, tol=1e-9, ok=False)
     monkeypatch.setattr(suites, "run_suites", lambda *a, **k: [fake])
@@ -238,6 +253,9 @@ BAD_INPUTS = {
     "report-non-numeric": ["report", "--inputs", "TMP/bad_report.csv", "--out", "TMP/s.csv"],
     "verify-trials-0": ["verify", "--trials", "0"],
     "verify-trials-negative": ["verify", "--trials", "-1"],
+    "verify-lemma6-trials": ["verify", "--suite", "lemma6", "--trials", "1"],
+    **{f"verify-{suite}-seed": ["verify", "--suite", suite, "--seed", "5"]
+       for suite in ("lemma5", "lemma7", "bounds", "kernel")},
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
@@ -277,6 +295,9 @@ BAD_INPUT_REASONS = {
     **{f"{algo}-overflowing-inputs": "x^T P' x overflowed at round 1"
        for algo in ("laser", "aar", "hinf", "crrls")},
     "nlms-overflowing-inputs": "eps + |x|^2 overflowed at round 1",
+    "verify-lemma6-trials": "suite 'lemma6' does not read trials",
+    **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
+       for suite in ("lemma5", "lemma7", "bounds", "kernel")},
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]

@@ -131,9 +131,66 @@ def test_trajectory_spectra_match_direct_matrices():
     ref = oracle.laser_direct(stream.xs, stream.ys, 1.0, 100.0)
     lam = np.linalg.eigvalsh(ref.Ds)
     np.testing.assert_allclose(traj.trace_D, lam.sum(axis=1), rtol=1e-10)
-    np.testing.assert_allclose(traj.lam_max_D, lam[:, -1], rtol=1e-10)
+    # lambda_max D_0, then the running maximum over t >= 1
+    peak = np.concatenate((lam[:1, -1], np.maximum.accumulate(lam[1:, -1])))
+    np.testing.assert_allclose(traj.lam_peak_D, peak, rtol=1e-10)
     np.testing.assert_allclose(traj.logdet_D, np.log(lam).sum(axis=1), rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(traj.quads, ref.quads, atol=1e-12)
+
+
+SPECTRA_STREAMS = [(gen_stream(DatasetSpec(kind=k, T=200, d=4, seed=2)), 1.0, 100.0)
+                   for k in "ABCD"] + [(gen_stream(DatasetSpec(kind="C", T=300, d=20, seed=6)),
+                                        1.0, 1e4)]
+
+
+def stepped_ps(xs, ys, b, c):
+    """P_0..P_T of the single-state step functions, all in covariance form."""
+    _, states = kernel_run(xs, ys, b, c)
+    assert states[-1].sqrt_info is None
+    return np.array([st_.cov for st_ in states])
+
+
+@pytest.mark.parametrize("k", range(len(SPECTRA_STREAMS)))
+def test_spectra_peak_is_the_running_maximum_of_eigvalsh(k):
+    # the screened rounds skip eigvalsh only where it cannot raise the peak,
+    # so the peak is the running maximum of the exact values, bit for bit
+    stream, b, c = SPECTRA_STREAMS[k]
+    traj = laser.laser_trajectory(laser.LaserParams(b=b, c=c), stream.xs, stream.ys,
+                                  spectra=True)
+    lam = 1.0 / np.linalg.eigvalsh(stepped_ps(stream.xs, stream.ys, b, c))[:, 0]
+    assert np.array_equal(traj.lam_peak_D,
+                          np.concatenate((lam[:1], np.maximum.accumulate(lam[1:]))))
+
+
+TRACE_STREAMS = SPECTRA_STREAMS + [(gen_stream(DatasetSpec(kind="C", T=100, d=100, seed=7)),
+                                     10.0, 1000.0)]
+
+
+@pytest.mark.parametrize("k", range(len(TRACE_STREAMS)))
+def test_cholesky_trace_and_logdet_match_eigvalsh(k):
+    stream, b, c = TRACE_STREAMS[k]
+    traj = laser.laser_trajectory(laser.LaserParams(b=b, c=c), stream.xs, stream.ys,
+                                  spectra=True)
+    ev = np.linalg.eigvalsh(stepped_ps(stream.xs, stream.ys, b, c))
+    np.testing.assert_allclose(traj.trace_D, (1.0 / ev).sum(axis=1), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(traj.logdet_D, -np.log(ev).sum(axis=1), rtol=1e-10, atol=0)
+
+
+def test_spectra_when_every_member_has_switched_form():
+    # b = 1e-3 at input scale 1e6 moves both members to square-root form at
+    # round 1, which leaves the stacked arrays empty
+    xs, ys = big_stream(1e6, T=40)
+    lps = [laser.LaserParams(b=1e-3, c=1e12), laser.LaserParams(b=1e-3)]
+    trajs = laser.laser_trajectories(lps, np.stack((xs, xs), axis=1), np.stack((ys, ys), axis=1),
+                                     spectra=True)
+    for lp, traj in zip(lps, trajs):
+        _, states = kernel_run(xs, ys, lp.b, lp.c)
+        assert all(st_.sqrt_info is not None for st_ in states[1:])
+        Rs = [st_.sqrt_info.R for st_ in states[1:]]
+        np.testing.assert_allclose(traj.trace_D[1:], [np.sum(R * R) for R in Rs], rtol=1e-12)
+        lam = [np.linalg.svd(R, compute_uv=False)[0] ** 2 for R in Rs]
+        np.testing.assert_allclose(traj.lam_peak_D[1:], np.maximum.accumulate(lam), rtol=1e-12)
+        assert np.isfinite(traj.logdet_D).all()
 
 
 # -- high-precision reference ---------------------------------------------------

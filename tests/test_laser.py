@@ -235,3 +235,12 @@ def test_cov_rounds_spectra_check_the_start():
     P, xs, ys, inflation = _indefinite_start()
     with pytest.raises(NotPositiveDefinite, match="lambda_min = -1.000e-03"):
         laser.cov_rounds(P, xs, ys, inflation, spectra=True)
+
+
+@pytest.mark.parametrize("extra", [{"weight": np.array([0.5])}, {"gain": np.array([2.0])},
+                                   {"reset": np.array([3])}])
+def test_cov_rounds_spectra_only_for_the_laser_round(extra):
+    # the Lemma-6 map behind the screened lambda_max holds for the laser round only
+    P, xs, ys = np.eye(2)[None], np.ones((2, 1, 2)), np.ones((2, 1))
+    with pytest.raises(ValueError, match="no weight, gain or reset"):
+        laser.cov_rounds(P, xs, ys, np.array([0.01]), spectra=True, **extra)

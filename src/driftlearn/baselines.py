@@ -53,10 +53,10 @@ class NlmsState:
 
 
 def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
-    if not eta > 0:
-        raise InvalidParams(f"eta must be positive, got {eta}")
-    if eps < 0:
-        raise InvalidParams(f"eps must be non-negative, got {eps}")
+    if not 0 < eta < math.inf:
+        raise InvalidParams(f"eta must be positive and finite, got {eta}")
+    if not 0 <= eps < math.inf:
+        raise InvalidParams(f"eps must be non-negative and finite, got {eps}")
     return NlmsState(w=np.zeros(d), eta=eta, eps=eps)
 
 

@@ -188,18 +188,14 @@ def gen_stream(spec: DatasetSpec) -> LabeledStream:
 
 # ---------------------------------------------------------------------------
 # CSV files. open_csv serves every CSV reader and writer here and in
-# harness, and FLOAT_FORMAT every float they write: through fmt and
-# write_csv, or in the stream writer through one template per row. Stream
-# format: header t, x_1..x_d, y, u_1..u_d
+# harness, and write_csv every writer: each line is one % template applied
+# to one tuple, floats in FLOAT_FORMAT, integers (t, seed, n) in %d and
+# names (algo, bound name) in %s. No name holds a comma, quote or newline,
+# so no field needs quoting. Stream format: header t, x_1..x_d, y, u_1..u_d
 # ---------------------------------------------------------------------------
 
 # 17 significant digits: a float written this way reads back exactly
 FLOAT_FORMAT = "%.17g"
-
-
-def fmt(v: float) -> str:
-    """v in FLOAT_FORMAT."""
-    return FLOAT_FORMAT % v
 
 
 @contextmanager
@@ -213,27 +209,25 @@ def open_csv(path_or_file, mode: str = "r"):
         yield path_or_file
 
 
-def write_csv(path_or_file, header, rows) -> None:
-    """A header line, then one line per row, each ended by a bare newline."""
+def write_csv(path_or_file, header, template: str, rows) -> None:
+    """The header joined by commas, then template % row for each row tuple,
+    each line ended by a bare newline."""
+    line = template + "\n"
     with open_csv(path_or_file, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_stream_csv(stream: LabeledStream, path_or_file) -> None:
-    """Write a stream with 17-significant-digit floats (exact round-trip),
-    each row formatted by one template."""
+    """Write a stream with 17-significant-digit floats (exact round-trip)."""
     d = stream.dim
     header = ["t"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"] + [
         f"u_{j}" for j in range(1, d + 1)
     ]
-    row = "%d" + ("," + FLOAT_FORMAT) * (2 * d + 1) + "\n"
+    template = "%d" + ("," + FLOAT_FORMAT) * (2 * d + 1)
     xs, ys, us = stream.xs, stream.ys.tolist(), stream.truth.us
-    with open_csv(path_or_file, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % (t + 1, *xs[t].tolist(), ys[t], *us[t].tolist())
-                      for t in range(stream.T))
+    write_csv(path_or_file, header, template,
+              ((t + 1, *xs[t].tolist(), ys[t], *us[t].tolist()) for t in range(stream.T)))
 
 
 def read_stream_csv(path_or_file) -> LabeledStream:

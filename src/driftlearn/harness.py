@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, hinf, laser, oracle
-from .datagen import DatasetSpec, LabeledStream, fmt, gen_stream, open_csv, write_csv
+from .datagen import FLOAT_FORMAT, DatasetSpec, LabeledStream, gen_stream, open_csv, write_csv
 from .errors import BadStream, InvalidParams, LengthMismatch, UnknownAlgo
 
 REQUIRED = object()
@@ -80,7 +80,6 @@ class RunReport:
 
     algo_id: str
     params: dict
-    ts: np.ndarray        # 1..T
     yhats: np.ndarray
     ys: np.ndarray
     losses: np.ndarray
@@ -91,10 +90,6 @@ class RunReport:
     post_update_w: np.ndarray | None = None    # (T, d) post-update weights (robust filter)
     bound_checks: list[BoundCheck] = field(default_factory=list)
     seed: int = 0
-
-    @property
-    def per_step(self):
-        return zip(self.ts, self.yhats, self.ys, self.losses, self.cumlosses)
 
 
 def _checked(algo_id: str, params: dict) -> dict:
@@ -225,7 +220,6 @@ def _run_members(algo_id, members, params, streams, seeds, certify: bool) -> lis
         report = RunReport(
             algo_id=algo_id,
             params=dict(params[i]),
-            ts=np.arange(1, stream.T + 1),
             yhats=yhats[i],
             ys=stream.ys.copy(),
             losses=losses,
@@ -369,6 +363,8 @@ def experiment(
     batch over its seeds; with n workers each learner's seeds are split
     into n batches run in parallel. Reports come back sorted by
     (algo_id, seed) regardless of completion order."""
+    if not seeds:
+        raise InvalidParams("an experiment needs at least one seed")
     n = resolve_workers(workers)
     size = max(1, -(-len(seeds) // n))  # ceil: n batches per learner at most
     chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
@@ -523,27 +519,27 @@ _REPORT_FIELDS = ("algo", "seed", "t", "yhat", "y", "loss", "cumloss")
 
 def write_report_csv(reports: list[RunReport], path_or_file) -> None:
     """Per-step rows: algo, seed, t, yhat, y, loss, cumloss."""
-    write_csv(path_or_file, _REPORT_FIELDS, (
-        [r.algo_id, r.seed, t, fmt(yhat), fmt(y), fmt(loss), fmt(cum)]
+    write_csv(path_or_file, _REPORT_FIELDS, "%s,%d,%d" + ("," + FLOAT_FORMAT) * 4, (
+        (r.algo_id, r.seed, t, yhat, y, loss, cum)
         for r in reports
-        for t, yhat, y, loss, cum in r.per_step
+        for t, yhat, y, loss, cum in zip(range(1, len(r.ys) + 1), r.yhats.tolist(),
+                                         r.ys.tolist(), r.losses.tolist(), r.cumlosses.tolist())
     ))
 
 
 def write_bounds_csv(reports: list[RunReport], path_or_file) -> None:
     """Bound rows: algo, seed, bound_name, lhs, rhs, slack."""
-    write_csv(path_or_file, ["algo", "seed", "bound_name", "lhs", "rhs", "slack"], (
-        [r.algo_id, r.seed, b.name, fmt(b.lhs), fmt(b.rhs), fmt(b.slack)]
-        for r in reports
-        for b in r.bound_checks
-    ))
+    write_csv(path_or_file, ["algo", "seed", "bound_name", "lhs", "rhs", "slack"],
+              "%s,%d,%s" + ("," + FLOAT_FORMAT) * 3,
+              ((r.algo_id, r.seed, b.name, b.lhs, b.rhs, b.slack)
+               for r in reports for b in r.bound_checks))
 
 
 def write_summary_csv(rows: list[SummaryRow], path_or_file) -> None:
     """Summary rows: algo, t, mean_cumloss, stderr, n."""
-    write_csv(path_or_file, ["algo", "t", "mean_cumloss", "stderr", "n"], (
-        [r.algo_id, r.t, fmt(r.mean_cumloss), fmt(r.stderr), r.n] for r in rows
-    ))
+    write_csv(path_or_file, ["algo", "t", "mean_cumloss", "stderr", "n"],
+              "%s,%d" + ("," + FLOAT_FORMAT) * 2 + ",%d",
+              ((r.algo_id, r.t, r.mean_cumloss, r.stderr, r.n) for r in rows))
 
 
 def read_report_csv(path_or_file) -> list[dict]:

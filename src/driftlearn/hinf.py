@@ -41,8 +41,8 @@ class HInfParams:
     c: float
 
     def __post_init__(self):
-        if not self.a > 1:
-            raise InvalidParams(f"a must exceed 1, got {self.a}")
+        if not 1 < self.a < math.inf:
+            raise InvalidParams(f"a must be finite and exceed 1, got {self.a}")
         if not (self.b > 0 and self.c > 0):
             raise InvalidParams(f"b and c must be positive, got b={self.b}, c={self.c}")
         if not (math.isfinite(1.0 / self.b) and math.isfinite(1.0 / self.c)):

@@ -276,5 +276,7 @@ def run_suites(which: str, trials: int | None = None, seed: int | None = None
                                     f"{', '.join(RANDOMIZED)} and all do")
     if trials is not None and trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
+    if seed is not None and seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     keys = _SUITES if which == "all" else (which,)
     return [r for key in keys for r in _SUITES[key](trials, seed or 0)]

@@ -55,6 +55,34 @@ def test_run_on_stream_file_reproduces_hand_trace(tmp_path):
     assert yhats == pytest.approx([0.0, 0.25], abs=1e-12)
 
 
+def test_hand_trace_csv_bytes(tmp_path):
+    # the exact text of every CSV the hand stream yields: %.17g floats,
+    # %d integers, unquoted names and bare newlines
+    data = tmp_path / "hand.csv"
+    data.write_text("t,x_1,y,u_1\n1,1,1,0.5\n2,1,0.5,0.5\n")
+    prefix = tmp_path / "hand"
+    assert run_cli("run", "--algo", "laser", "--b", "1", "--c", "2",
+                   "--data", str(data), "--out-prefix", str(prefix)) == 0
+    summary = tmp_path / "summary.csv"
+    assert run_cli("report", "--inputs", f"{prefix}_report.csv", "--out", str(summary)) == 0
+    assert (tmp_path / "hand_report.csv").read_bytes() == (
+        b"algo,seed,t,yhat,y,loss,cumloss\n"
+        b"laser,0,1,0,1,1,1\n"
+        b"laser,0,2,0.25,0.5,0.0625,1.0625\n"
+    )
+    assert (tmp_path / "hand_bounds.csv").read_bytes() == (
+        b"algo,seed,bound_name,lhs,rhs,slack\n"
+        b"laser,0,comparator_cumloss_bound,1.0625,1.5,0.4375\n"
+        b"laser,0,logdet_quad_bound,1,2.6931471805599445,1.6931471805599445\n"
+        b"laser,0,eig_cap,1.9999999999999996,3,1.0000000000000004\n"
+    )
+    assert summary.read_bytes() == (
+        b"algo,t,mean_cumloss,stderr,n\n"
+        b"laser,1,1,0,1\n"
+        b"laser,2,1.0625,0,1\n"
+    )
+
+
 def test_run_generated_multi_seed_and_report(tmp_path):
     prefix = tmp_path / "exp"
     code = run_cli(
@@ -123,6 +151,21 @@ def test_sweep_json_lists_every_evaluated_points_loss(tmp_path):
     assert min(entry["L_T"] for entry in losses) == payload["best_loss"]
     best = next(entry for entry in losses if entry["L_T"] == payload["best_loss"])
     assert best["params"] == payload["best_params"]
+
+
+def test_sweep_skips_infinite_eta_and_writes_strict_json(tmp_path, capsys):
+    out = tmp_path / "best.json"
+    assert run_cli("sweep", "--algo", "nlms", "--grid", '{"eta": ["inf", 0.5]}',
+                   "--kind", "C", "--T", "30", "--d", "4", "--out", str(out)) == 0
+
+    def refuse(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert [entry["params"] for entry in payload["losses"]] == [{"eta": 0.5}]
+    assert payload["skipped"] == [{"params": {"eta": "inf"},
+                                   "reason": "eta must be positive and finite, got inf"}]
+    assert "skipped {'eta': 'inf'}" in capsys.readouterr().err
 
 
 def test_sweep_reads_grid_from_file(tmp_path):
@@ -256,6 +299,17 @@ BAD_INPUTS = {
     "verify-lemma6-trials": ["verify", "--suite", "lemma6", "--trials", "1"],
     **{f"verify-{suite}-seed": ["verify", "--suite", suite, "--seed", "5"]
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},
+    "verify-oracle-seed-negative": ["verify", "--suite", "oracle", "--seed", "-1"],
+    "verify-all-seed-negative": ["verify", "--seed", "-1"],
+    "run-seeds-0": ["run", "--algo", "laser", "--b", "1", "--c", "10", "--seeds", "0",
+                    "--out-prefix", "TMP/r"],
+    "run-seeds-negative": ["run", "--algo", "laser", "--b", "1", "--c", "10", "--seeds", "-1",
+                           "--out-prefix", "TMP/r"],
+    "nlms-eta-inf": ["run", "--algo", "nlms", "--eta", "inf", "--out-prefix", "TMP/r"],
+    "nlms-eps-nan": ["run", "--algo", "nlms", "--eta", "0.5", "--eps", "nan",
+                     "--out-prefix", "TMP/r"],
+    "hinf-a-inf": ["run", "--algo", "hinf", "--a", "inf", "--b", "1", "--c", "1",
+                   "--out-prefix", "TMP/r"],
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
@@ -298,6 +352,13 @@ BAD_INPUT_REASONS = {
     "verify-lemma6-trials": "suite 'lemma6' does not read trials",
     **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},
+    "verify-oracle-seed-negative": "seed must be non-negative, got -1",
+    "verify-all-seed-negative": "seed must be non-negative, got -1",
+    "run-seeds-0": "an experiment needs at least one seed",
+    "run-seeds-negative": "an experiment needs at least one seed",
+    "nlms-eta-inf": "eta must be positive and finite, got inf",
+    "nlms-eps-nan": "eps must be non-negative and finite, got nan",
+    "hinf-a-inf": "a must be finite and exceed 1, got inf",
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]

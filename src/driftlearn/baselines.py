@@ -113,8 +113,9 @@ class CrRlsState:
 def crrls_init(d: int, reset_period: int, b_reset: float) -> CrRlsState:
     if not reset_period >= 1:
         raise InvalidParams(f"reset_period must be >= 1, got {reset_period}")
-    if not (b_reset > 0 and math.isfinite(1.0 / b_reset)):
-        raise InvalidParams(f"b_reset must be positive with a finite reciprocal, got {b_reset}")
+    if not (0 < b_reset < math.inf and math.isfinite(1.0 / b_reset)):
+        raise InvalidParams(f"b_reset must be positive and finite with a finite reciprocal, "
+                            f"got {b_reset}")
     return CrRlsState(
         w=np.zeros(d), P=np.eye(d) / b_reset, reset_period=reset_period, t=0, b_reset=b_reset
     )

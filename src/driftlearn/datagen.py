@@ -42,7 +42,7 @@ _STREAM_NOISE = 2
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, sub-stream index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -74,6 +74,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParams(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not 0 <= self.seed < 2**64:  # _rng keys Philox with the seed as one uint64
+            raise InvalidParams(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.T < 1:
             raise InvalidParams(f"T must be positive, got {self.T}")
         if self.d < 2:
@@ -231,26 +233,33 @@ def write_stream_csv(stream: LabeledStream, path_or_file) -> None:
 
 
 def read_stream_csv(path_or_file) -> LabeledStream:
-    """Parse a stream CSV back into arrays; the drift is recomputed."""
+    """Parse a stream CSV back into arrays; the drift is recomputed. The
+    body is parsed by np.loadtxt, which rounds each decimal field to the
+    nearest float as float() does; lines may end in \n, \r\n or \r, and
+    blank lines are skipped."""
     with open_csv(path_or_file) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[0] != "t" or "y" not in header:
             raise BadStream("not a stream CSV: bad header")
         d = header.index("y") - 1
-        if len(header) != 2 * d + 2:
+        width = 2 * d + 2
+        if len(header) != width:
             raise BadStream(f"header implies d={d} but has {len(header)} columns")
-        rows = [row for row in reader if row]
-    if not rows:
+        lines = fh.read().splitlines()
+    if not any(lines):
         raise BadStream("stream CSV has no rows")
-    if any(len(row) != 2 * d + 2 for row in rows):
-        raise LengthMismatch(f"a row does not have the {2 * d + 2} fields of the header")
     try:
-        table = np.array([row[1:] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise BadStream(f"stream CSV has a non-numeric field: {exc}") from exc
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        ragged = table.shape[1] != width
+    except ValueError as exc:  # a ragged row or a field that is not a number
+        ragged = any(len(row) != width for row in csv.reader(lines) if row)
+        if not ragged:
+            raise BadStream(f"stream CSV has a non-numeric field: {exc}") from exc
+    if ragged:
+        raise LengthMismatch(f"a row does not have the {width} fields of the header")
     if not np.all(np.isfinite(table)):
         raise BadStream("stream CSV has non-finite values")
+    table = np.ascontiguousarray(table[:, 1:])  # t is read as a number but not kept
     xs, ys = table[:, :d], table[:, d]
     with np.errstate(over="ignore"):  # an infinite bound; the learners raise BadStream
         X_bound = float(np.max(np.linalg.norm(xs, axis=1)))

@@ -144,15 +144,6 @@ def _laser_params(params: dict, stream: LabeledStream):
     return lp, regime, inputs
 
 
-def _check_stream(stream: LabeledStream) -> None:
-    """Validate the stream once, so the learner loops need not."""
-    xs, ys = stream.xs, stream.ys
-    if xs.ndim != 2 or ys.shape != (xs.shape[0],):
-        raise LengthMismatch(f"inputs {xs.shape} and labels {ys.shape} are not aligned")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise BadStream("stream has non-finite inputs or labels")
-
-
 def _member(algo_id: str, params: dict, stream: LabeledStream):
     """One batch member's validated set-up: the LaserParams with the tuned
     regime and tuning inputs for laser and aar, the initial state for the
@@ -247,7 +238,7 @@ def run_batch(algo_id: str, params: list[dict], streams: list[LabeledStream],
     if len(params) != len(streams) or not streams:
         raise LengthMismatch(f"{len(params)} parameter sets for {len(streams)} streams")
     for stream in {id(s): s for s in streams}.values():
-        _check_stream(stream)
+        oracle.checked_stream(stream.xs, stream.ys)
     members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
     seeds = [0] * len(streams) if seeds is None else seeds
     return _run_members(algo_id, members, params, streams, seeds, certify=True)
@@ -488,7 +479,7 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     lexicographically smallest parameter tuple (candidates are enumerated
     in that order)."""
     stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
-    _check_stream(stream)
+    oracle.checked_stream(stream.xs, stream.ys)
     valid, members, skipped = [], [], []
     for params in _grid_candidates(spec.grid):
         try:

@@ -48,6 +48,8 @@ class HInfParams:
         if not (math.isfinite(1.0 / self.b) and math.isfinite(1.0 / self.c)):
             raise InvalidParams(f"b and c must have finite reciprocals, "
                                 f"got b={self.b}, c={self.c}")
+        if not math.isfinite(self.b):  # b ||u_1||^2 would make every bound infinite
+            raise InvalidParams(f"b must be finite, got {self.b}")
 
 
 @dataclass

@@ -57,10 +57,13 @@ T and d), which also runs the H-infinity filter and CR-RLS (see `hinf`,
 `baselines`). `laser_trajectories` runs every laser member in it: members
 stay on (S, d, d) and (S, d) arrays until their inputs move them to
 square-root form, and then take their rounds on LAPACK calls of their own.
-Bound checks take Tr D_t and ln det D_t from one batched Cholesky factor
-L of P_t per round (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or
-from R, and need lambda_max D_t only through its running maximum. The
-exact value, from eigvalsh of P_t or the singular values of R, is taken
+Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
+(Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
+lambda_max D_t only through its running maximum. Below d = MEMBERWISE_D
+one batched factorization and one batched triangular inverse serve a
+round's members; from it on, where the flops outweigh the per-call cost,
+each member takes one LAPACK potrf and one trtri of its own. The exact
+value, from eigvalsh of P_t or the singular values of R, is taken
 only on rounds where a certified upper bound (Tr D_t, or the Lemma-6
 eigenvalue map of the last exact value plus |x_t|^2) could raise that
 maximum. Per member the arithmetic does not depend on the batch, nor do
@@ -81,6 +84,11 @@ from .errors import BadStream, InvalidParams, NotPositiveDefinite
 # largest kappa = min(X, c)/b at which the covariance form is kept regardless
 # of X/c; its predictions then stay within a few 1e-13 relative
 KAPPA_MAX = 1e4
+
+# d from which certification factors and inverts each member's P by LAPACK
+# calls of its own, not the stack by batched ones: on one BLAS thread 0.5-0.9x
+# the batched time at d = 32 (1-80 members), 1.1-1.3x at d = 20 (4-20 members)
+MEMBERWISE_D = 32
 
 # cov_rounds skips the exact lambda_max D_t only where its bound ub clears the
 # running peak by this relative margin, far above the rounding in Tr D and the map
@@ -280,10 +288,13 @@ def _sqrt_commit(root: SqrtInformation, x, y) -> SqrtInformation:
 def _factor(P, t: int):
     """Lower Cholesky factors of the stack P, which also guard definiteness:
     a failure names round t and the least eigenvalue of the members whose
-    factorization failed."""
+    factorization failed. Below MEMBERWISE_D one batched factorization;
+    from it on one LAPACK potrf per member, with the upper triangle cleared."""
     try:
-        return np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
+        if P.shape[-1] < MEMBERWISE_D:
+            return np.linalg.cholesky(P)
+        return np.array([linalg._cholesky(A, clean=True) for A in P]).reshape(P.shape)
+    except (np.linalg.LinAlgError, NotPositiveDefinite):
         low = min((np.linalg.eigvalsh(A)[0] for A in P if not linalg.factors(A)),
                   default=math.nan)
         raise NotPositiveDefinite(f"state lost definiteness at round {t}: "
@@ -291,11 +302,16 @@ def _factor(P, t: int):
 
 
 def _trace_logdet(L):
-    """(Tr D, ln det D) of each D = P^{-1} of a stack from P's Cholesky
-    factors L: Tr D = |L^{-1}|_F^2 and ln det D = -2 sum ln L_ii."""
-    with warnings.catch_warnings():  # an ill-conditioned L still inverts to working accuracy
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        inv = scipy.linalg.inv(L, assume_a="lower triangular", check_finite=False)
+    """(Tr D, ln det D) of each D = P^{-1} of a stack from _factor's factors
+    L of P: Tr D = |L^{-1}|_F^2 and ln det D = -2 sum ln L_ii. L^{-1} comes
+    from one batched scipy.linalg.inv below MEMBERWISE_D and from one LAPACK
+    trtri per member from it on."""
+    if L.shape[-1] < MEMBERWISE_D:
+        with warnings.catch_warnings():  # an ill-conditioned L still inverts to working accuracy
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            inv = scipy.linalg.inv(L, assume_a="lower triangular", check_finite=False)
+    else:
+        inv = np.array([linalg.tri_inverse(M) for M in L]).reshape(L.shape)
     return ((inv * inv).sum(axis=(-2, -1)),
             -2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1))
 

@@ -5,7 +5,9 @@ matrices and 1-d vectors. Matrices handed to a solve or log-det must be
 SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
 than returning garbage. Dimensions stay small (d of a few hundred at most),
 so Cholesky serves every solve, and QR and triangular solves the
-square-root information form of `laser`.
+square-root information form of `laser`. From d = `laser.MEMBERWISE_D`
+on, `laser` certifies a stack member by member through `_cholesky` and
+`tri_inverse`; below it, per-call overhead makes batched calls cheaper.
 """
 
 import numpy as np
@@ -38,7 +40,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 def symmetrize(A: np.ndarray) -> np.ndarray:
     """(A + A^T)/2, of each matrix in a stack. Applied after every update;
     recursions are exactly symmetric but floating point drifts."""
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    return 0.5 * (A + A.mT)
 
 
 def add_to_diagonal(A: np.ndarray, v) -> None:
@@ -49,11 +51,11 @@ def add_to_diagonal(A: np.ndarray, v) -> None:
     A.reshape(A.shape[:-2] + (A.shape[-1] ** 2,))[..., :: A.shape[-1] + 1] += v
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of A (the strict upper triangle is not
-    cleared), straight from LAPACK potrf: scipy's cho_factor/cho_solve
+def _cholesky(A: np.ndarray, clean: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of A (the strict upper triangle is cleared only
+    with clean), straight from LAPACK potrf: scipy's cho_factor/cho_solve
     wrappers cost several times the factorization itself at small d."""
-    L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
+    L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=clean)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (potrf info {info})")
     return L
@@ -76,6 +78,15 @@ def tri_solve(R: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
     Z, info = scipy.linalg.lapack.dtrtrs(R, B, lower=0, trans=trans)
     if info != 0:
         raise NotPositiveDefinite(f"triangular factor is singular (trtrs info {info})")
+    return Z
+
+
+def tri_inverse(L: np.ndarray) -> np.ndarray:
+    """L^{-1} for lower-triangular L, straight from LAPACK trtri; the strict
+    upper triangle is copied from L, so a cleared one stays zero."""
+    Z, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular factor is singular (trtri info {info})")
     return Z
 
 

@@ -19,6 +19,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import (
+    BadStream,
     DomainError,
     LengthMismatch,
     RegimeViolation,
@@ -60,6 +61,17 @@ class ComparatorSequence:
         v = drift_of(self.us)
         if abs(v - self.V) > tol * max(1.0, abs(v)):
             raise ValueError(f"stored V={self.V} but recomputed {v}")
+
+
+def checked_stream(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """xs (T, d) and ys (T,) as float arrays, checked once for alignment and
+    finiteness so that the step loops and the references need not."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or ys.shape != xs.shape[:1]:
+        raise LengthMismatch(f"inputs {xs.shape} and labels {ys.shape} are not aligned")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise BadStream("stream has non-finite inputs or labels")
+    return xs, ys
 
 
 def drift_of(us: np.ndarray) -> float:
@@ -107,10 +119,7 @@ def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequenc
     convex stacked quadratic and solves them with a dense Cholesky
     factorization. Returns (optimal value, argmin).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2 or len(xs) != len(ys):
-        raise LengthMismatch("xs must be (T, d) aligned with ys")
+    xs, ys = checked_stream(xs, ys)
     T, d = xs.shape
     if T * d > BRUTE_BUDGET:
         raise TooLarge(f"T*d = {T * d} exceeds dense budget {BRUTE_BUDGET}")
@@ -290,8 +299,22 @@ class DirectLaserRun(NamedTuple):
     fs: np.ndarray
 
 
+def _finite(*arrays):
+    """The references' results, refused if a round overflowed: their loops
+    call the unchecked LAPACK wrappers of `linalg`."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("the recursion overflowed: inputs too large for the prior")
+    return arrays
+
+
+def _spd_inverse(A, I):
+    """Inverse of SPD A (one solve against I = np.eye(d)), symmetrized."""
+    return linalg.symmetrize(linalg._cho_solve(linalg._cholesky(A), I))
+
+
 def laser_direct(xs, ys, b: float, c: float) -> DirectLaserRun:
-    """The LASER recursions exactly as stated, one SPD solve per inverse:
+    """The LASER recursions exactly as stated, one Cholesky factorization
+    per matrix that the recursion inverts:
 
         D_0 = (bc/(c-b)) I,  D_t = (D_{t-1}^{-1} + c^{-1} I)^{-1} + x_t x_t^T
         e_0 = 0,             e_t = (I + c^{-1} D_{t-1})^{-1} e_{t-1} + y_t x_t
@@ -301,8 +324,7 @@ def laser_direct(xs, ys, b: float, c: float) -> DirectLaserRun:
 
     with every c^{-1} term dropped at c = inf (D_0 = b I).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = checked_stream(xs, ys)
     T, d = xs.shape
     I = np.eye(d)
     stationary = math.isinf(c)
@@ -316,20 +338,23 @@ def laser_direct(xs, ys, b: float, c: float) -> DirectLaserRun:
         if stationary:
             blend, decayed, shrink = D, e, 0.0
         else:
-            blend = linalg.symmetrize(linalg.spd_solve_matrix(I + D / c, D))
-            decayed = linalg.spd_solve(I + D / c, e)
-            shrink = float(e @ linalg.spd_solve(c * I + D, e))
+            K = linalg._cholesky(I + D / c)
+            blend = linalg.symmetrize(linalg._cho_solve(K, D))
+            decayed = linalg._cho_solve(K, e)
+            shrink = float(e @ linalg._cho_solve(linalg._cholesky(c * I + D), e))
         D = blend + np.outer(x, x)
-        Dinv_x = linalg.spd_solve(D, x)
+        L = linalg._cholesky(D)
+        Dinv_x = linalg._cho_solve(L, x)
         yhats[t] = float(Dinv_x @ decayed)
         quads[t] = float(x @ Dinv_x)
         e = decayed + ys[t] * x
         f = f - shrink + ys[t] * ys[t]
-        min_costs[t] = f - float(e @ linalg.spd_solve(D, e))
+        min_costs[t] = f - float(e @ linalg._cho_solve(L, e))
         Ds.append(D)
         es.append(e)
         fs.append(f)
-    return DirectLaserRun(yhats, quads, min_costs, np.array(Ds), np.array(es), np.array(fs))
+    return DirectLaserRun(*_finite(yhats, quads, min_costs, np.array(Ds), np.array(es),
+                                   np.array(fs)))
 
 
 def hinf_direct(xs, ys, a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,21 +367,21 @@ def hinf_direct(xs, ys, a: float, b: float, c: float) -> tuple[np.ndarray, np.nd
     from w_0 = 0, P_0 = b^{-1} I. Returns (yhats, post-update ws (T, d),
     Ps for t = 0..T).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = checked_stream(xs, ys)
     T, d = xs.shape
+    I = np.eye(d)
     w = np.zeros(d)
-    P = np.eye(d) / b
+    P = I / b
     yhats, ws, Ps = np.empty(T), np.empty((T, d)), [P]
     for t in range(T):
         x = xs[t]
         yhats[t] = float(x @ w)
-        P_tilde = linalg.spd_inverse(linalg.spd_inverse(P) + (a - 1.0) * np.outer(x, x))
+        P_tilde = _spd_inverse(_spd_inverse(P, I) + (a - 1.0) * np.outer(x, x), I)
         w = w + a * (ys[t] - yhats[t]) * (P_tilde @ x)
-        P = linalg.symmetrize(P_tilde + np.eye(d) / c)
+        P = linalg.symmetrize(P_tilde + I / c)
         ws[t] = w
         Ps.append(P)
-    return yhats, ws, np.array(Ps)
+    return _finite(yhats, ws, np.array(Ps))
 
 
 # ---------------------------------------------------------------------------

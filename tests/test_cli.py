@@ -250,11 +250,15 @@ def test_missing_input_file_exits_nonzero(tmp_path):
 
 def test_header_only_stream_csv_exits_two(tmp_path, capsys):
     data = tmp_path / "empty.csv"
-    data.write_text("t,x_1,x_2,y,u_1,u_2\n")
-    code = run_cli("run", "--algo", "laser", "--b", "1", "--c", "2",
-                   "--data", str(data), "--out-prefix", str(tmp_path / "x"))
-    assert code == 2
-    assert "no rows" in capsys.readouterr().err
+    for body in (b"", b"\n", b"\r\n\r\n"):  # blank lines are no rows either
+        data.write_bytes(b"t,x_1,x_2,y,u_1,u_2\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--algo", "laser", "--b", "1", "--c", "2",
+                           "--data", str(data), "--out-prefix", str(tmp_path / "x"))
+        assert code == 2
+        assert "no rows" in capsys.readouterr().err
+        assert not [str(w.message) for w in caught]
 
 
 def test_config_values_get_the_flags_type_conversion(tmp_path):
@@ -287,6 +291,10 @@ BAD_INPUTS = {
     "gen-T-0": ["gen", "--kind", "A", "--T", "0", "--out", "TMP/x.csv"],
     "gen-switch-period-0": ["gen", "--kind", "A", "--switch-period", "0", "--out", "TMP/x.csv"],
     "gen-noise-on-kind-A": ["gen", "--kind", "A", "--noise-var", "1", "--out", "TMP/x.csv"],
+    "gen-seed-negative": ["gen", "--kind", "A", "--seed", "-1", "--out", "TMP/x.csv"],
+    "gen-seed-2-64": ["gen", "--kind", "A", "--seed", str(2**64), "--out", "TMP/x.csv"],
+    "run-base-seed-negative": ["run", "--algo", "aar", "--b", "1", "--base-seed", "-1",
+                               "--out-prefix", "TMP/r"],
     "sweep-grid-list": ["sweep", "--algo", "laser", "--grid", "[1]"],
     "sweep-grid-scalar": ["sweep", "--algo", "laser", "--grid", '{"b": 1, "c": [10]}'],
     "sweep-grid-text": ["sweep", "--algo", "laser", "--grid", '{"b": ["x"], "c": [10]}'],
@@ -310,6 +318,10 @@ BAD_INPUTS = {
                      "--out-prefix", "TMP/r"],
     "hinf-a-inf": ["run", "--algo", "hinf", "--a", "inf", "--b", "1", "--c", "1",
                    "--out-prefix", "TMP/r"],
+    "hinf-b-inf": ["run", "--algo", "hinf", "--a", "2", "--b", "inf", "--c", "1",
+                   "--out-prefix", "TMP/r"],
+    "crrls-b-reset-inf": ["run", "--algo", "crrls", "--reset-period", "3", "--b-reset", "inf",
+                          "--out-prefix", "TMP/r"],
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
@@ -333,6 +345,17 @@ BAD_INPUTS = {
                            ("hinf", ["--a", "2", "--b", "1", "--c", "1"]),
                            ("crrls", ["--reset-period", "3", "--b-reset", "1"]),
                            ("nlms", ["--eta", "0.5"])]},
+    **{f"stream-{name}": ["run", "--algo", "laser", "--b", "1", "--c", "10",
+                          "--data", f"TMP/{name}.csv", "--out-prefix", "TMP/r"]
+       for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero")},
+}
+# malformed stream CSVs (d = 2) for the stream-* cases
+BAD_STREAMS = {
+    "ragged": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,2,1,0\n",
+    "non-numeric": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,two,1,0,0\n",
+    "nan": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,nan,1,0,0\n",
+    "bad-header": "s,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n",
+    "one-underscore-zero": "t,x_1,x_2,y,u_1,u_2\n1,1_0,2,1,0,0\n",
 }
 # the reason each of these must name in its error line
 BAD_INPUT_REASONS = {
@@ -359,6 +382,16 @@ BAD_INPUT_REASONS = {
     "nlms-eta-inf": "eta must be positive and finite, got inf",
     "nlms-eps-nan": "eps must be non-negative and finite, got nan",
     "hinf-a-inf": "a must be finite and exceed 1, got inf",
+    "hinf-b-inf": "b must be finite, got inf",
+    "crrls-b-reset-inf": "b_reset must be positive and finite with a finite reciprocal, got inf",
+    "gen-seed-negative": "seed must lie in [0, 2**64), got -1",
+    "gen-seed-2-64": f"seed must lie in [0, 2**64), got {2**64}",
+    "run-base-seed-negative": "seed must lie in [0, 2**64), got -1",
+    "stream-ragged": "a row does not have the 6 fields of the header",
+    "stream-non-numeric": "non-numeric field: could not convert string 'two'",
+    "stream-nan": "non-finite values",
+    "stream-bad-header": "not a stream CSV: bad header",
+    "stream-one-underscore-zero": "non-numeric field: could not convert string '1_0'",
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
@@ -375,6 +408,8 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     (tmp_path / "huge.csv").write_text(
         "t,x_1,x_2,y,u_1,u_2\n1,1e200,2e200,1,0,0\n2,-1e200,3e200,1,0,0\n"
     )
+    for name, text in BAD_STREAMS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
     extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:

@@ -6,7 +6,7 @@ import pytest
 
 from driftlearn import datagen, oracle
 from driftlearn.datagen import DatasetSpec, gen_inputs, gen_stream, gen_truth
-from driftlearn.errors import BadDim
+from driftlearn.errors import BadDim, BadStream, InvalidParams
 
 
 def test_same_spec_same_stream_bit_for_bit():
@@ -122,6 +122,15 @@ def test_small_dimension_uses_fewer_pairs():
         DatasetSpec(kind="A", T=16, d=1, seed=0)
 
 
+def test_seed_outside_uint64_rejected():
+    # Philox is keyed by the seed as one uint64: -1 would alias 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParams, match="seed must lie in"):
+            DatasetSpec(kind="A", T=4, d=4, seed=seed)
+    last = gen_stream(DatasetSpec(kind="A", T=4, d=4, seed=2**64 - 1))
+    assert not np.array_equal(last.xs, gen_stream(DatasetSpec(kind="A", T=4, d=4, seed=0)).xs)
+
+
 def test_noise_var_rejected_for_noise_free_kinds():
     with pytest.raises(ValueError):
         DatasetSpec(kind="A", T=10, d=10, seed=0, noise_var=0.1)
@@ -145,3 +154,39 @@ def test_csv_roundtrip_is_exact():
     assert np.array_equal(back.ys, s.ys)
     assert np.array_equal(back.truth.us, s.truth.us)
     assert back.truth.V == pytest.approx(s.truth.V, rel=1e-12)
+
+
+def test_csv_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
+    # signed zeros, subnormals and the largest finite values survive a file
+    # with CRLF line endings and a trailing blank line, bit for bit, at d = 100
+    s = gen_stream(DatasetSpec(kind="C", T=30, d=100, seed=11))
+    specials = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
+    xs, ys, us = s.xs.copy(), s.ys.copy(), s.truth.us.copy()
+    xs[0, :len(specials)] = specials
+    ys[:len(specials)] = specials
+    us[1, :5] = specials[:5]  # moderate: the drift of huge targets overflows
+    stream = datagen.LabeledStream(xs, ys, oracle.comparator_from_us(us), 1.0, 1.0)
+    path = tmp_path / "extreme.csv"
+    path.write_bytes(datagen.stream_csv_text(stream).replace("\n", "\r\n").encode() + b"\r\n")
+    back = datagen.read_stream_csv(path)
+    for got, want in [(back.xs, xs), (back.ys, ys), (back.truth.us, us)]:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_stream_fields_that_gen_never_writes(tmp_path):
+    head = "t,x_1,y,u_1\n"
+    # a quoted number and one padded with spaces read as numbers
+    back = datagen.read_stream_csv(io.StringIO(head + '1,"2.5", 3 ,0\n'))
+    assert back.xs.tolist() == [[2.5]] and back.ys.tolist() == [3.0]
+    # Python's float() reads 1_0 as 10; the stream reader does not
+    with pytest.raises(BadStream, match="non-numeric field: could not convert string '1_0'"):
+        datagen.read_stream_csv(io.StringIO(head + "1,1_0,3,0\n"))
+    # t is read as a number too, though not kept
+    with pytest.raises(BadStream, match="non-numeric field"):
+        datagen.read_stream_csv(io.StringIO(head + "one,2,3,0\n"))
+    # lines ended by a bare CR
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"t,x_1,y,u_1\r1,2,3,0\r2,4,5,0\r")
+    assert datagen.read_stream_csv(path).ys.tolist() == [3.0, 5.0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftlearn import laser, linalg, oracle
+from driftlearn.datagen import DatasetSpec, gen_stream
 from driftlearn.errors import InvalidParams, NotPositiveDefinite
 
 # Two-round fixture on (x, y) = (1, 1), (1, 0.5) with b=1, c=2. Values
@@ -244,3 +245,56 @@ def test_cov_rounds_spectra_only_for_the_laser_round(extra):
     P, xs, ys = np.eye(2)[None], np.ones((2, 1, 2)), np.ones((2, 1))
     with pytest.raises(ValueError, match="no weight, gain or reset"):
         laser.cov_rounds(P, xs, ys, np.array([0.01]), spectra=True, **extra)
+
+
+# -- the certification size rule: batched below MEMBERWISE_D, per member from it
+
+@pytest.mark.parametrize("d", [laser.MEMBERWISE_D - 1, laser.MEMBERWISE_D])
+def test_certification_paths_agree(d, monkeypatch):
+    # The paths share the trtri inverse and differ only in the rounding of
+    # the Cholesky factor, a batched one against one potrf per member, so
+    # Tr D and ln det D agree to about eps times the condition of P: tens
+    # of ulps for the first two members, hundreds to thousands for the
+    # ill-conditioned b = 0.1, c = 1. The tolerance is tests/test_batch.py's
+    # batch-independence TOL. (0.01, 1e12) moves to square-root form in
+    # round 1, so its one-member run certifies an empty stack from then on.
+    s = gen_stream(DatasetSpec(kind="C", T=60, d=d, seed=4))
+    members = [[laser.LaserParams(1.0, 100.0), laser.LaserParams(10.0, 1000.0),
+                laser.LaserParams(0.1, 1.0), laser.LaserParams(0.01, 1e12)],
+               [laser.LaserParams(0.01, 1e12)]]
+    runs = {}
+    for threshold in (d, d + 1):  # per member, then batched
+        monkeypatch.setattr(laser, "MEMBERWISE_D", threshold)
+        runs[threshold] = [tr for params in members
+                           for tr in laser.laser_trajectories(
+                               params, np.repeat(s.xs[:, None], len(params), axis=1),
+                               np.repeat(s.ys[:, None], len(params), axis=1), spectra=True)]
+    assert runs[d][-1].state.sqrt_info is not None
+    for per_member, batched in zip(runs[d], runs[d + 1]):
+        for name in ("trace_D", "logdet_D"):
+            got, want = getattr(per_member, name), getattr(batched, name)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(per_member.lam_peak_D, batched.lam_peak_D)
+        assert np.array_equal(per_member.yhats, batched.yhats)
+
+
+def test_lost_definiteness_reads_the_same_on_both_paths(monkeypatch):
+    # two of three members indefinite: the error names the round and the
+    # least eigenvalue of the failing members, on either path, with spectra
+    # (round 0) and with the guard (round 1)
+    d = laser.MEMBERWISE_D
+    P = np.stack([np.eye(d)] * 3)
+    P[1, 3, 3], P[2, 5, 5] = -1e-3, -2e-2
+    xs = np.zeros((1, 3, d))
+    xs[..., 0] = 1.0
+    messages = {}
+    for threshold in (d, d + 1):
+        monkeypatch.setattr(laser, "MEMBERWISE_D", threshold)
+        for key, kw in (("spectra", {"spectra": True}), ("guard", {"guard": np.ones(3, bool)})):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                laser.cov_rounds(P, xs, np.ones((1, 3)), np.full(3, 1e-6), **kw)
+            messages[threshold, key] = str(exc.value)
+    assert messages[d, "spectra"] == messages[d + 1, "spectra"] == (
+        "state lost definiteness at round 0: lambda_min = -2.000e-02")
+    assert messages[d, "guard"] == messages[d + 1, "guard"]
+    assert "at round 1: lambda_min = -2.000e-02" in messages[d, "guard"]

@@ -3,8 +3,9 @@
 AAR is the stationary limit of the drift-aware learner: with
 A_t = b I + sum x_s x_s^T and r_t = sum y_s x_s it predicts with the new
 input already folded in, yhat = x^T (A + x x^T)^{-1} r. That is exactly
-LASER at c = inf, so `aar_init` and `aar_step` are thin wrappers over the
-laser step and an AAR state is a `LaserState` (A = state.D).
+LASER at c = inf, so an AAR state is a `LaserState` (A = state.D) and
+`aar_step` runs the laser step's stages itself, not `laser_predict` and
+`laser_update`.
 
 NLMS and CR-RLS use their canonical textbook updates; only their names
 and roles are fixed by the comparison, so the exact forms below are
@@ -16,9 +17,10 @@ artifact-defined:
             and P resets to b_reset^{-1} I every N steps.
 
 CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
-the reset: `crrls_step` runs one round and `harness` runs S members in
-`laser.cov_rounds`. The NLMS round is written once over leading member
-axes, for `nlms_step` and for `nlms_trajectories`, its S-member loop.
+the reset: `crrls_step` makes one-member calls of `laser._innovate` and
+`laser._fold`, the stages of `laser.cov_rounds`, in which `harness` runs
+S members. The NLMS round is written once over leading member axes, for
+`nlms_step` and for `nlms_trajectories`, its S-member loop.
 """
 
 import math
@@ -37,8 +39,8 @@ def aar_init(b: float, d: int) -> laser.LaserState:
 
 def aar_step(state: laser.LaserState, x, y: float) -> tuple[float, laser.LaserState]:
     """Forward ridge prediction, then fold (x, y) into the statistics."""
-    yhat, step = laser._predict(state, linalg.as_vector(x, state.dim))
-    return yhat, laser._commit(state, y, step)
+    step = laser._step_innovation(state, linalg.as_vector(x, state.dim))
+    return float(step.xw / (1.0 + step.q)), laser._step_fold(state, y, step)
 
 
 @dataclass
@@ -127,10 +129,9 @@ def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
     hits a multiple of the reset period."""
     x = linalg.as_vector(x, state.dim)
     t = state.t + 1
-    with np.errstate(over="ignore"):  # an overflowing x^T P x is inf, which _check_q reports
-        Px, q, xw = laser._cov_innovation(state.P, state.w, x, None)
-    laser._check_q(q, t)
-    P, w = laser._cov_commit(state.P, state.w, Px, 1.0 + q, y - xw, None)
+    with np.errstate(over="ignore"):  # an overflowing x^T P x is inf, which _innovate reports
+        Px, q, xw = laser._innovate(state.P, state.w, x, None, t)
+    P, w, _, _ = laser._fold(state.P, state.w, x, y, Px, q, xw, None)
     if t % state.reset_period == 0:
         P = np.eye(state.dim) / state.b_reset
     return float(xw), replace(state, w=w, P=P, t=t)

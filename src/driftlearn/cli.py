@@ -19,13 +19,13 @@ import json
 import sys
 
 from . import harness, suites
-from .datagen import DatasetSpec, gen_stream, read_stream_csv, write_stream_csv
+from .datagen import DatasetSpec, checked_seed, gen_stream, read_stream_csv, write_stream_csv
 from .errors import DriftLearnError
 
 
 class ConfigError(DriftLearnError):
-    """A --config file is unreadable or holds a value its flag rejects, or
-    a value needed from a flag or the config is missing."""
+    """A --config file or --grid JSON is unreadable or holds a value its
+    flag rejects, or a value needed from a flag or the config is missing."""
 
 
 def _dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -78,10 +78,13 @@ def _params_from_args(args) -> dict:
 
 
 def _load_grid(text: str) -> dict:
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return json.load(fh)
-    return json.loads(text)
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad grid JSON: {exc}") from exc
 
 
 def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
@@ -169,7 +172,7 @@ def _cmd_run(args) -> int:
     if args.data is not None:
         stream = read_stream_csv(args.data)
         reports = [harness.run_learner(args.algo, _params_from_args(args), stream,
-                                       seed=args.base_seed)]
+                                       seed=checked_seed(args.base_seed))]
     else:
         if args.full:
             args.T, args.d, args.seeds = 2000, 20, 100
@@ -189,14 +192,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        grid = _load_grid(args.grid)
-    except json.JSONDecodeError as exc:
-        print(f"sweep: bad grid JSON: {exc}", file=sys.stderr)
-        return 2
-    spec = harness.SweepSpec(
-        algo_id=args.algo, grid=grid, tuning_seed=args.tuning_seed
-    )
+    spec = harness.SweepSpec(algo_id=args.algo, grid=_load_grid(args.grid),
+                             tuning_seed=args.tuning_seed)
     result = harness.sweep(spec, _dataset_from_args(args))
     payload = {
         "algo": args.algo,
@@ -265,10 +262,10 @@ _COMMANDS = {
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path} must hold a JSON object of flag defaults")
     return config
@@ -277,20 +274,18 @@ def _load_config(path: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
-    if args.config is not None:
-        # re-parse with the config as defaults, so explicit flags (however
-        # abbreviated) win and config values get the flags' own conversion
-        try:
-            parser = build_parser(_load_config(args.config))
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            # re-parse with the config as defaults, so explicit flags (however
+            # abbreviated) win and config values get the flags' own conversion
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except DriftLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # from reading any input file: a CSV, --config or @grid
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

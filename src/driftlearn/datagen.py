@@ -40,6 +40,13 @@ _STREAM_TRUTH = 1
 _STREAM_NOISE = 2
 
 
+def checked_seed(seed: int) -> int:
+    """seed, unless outside [0, 2**64): _rng keys Philox with it as one uint64."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, sub-stream index)."""
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
@@ -74,8 +81,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParams(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0 <= self.seed < 2**64:  # _rng keys Philox with the seed as one uint64
-            raise InvalidParams(f"seed must lie in [0, 2**64), got {self.seed}")
+        checked_seed(self.seed)
         if self.T < 1:
             raise InvalidParams(f"T must be positive, got {self.T}")
         if self.d < 2:
@@ -205,7 +211,7 @@ def open_csv(path_or_file, mode: str = "r"):
     """Open a path for CSV I/O and close it afterwards; an open file is
     used as it is and left open."""
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, mode, newline="") as fh:
+        with open(path_or_file, mode, newline="", encoding="utf-8") as fh:
             yield fh
     else:
         yield path_or_file

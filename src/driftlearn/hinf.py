@@ -15,7 +15,8 @@ a - 1, gain a and no last-step shrinkage, O(d^2) with no factorization:
 with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T / s
 and a Ptilde_t x = a P'x / s. The state holds Ptilde_t = P_t - c^{-1} I,
 from (b^{-1} - c^{-1}) I (negative when b > c), and derives P_t.
-`hinf_step` runs one round; `harness` runs S members in `laser.cov_rounds`.
+`hinf_step` makes one-member calls of `laser._innovate` and `laser._fold`, the
+stages of `laser.cov_rounds`, in which `harness` runs S members.
 `oracle.hinf_direct` transcribes the recursion above as the reference.
 
 The filtering guarantee bounds the error of the post-update weights
@@ -81,11 +82,10 @@ def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     """One round: returns (yhat, new state). yhat uses the pre-update w."""
     x = linalg.as_vector(x, state.dim)
     a, inflation = state.params.a, 1.0 / state.params.c or None
-    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _check_q reports
-        Px, q, xw = laser._cov_innovation(state.P_tilde, state.w, x, inflation)
-    laser._check_q(q, state.t + 1)
-    P, w = laser._cov_commit(state.P_tilde, state.w, Px, 1.0 + (a - 1.0) * q, a * (y - xw),
-                             inflation, math.sqrt(a - 1.0))
+    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _innovate reports
+        Px, q, xw = laser._innovate(state.P_tilde, state.w, x, inflation, state.t + 1)
+    P, w, _, _ = laser._fold(state.P_tilde, state.w, x, y, Px, q, xw, inflation, a - 1.0, a,
+                             math.sqrt(a - 1.0))
     return float(xw), HInfState(state.params, w, P, state.t + 1)
 
 

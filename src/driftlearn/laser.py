@@ -50,11 +50,14 @@ scale b (streams shorter than d), where the drift update loses digits
 sqrt(b X) with X/b >> 1e8 where the rule keeps the covariance form, which
 loses about eps * sqrt(X/b).
 
-Each round is written once, the covariance-form one over leading member
-axes, and serves both the single-state step functions and `cov_rounds`,
-the one step loop over S members (grid points, streams, or both, sharing
-T and d), which also runs the H-infinity filter and CR-RLS (see `hinf`,
-`baselines`). `laser_trajectories` runs every laser member in it: members
+Each round is written once, as two stages over leading member axes (or
+one square-root member): `_innovate` (P'x or the drift update, q, x . w
+and the overflow check) and `_fold` (s = 1 + weight q, err =
+gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
+members (grid points, streams, or both, sharing T and d), calls them, and
+every single-state step makes one-member calls of them (see `hinf`,
+`baselines`); `_switches` holds the switch rule for both.
+`laser_trajectories` runs every laser member in `cov_rounds`: members
 stay on (S, d, d) and (S, d) arrays until their inputs move them to
 square-root form, and then take their rounds on LAPACK calls of their own.
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
@@ -188,11 +191,11 @@ class LaserStep(NamedTuple):
     """What laser_predict computed for one input, reused by laser_update."""
 
     x: np.ndarray         # the validated input
+    max_xsq: float        # max |x|^2 including this input
+    form: object          # the state's P, or its (R, z) once it has switched
+    lead: object          # what _innovate returned for _fold: P'x, or (R', z')
     q: float              # x^T P' x, with P' = P + I/c; s = 1 + q
     xw: float             # x . w
-    max_xsq: float        # max |x|^2 including this input
-    Px: np.ndarray | None  # P' x, in covariance form
-    sqrt_info: SqrtInformation | None  # (R', z') to commit, in square-root form
 
 
 def clip(x, y):
@@ -214,38 +217,7 @@ def laser_init(params: LaserParams, d: int) -> LaserState:
     return LaserState(params, np.zeros(d), _p0(params) * np.eye(d), None, 0.0, 0.0, 0)
 
 
-def _check_q(q, t: int) -> None:
-    """x is finite, so x^T P' x, of one member or a stack, is too unless it
-    overflowed."""
-    if not (math.isfinite(q) if isinstance(q, float) else np.isfinite(q).all()):
-        raise BadStream(f"x^T P' x overflowed at round {t}: inputs too large for the prior")
-
-
-# -- the covariance-form round, over any leading member axes --------------------
-
-def _cov_innovation(P, w, x, inflation):
-    """(P'x, q = x^T P' x, x . w) with P' = P + I/c. inflation is 1/c, as
-    a (S, 1) column for S members, or None when no member drifts. Callers
-    check q: it is finite unless x^T P' x overflowed."""
-    Px = np.matvec(P, x)
-    if inflation is not None:
-        Px += inflation * x
-    return Px, np.vecdot(x, Px), np.vecdot(x, w)
-
-
-def _cov_commit(P, w, Px, s, err, inflation, root=1.0):
-    """The new (P, w) after (x, y) from _cov_innovation's P'x, s = 1 + weight q,
-    err = gain (y - x . w) and root = sqrt(weight), as (S, 1) columns for S
-    members: P <- P' - weight P'x (P'x)^T / s and w <- w + P'x err / s.
-    Laser and CR-RLS have weight = gain = 1, hinf a - 1 and a."""
-    g = Px * (root / np.sqrt(s))
-    P = P - g[..., :, None] * g[..., None, :]
-    if inflation is not None:
-        linalg.add_to_diagonal(P, inflation)
-    return P, w + Px * (err / s)
-
-
-# -- the square-root information round, for one member ---------------------------
+# -- the square-root information form, for one member ----------------------------
 
 def _to_sqrt_info(P, w) -> SqrtInformation:
     """(R, z) of the covariance-form state (P, w): R = U^{-1} and
@@ -255,34 +227,67 @@ def _to_sqrt_info(P, w) -> SqrtInformation:
     return SqrtInformation(Rz[:, :d], Rz[:, d])
 
 
-def _sqrt_innovation(root: SqrtInformation, x, inflation):
-    """((R', z'), q = x^T P' x, x . w) from (R, z): the drift update (see
-    the module docstring; none when inflation = 1/c is 0), in which the
-    rows of the stacked triangle carry the prior on the old weights u and
-    the rows under it the drift c |u' - u|^2, then v = R'^{-T} x."""
-    R, z = root
-    if inflation:
-        d = z.shape[0]
-        A = np.zeros((2 * d + 1, 2 * d + 1), order="F")
-        A[:d, :d], A[:d, -1] = R, z
-        B = np.zeros((d, 2 * d + 1), order="F")
-        np.fill_diagonal(B, -1.0 / math.sqrt(inflation))
-        np.fill_diagonal(B[:, d:], 1.0 / math.sqrt(inflation))
+# -- one round in two stages, for cov_rounds and the single-state steps ---------
+
+def _innovate(form, w, x, inflation, t):
+    """Round t's innovation (lead, q = x^T P' x, x . w), P' = P + I/c, of a
+    covariance-form stack, form = P over any leading member axes and lead =
+    P'x, or of one square-root member, form = (R, z) and lead = (R', z').
+    inflation is 1/c: a (S, 1) column for S members, or None when no member
+    drifts. Callers ignore overflow: x is finite, so q is infinite only if
+    x^T P' x overflowed, which raises BadStream."""
+    if isinstance(form, SqrtInformation):
+        R, z = form
+        if inflation:
+            # the drift update (see the module docstring): the rows of the stacked
+            # triangle carry the prior on the old weights u, and the rows under it
+            # the drift c |u' - u|^2
+            d = z.shape[0]
+            A = np.zeros((2 * d + 1, 2 * d + 1), order="F")
+            A[:d, :d], A[:d, -1] = R, z
+            B = np.zeros((d, 2 * d + 1), order="F")
+            np.fill_diagonal(B, -1.0 / math.sqrt(inflation))
+            np.fill_diagonal(B[:, d:], 1.0 / math.sqrt(inflation))
+            F = linalg.qr_stacked(A, B)
+            R, z = F[d:-1, d:-1], F[d:-1, -1]
+        v = linalg.tri_solve(R, x, trans=1)  # R'^{-T} x
+        lead, q, xw = SqrtInformation(R, z), v @ v, v @ z
+    else:
+        lead = np.matvec(form, x)
+        if inflation is not None:
+            lead += inflation * x
+        q, xw = np.vecdot(x, lead), np.vecdot(x, w)
+    if not (math.isfinite(q) if isinstance(q, float) else np.isfinite(q).all()):
+        raise BadStream(f"x^T P' x overflowed at round {t}: inputs too large for the prior")
+    return lead, q, xw
+
+
+def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.0):
+    """Fold (x, y) into what _innovate read: (form, w, s, err) after the round,
+    with s = 1 + weight q and err = gain (y - x . w), weight and gain 1 when
+    None, else one per member, and root = sqrt(weight), taken once by the
+    caller. In covariance form P <- P' - weight P'x (P'x)^T / s and
+    w <- w + P'x err / s (laser and CR-RLS have weight = gain = 1, hinf
+    a - 1 and a); a square-root member gets its new (R, z), and w = None."""
+    s = 1.0 + (q if weight is None else weight * q)
+    err = y - xw
+    if gain is not None:
+        err = gain * err
+    if isinstance(lead, SqrtInformation):  # the QR of [[R', z'], [x^T, y]]
+        (R, z), d = lead, x.shape[0]
+        A, B = np.zeros((d + 1, d + 1), order="F"), np.empty((1, d + 1))
+        A[:d, :d], A[:d, d], B[0, :d], B[0, d] = R, z, x, y
         F = linalg.qr_stacked(A, B)
-        R, z = F[d:-1, d:-1], F[d:-1, -1]
-    v = linalg.tri_solve(R, x, trans=1)
-    return SqrtInformation(R, z), v @ v, v @ z
-
-
-def _sqrt_commit(root: SqrtInformation, x, y) -> SqrtInformation:
-    """(R, z) after (x, y) from _sqrt_innovation's (R', z'): the QR of
-    [[R', z'], [x^T, y]]."""
-    R, z = root
-    d = z.shape[0]
-    A, B = np.zeros((d + 1, d + 1), order="F"), np.empty((1, d + 1))
-    A[:d, :d], A[:d, d], B[0, :d], B[0, d] = R, z, x, y
-    F = linalg.qr_stacked(A, B)
-    return SqrtInformation(F[:d, :d], F[:d, d])
+        return SqrtInformation(F[:d, :d], F[:d, d]), None, s, err
+    # sqrt(weight / s) would round differently, and move the written outputs
+    shrink, step = root / np.sqrt(s), err / s
+    if s.ndim:  # one per member: columns against the (S, d) rows of P'x
+        shrink, step = shrink[:, None], step[:, None]
+    g = lead * shrink
+    P = form - g[..., :, None] * g[..., None, :]
+    if inflation is not None:
+        linalg.add_to_diagonal(P, inflation)
+    return P, w + lead * step, s, err
 
 
 def _factor(P, t: int):
@@ -342,13 +347,13 @@ class CovRun(NamedTuple):
     spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, peak lambda_max D, ln det D)
 
 
-@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _check_q reports
+@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _innovate reports
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                keep_w=False, spectra=False, guard=None, switch=None) -> CovRun:
     """Run S members of the covariance-form round from P (S, d, d) and w = 0
     over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and ys[:, i]
     (a broadcast view when all read one stream). Per member: inflation is
-    1/c (0 at c = inf), weight and gain are those of _cov_commit (1 when
+    1/c (0 at c = inf), weight and gain are those of _fold (1 when
     None), and after each reset-th round P returns to its start. keep_w
     keeps the post-update weights.
 
@@ -376,7 +381,7 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     T, S, d = xs.shape
     drift = inflation
     inflation = None if inflation is None or not inflation.any() else inflation[:, None]
-    root = 1.0 if weight is None else np.sqrt(weight)[:, None]
+    root = 1.0 if weight is None else np.sqrt(weight)
     P0, w = P, np.zeros((S, d))
     xws, qs = np.empty((S, T)), np.empty((S, T))
     ws = np.empty((S, T, d)) if keep_w else None
@@ -403,17 +408,11 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
             guard = None if guard is None else guard[keep]
         if roots:
             for i, r in roots.items():
-                r, qs[i, t], xws[i, t] = _sqrt_innovation(r, x[i], drift[i])
-                _check_q(qs[i, t], t + 1)
-                roots[i] = _sqrt_commit(r, x[i], y[i])
+                lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
+                roots[i] = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None)[0]
             x, y = x[rows], y[rows]
-        Px, q, xw = _cov_innovation(P, w, x, inflation)
-        _check_q(q, t + 1)
-        s = 1.0 + (q if weight is None else weight * q)
-        err = y - xw
-        if gain is not None:
-            err = gain * err
-        P, w = _cov_commit(P, w, Px, s[:, None], err[:, None], inflation, root)
+        Px, q, xw = _innovate(P, w, x, inflation, t + 1)
+        P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, weight, gain, root)
         xws[rows, t], qs[rows, t] = xw, q
         if reset is not None:
             due = (t + 1) % reset == 0
@@ -442,46 +441,32 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     return CovRun(xws, qs, final, ws, spec)
 
 
-# -- the single-state step functions --------------------------------------------
+# -- the single-state step functions: one-member calls of the stages ------------
 
-@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _check_q reports
-def _innovation(state: LaserState, x: np.ndarray) -> LaserStep:
-    params = state.params
-    cov, root = state.cov, state.sqrt_info
-    max_xsq = state.max_xsq
-    xsq = float(x @ x)
-    if xsq > max_xsq:
-        max_xsq = xsq
-        if root is None and not params.covariance_holds(xsq):
-            cov, root = None, _to_sqrt_info(cov, state.w)
-    if root is None:
-        Px, q, xw = _cov_innovation(cov, state.w, x, params.inflation or None)
-    else:
-        Px = None
-        root, q, xw = _sqrt_innovation(root, x, params.inflation)
-    _check_q(q, state.t + 1)
-    return LaserStep(x, q, xw, max_xsq, Px, root)
+def _switches(params: LaserParams, xsq: float, max_xsq: float) -> bool:
+    """The switch rule: an input with |x|^2 = xsq after inputs with max |x|^2
+    = max_xsq moves a covariance-form state to square-root information form
+    if it is a new peak at which covariance_holds fails."""
+    return xsq > max_xsq and not params.covariance_holds(xsq)
 
 
-def _predict(state: LaserState, x: np.ndarray) -> tuple[float, LaserStep]:
-    step = _innovation(state, x)
-    yhat = float(step.xw / (1.0 + step.q))
-    if state.params.clip_bound is not None:
-        yhat = clip(yhat, state.params.clip_bound)
-    return yhat, step
+@np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
+def _step_innovation(state: LaserState, x: np.ndarray) -> LaserStep:
+    """The switch rule, then _innovate, for the validated input x."""
+    form, xsq = state.sqrt_info or state.cov, float(x @ x)
+    if state.sqrt_info is None and _switches(state.params, xsq, state.max_xsq):
+        form = _to_sqrt_info(state.cov, state.w)
+    return LaserStep(x, max(xsq, state.max_xsq), form,
+                     *_innovate(form, state.w, x, state.params.inflation or None, state.t + 1))
 
 
-def _commit(state: LaserState, y: float, step: LaserStep) -> LaserState:
-    params = state.params
-    x, q, xw, max_xsq, Px, root = step
-    s = 1.0 + q
-    err = y - xw
-    if root is None:
-        P, w = _cov_commit(state.cov, state.w, Px, s, err, params.inflation or None)
-    else:
-        P, root = None, _sqrt_commit(root, x, y)
-        w = linalg.tri_solve(*root)
-    return LaserState(params, w, P, root, max_xsq, float(state.min_cost + err * err / s),
+def _step_fold(state: LaserState, y: float, step: LaserStep) -> LaserState:
+    """The state after _fold commits step's round with label y."""
+    x, max_xsq, form, lead, q, xw = step
+    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, state.params.inflation or None)
+    cov, root = (form, None) if w is not None else (None, form)
+    w = w if root is None else linalg.tri_solve(*root)
+    return LaserState(state.params, w, cov, root, max_xsq, float(state.min_cost + err * err / s),
                       state.t + 1, float(q / s))
 
 
@@ -491,7 +476,11 @@ def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
     Returns (yhat, step); pass step to laser_update for this same x to
     avoid recomputing it.
     """
-    return _predict(state, linalg.as_vector(x, state.dim))
+    step = _step_innovation(state, linalg.as_vector(x, state.dim))
+    yhat = float(step.xw / (1.0 + step.q))
+    if state.params.clip_bound is not None:
+        yhat = clip(yhat, state.params.clip_bound)
+    return yhat, step
 
 
 def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) -> LaserState:
@@ -501,8 +490,8 @@ def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) 
     x; x is then not read again. When omitted it is recomputed.
     """
     if step is None:
-        step = _innovation(state, linalg.as_vector(x, state.dim))
-    return _commit(state, y, step)
+        step = _step_innovation(state, linalg.as_vector(x, state.dim))
+    return _step_fold(state, y, step)
 
 
 def laser_min_cost(state: LaserState) -> float:
@@ -551,11 +540,11 @@ class LaserTrajectory:
 
 
 def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
-    """The round at which a state moves to square-root information form
-    along a stream whose running max |x|^2 takes the values in peaks (see
-    _innovation), or len(peaks) if it never does."""
-    for t in np.flatnonzero(peaks > np.concatenate(([0.0], peaks[:-1]))):
-        if not params.covariance_holds(float(peaks[t])):
+    """The first round at which _switches holds, where the running max |x|^2
+    (the values in peaks) rises, or len(peaks) if it never does."""
+    prior = np.concatenate(([0.0], peaks[:-1]))
+    for t in np.flatnonzero(peaks > prior):
+        if _switches(params, float(peaks[t]), float(prior[t])):
             return int(t)
     return len(peaks)
 
@@ -589,7 +578,7 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
     if np.isfinite(bound).any():
         yhats = clip(yhats, bound[:, None])
-    err = ys.T - run.xw  # cumsum adds in order, as _commit does
+    err = ys.T - run.xw  # cumsum adds in order, as _step_fold does
     min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
 
     max_xsq = np.max(xsq, axis=0, initial=0.0)

@@ -4,7 +4,8 @@ Each learner runs a set of mixed members (different parameters, streams,
 forms) alone and inside batches of several sizes and orders; predictions,
 L_T, quads, spectral summaries and bound checks must agree to TOL. Each
 member's predictions equal, bit for bit, those of the learner's public
-single-state step function. The sweep must match a per-point run_learner
+single-state step function, and both refuse an overflowing round at the
+same round. The sweep must match a per-point run_learner
 loop, and experiments must not depend on the worker count.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 from driftlearn import baselines, harness, hinf, laser, oracle
 from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
-from driftlearn.errors import InvalidParams
+from driftlearn.errors import BadStream, InvalidParams
 
 TOL = 1e-12  # relative to max |yhat| for predictions, to max(1, |v|) for scalars
 T, D = 200, 4
@@ -137,6 +138,29 @@ def test_step_function_matches_batch_member_bit_for_bit(algo):
     reports = harness.run_batch(algo, [p for p, _ in members], [s for _, s in members])
     for (params, stream), report in zip(members, reports):
         assert np.array_equal(step_predictions(algo, params, stream), report.yhats), params
+
+
+# two good rounds, then an input whose x^T P' x overflows (|x|^2 ~ 5e400)
+OVERFLOW_AT_3 = LabeledStream(np.array([[1.0, 2.0], [-0.5, 1.0], [1e200, 2e200]]),
+                              np.array([1.0, -1.0, 1.0]),
+                              oracle.comparator_from_us(np.zeros((3, 2))), 1.0, 1.0)
+OVERFLOW_PARAMS = {"laser": {"b": 1.0, "c": 10.0}, "aar": {"b": 1.0},
+                   "hinf": {"a": 2.0, "b": 1.0, "c": 10.0},
+                   "crrls": {"reset_period": 2, "b_reset": 1.0}}  # resets after round 2
+
+
+@pytest.mark.parametrize("algo", OVERFLOW_PARAMS)
+def test_step_and_loop_refuse_an_overflow_at_the_same_later_round(algo):
+    params, stream = OVERFLOW_PARAMS[algo], OVERFLOW_AT_3
+    good = replace(stream, xs=stream.xs[:2], ys=stream.ys[:2],
+                   truth=oracle.comparator_from_us(np.zeros((2, 2))))
+    report, = harness.run_batch(algo, [params], [good])
+    assert np.array_equal(step_predictions(algo, params, good), report.yhats)
+    match = r"x\^T P' x overflowed at round 3: inputs too large for the prior"
+    with pytest.raises(BadStream, match=match):
+        step_predictions(algo, params, stream)
+    with pytest.raises(BadStream, match=match):
+        harness.run_batch(algo, [params], [stream])
 
 
 def test_laser_spectra_and_states_do_not_depend_on_the_batch():

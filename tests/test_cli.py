@@ -295,7 +295,17 @@ BAD_INPUTS = {
     "gen-seed-2-64": ["gen", "--kind", "A", "--seed", str(2**64), "--out", "TMP/x.csv"],
     "run-base-seed-negative": ["run", "--algo", "aar", "--b", "1", "--base-seed", "-1",
                                "--out-prefix", "TMP/r"],
+    **{f"run-data-base-seed-{name}": ["run", "--algo", "aar", "--b", "1", "--data",
+                                      "TMP/stream.csv", "--base-seed", seed,
+                                      "--out-prefix", "TMP/r"]
+       for name, seed in (("negative", "-1"), ("2-64", str(2**64)))},
+    "stream-not-utf8": ["run", "--algo", "laser", "--b", "1", "--c", "10",
+                        "--data", "TMP/not-utf8-stream.csv", "--out-prefix", "TMP/r"],
+    "report-not-utf8": ["report", "--inputs", "TMP/not-utf8-report.csv", "--out", "TMP/s.csv"],
+    "config-not-utf8": ["--config", "TMP/not-utf8-config.json", "gen", "--out", "TMP/x.csv"],
+    "sweep-grid-not-utf8": ["sweep", "--algo", "laser", "--grid", "@TMP/not-utf8-grid.json"],
     "sweep-grid-list": ["sweep", "--algo", "laser", "--grid", "[1]"],
+    "sweep-grid-bad-json": ["sweep", "--algo", "laser", "--grid", '{"b": [1]'],
     "sweep-grid-scalar": ["sweep", "--algo", "laser", "--grid", '{"b": 1, "c": [10]}'],
     "sweep-grid-text": ["sweep", "--algo", "laser", "--grid", '{"b": ["x"], "c": [10]}'],
     "sweep-grid-non-integral": ["sweep", "--algo", "crrls", "--grid",
@@ -357,9 +367,17 @@ BAD_STREAMS = {
     "bad-header": "s,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n",
     "one-underscore-zero": "t,x_1,x_2,y,u_1,u_2\n1,1_0,2,1,0,0\n",
 }
+# files with one 0xff byte, which is not UTF-8, for the *-not-utf8 cases
+NOT_UTF8 = {
+    "stream.csv": b"t,x_1,x_2,y,u_1,u_2\n1,1,\xff,1,0,0\n",
+    "report.csv": b"algo,seed,t,yhat,y,loss,cumloss\nlaser,0,1,\xff,1,1,1\n",
+    "config.json": b'{"kind": "\xff"}',
+    "grid.json": b'{"b": [1], "c": [\xff]}',
+}
 # the reason each of these must name in its error line
 BAD_INPUT_REASONS = {
     "sweep-grid-text": "parameter 'b': could not convert string to float: 'x'",
+    "sweep-grid-bad-json": "bad grid JSON: Expecting ',' delimiter",
     "sweep-grid-non-integral": "parameter 'reset_period': expected an integer, got 2.5",
     "eps-ratio-without-tuned-regime": "eps_ratio applies only with tuned_regime",
     "laser-b-text": "parameter 'b': could not convert string to float: 'x'",
@@ -387,6 +405,10 @@ BAD_INPUT_REASONS = {
     "gen-seed-negative": "seed must lie in [0, 2**64), got -1",
     "gen-seed-2-64": f"seed must lie in [0, 2**64), got {2**64}",
     "run-base-seed-negative": "seed must lie in [0, 2**64), got -1",
+    "run-data-base-seed-negative": "seed must lie in [0, 2**64), got -1",
+    "run-data-base-seed-2-64": f"seed must lie in [0, 2**64), got {2**64}",
+    **{f"{case}-not-utf8": "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+       for case in ("stream", "report", "config", "sweep-grid")},
     "stream-ragged": "a row does not have the 6 fields of the header",
     "stream-non-numeric": "non-numeric field: could not convert string 'two'",
     "stream-nan": "non-finite values",
@@ -410,6 +432,8 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     )
     for name, text in BAD_STREAMS.items():
         (tmp_path / f"{name}.csv").write_text(text)
+    for name, data in NOT_UTF8.items():
+        (tmp_path / f"not-utf8-{name}").write_bytes(data)
     extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:

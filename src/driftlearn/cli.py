@@ -111,8 +111,14 @@ def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
     return defaults
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The driftlearn parser; config preloads the subcommands' flag defaults."""
+# run's flags for generated streams, refused when given with --data
+_GENERATED = ("seeds", "full", "kind", "T", "d", "seed", "rotation_rate", "switch_period",
+              "noise_var", "no_wrap")
+
+
+def build_parser(config: dict | None = None, unset=None) -> argparse.ArgumentParser:
+    """The driftlearn parser; config preloads the subcommands' flag defaults,
+    and unset, if given, replaces the defaults of run's _GENERATED flags."""
     ap = argparse.ArgumentParser(
         prog="driftlearn",
         description="Online regression under target drift: learners, "
@@ -135,6 +141,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     r.add_argument("--full", action="store_true",
                    help="full-scale defaults: T=2000 d=20 seeds=100")
     r.add_argument("--out-prefix", default="run", help="prefix for <prefix>_report.csv etc.")
+    if unset is not None:
+        r.set_defaults(**dict.fromkeys(_GENERATED, unset))
 
     s = sub.add_parser("sweep", help="grid-tune a learner on one stream")
     s.add_argument("--algo", required=True, choices=harness.ALGO_IDS)
@@ -271,6 +279,18 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _generated_flag(argv) -> str | None:
+    """The first of run's _GENERATED flags that argv gives, if any. argv is
+    parsed again without the config, whose values may serve gen, and with
+    the tuple _GENERATED marking each flag not given; but only if a token
+    could name or abbreviate one, since building a parser takes milliseconds."""
+    flags = ["--" + dest.replace("_", "-") for dest in _GENERATED]
+    if not any(f.startswith(a.split("=")[0]) for a in argv if a.startswith("--") for f in flags):
+        return None
+    given = vars(build_parser(unset=_GENERATED).parse_args(argv))
+    return next((f for f, dest in zip(flags, _GENERATED) if given[dest] is not _GENERATED), None)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -280,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
             # re-parse with the config as defaults, so explicit flags (however
             # abbreviated) win and config values get the flags' own conversion
             args = build_parser(_load_config(args.config)).parse_args(argv)
+        flag = _generated_flag(argv) if args.subcommand == "run" and args.data else None
+        if flag is not None:
+            raise ConfigError(f"{flag} applies to generated streams only, not with --data")
         return _COMMANDS[args.subcommand](args)
     except DriftLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)

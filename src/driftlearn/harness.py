@@ -3,11 +3,12 @@
 Every run follows the strict online protocol (predict on x_t before y_t
 is revealed) and produces a RunReport with per-step records, cumulative
 loss, regret against the generating target, and the applicable bound
-checks evaluated on the spot. Runs of one learner go in batches: a sweep
-runs all its grid points as one batch over the shared tuning stream, an
-experiment each learner as one batch over its seeds' streams, and
-run_learner is a batch of one. A member's results do not depend on its
-batch. Experiments reduce deterministically.
+checks evaluated on the spot. Runs go in batches: a sweep runs all its
+grid points as one batch over the shared tuning stream, an experiment all
+its learners as one batch over its seeds' streams, and run_learner is a
+batch of one. A batch runs every laser, AAR, hinf and CR-RLS member in one
+step loop. A member's results do not depend on its batch. Experiments
+reduce deterministically.
 """
 
 import csv
@@ -144,21 +145,29 @@ def _laser_params(params: dict, stream: LabeledStream):
     return lp, regime, inputs
 
 
-def _member(algo_id: str, params: dict, stream: LabeledStream):
-    """One batch member's validated set-up: the LaserParams with the tuned
-    regime and tuning inputs for laser and aar, the initial state for the
-    other learners. InvalidParams if params do not fit the learner."""
-    if algo_id == "laser":
-        return _laser_params(params, stream)
-    p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
+def _member(algo_id: str, params: dict, stream: LabeledStream, certify: bool = True):
+    """One batch member's validated set-up, (algo_id, params, round, extra):
+    round is its laser.CovMember (spectra for a drifting laser member and
+    hinf's weights kept when certify holds), or its NlmsState; extra is
+    (LaserParams, tuned regime, tuning inputs) for laser, the HInfParams for
+    hinf, else None. InvalidParams if params do not fit the learner."""
     d = stream.dim
-    if algo_id == "aar":  # the laser step at c = inf; it certifies no bounds
-        return laser.LaserParams(b=p["b"]), None, None
-    if algo_id == "hinf":
-        return hinf.hinf_init(hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"]), d)
+    if algo_id == "laser":
+        lp, regime, inputs = _laser_params(params, stream)
+        spectra = certify and not lp.stationary
+        return algo_id, params, laser.laser_member(lp, d, spectra), (lp, regime, inputs)
+    p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
+    if algo_id == "aar":  # the laser round at c = inf; it certifies no bounds
+        return algo_id, params, laser.laser_member(laser.LaserParams(b=p["b"]), d), None
+    if algo_id == "hinf":  # the round with weight a - 1 and gain a, unshrunk
+        state = hinf.hinf_init(hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"]), d)
+        a = state.params.a
+        return algo_id, params, laser.CovMember(state.P_tilde, 1.0 / state.params.c, a - 1.0, a,
+                                                keep_w=certify), state.params
     if algo_id == "nlms":
-        return baselines.nlms_init(d, p["eta"], p["eps"])
-    return baselines.crrls_init(d, p["reset_period"], p["b_reset"])
+        return algo_id, params, baselines.nlms_init(d, p["eta"], p["eps"]), None
+    state = baselines.crrls_init(d, p["reset_period"], p["b_reset"])  # c = inf, unshrunk
+    return algo_id, params, laser.CovMember(state.P, reset=state.reset_period), None
 
 
 def _batch_inputs(streams: list[LabeledStream]):
@@ -176,56 +185,51 @@ def _batch_inputs(streams: list[LabeledStream]):
     return np.stack([s.xs for s in streams], axis=1), np.stack([s.ys for s in streams], axis=1)
 
 
-def _run_members(algo_id, members, params, streams, seeds, certify: bool) -> list[RunReport]:
-    """Run set-up members (from _member) in one step loop and report each.
+def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
+    """Run set-up members (from _member), of one learner or several, and
+    report each: every laser, AAR, hinf and CR-RLS member in one
+    laser.member_rounds call, then the NLMS members in their own loop.
     Without certify no bound is checked and no spectrum computed."""
-    xs, ys = _batch_inputs(streams)
-    quads = post_ws = trajs = None
-    if algo_id in ("laser", "aar"):
-        lps = [m[0] for m in members]
-        spectra = certify and algo_id == "laser" and not all(lp.stationary for lp in lps)
-        trajs = laser.laser_trajectories(lps, xs, ys, spectra=spectra)
-        yhats = [tr.yhats for tr in trajs]
-        if algo_id == "laser":
-            quads = [tr.quads for tr in trajs]
-    elif algo_id == "hinf":  # the laser round with weight a - 1 and gain a, unshrunk
-        a = np.array([m.params.a for m in members])
-        inflation = 1.0 / np.array([m.params.c for m in members])
-        run = laser.cov_rounds(np.stack([m.P_tilde for m in members]), xs, ys, inflation,
-                               a - 1.0, a, keep_w=certify)
-        yhats, post_ws = run.xw, run.ws
-    elif algo_id == "crrls":  # the laser round at c = inf, unshrunk, with the reset
-        yhats = laser.cov_rounds(np.stack([m.P for m in members]), xs, ys,
-                                 reset=np.array([m.reset_period for m in members])).xw
-    else:
-        yhats = baselines.nlms_trajectories(members, xs, ys)
+    yhats, trajs, post_ws = {}, {}, {}
+    family = [i for i, m in enumerate(members) if m[0] != "nlms"]
+    if family:
+        run, lt = laser.member_rounds([members[i][2] for i in family],
+                                      *_batch_inputs([streams[i] for i in family]))
+        for j, i in enumerate(family):
+            trajs[i], yhats[i] = lt[j], run.xw[j] if lt[j] is None else lt[j].yhats
+            post_ws[i] = run.ws[j] if members[i][2].keep_w else None
+    nlms = [i for i, m in enumerate(members) if m[0] == "nlms"]
+    if nlms:
+        yhats.update(zip(nlms, baselines.nlms_trajectories(
+            [members[i][2] for i in nlms], *_batch_inputs([streams[i] for i in nlms]))))
 
-    truth_loss = {}
+    truth_loss = {}  # stream -> the comparator's loss, computed once
     reports = []
     for i, stream in enumerate(streams):
         if id(stream) not in truth_loss:
             truth_loss[id(stream)] = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
+        closs = truth_loss[id(stream)]
+        algo_id, params, _, extra = members[i]
         losses = (stream.ys - yhats[i]) ** 2
         cumlosses = np.cumsum(losses)
         L_T = float(cumlosses[-1]) if stream.T else 0.0
         report = RunReport(
             algo_id=algo_id,
-            params=dict(params[i]),
+            params=dict(params),
             yhats=yhats[i],
             ys=stream.ys.copy(),
             losses=losses,
             cumlosses=cumlosses,
             L_T=L_T,
-            regret_vs_truth=L_T - truth_loss[id(stream)],
-            quad_trace=None if quads is None else quads[i],
-            post_update_w=None if post_ws is None else post_ws[i],
+            regret_vs_truth=L_T - closs,
+            quad_trace=trajs[i].quads if algo_id == "laser" else None,
+            post_update_w=post_ws.get(i),
             seed=seeds[i],
         )
         if certify and algo_id == "laser":
-            lp, regime, inputs = members[i]
-            report.bound_checks = _laser_bound_checks(report, stream, lp, trajs[i], regime, inputs)
+            report.bound_checks = _laser_bound_checks(report, stream, trajs[i], *extra, closs)
         elif certify and algo_id == "hinf":
-            report.bound_checks = _hinf_bound_checks(report, stream, members[i].params)
+            report.bound_checks = _hinf_bound_checks(report, stream, extra, closs)
         reports.append(report)
     return reports
 
@@ -241,7 +245,7 @@ def run_batch(algo_id: str, params: list[dict], streams: list[LabeledStream],
         oracle.checked_stream(stream.xs, stream.ys)
     members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
     seeds = [0] * len(streams) if seeds is None else seeds
-    return _run_members(algo_id, members, params, streams, seeds, certify=True)
+    return _run_members(members, streams, seeds, certify=True)
 
 
 def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0) -> RunReport:
@@ -250,7 +254,7 @@ def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0
     return run_batch(algo_id, [params], [stream], [seed])[0]
 
 
-def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundCheck]:
+def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list[BoundCheck]:
     checks = []
     rhs = oracle.cumloss_bound(
         stream.truth, stream.xs, stream.ys, lp.b, lp.c,
@@ -278,7 +282,7 @@ def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundC
             inputs,
             stream.truth.V,
             float(u1 @ u1),
-            oracle.comparator_loss(stream.truth, stream.xs, stream.ys),
+            closs,
             ld,
         )
         checks.append(BoundCheck(
@@ -288,13 +292,12 @@ def _laser_bound_checks(report, stream, lp, traj, regime, inputs) -> list[BoundC
     return checks
 
 
-def _hinf_bound_checks(report, stream, hp) -> list[BoundCheck]:
+def _hinf_bound_checks(report, stream, hp, closs) -> list[BoundCheck]:
     checks = []
     truth = stream.truth
     lhs = hinf.hinf_filter_loss(report.post_update_w, stream.xs, truth)
     rhs = hinf.filter_bound_rhs(hp, truth, stream.xs, stream.ys)
     checks.append(BoundCheck("filter_error_bound", lhs, rhs, lhs <= rhs + BOUND_TOL))
-    closs = oracle.comparator_loss(truth, stream.xs, stream.ys)
     u1sq = float(truth.us[0] @ truth.us[0])
     for alpha in ALPHA_GRID:
         rhs = hinf.regret_bound_rhs(hp, alpha, closs, u1sq, truth.V)
@@ -339,9 +342,13 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _run_job(args):
-    dataset_spec, algo_id, params, seeds = args
+    """One batch of an experiment: every learner on each seed's stream."""
+    dataset_spec, algos, seeds = args
     streams = [gen_stream(replace(dataset_spec, seed=seed)) for seed in seeds]
-    return run_batch(algo_id, [params] * len(seeds), streams, seeds)
+    for stream in streams:
+        oracle.checked_stream(stream.xs, stream.ys)
+    members = [_member(algo_id, params, s) for algo_id, params in algos for s in streams]
+    return _run_members(members, streams * len(algos), seeds * len(algos), certify=True)
 
 
 def experiment(
@@ -350,16 +357,22 @@ def experiment(
     seeds: list[int],
     workers: int | None = None,
 ) -> list[RunReport]:
-    """Run each (algo, params) on each seed's stream, each learner as one
-    batch over its seeds; with n workers each learner's seeds are split
-    into n batches run in parallel. Reports come back sorted by
-    (algo_id, seed) regardless of completion order."""
+    """Run each (algo, params) on each seed's stream, all of them as one
+    batch, which generates and checks each stream once and runs every
+    covariance-family member in one step loop; with n workers the seeds are
+    split into n batches run in parallel. Reports come back sorted by
+    (algo_id, seed) regardless of completion order.
+
+    Every member's parameters are checked before any runs. When members
+    of several learners fail, the batch raises the error of the earliest
+    round in its covariance-family loop, whichever learner's member it is
+    (NLMS members run after that loop), and of several failing batches the
+    first one's error wins."""
     if not seeds:
         raise InvalidParams("an experiment needs at least one seed")
     n = resolve_workers(workers)
-    size = max(1, -(-len(seeds) // n))  # ceil: n batches per learner at most
-    chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
-    jobs = [(dataset_spec, algo_id, params, chunk) for (algo_id, params) in algos for chunk in chunks]
+    size = max(1, -(-len(seeds) // n))  # ceil: n batches at most
+    jobs = [(dataset_spec, algos, list(seeds[i:i + size])) for i in range(0, len(seeds), size)]
     if n <= 1 or len(jobs) <= 1:
         batches = [_run_job(j) for j in jobs]
     else:
@@ -483,7 +496,7 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     valid, members, skipped = [], [], []
     for params in _grid_candidates(spec.grid):
         try:
-            members.append(_member(spec.algo_id, params, stream))
+            members.append(_member(spec.algo_id, params, stream, certify=False))
         except InvalidParams as exc:
             skipped.append((params, str(exc)))
             continue
@@ -491,8 +504,8 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     if not valid:
         reasons = "; ".join(f"{params}: {reason}" for params, reason in skipped)
         raise InvalidParams(f"every grid point was invalid ({reasons})")
-    reports = _run_members(spec.algo_id, members, valid, [stream] * len(valid),
-                           [spec.tuning_seed] * len(valid), certify=False)
+    reports = _run_members(members, [stream] * len(valid), [spec.tuning_seed] * len(valid),
+                           certify=False)
     evaluated = [(params, r.L_T) for params, r in zip(valid, reports)]
     best_params, best_loss = None, math.inf
     for params, L_T in evaluated:

@@ -56,8 +56,10 @@ and the overflow check) and `_fold` (s = 1 + weight q, err =
 gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
 members (grid points, streams, or both, sharing T and d), calls them, and
 every single-state step makes one-member calls of them (see `hinf`,
-`baselines`); `_switches` holds the switch rule for both.
-`laser_trajectories` runs every laser member in `cov_rounds`: members
+`baselines`); `_switches` holds the switch rule for both. Laser, AAR,
+hinf and CR-RLS members differ only in the entries of a `CovMember`
+record (start P, inflation, weight, gain, reset, spectra, kept weights),
+so `member_rounds` runs any mix of them in one `cov_rounds` call. Members
 stay on (S, d, d) and (S, d) arrays until their inputs move them to
 square-root form, and then take their rounds on LAPACK calls of their own.
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
@@ -229,13 +231,14 @@ def _to_sqrt_info(P, w) -> SqrtInformation:
 
 # -- one round in two stages, for cov_rounds and the single-state steps ---------
 
-def _innovate(form, w, x, inflation, t):
+def _innovate(form, w, x, inflation, t, drifts=True):
     """Round t's innovation (lead, q = x^T P' x, x . w), P' = P + I/c, of a
     covariance-form stack, form = P over any leading member axes and lead =
     P'x, or of one square-root member, form = (R, z) and lead = (R', z').
     inflation is 1/c: a (S, 1) column for S members, or None when no member
-    drifts. Callers ignore overflow: x is finite, so q is infinite only if
-    x^T P' x overflowed, which raises BadStream."""
+    drifts; drifts, a (S, 1) mask, keeps it off the others, where adding 0
+    would turn a -0.0 into 0.0. Callers ignore overflow: x is finite, so q
+    is infinite only if x^T P' x overflowed, which raises BadStream."""
     if isinstance(form, SqrtInformation):
         R, z = form
         if inflation:
@@ -255,20 +258,22 @@ def _innovate(form, w, x, inflation, t):
     else:
         lead = np.matvec(form, x)
         if inflation is not None:
-            lead += inflation * x
+            np.add(lead, inflation * x, out=lead, where=drifts)
         q, xw = np.vecdot(x, lead), np.vecdot(x, w)
     if not (math.isfinite(q) if isinstance(q, float) else np.isfinite(q).all()):
         raise BadStream(f"x^T P' x overflowed at round {t}: inputs too large for the prior")
     return lead, q, xw
 
 
-def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.0):
+def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.0,
+          drifts=True):
     """Fold (x, y) into what _innovate read: (form, w, s, err) after the round,
     with s = 1 + weight q and err = gain (y - x . w), weight and gain 1 when
-    None, else one per member, and root = sqrt(weight), taken once by the
-    caller. In covariance form P <- P' - weight P'x (P'x)^T / s and
-    w <- w + P'x err / s (laser and CR-RLS have weight = gain = 1, hinf
-    a - 1 and a); a square-root member gets its new (R, z), and w = None."""
+    None, else one per member, root = sqrt(weight), taken once by the
+    caller, and drifts as there. In covariance form P <- P' - weight P'x
+    (P'x)^T / s and w <- w + P'x err / s (laser and CR-RLS have weight =
+    gain = 1, hinf a - 1 and a); a square-root member gets its new (R, z)
+    and w = None."""
     s = 1.0 + (q if weight is None else weight * q)
     err = y - xw
     if gain is not None:
@@ -286,7 +291,7 @@ def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.
     g = lead * shrink
     P = form - g[..., :, None] * g[..., None, :]
     if inflation is not None:
-        linalg.add_to_diagonal(P, inflation)
+        linalg.add_to_diagonal(P, inflation, drifts)
     return P, w + lead * step, s, err
 
 
@@ -343,19 +348,33 @@ class CovRun(NamedTuple):
     q: np.ndarray                # (S, T): x_t^T P' x_t, unweighted
     final: list                  # per member after the last round: (P, w, None)
                                  # in covariance form, else (None, w, (R, z))
-    ws: np.ndarray | None        # (S, T, d) post-update weights, with keep_w
-    spectra: np.ndarray | None   # (T + 1, 3, S) (Tr D, peak lambda_max D, ln det D)
+    ws: np.ndarray | None        # (S, T, d) post-update weights of the keep_w members
+    spectra: np.ndarray | None   # (T + 1, 3, K) (Tr D, peak lambda_max D, ln det D)
+                                 # of the K members with spectra, in member order
+
+
+def _slots(mask, ids, slot):
+    """(held rows, their slot[member]) of the held members, ids, that mask
+    selects: slices if that is every member, Nones if it is none."""
+    rows = np.flatnonzero(mask[ids])
+    if len(rows) == len(mask):
+        return slice(None), slice(None)
+    return (rows, slot[ids[rows]]) if len(rows) else (None, None)
 
 
 @np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _innovate reports
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
-               keep_w=False, spectra=False, guard=None, switch=None) -> CovRun:
+               keep_w=None, spectra=None, guard=None, switch=None) -> CovRun:
     """Run S members of the covariance-form round from P (S, d, d) and w = 0
     over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and ys[:, i]
-    (a broadcast view when all read one stream). Per member: inflation is
-    1/c (0 at c = inf), weight and gain are those of _fold (1 when
-    None), and after each reset-th round P returns to its start. keep_w
-    keeps the post-update weights.
+    (a broadcast view when all read one stream). Each later argument holds
+    one entry per member, or is None when all take its default: inflation
+    is 1/c (0 at c = inf, where nothing is added), weight and gain are
+    those of _fold (1), after each reset-th round P returns to its start
+    (never if reset > T), and keep_w, spectra and guard are masks, or one
+    bool for all (none by default). Entries shrink with the members held in
+    the stacked arrays, so a member's arithmetic does not depend on its
+    batch. keep_w keeps the post-update weights.
 
     spectra records, before round 1 and after each round, Tr D and ln det D
     of D = P^{-1}, from one batched Cholesky factorization of P, and the
@@ -364,77 +383,87 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     (eigvalsh) is taken only where the bound ub_t = min(Tr D_t,
     ub_{t-1}/(1 + ub_{t-1}/c) + |x_t|^2), the Lemma-6 map reset to each
     exact value, could raise the member's peak. The factorization also
-    guards every held member; without spectra, the members where guard
-    holds are factorized alone. A failed factorization raises
-    NotPositiveDefinite.
+    guards those members, and guard's are factorized alone. A failed
+    factorization raises NotPositiveDefinite.
 
-    With switch, laser member i leaves the stacked arrays for square-root
-    information form at round switch[i] (never if switch[i] >= T) and runs
-    its later rounds alone. switch and spectra hold only for the laser
-    round: weight, gain and reset must be unset, and keep_w too with switch.
+    Member i leaves the stacked arrays for square-root information form at
+    round switch[i] (never if switch[i] >= T) and runs its later rounds
+    alone. That form and the screen's map are the laser round's: a member
+    with spectra or a switch round must have weight and gain 1 and no reset.
     """
-    if (switch is not None or spectra) and (weight is not None or gain is not None
-                                            or reset is not None):
-        raise ValueError("switch and spectra run laser members: no weight, gain or reset")
-    if switch is not None and keep_w:
-        raise ValueError("switch runs laser members: no keep_w")
     T, S, d = xs.shape
-    drift = inflation
-    inflation = None if inflation is None or not inflation.any() else inflation[:, None]
+    drift = np.zeros(S) if inflation is None else inflation  # 1/c of every member
+    inflation = drift[:, None] if drift.any() else None
+    drifts = True if drift.all() else (drift != 0)[:, None]  # where held rows add inflation
     root = 1.0 if weight is None else np.sqrt(weight)
-    P0, w = P, np.zeros((S, d))
+    switch = np.full(S, T) if switch is None else switch
+    P0, w, ids = P, np.zeros((S, d)), np.arange(S)  # ids: the held members
+    moves = {0, *switch[switch < T].tolist()}
+    resets = {k for p in set([] if reset is None else reset[reset <= T].tolist())
+              for k in range(p, T + 1, p)}
     xws, qs = np.empty((S, T)), np.empty((S, T))
-    ws = np.empty((S, T, d)) if keep_w else None
-    spec = np.empty((T + 1, 3, S)) if spectra else None
-    if spectra:
-        spec[0, 0], spec[0, 2] = _trace_logdet(_factor(P, 0))
-        spec[0, 1] = ub = _lam_max(P)
-        peak = np.full(S, -math.inf)
-        rate = 0.0 if drift is None else drift
-    rows = slice(None)  # the members held in the stacked arrays
-    roots = {}          # member -> SqrtInformation, from its switch round on
-    moves = set() if switch is None else set(switch[switch < T].tolist())
+    ws = None if keep_w is None else np.empty((S, T, d))
+    keep_w, spectra, guard = (np.broadcast_to(bool(m) if np.ndim(m) == 0 else m, S)
+                              for m in (keep_w, spectra, guard))
+    col, K = np.cumsum(spectra) - 1, int(spectra.sum())  # member -> column of the spectra
+    spec = np.empty((T + 1, 3, K)) if K else None
+    if K:
+        cid = slice(None) if K == S else np.flatnonzero(spectra)
+        spec[0, 0], spec[0, 2] = _trace_logdet(_factor(P[cid], 0))
+        spec[0, 1] = ub = _lam_max(P[cid])
+        peak = np.full(K, -math.inf)
+        rate = drift[cid]
+    roots = {}  # member -> SqrtInformation, from its switch round on
     for t in range(T):
         x, y = xs[t], ys[t]
-        if spectra:
-            xsq = np.vecdot(x, x)
-        if t in moves:
-            held = np.arange(S)[rows]
-            keep = switch[held] != t
+        if K:
+            xsq = np.vecdot(xc := x[cid], xc)
+        if t in moves:  # and round 0, which places the held rows
+            keep = switch[ids] != t
             for j in np.flatnonzero(~keep):
-                roots[int(held[j])] = _to_sqrt_info(P[j], w[j])
-            rows, P, w = held[keep], P[keep], w[keep]
-            inflation = None if inflation is None else inflation[keep]
-            guard = None if guard is None else guard[keep]
+                roots[int(ids[j])] = _to_sqrt_info(P[j], w[j])
+            P, w, P0, inflation, drifts, weight, gain, root, reset, ids = (
+                a[keep] if isinstance(a, np.ndarray) else a
+                for a in (P, w, P0, inflation, drifts, weight, gain, root, reset, ids))
+            rows = ids if roots else slice(None)  # the members held in the stacked arrays
+            (gsrc, _), (ksrc, kdst), (csrc, cdst) = (
+                _slots(m, ids, slot) for m, slot in ((guard, col), (keep_w, np.arange(S)),
+                                                     (spectra, col)))
         if roots:
             for i, r in roots.items():
                 lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
-                roots[i] = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None)[0]
+                roots[i] = r = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None)[0]
+                if keep_w[i]:
+                    ws[i, t] = linalg.tri_solve(*r)
             x, y = x[rows], y[rows]
-        Px, q, xw = _innovate(P, w, x, inflation, t + 1)
-        P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, weight, gain, root)
+        Px, q, xw = _innovate(P, w, x, inflation, t + 1, drifts)
+        P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, weight, gain, root, drifts)
         xws[rows, t], qs[rows, t] = xw, q
-        if reset is not None:
+        if t + 1 in resets:
             due = (t + 1) % reset == 0
             P[due] = P0[due]
-        if keep_w:
-            ws[:, t] = w
-        if spectra:
+        if ksrc is not None:
+            ws[kdst, t] = w[ksrc]
+        if K:
             tr, lam, ld = spec[t + 1]
-            tr[rows], ld[rows] = _trace_logdet(_factor(P, t + 1))
+            if csrc is not None:
+                Pc = P[csrc]
+                tr[cdst], ld[cdst] = _trace_logdet(_factor(Pc, t + 1))
             for i, r in roots.items():
-                tr[i], ld[i] = _sqrt_trace_logdet(r.R)
+                if spectra[i]:
+                    tr[col[i]], ld[col[i]] = _sqrt_trace_logdet(r.R)
             ub = np.minimum(tr, ub / (1.0 + ub * rate) + xsq)
             need = ub * (1.0 + PEAK_MARGIN) > peak
-            exact = need[rows]
-            if exact.any():
-                ub[np.arange(S)[rows][exact]] = _lam_max(P[exact])
+            if csrc is not None:
+                exact = need[cdst]
+                if exact.any():
+                    ub[np.arange(K)[cdst][exact]] = _lam_max(Pc[exact])
             for i, r in roots.items():
-                if need[i]:
-                    ub[i] = _lam_max(R=r.R)
+                if spectra[i] and need[col[i]]:
+                    ub[col[i]] = _lam_max(R=r.R)
             lam[:] = peak = np.maximum(peak, ub)  # a skipped ub lies below the peak
-        elif guard is not None:
-            _factor(P[guard], t + 1)
+        if gsrc is not None:
+            _factor(P[gsrc], t + 1)
     held = zip(P, w)
     final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
              for i in range(S)]
@@ -549,47 +578,81 @@ def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
     return len(peaks)
 
 
-def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
-    """Run S members of the learner, params[i] for member i, under the
-    online protocol; one LaserTrajectory per member, in order.
+class CovMember(NamedTuple):
+    """One member of member_rounds, its learner's round as a thin record of
+    cov_rounds's entries: the start P (d, d), inflation 1/c, weight, gain,
+    reset period (0: never), spectra and keep_w. laser holds the
+    LaserParams of a laser-round member, which takes their switch rule,
+    shrinkage and clip, and is guarded if it drifts without spectra."""
 
-    xs is (T, S, d) and ys (T, S), as in cov_rounds. Every member runs in
-    one cov_rounds loop; one whose inputs move it to square-root information
-    form leaves the stacked arrays at that round. Each drifting
-    covariance-form member's P (with spectra, every one's) is checked positive
-    definite every round by the stacked Cholesky factorization that also
-    gives the spectra. The shrinkage and the clip apply to the recorded (S, T)
-    arrays. Memory is O(S (T + d^2)): no per-step matrix is kept.
+    P: np.ndarray
+    inflation: float = 0.0
+    weight: float = 1.0
+    gain: float = 1.0
+    reset: int = 0
+    keep_w: bool = False
+    spectra: bool = False
+    laser: LaserParams | None = None
+
+
+def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
+    """The laser round from laser_init's P."""
+    return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
+
+
+def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
+    """Run the members in one cov_rounds call, member i reading xs[:, i] and
+    ys[:, i]: (the CovRun, a LaserTrajectory per laser-round member and None
+    per other). An entry that every member leaves at its default is passed
+    as None, so a batch of one learner pays nothing for the others' fields.
+    Memory is O(S (T + d^2)), plus O(T d) per keep_w member.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     T, S, d = xs.shape
     with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
         xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
-    switch = np.array([_switch_round(p, peaks[:, i]) for i, p in enumerate(params)])
-    c = np.array([p.c for p in params])
-    drifting = np.isfinite(c)
-    P = np.array([_p0(p) for p in params])[:, None, None] * np.eye(d)
-    guard = drifting if not spectra and drifting.any() else None
-    run = cov_rounds(P, xs, ys, 1.0 / c, spectra=spectra, guard=guard,
-                     switch=switch if (switch < T).any() else None)
-    s = 1.0 + run.q
-    yhats, quads = run.xw / s, run.q / s
-    bound = np.array([math.inf if p.clip_bound is None else p.clip_bound for p in params])
+    lz = [i for i, m in enumerate(members) if m.laser is not None]
+    switch = np.full(S, T)
+    switch[lz] = [_switch_round(members[i].laser, peaks[:, i]) for i in lz]
+    kw = {k: np.array([getattr(m, k) for m in members]) for k in CovMember._fields[1:7]}
+    kw = {k: v for k, v in kw.items() if (v != CovMember._field_defaults[k]).any()}
+    if "reset" in kw:
+        kw["reset"] = np.where(kw["reset"] > 0, kw["reset"], T + 1)
+    guard = [m.laser is not None and not (m.spectra or m.laser.stationary) for m in members]
+    run = cov_rounds(np.stack([m.P for m in members]), xs, ys, guard=np.array(guard),
+                     switch=switch, **kw)
+    out = [None] * S
+    if not lz:
+        return run, out
+    s = 1.0 + run.q[lz]
+    yhats, quads = run.xw[lz] / s, run.q[lz] / s
+    bound = np.array([members[i].laser.clip_bound or math.inf for i in lz])
     if np.isfinite(bound).any():
         yhats = clip(yhats, bound[:, None])
-    err = ys.T - run.xw  # cumsum adds in order, as _step_fold does
-    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(S)
-
+    err = ys.T[lz] - run.xw[lz]  # cumsum adds in order, as _step_fold does
+    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
     max_xsq = np.max(xsq, axis=0, initial=0.0)
-    out = []
-    for i, p in enumerate(params):
+    col = np.cumsum([m.spectra for m in members]) - 1
+    for j, i in enumerate(lz):
         cov, w, root = run.final[i]
-        state = LaserState(p, w, cov, root, float(max_xsq[i]), float(min_cost[i]), T,
-                           float(quads[i, -1]) if T else 0.0)
-        extra = run.spectra[:, :, i].T if spectra else ()
-        out.append(LaserTrajectory(yhats[i], quads[i], state, *extra))
-    return out
+        state = LaserState(members[i].laser, w, cov, root, float(max_xsq[i]),
+                           float(min_cost[j]), T, float(quads[j, -1]) if T else 0.0)
+        extra = run.spectra[:, :, col[i]].T if members[i].spectra else ()
+        out[i] = LaserTrajectory(yhats[j], quads[j], state, *extra)
+    return run, out
+
+
+def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
+    """Run S members of the learner, params[i] for member i, under the
+    online protocol in one member_rounds call; one LaserTrajectory per
+    member, in order. xs is (T, S, d) and ys (T, S), as in cov_rounds. One
+    whose inputs move it to square-root information form leaves the stacked
+    arrays at that round. Each drifting covariance-form member's P (with
+    spectra, every one's) is checked positive definite every round by the
+    stacked Cholesky factorization that also gives the spectra.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return member_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)[1]
 
 
 def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:

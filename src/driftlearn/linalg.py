@@ -43,12 +43,13 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.mT)
 
 
-def add_to_diagonal(A: np.ndarray, v) -> None:
-    """A[..., i, i] += v in place, for a C-contiguous square matrix or
-    stack of them; v broadcasts against the (..., d) diagonals."""
+def add_to_diagonal(A: np.ndarray, v, where=True) -> None:
+    """A[..., i, i] += v in place where where holds, for a C-contiguous square
+    matrix or stack; v and where broadcast against the (..., d) diagonals."""
     if not A.flags.c_contiguous:  # reshape would copy, losing the update
         raise ValueError("add_to_diagonal needs a C-contiguous array")
-    A.reshape(A.shape[:-2] + (A.shape[-1] ** 2,))[..., :: A.shape[-1] + 1] += v
+    diag = A.reshape(A.shape[:-2] + (A.shape[-1] ** 2,))[..., :: A.shape[-1] + 1]
+    np.add(diag, v, out=diag, where=where)
 
 
 def _cholesky(A: np.ndarray, clean: bool = False) -> np.ndarray:

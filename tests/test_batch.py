@@ -6,11 +6,15 @@ L_T, quads, spectral summaries and bound checks must agree to TOL. Each
 member's predictions equal, bit for bit, those of the learner's public
 single-state step function, and both refuse an overflowing round at the
 same round. The sweep must match a per-point run_learner
-loop, and experiments must not depend on the worker count.
+loop, and experiments must not depend on the worker count: an experiment
+runs every learner's members in one batch, each member as its own
+learner's batch would, and writes pinned bytes.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,71 @@ def test_experiment_agrees_across_worker_counts(monkeypatch):
         assert_same_run(got, ref)
     alone = harness.run_learner("laser", algos[0][1], gen_stream(replace(dataset, seed=3)), seed=3)
     assert_same_run(next(r for r in serial if (r.algo_id, r.seed) == ("laser", 3)), alone)
+
+
+# the five learners of the pinned experiment, and a hinf whose prior is so
+# weak that x^T P' x overflows at round 4 of that experiment's seed-0 stream
+FIVE = [("laser", {"b": 1.0, "c": 100.0}), ("aar", {"b": 0.5}),
+        ("hinf", {"a": 8.0, "b": 500.0, "c": 500.0}), ("nlms", {"eta": 0.5}),
+        ("crrls", {"reset_period": 10, "b_reset": 0.1})]
+WEAK_HINF = ("hinf", {"a": 8.0, "b": 2e-306, "c": 1.0})
+PINNED = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_five_learner_experiment_csv_bytes(workers, tmp_path, monkeypatch):
+    # the exact text of the report and bounds CSVs (kind D, T = 30, d = 4,
+    # three seeds), as written when each learner ran its own step loop
+    monkeypatch.delenv("DRIFTLEARN_THREADS", raising=False)
+    reports = harness.experiment(DatasetSpec(kind="D", T=30, d=4, seed=0), FIVE, [0, 1, 2],
+                                 workers=workers)
+    harness.write_report_csv(reports, tmp_path / "report.csv")
+    harness.write_bounds_csv(reports, tmp_path / "bounds.csv")
+    for name in ("report", "bounds"):
+        want = (PINNED / f"five_learner_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == want, name
+
+
+def test_mixed_experiment_matches_single_learner_batches_bit_for_bit(monkeypatch):
+    # seeds 0, 1, 2 read STREAM_C, BIG and ZERO; laser (1, 1e12) and aar
+    # move to square-root form on BIG. One serial experiment generates each
+    # stream once and runs every covariance-family member in one loop.
+    streams = [STREAM_C, BIG, ZERO]
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.delenv("DRIFTLEARN_THREADS", raising=False)
+    monkeypatch.setattr(harness, "gen_stream", counted("gen_stream", lambda s: streams[s.seed]))
+    monkeypatch.setattr(laser, "cov_rounds", counted("cov_rounds", laser.cov_rounds))
+    algos = [("laser", {"b": 1.0, "c": 1e12}), ("aar", {"b": 1.0}),
+             ("hinf", MEMBERS["hinf"][2][0]), ("nlms", MEMBERS["nlms"][0][0]),
+             ("crrls", MEMBERS["crrls"][2][0])]
+    reports = harness.experiment(DatasetSpec(kind="C", T=T, d=D), algos, [2, 0, 1], workers=1)
+    assert calls == {"gen_stream": 3, "cov_rounds": 1}
+    for algo, params in algos:
+        got = [r for r in reports if r.algo_id == algo]
+        for r, ref in zip(got, harness.run_batch(algo, [params] * 3, streams, [0, 1, 2]),
+                          strict=True):
+            assert r.seed == ref.seed
+            assert np.array_equal(r.yhats, ref.yhats)
+            assert np.array_equal(np.signbit(r.yhats), np.signbit(ref.yhats))
+            assert r.L_T == ref.L_T
+            for name in ("quad_trace", "post_update_w"):
+                a, b = getattr(r, name), getattr(ref, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
+            assert [(b.name, b.lhs, b.rhs) for b in r.bound_checks] == [
+                (b.name, b.lhs, b.rhs) for b in ref.bound_checks]
+
+
+def test_experiment_raises_the_earliest_failing_round():
+    # only the hinf member fails, at round 4, whatever the learners' order
+    dataset = DatasetSpec(kind="D", T=30, d=4, seed=0)
+    for algos in ([*FIVE[:2], WEAK_HINF, *FIVE[3:]], [*FIVE[3:], WEAK_HINF]):
+        with pytest.raises(BadStream, match=r"x\^T P' x overflowed at round 4"):
+            harness.experiment(dataset, algos, [0], workers=1)
+    assert len(harness.experiment(dataset, FIVE, [0], workers=1)) == 5

@@ -239,6 +239,12 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
     out2 = tmp_path / "c2.csv"
     assert run_cli("--config", str(config), "gen", "--T", "4", "--out", str(out2)) == 0
     assert read_stream_csv(out2).T == 4
+    # the config's dataset values do not count as flags given next to --data
+    prefix = tmp_path / "r"
+    assert run_cli("--config", str(config), "run", "--algo", "aar", "--b", "1", "--data",
+                   str(out2), "--base-seed", "3", "--out-prefix", str(prefix)) == 0
+    rows = (tmp_path / "r_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and {row.split(",")[1] for row in rows} == {"3"}
 
 
 def test_missing_input_file_exits_nonzero(tmp_path):
@@ -286,6 +292,20 @@ def test_abbreviated_flag_overrides_config(tmp_path):
     assert {row.split(",")[1] for row in rows} == {"0"}
 
 
+# generated-run flags given next to --data, which would ignore them: (argv, the flag named)
+DATA_IGNORES = {
+    "seeds-5": (["--seeds", "5"], "--seeds"),
+    "seeds-0": (["--seeds", "0"], "--seeds"),
+    "full": (["--full"], "--full"),
+    "kind": (["--kind", "A"], "--kind"),
+    "T": (["--T", "20"], "--T"),
+    "d": (["--d", "4"], "--d"),
+    "seed": (["--seed", "1"], "--seed"),
+    "rotation-rate-abbreviated": (["--rot", "0.1"], "--rotation-rate"),
+    "switch-period": (["--switch-period", "9"], "--switch-period"),
+    "noise-var": (["--noise-var", "0"], "--noise-var"),
+    "no-wrap": (["--no-wrap"], "--no-wrap"),
+}
 # bad user input: each must exit 2 with an error line, not a traceback
 BAD_INPUTS = {
     "gen-T-0": ["gen", "--kind", "A", "--T", "0", "--out", "TMP/x.csv"],
@@ -358,6 +378,9 @@ BAD_INPUTS = {
     **{f"stream-{name}": ["run", "--algo", "laser", "--b", "1", "--c", "10",
                           "--data", f"TMP/{name}.csv", "--out-prefix", "TMP/r"]
        for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero")},
+    **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
+                                 *flags, "--out-prefix", "TMP/r"]
+       for case, (flags, _) in DATA_IGNORES.items()},
 }
 # malformed stream CSVs (d = 2) for the stream-* cases
 BAD_STREAMS = {
@@ -414,6 +437,8 @@ BAD_INPUT_REASONS = {
     "stream-nan": "non-finite values",
     "stream-bad-header": "not a stream CSV: bad header",
     "stream-one-underscore-zero": "non-numeric field: could not convert string '1_0'",
+    **{f"run-data-with-{case}": f"{flag} applies to generated streams only, not with --data"
+       for case, (_, flag) in DATA_IGNORES.items()},
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
@@ -434,7 +459,7 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
         (tmp_path / f"{name}.csv").write_text(text)
     for name, data in NOT_UTF8.items():
         (tmp_path / f"not-utf8-{name}").write_bytes(data)
-    extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], [])
+    extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], []) if "--data" not in argv else []
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

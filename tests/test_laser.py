@@ -238,13 +238,59 @@ def test_cov_rounds_spectra_check_the_start():
         laser.cov_rounds(P, xs, ys, inflation, spectra=True)
 
 
-@pytest.mark.parametrize("extra", [{"weight": np.array([0.5])}, {"gain": np.array([2.0])},
-                                   {"reset": np.array([3])}])
-def test_cov_rounds_spectra_only_for_the_laser_round(extra):
-    # the Lemma-6 map behind the screened lambda_max holds for the laser round only
-    P, xs, ys = np.eye(2)[None], np.ones((2, 1, 2)), np.ones((2, 1))
-    with pytest.raises(ValueError, match="no weight, gain or reset"):
-        laser.cov_rounds(P, xs, ys, np.array([0.01]), spectra=True, **extra)
+def _same(a, b):
+    """Bit for bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                                          np.signbit(b))
+
+
+def test_cov_rounds_mixed_rows_match_their_own_calls():
+    # one call mixing every member kind: certified laser rows, hinf rows
+    # (weight a - 1, gain a, kept weights), CR-RLS rows with a reset,
+    # stationary rows on an all-zero stream, one of them from a P whose
+    # diagonal holds a -0.0 that adding a zero inflation would turn into
+    # 0.0, and a laser and an AAR row that switch to square-root form; each
+    # row must equal its own call
+    T, d = 40, 3
+    s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=2))
+    big, zero, I = s.xs * 1e6, np.zeros((T, d)), np.eye(d)
+    rows = [  # (xs, ys, start P, cov_rounds entries other than the defaults)
+        (s.xs, s.ys, 0.99 * I, {"inflation": 0.01, "spectra": True}),
+        (s.xs, s.ys, 9.0 * I, {"inflation": 0.1, "weight": 1.0, "gain": 2.0, "keep_w": True}),
+        (s.xs, s.ys, 10.0 * I, {"reset": 7}),
+        (zero, zero[:, 0], np.diag([1.0, -0.0, 1.0]), {}),
+        (s.xs, s.ys, 1.9 * I, {"inflation": 0.5, "spectra": True}),
+        (big, s.ys * 1e6, (1.0 - 1e-12) * I, {"inflation": 1e-12, "spectra": True, "switch": 0}),
+        (s.xs, s.ys, 0.5 * I, {"inflation": 1 / 50, "weight": 7.0, "gain": 8.0, "keep_w": True}),
+        (big, s.ys * 1e6, I, {"switch": 3}),
+        (zero, zero[:, 0], 2.0 * I, {"reset": 5}),
+    ]
+    defaults = {"inflation": 0.0, "weight": 1.0, "gain": 1.0, "reset": T + 1, "keep_w": False,
+                "spectra": False, "switch": T}
+
+    def call(members):
+        kw = {k: np.array([m[3].get(k, v) for m in members]) for k, v in defaults.items()}
+        kw = {k: v for k, v in kw.items() if (v != defaults[k]).any()}
+        return laser.cov_rounds(np.array([m[2] for m in members]),
+                                np.stack([m[0] for m in members], axis=1),
+                                np.stack([m[1] for m in members], axis=1), **kw)
+
+    mixed = call(rows)
+    assert mixed.final[5][2] is not None and mixed.final[7][2] is not None
+    column = np.cumsum([m[3].get("spectra", False) for m in rows]) - 1
+    for i, member in enumerate(rows):
+        alone = call([member])
+        assert _same(mixed.xw[i], alone.xw[0]) and _same(mixed.q[i], alone.q[0])
+        if member[3].get("keep_w"):
+            assert _same(mixed.ws[i], alone.ws[0])
+        if member[3].get("spectra"):
+            assert _same(mixed.spectra[:, :, column[i]], alone.spectra[:, :, 0])
+        for got, want in zip(mixed.final[i], alone.final[0]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert all(_same(g, w) for g, w in zip(got, want)) if isinstance(got, tuple) \
+                    else _same(got, want)
 
 
 # -- the certification size rule: batched below MEMBERWISE_D, per member from it

@@ -131,7 +131,7 @@ def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
     t = state.t + 1
     with np.errstate(over="ignore"):  # an overflowing x^T P x is inf, which _innovate reports
         Px, q, xw = laser._innovate(state.P, state.w, x, None, t)
-    P, w, _, _ = laser._fold(state.P, state.w, x, y, Px, q, xw, None)
+    P, w, _, _ = laser._fold(state.P, state.w, x, y, Px, q, xw, None, t)
     if t % state.reset_period == 0:
         P = np.eye(state.dim) / state.b_reset
     return float(xw), replace(state, w=w, P=P, t=t)

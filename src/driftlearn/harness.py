@@ -256,10 +256,8 @@ def run_learner(algo_id: str, params: dict, stream: LabeledStream, seed: int = 0
 
 def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list[BoundCheck]:
     checks = []
-    rhs = oracle.cumloss_bound(
-        stream.truth, stream.xs, stream.ys, lp.b, lp.c,
-        stream.Y_bound, report.quad_trace,
-    )
+    rhs = oracle.cumloss_bound(stream.truth, closs, lp.b, lp.c, stream.Y_bound,
+                               report.quad_trace)
     checks.append(BoundCheck(
         "comparator_cumloss_bound", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
     ))
@@ -296,9 +294,9 @@ def _hinf_bound_checks(report, stream, hp, closs) -> list[BoundCheck]:
     checks = []
     truth = stream.truth
     lhs = hinf.hinf_filter_loss(report.post_update_w, stream.xs, truth)
-    rhs = hinf.filter_bound_rhs(hp, truth, stream.xs, stream.ys)
-    checks.append(BoundCheck("filter_error_bound", lhs, rhs, lhs <= rhs + BOUND_TOL))
     u1sq = float(truth.us[0] @ truth.us[0])
+    rhs = hinf.filter_bound_rhs(hp, closs, u1sq, truth.V)
+    checks.append(BoundCheck("filter_error_bound", lhs, rhs, lhs <= rhs + BOUND_TOL))
     for alpha in ALPHA_GRID:
         rhs = hinf.regret_bound_rhs(hp, alpha, closs, u1sq, truth.V)
         checks.append(BoundCheck(

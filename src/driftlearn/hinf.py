@@ -32,7 +32,7 @@ import numpy as np
 
 from . import laser, linalg
 from .errors import InvalidParams, LengthMismatch
-from .oracle import ComparatorSequence, comparator_loss, drift_term
+from .oracle import ComparatorSequence, drift_term
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
     a, inflation = state.params.a, 1.0 / state.params.c or None
     with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _innovate reports
         Px, q, xw = laser._innovate(state.P_tilde, state.w, x, inflation, state.t + 1)
-    P, w, _, _ = laser._fold(state.P_tilde, state.w, x, y, Px, q, xw, inflation, a - 1.0, a,
-                             math.sqrt(a - 1.0))
+    P, w, _, _ = laser._fold(state.P_tilde, state.w, x, y, Px, q, xw, inflation, state.t + 1,
+                             a - 1.0, a, math.sqrt(a - 1.0))
     return float(xw), HInfState(state.params, w, P, state.t + 1)
 
 
@@ -104,13 +104,14 @@ def hinf_filter_loss(post_update_ws, xs, comparator: ComparatorSequence) -> floa
     return float(np.sum(gaps * gaps))
 
 
-def filter_bound_rhs(params: HInfParams, comparator: ComparatorSequence, xs, ys) -> float:
+def filter_bound_rhs(
+    params: HInfParams, comparator_loss_value: float, u1_norm_sq: float, V: float
+) -> float:
     """RHS of the filtering guarantee: a L_T({u_t}) + b ||u_1||^2 + c V."""
-    u1 = comparator.us[0]
     return float(
-        params.a * comparator_loss(comparator, xs, ys)
-        + params.b * (u1 @ u1)
-        + drift_term(params.c, comparator.V)
+        params.a * comparator_loss_value
+        + params.b * u1_norm_sq
+        + drift_term(params.c, V)
     )
 
 

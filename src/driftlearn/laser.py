@@ -64,15 +64,17 @@ stay on (S, d, d) and (S, d) arrays until their inputs move them to
 square-root form, and then take their rounds on LAPACK calls of their own.
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
-lambda_max D_t only through its running maximum. Below d = MEMBERWISE_D
-one batched factorization and one batched triangular inverse serve a
-round's members; from it on, where the flops outweigh the per-call cost,
-each member takes one LAPACK potrf and one trtri of its own. The exact
-value, from eigvalsh of P_t or the singular values of R, is taken
-only on rounds where a certified upper bound (Tr D_t, or the Lemma-6
-eigenvalue map of the last exact value plus |x_t|^2) could raise that
-maximum. Per member the arithmetic does not depend on the batch, nor do
-the results.
+lambda_max D_t only through its running maximum. cov_rounds certifies in
+blocks of rounds, not round by round: it holds each round's P_t (and R)
+until they fill BLOCK_BYTES, then factors and inverts the whole block.
+Below d = MEMBERWISE_D one batched factorization and one batched
+triangular inverse serve a block's rounds and members; from it on, where
+the flops outweigh the per-call cost, each member takes one LAPACK potrf
+and one trtri of its own. The exact value, from eigvalsh of P_t or the
+singular values of R, is taken only on rounds where a certified upper
+bound (Tr D_t, or the Lemma-6 eigenvalue map of the last exact value plus
+|x_t|^2) could raise that maximum. Per member the arithmetic does not
+depend on the batch or the block, nor do the results.
 """
 
 import math
@@ -94,6 +96,13 @@ KAPPA_MAX = 1e4
 # calls of its own, not the stack by batched ones: on one BLAS thread 0.5-0.9x
 # the batched time at d = 32 (1-80 members), 1.1-1.3x at d = 20 (4-20 members)
 MEMBERWISE_D = 32
+
+# bytes of held P_t and R_t at which cov_rounds certifies the rounds it holds
+# (2^13 doubles). A block and its factors then stay under the 128 KiB above
+# which glibc's malloc maps fresh pages: 256 KiB blocks took 65 page faults a
+# round and 1.7x the time at d = 100, where blocks save no calls anyway.
+# Below d = 32 a block costs about one round's calls (see CHANGES.md).
+BLOCK_BYTES = 2**16
 
 # cov_rounds skips the exact lambda_max D_t only where its bound ub clears the
 # running peak by this relative margin, far above the rounding in Tr D and the map
@@ -265,15 +274,16 @@ def _innovate(form, w, x, inflation, t, drifts=True):
     return lead, q, xw
 
 
-def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.0,
+def _fold(form, w, x, y, lead, q, xw, inflation, t, weight=None, gain=None, root=1.0,
           drifts=True):
-    """Fold (x, y) into what _innovate read: (form, w, s, err) after the round,
-    with s = 1 + weight q and err = gain (y - x . w), weight and gain 1 when
-    None, else one per member, root = sqrt(weight), taken once by the
-    caller, and drifts as there. In covariance form P <- P' - weight P'x
-    (P'x)^T / s and w <- w + P'x err / s (laser and CR-RLS have weight =
-    gain = 1, hinf a - 1 and a); a square-root member gets its new (R, z)
-    and w = None."""
+    """Fold (x, y) into what _innovate read for round t: (form, w, s, err)
+    after the round, with s = 1 + weight q and err = gain (y - x . w), weight
+    and gain 1 when None, else one per member, root = sqrt(weight), taken
+    once by the caller, and drifts as there. In covariance form P <- P' -
+    weight P'x (P'x)^T / s and w <- w + P'x err / s (laser and CR-RLS have
+    weight = gain = 1, hinf a - 1 and a); an s that is not positive means
+    P' lost definiteness and raises NotPositiveDefinite. A square-root
+    member gets its new (R, z) and w = None."""
     s = 1.0 + (q if weight is None else weight * q)
     err = y - xw
     if gain is not None:
@@ -284,6 +294,9 @@ def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.
         A[:d, :d], A[:d, d], B[0, :d], B[0, d] = R, z, x, y
         F = linalg.qr_stacked(A, B)
         return SqrtInformation(F[:d, :d], F[:d, d]), None, s, err
+    if not (s.min(initial=math.inf) if s.ndim else s) > 0.0:
+        raise NotPositiveDefinite(f"state lost definiteness at round {t}: "
+                                  f"1 + weight x^T P' x = {np.min(s):.3e}")
     # sqrt(weight / s) would round differently, and move the written outputs
     shrink, step = root / np.sqrt(s), err / s
     if s.ndim:  # one per member: columns against the (S, d) rows of P'x
@@ -295,16 +308,22 @@ def _fold(form, w, x, y, lead, q, xw, inflation, weight=None, gain=None, root=1.
     return P, w + lead * step, s, err
 
 
-def _factor(P, t: int):
-    """Lower Cholesky factors of the stack P, which also guard definiteness:
-    a failure names round t and the least eigenvalue of the members whose
-    factorization failed. Below MEMBERWISE_D one batched factorization;
-    from it on one LAPACK potrf per member, with the upper triangle cleared."""
+def _factor(rounds):
+    """Lower Cholesky factors of the stacks P of rounds, a list of (t, P),
+    stacked in list order. They also guard definiteness: a failure names
+    the earliest round t whose stack fails (the first such entry on a tie)
+    and the least eigenvalue of its members whose factorization failed.
+    Below MEMBERWISE_D one batched factorization; from it on one LAPACK
+    potrf per member, with the upper triangle cleared."""
+    d = rounds[0][1].shape[-1]
     try:
-        if P.shape[-1] < MEMBERWISE_D:
-            return np.linalg.cholesky(P)
-        return np.array([linalg._cholesky(A, clean=True) for A in P]).reshape(P.shape)
+        if d < MEMBERWISE_D:
+            return np.linalg.cholesky(np.concatenate([P for _, P in rounds]))
+        return np.array([linalg._cholesky(A, clean=True)
+                         for _, P in rounds for A in P]).reshape(-1, d, d)
     except (np.linalg.LinAlgError, NotPositiveDefinite):
+        t, P = min(((t, P) for t, P in rounds if not all(map(linalg.factors, P))),
+                   key=lambda entry: entry[0], default=rounds[0])
         low = min((np.linalg.eigvalsh(A)[0] for A in P if not linalg.factors(A)),
                   default=math.nan)
         raise NotPositiveDefinite(f"state lost definiteness at round {t}: "
@@ -362,6 +381,60 @@ def _slots(mask, ids, slot):
     return (rows, slot[ids[rows]]) if len(rows) else (None, None)
 
 
+class _Blocks:
+    """cov_rounds's certification in blocks of rounds. hold() keeps a round's
+    P_t of the held members with spectra (Pc, to columns cdst of the spectra)
+    and of the guarded ones (Pg), and R_t of its square-root members with
+    spectra (roots, (column, R) pairs), until the block holds BLOCK_BYTES;
+    certify() then factors every P_t of the block in one _factor call, takes
+    Tr D and ln det D of those with spectra from one _trace_logdet call and
+    runs the lambda_max screen over the block's rounds in order."""
+
+    def __init__(self, spec=None, xsq=None, rate=None):
+        self.spec, self.xsq, self.rate = spec, xsq, rate  # spec is None when only guarding
+        if spec is not None:
+            self.ub, self.peak = spec[0, 1], np.full(spec.shape[2], -math.inf)
+        self.rounds, self.nbytes = [], 0
+
+    def hold(self, t, Pc, cdst, Pg, roots):
+        self.rounds.append((t, Pc, cdst, Pg, roots))
+        self.nbytes += (0 if Pc is None else Pc.nbytes) + (0 if Pg is None else Pg.nbytes)
+        for _, R in roots:
+            self.nbytes += R.nbytes
+        if self.nbytes >= BLOCK_BYTES:
+            self.certify()
+
+    def certify(self):
+        rounds, self.rounds, self.nbytes = self.rounds, [], 0
+        held = [(t, Pc) for t, Pc, _, _, _ in rounds if Pc is not None]
+        guarded = [(t, Pg) for t, _, _, Pg, _ in rounds if Pg is not None]
+        if held or guarded:
+            L = _factor(held + guarded)
+        if self.spec is None:
+            return
+        if held:
+            trs, lds = _trace_logdet(L[:sum(len(Pc) for _, Pc in held)])
+        ub, peak, at = self.ub, self.peak, 0
+        for t, Pc, cdst, _, roots in rounds:
+            tr, lam, ld = self.spec[t]
+            if Pc is not None:
+                tr[cdst], ld[cdst] = trs[at:at + len(Pc)], lds[at:at + len(Pc)]
+                at += len(Pc)
+            for c, R in roots:
+                tr[c], ld[c] = _sqrt_trace_logdet(R)
+            ub = np.minimum(tr, ub / (1.0 + ub * self.rate) + self.xsq[t - 1])
+            need = ub * (1.0 + PEAK_MARGIN) > peak
+            if Pc is not None:
+                exact = need[cdst]
+                if exact.any():
+                    ub[np.arange(len(ub))[cdst][exact]] = _lam_max(Pc[exact])
+            for c, R in roots:
+                if need[c]:
+                    ub[c] = _lam_max(R=R)
+            lam[:] = peak = np.maximum(peak, ub)  # a skipped ub lies below the peak
+        self.ub, self.peak = ub, peak
+
+
 @np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _innovate reports
 def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                keep_w=None, spectra=None, guard=None, switch=None) -> CovRun:
@@ -377,14 +450,18 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     batch. keep_w keeps the post-update weights.
 
     spectra records, before round 1 and after each round, Tr D and ln det D
-    of D = P^{-1}, from one batched Cholesky factorization of P, and the
-    peak of lambda_max D: lambda_max D_0 before round 1, then the running
-    maximum over rounds 1..t. The exact lambda_max D_t = 1/lambda_min P_t
+    of D = P^{-1}, from the Cholesky factor of P, and the peak of
+    lambda_max D: lambda_max D_0 before round 1, then the running maximum
+    over rounds 1..t. The exact lambda_max D_t = 1/lambda_min P_t
     (eigvalsh) is taken only where the bound ub_t = min(Tr D_t,
     ub_{t-1}/(1 + ub_{t-1}/c) + |x_t|^2), the Lemma-6 map reset to each
     exact value, could raise the member's peak. The factorization also
-    guards those members, and guard's are factorized alone. A failed
-    factorization raises NotPositiveDefinite.
+    guards those members, and guard's are factorized too. Rounds after the
+    start are certified in blocks (see _Blocks): when a block fills, after
+    the last round, and before any error leaves the loop, so a failed
+    factorization raises NotPositiveDefinite for the earliest round that
+    lost definiteness, ahead of a later round's error. Memory is O(S (T +
+    d^2)) plus BLOCK_BYTES, and O(T d) per keep_w member.
 
     Member i leaves the stacked arrays for square-root information form at
     round switch[i] (never if switch[i] >= T) and runs its later rounds
@@ -407,63 +484,50 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                               for m in (keep_w, spectra, guard))
     col, K = np.cumsum(spectra) - 1, int(spectra.sum())  # member -> column of the spectra
     spec = np.empty((T + 1, 3, K)) if K else None
+    blocks = _Blocks()
     if K:
         cid = slice(None) if K == S else np.flatnonzero(spectra)
-        spec[0, 0], spec[0, 2] = _trace_logdet(_factor(P[cid], 0))
-        spec[0, 1] = ub = _lam_max(P[cid])
-        peak = np.full(K, -math.inf)
-        rate = drift[cid]
+        spec[0, 0], spec[0, 2] = _trace_logdet(_factor([(0, P[cid])]))
+        spec[0, 1] = _lam_max(P[cid])
+        blocks = _Blocks(spec, np.vecdot(xc := xs[:, cid], xc), drift[cid])
     roots = {}  # member -> SqrtInformation, from its switch round on
-    for t in range(T):
-        x, y = xs[t], ys[t]
-        if K:
-            xsq = np.vecdot(xc := x[cid], xc)
-        if t in moves:  # and round 0, which places the held rows
-            keep = switch[ids] != t
-            for j in np.flatnonzero(~keep):
-                roots[int(ids[j])] = _to_sqrt_info(P[j], w[j])
-            P, w, P0, inflation, drifts, weight, gain, root, reset, ids = (
-                a[keep] if isinstance(a, np.ndarray) else a
-                for a in (P, w, P0, inflation, drifts, weight, gain, root, reset, ids))
-            rows = ids if roots else slice(None)  # the members held in the stacked arrays
-            (gsrc, _), (ksrc, kdst), (csrc, cdst) = (
-                _slots(m, ids, slot) for m, slot in ((guard, col), (keep_w, np.arange(S)),
-                                                     (spectra, col)))
-        if roots:
-            for i, r in roots.items():
-                lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
-                roots[i] = r = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None)[0]
-                if keep_w[i]:
-                    ws[i, t] = linalg.tri_solve(*r)
-            x, y = x[rows], y[rows]
-        Px, q, xw = _innovate(P, w, x, inflation, t + 1, drifts)
-        P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, weight, gain, root, drifts)
-        xws[rows, t], qs[rows, t] = xw, q
-        if t + 1 in resets:
-            due = (t + 1) % reset == 0
-            P[due] = P0[due]
-        if ksrc is not None:
-            ws[kdst, t] = w[ksrc]
-        if K:
-            tr, lam, ld = spec[t + 1]
-            if csrc is not None:
-                Pc = P[csrc]
-                tr[cdst], ld[cdst] = _trace_logdet(_factor(Pc, t + 1))
-            for i, r in roots.items():
-                if spectra[i]:
-                    tr[col[i]], ld[col[i]] = _sqrt_trace_logdet(r.R)
-            ub = np.minimum(tr, ub / (1.0 + ub * rate) + xsq)
-            need = ub * (1.0 + PEAK_MARGIN) > peak
-            if csrc is not None:
-                exact = need[cdst]
-                if exact.any():
-                    ub[np.arange(K)[cdst][exact]] = _lam_max(Pc[exact])
-            for i, r in roots.items():
-                if spectra[i] and need[col[i]]:
-                    ub[col[i]] = _lam_max(R=r.R)
-            lam[:] = peak = np.maximum(peak, ub)  # a skipped ub lies below the peak
-        if gsrc is not None:
-            _factor(P[gsrc], t + 1)
+    try:
+        for t in range(T):
+            x, y = xs[t], ys[t]
+            if t in moves:  # and round 0, which places the held rows
+                keep = switch[ids] != t
+                for j in np.flatnonzero(~keep):
+                    roots[int(ids[j])] = _to_sqrt_info(P[j], w[j])
+                P, w, P0, inflation, drifts, weight, gain, root, reset, ids = (
+                    a[keep] if isinstance(a, np.ndarray) else a
+                    for a in (P, w, P0, inflation, drifts, weight, gain, root, reset, ids))
+                rows = ids if roots else slice(None)  # the members held in the stacked arrays
+                (gsrc, _), (ksrc, kdst), (csrc, cdst) = (
+                    _slots(m, ids, slot) for m, slot in ((guard, col), (keep_w, np.arange(S)),
+                                                         (spectra, col)))
+            if roots:
+                for i, r in roots.items():
+                    lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
+                    roots[i] = r = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None,
+                                         t + 1)[0]
+                    if keep_w[i]:
+                        ws[i, t] = linalg.tri_solve(*r)
+                x, y = x[rows], y[rows]
+            Px, q, xw = _innovate(P, w, x, inflation, t + 1, drifts)
+            P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, t + 1, weight, gain, root,
+                               drifts)
+            xws[rows, t], qs[rows, t] = xw, q
+            if t + 1 in resets:
+                due = (t + 1) % reset == 0
+                P[due] = P0[due]
+            if ksrc is not None:
+                ws[kdst, t] = w[ksrc]
+            if K or gsrc is not None:
+                blocks.hold(t + 1, None if csrc is None else P[csrc], cdst,
+                            None if gsrc is None else P[gsrc],
+                            [(col[i], r.R) for i, r in roots.items() if spectra[i]])
+    finally:
+        blocks.certify()
     held = zip(P, w)
     final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
              for i in range(S)]
@@ -492,7 +556,8 @@ def _step_innovation(state: LaserState, x: np.ndarray) -> LaserStep:
 def _step_fold(state: LaserState, y: float, step: LaserStep) -> LaserState:
     """The state after _fold commits step's round with label y."""
     x, max_xsq, form, lead, q, xw = step
-    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, state.params.inflation or None)
+    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, state.params.inflation or None,
+                            state.t + 1)
     cov, root = (form, None) if w is not None else (None, form)
     w = w if root is None else linalg.tri_solve(*root)
     return LaserState(state.params, w, cov, root, max_xsq, float(state.min_cost + err * err / s),
@@ -543,7 +608,7 @@ def d_spectrum(state: LaserState) -> tuple[float, float, float]:
     if root is not None:
         tr, ld = _sqrt_trace_logdet(root.R)
         return tr, float(_lam_max(R=root.R)), ld
-    (tr,), (ld,) = _trace_logdet(_factor(state.cov[None], state.t))
+    (tr,), (ld,) = _trace_logdet(_factor([(state.t, state.cov[None])]))
     return float(tr), float(_lam_max(state.cov)), float(ld)
 
 
@@ -605,7 +670,7 @@ def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     ys[:, i]: (the CovRun, a LaserTrajectory per laser-round member and None
     per other). An entry that every member leaves at its default is passed
     as None, so a batch of one learner pays nothing for the others' fields.
-    Memory is O(S (T + d^2)), plus O(T d) per keep_w member.
+    Memory is that of cov_rounds.
     """
     T, S, d = xs.shape
     with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
@@ -648,8 +713,9 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     member, in order. xs is (T, S, d) and ys (T, S), as in cov_rounds. One
     whose inputs move it to square-root information form leaves the stacked
     arrays at that round. Each drifting covariance-form member's P (with
-    spectra, every one's) is checked positive definite every round by the
-    stacked Cholesky factorization that also gives the spectra.
+    spectra, every one's) is checked positive definite after every round by
+    the stacked Cholesky factorization, per block of rounds, that also gives
+    the spectra.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     return member_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)[1]

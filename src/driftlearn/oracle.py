@@ -229,8 +229,7 @@ def drift_term(c: float, V: float) -> float:
 
 def cumloss_bound(
     comparator: ComparatorSequence,
-    xs,
-    ys,
+    comparator_loss_value: float,
     b: float,
     c: float,
     Y: float,
@@ -240,8 +239,9 @@ def cumloss_bound(
 
         b ||u_1||^2 + c V + L_T({u_t}) + Y^2 sum_t x_t^T D_t^{-1} x_t
 
-    quad_trace is the per-step x_t^T D_t^{-1} x_t recorded by the run.
-    Valid whenever every |y_t| <= Y.
+    comparator_loss_value is L_T({u_t}), the comparator's comparator_loss on
+    the stream, and quad_trace the per-step x_t^T D_t^{-1} x_t recorded by
+    the run. Valid whenever every |y_t| <= Y.
     """
     quad_trace = np.asarray(quad_trace, dtype=float)
     if len(quad_trace) != comparator.T:
@@ -250,7 +250,7 @@ def cumloss_bound(
     return float(
         b * (u1 @ u1)
         + drift_term(c, comparator.V)
-        + comparator_loss(comparator, xs, ys)
+        + comparator_loss_value
         + Y * Y * np.sum(quad_trace)
     )
 

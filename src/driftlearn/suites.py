@@ -167,9 +167,8 @@ def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     for stream, traj in zip(streams, trajs):
         yhats, quads = traj.yhats, traj.quads
         L_T = float(np.sum((stream.ys - yhats) ** 2))
-        rhs = oracle.cumloss_bound(
-            stream.truth, stream.xs, stream.ys, lp.b, lp.c, stream.Y_bound, quads
-        )
+        closs = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
+        rhs = oracle.cumloss_bound(stream.truth, closs, lp.b, lp.c, stream.Y_bound, quads)
         worst = max(worst, L_T - rhs)
         cases += 1
 
@@ -179,7 +178,8 @@ def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         _, best = oracle.brute_min_cost(xs_p, ys_p, lp.b, lp.c)
         L_p = float(np.sum((ys_p - yhats[:n]) ** 2))
         Y_p = float(np.max(np.abs(ys_p)))
-        rhs_p = oracle.cumloss_bound(best, xs_p, ys_p, lp.b, lp.c, Y_p, quads[:n])
+        closs_p = oracle.comparator_loss(best, xs_p, ys_p)
+        rhs_p = oracle.cumloss_bound(best, closs_p, lp.b, lp.c, Y_p, quads[:n])
         worst = max(worst, L_p - rhs_p)
         cases += 1
     return _result("comparator cumulative-loss bound", cases, worst, 1e-6)

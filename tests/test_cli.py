@@ -352,6 +352,8 @@ BAD_INPUTS = {
                    "--out-prefix", "TMP/r"],
     "crrls-b-reset-inf": ["run", "--algo", "crrls", "--reset-period", "3", "--b-reset", "inf",
                           "--out-prefix", "TMP/r"],
+    "hinf-weak-prior": ["run", "--algo", "hinf", "--a", "2", "--b", "1e-150", "--c", "1",
+                        "--kind", "D", "--T", "30", "--d", "4", "--out-prefix", "TMP/r"],
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
                             "--eps-ratio", "0.1", "--b", "3", "--out-prefix", "TMP/r"],
     "eps-ratio-without-tuned-regime": ["run", "--algo", "laser", "--b", "1", "--c", "10",
@@ -425,6 +427,7 @@ BAD_INPUT_REASONS = {
     "hinf-a-inf": "a must be finite and exceed 1, got inf",
     "hinf-b-inf": "b must be finite, got inf",
     "crrls-b-reset-inf": "b_reset must be positive and finite with a finite reciprocal, got inf",
+    "hinf-weak-prior": "state lost definiteness at round 7: 1 + weight x^T P' x = ",
     "gen-seed-negative": "seed must lie in [0, 2**64), got -1",
     "gen-seed-2-64": f"seed must lie in [0, 2**64), got {2**64}",
     "run-base-seed-negative": "seed must lie in [0, 2**64), got -1",

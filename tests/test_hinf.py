@@ -3,7 +3,7 @@ import pytest
 
 from driftlearn import hinf, linalg, oracle
 from driftlearn.datagen import DatasetSpec, gen_stream
-from driftlearn.errors import InvalidParams, LengthMismatch
+from driftlearn.errors import InvalidParams, LengthMismatch, NotPositiveDefinite
 from driftlearn.harness import run_learner
 
 
@@ -51,6 +51,18 @@ def test_P_stays_above_refresh_floor():
         _, st = hinf.hinf_step(st, rng.standard_normal(3), rng.standard_normal())
         lam_min = linalg.eig_extremes(st.P)[0]
         assert lam_min >= 1.0 / params.c - 1e-12
+
+
+def test_weak_prior_loses_definiteness_at_its_round():
+    # at b = 1e-150 the downdate leaves an indefinite P' on desk kind D, so
+    # s = 1 + (a - 1) x^T P' x goes negative in round 7: the step says so
+    # there, with no numpy warning (warnings are errors under pytest)
+    s = gen_stream(DatasetSpec(kind="D", T=30, d=4, seed=0))
+    st = hinf.hinf_init(hinf.HInfParams(a=2.0, b=1e-150, c=1.0), 4)
+    with pytest.raises(NotPositiveDefinite, match="lost definiteness at round 7: 1 \\+ weight"):
+        for x, y in zip(s.xs, s.ys):
+            _, st = hinf.hinf_step(st, x, y)
+    assert st.t == 6
 
 
 def test_filter_loss_values():

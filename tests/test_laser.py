@@ -5,7 +5,7 @@ import pytest
 
 from driftlearn import laser, linalg, oracle
 from driftlearn.datagen import DatasetSpec, gen_stream
-from driftlearn.errors import InvalidParams, NotPositiveDefinite
+from driftlearn.errors import BadStream, InvalidParams, NotPositiveDefinite
 
 # Two-round fixture on (x, y) = (1, 1), (1, 0.5) with b=1, c=2. Values
 # below were derived by hand from the recursions and confirmed against
@@ -344,3 +344,85 @@ def test_lost_definiteness_reads_the_same_on_both_paths(monkeypatch):
         "state lost definiteness at round 0: lambda_min = -2.000e-02")
     assert messages[d, "guard"] == messages[d + 1, "guard"]
     assert "at round 1: lambda_min = -2.000e-02" in messages[d, "guard"]
+
+
+# -- certification in blocks of rounds: the block size moves no output ---------
+
+def _block_budgets(round_bytes):
+    """BLOCK_BYTES for blocks of one round, of three rounds and of a whole
+    stream, given the bytes one round holds."""
+    return {"one round": 1, "three rounds": 3 * round_bytes, "whole stream": 2**62}
+
+
+@pytest.mark.parametrize("d", [laser.MEMBERWISE_D - 1, laser.MEMBERWISE_D])
+def test_block_size_moves_no_output(d, monkeypatch):
+    # spectra rows, a guarded row, hinf and CR-RLS rows (one with a reset,
+    # kept weights) and square-root members with spectra, one from round 0
+    # and one from round 3: every output and the eigvalsh calls must not
+    # depend on how many rounds a block holds
+    T = 40
+    s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=6))
+    big, I = s.xs * 1e6, np.eye(d)
+    rows = [  # (xs, ys, start P, inflation, weight, gain, reset, keep_w, spectra, guard, switch)
+        (s.xs, s.ys, 0.99 * I, 0.01, 1.0, 1.0, T + 1, False, True, False, T),
+        (s.xs, s.ys, 1.9 * I, 0.5, 1.0, 1.0, T + 1, False, True, False, T),
+        (s.xs, s.ys, 0.9 * I, 0.1, 1.0, 1.0, T + 1, False, False, True, T),
+        (s.xs, s.ys, 9.0 * I, 0.1, 1.0, 2.0, T + 1, True, False, False, T),
+        (s.xs, s.ys, 10.0 * I, 0.0, 1.0, 1.0, 7, True, False, False, T),
+        (big, s.ys * 1e6, (1.0 - 1e-12) * I, 1e-12, 1.0, 1.0, T + 1, False, True, False, 0),
+        (big, s.ys * 1e6, 0.99 * I, 0.01, 1.0, 1.0, T + 1, False, True, False, 3),
+    ]
+    P = np.stack([m[2] for m in rows])
+    xs, ys = (np.stack([m[k] for m in rows], axis=1) for k in (0, 1))
+    entries = dict(zip(("inflation", "weight", "gain", "reset", "keep_w", "spectra", "guard",
+                        "switch"), (np.array([m[k] for m in rows]) for k in range(3, 11))))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
+    certified = sum(m[8] or m[9] for m in rows)
+    runs = {}
+    for name, budget in _block_budgets(certified * d * d * 8).items():
+        monkeypatch.setattr(laser, "BLOCK_BYTES", budget)
+        calls.clear()
+        runs[name] = laser.cov_rounds(P, xs, ys, **entries), len(calls)
+    (want, want_calls), = [runs.pop("one round")]
+    assert want.final[5][2] is not None and want.final[6][2] is not None and want_calls > 0
+    for got, got_calls in runs.values():
+        assert got_calls == want_calls
+        for name in ("xw", "q", "spectra"):
+            assert _same(getattr(got, name), getattr(want, name))
+        assert _same(got.ws[entries["keep_w"]], want.ws[entries["keep_w"]])
+        for g, w in ((g, w) for member in zip(got.final, want.final) for g, w in zip(*member)):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert all(_same(a, b) for a, b in zip(g, w)) if isinstance(g, tuple) \
+                    else _same(g, w)
+
+
+def _falling_start(T=10):
+    """A guarded member on an all-zero stream from P = 1.125 I at inflation
+    -1/4, so P_t = (1.125 - t/4) I exactly, indefinite from round 5 on:
+    (P, xs, ys, inflation)."""
+    return 1.125 * np.eye(2)[None], np.zeros((T, 1, 2)), np.zeros((T, 1)), np.array([-0.25])
+
+
+@pytest.mark.parametrize("block", ["one round", "three rounds", "whole stream"])
+def test_lost_definiteness_in_a_later_block_names_its_round(block, monkeypatch):
+    # three-round blocks hold rounds 1-3 and 4-6: round 5 fails in the second
+    P, xs, ys, inflation = _falling_start()
+    monkeypatch.setattr(laser, "BLOCK_BYTES", _block_budgets(P[0].nbytes)[block])
+    with pytest.raises(NotPositiveDefinite,
+                       match="state lost definiteness at round 5: lambda_min = -1.250e-01"):
+        laser.cov_rounds(P, xs, ys, inflation, guard=True)
+
+
+def test_lost_definiteness_wins_over_a_later_overflow(monkeypatch):
+    # round 7 overflows x^T P' x while round 5 still waits in the block: the
+    # earlier round's error is the one raised
+    P, xs, ys, inflation = _falling_start()
+    xs[6, 0, 0] = 1e200
+    monkeypatch.setattr(laser, "BLOCK_BYTES", 2**62)
+    with pytest.raises(NotPositiveDefinite, match="at round 5:"):
+        laser.cov_rounds(P, xs, ys, inflation, guard=True)
+    with pytest.raises(BadStream, match="overflowed at round 7"):
+        laser.cov_rounds(P, xs, ys, inflation)

@@ -149,14 +149,16 @@ def test_cumloss_bound_single_step_equality_case():
     # one round (x, y) = (1, 1), b = 1, c = 2: the learner predicts 0 and
     # loses 1; against u = 0.5 with Y = 1 the bound is exactly 1.0
     comp = oracle.comparator_from_us(np.array([[0.5]]))
-    rhs = oracle.cumloss_bound(comp, [[1.0]], [1.0], 1.0, 2.0, 1.0, [0.5])
+    closs = oracle.comparator_loss(comp, [[1.0]], [1.0])
+    rhs = oracle.cumloss_bound(comp, closs, 1.0, 2.0, 1.0, [0.5])
     assert rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cumloss_bound_zero_label_stream():
     comp = oracle.comparator_from_us(np.zeros((4, 2)))
     quad = [0.3, 0.2, 0.1, 0.05]
-    rhs = oracle.cumloss_bound(comp, np.zeros((4, 2)), np.zeros(4), 1.0, 2.0, 1.0, quad)
+    closs = oracle.comparator_loss(comp, np.zeros((4, 2)), np.zeros(4))
+    rhs = oracle.cumloss_bound(comp, closs, 1.0, 2.0, 1.0, quad)
     assert rhs == pytest.approx(sum(quad))
 
 
@@ -176,7 +178,7 @@ def test_cumloss_bound_against_brute_optimal_comparator():
     L = float(np.sum((ys - np.array(yhats)) ** 2))
     _, best = oracle.brute_min_cost(xs, ys, b, c)
     Y = float(np.max(np.abs(ys)))
-    rhs = oracle.cumloss_bound(best, xs, ys, b, c, Y, quads)
+    rhs = oracle.cumloss_bound(best, oracle.comparator_loss(best, xs, ys), b, c, Y, quads)
     assert L <= rhs + 1e-6
 
 

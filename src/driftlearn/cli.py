@@ -111,7 +111,8 @@ def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
     return defaults
 
 
-# run's flags for generated streams, refused when given with --data
+# run's flags for generated streams, refused when given with --data; main's
+# first parse leaves this tuple as the value of each one that argv omits
 _GENERATED = ("seeds", "full", "kind", "T", "d", "seed", "rotation_rate", "switch_period",
               "noise_var", "no_wrap")
 
@@ -279,30 +280,21 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _generated_flag(argv) -> str | None:
-    """The first of run's _GENERATED flags that argv gives, if any. argv is
-    parsed again without the config, whose values may serve gen, and with
-    the tuple _GENERATED marking each flag not given; but only if a token
-    could name or abbreviate one, since building a parser takes milliseconds."""
-    flags = ["--" + dest.replace("_", "-") for dest in _GENERATED]
-    if not any(f.startswith(a.split("=")[0]) for a in argv if a.startswith("--") for f in flags):
-        return None
-    given = vars(build_parser(unset=_GENERATED).parse_args(argv))
-    return next((f for f, dest in zip(flags, _GENERATED) if given[dest] is not _GENERATED), None)
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
-        if args.config is not None:
+        given = args = build_parser(unset=_GENERATED).parse_args(argv)
+        if given.config is not None:
             # re-parse with the config as defaults, so explicit flags (however
             # abbreviated) win and config values get the flags' own conversion
-            args = build_parser(_load_config(args.config)).parse_args(argv)
-        flag = _generated_flag(argv) if args.subcommand == "run" and args.data else None
-        if flag is not None:
-            raise ConfigError(f"{flag} applies to generated streams only, not with --data")
+            args = build_parser(_load_config(given.config)).parse_args(argv)
+        elif given.subcommand == "run" and given.data is None:  # a generated run: the defaults
+            args = build_parser().parse_args(argv)
+        if args.subcommand == "run" and args.data:
+            for flag in (f for f in _GENERATED if getattr(given, f) is not _GENERATED):
+                raise ConfigError(f"--{flag.replace('_', '-')} applies to generated streams "
+                                  "only, not with --data")
         return _COMMANDS[args.subcommand](args)
     except DriftLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -262,7 +262,7 @@ def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list
         "comparator_cumloss_bound", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
     ))
     if lp.stationary:  # the trace term vanishes; only ln det D_T is needed
-        logdet_T, trace_sum = laser.d_spectrum(traj.state)[2], 0.0
+        logdet_T, trace_sum = laser.logdet_D(traj.state), 0.0
     else:
         logdet_T, trace_sum = float(traj.logdet_D[-1]), float(np.sum(traj.trace_D[:-1]))
     lhs = float(np.sum(report.quad_trace))

@@ -65,8 +65,8 @@ square-root form, and then take their rounds on LAPACK calls of their own.
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
 lambda_max D_t only through its running maximum. cov_rounds certifies in
-blocks of rounds, not round by round: it holds each round's P_t (and R)
-until they fill BLOCK_BYTES, then factors and inverts the whole block.
+blocks of a fixed number of rounds, as many as fill BLOCK_BYTES with their
+P_t (and R), and factors and inverts each block as a whole.
 Below d = MEMBERWISE_D one batched factorization and one batched
 triangular inverse serve a block's rounds and members; from it on, where
 the flops outweigh the per-call cost, each member takes one LAPACK potrf
@@ -97,11 +97,11 @@ KAPPA_MAX = 1e4
 # the batched time at d = 32 (1-80 members), 1.1-1.3x at d = 20 (4-20 members)
 MEMBERWISE_D = 32
 
-# bytes of held P_t and R_t at which cov_rounds certifies the rounds it holds
-# (2^13 doubles). A block and its factors then stay under the 128 KiB above
-# which glibc's malloc maps fresh pages: 256 KiB blocks took 65 page faults a
-# round and 1.7x the time at d = 100, where blocks save no calls anyway.
-# Below d = 32 a block costs about one round's calls (see CHANGES.md).
+# bytes of P_t and R_t that fix the rounds per block of cov_rounds: as many as
+# fill 2^13 doubles, rounded up. A block and its factors then stay near the 128
+# KiB above which glibc's malloc maps fresh pages: 256 KiB blocks took 65 page
+# faults a round and 1.7x the time at d = 100, where blocks save no calls
+# anyway. Below d = 32 a block costs about one round's calls (see CHANGES.md).
 BLOCK_BYTES = 2**16
 
 # cov_rounds skips the exact lambda_max D_t only where its bound ub clears the
@@ -381,58 +381,41 @@ def _slots(mask, ids, slot):
     return (rows, slot[ids[rows]]) if len(rows) else (None, None)
 
 
-class _Blocks:
-    """cov_rounds's certification in blocks of rounds. hold() keeps a round's
-    P_t of the held members with spectra (Pc, to columns cdst of the spectra)
-    and of the guarded ones (Pg), and R_t of its square-root members with
-    spectra (roots, (column, R) pairs), until the block holds BLOCK_BYTES;
-    certify() then factors every P_t of the block in one _factor call, takes
-    Tr D and ln det D of those with spectra from one _trace_logdet call and
-    runs the lambda_max screen over the block's rounds in order."""
-
-    def __init__(self, spec=None, xsq=None, rate=None):
-        self.spec, self.xsq, self.rate = spec, xsq, rate  # spec is None when only guarding
-        if spec is not None:
-            self.ub, self.peak = spec[0, 1], np.full(spec.shape[2], -math.inf)
-        self.rounds, self.nbytes = [], 0
-
-    def hold(self, t, Pc, cdst, Pg, roots):
-        self.rounds.append((t, Pc, cdst, Pg, roots))
-        self.nbytes += (0 if Pc is None else Pc.nbytes) + (0 if Pg is None else Pg.nbytes)
-        for _, R in roots:
-            self.nbytes += R.nbytes
-        if self.nbytes >= BLOCK_BYTES:
-            self.certify()
-
-    def certify(self):
-        rounds, self.rounds, self.nbytes = self.rounds, [], 0
-        held = [(t, Pc) for t, Pc, _, _, _ in rounds if Pc is not None]
-        guarded = [(t, Pg) for t, _, _, Pg, _ in rounds if Pg is not None]
-        if held or guarded:
-            L = _factor(held + guarded)
-        if self.spec is None:
-            return
-        if held:
-            trs, lds = _trace_logdet(L[:sum(len(Pc) for _, Pc in held)])
-        ub, peak, at = self.ub, self.peak, 0
-        for t, Pc, cdst, _, roots in rounds:
-            tr, lam, ld = self.spec[t]
-            if Pc is not None:
-                tr[cdst], ld[cdst] = trs[at:at + len(Pc)], lds[at:at + len(Pc)]
-                at += len(Pc)
-            for c, R in roots:
-                tr[c], ld[c] = _sqrt_trace_logdet(R)
-            ub = np.minimum(tr, ub / (1.0 + ub * self.rate) + self.xsq[t - 1])
-            need = ub * (1.0 + PEAK_MARGIN) > peak
-            if Pc is not None:
-                exact = need[cdst]
-                if exact.any():
-                    ub[np.arange(len(ub))[cdst][exact]] = _lam_max(Pc[exact])
-            for c, R in roots:
-                if need[c]:
-                    ub[c] = _lam_max(R=R)
-            lam[:] = peak = np.maximum(peak, ub)  # a skipped ub lies below the peak
-        self.ub, self.peak = ub, peak
+def _certify(rounds, spec=None, xsq=None, rate=None, ub=None):
+    """Certify a block of cov_rounds's held rounds, a list of (t, Pc, cdst,
+    Pg, roots): P_t of the held members with spectra (to columns cdst of
+    spec) and of the guarded ones, and (column, R_t) of the square-root
+    members with spectra. One _factor call factors every P_t of the block,
+    one _trace_logdet call gives Tr D and ln det D of those with spectra,
+    and the lambda_max screen runs over the rounds in order, updating the
+    bound ub in place. spec is None when only guarding."""
+    held = [(t, Pc) for t, Pc, _, _, _ in rounds if Pc is not None]
+    guarded = [(t, Pg) for t, _, _, Pg, _ in rounds if Pg is not None]
+    if held or guarded:
+        L = _factor(held + guarded)
+    if spec is None:
+        return
+    if held:
+        trs, lds = _trace_logdet(L[:sum(len(Pc) for _, Pc in held)])
+    at = 0
+    for t, Pc, cdst, _, roots in rounds:
+        tr, lam, ld = spec[t]
+        if Pc is not None:
+            tr[cdst], ld[cdst] = trs[at:at + len(Pc)], lds[at:at + len(Pc)]
+            at += len(Pc)
+        for c, R in roots:
+            tr[c], ld[c] = _sqrt_trace_logdet(R)
+        np.minimum(tr, ub / (1.0 + ub * rate) + xsq[t - 1], out=ub)
+        peak = spec[t - 1, 1] if t > 1 else -math.inf  # the peak so far: none before round 1
+        need = ub * (1.0 + PEAK_MARGIN) > peak
+        if Pc is not None:
+            exact = need[cdst]
+            if exact.any():
+                ub[np.arange(len(ub))[cdst][exact]] = _lam_max(Pc[exact])
+        for c, R in roots:
+            if need[c]:
+                ub[c] = _lam_max(R=R)
+        lam[:] = np.maximum(peak, ub)  # a skipped ub lies below the peak
 
 
 @np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _innovate reports
@@ -457,11 +440,12 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     ub_{t-1}/(1 + ub_{t-1}/c) + |x_t|^2), the Lemma-6 map reset to each
     exact value, could raise the member's peak. The factorization also
     guards those members, and guard's are factorized too. Rounds after the
-    start are certified in blocks (see _Blocks): when a block fills, after
-    the last round, and before any error leaves the loop, so a failed
-    factorization raises NotPositiveDefinite for the earliest round that
-    lost definiteness, ahead of a later round's error. Memory is O(S (T +
-    d^2)) plus BLOCK_BYTES, and O(T d) per keep_w member.
+    start are certified by _certify in blocks of a fixed number of rounds,
+    those whose P_t fill BLOCK_BYTES: when a block is full, after the last
+    round, and before any error leaves the loop, so a failed factorization
+    raises NotPositiveDefinite for the earliest round that lost
+    definiteness, ahead of a later round's error. Memory is O(S (T + d^2))
+    plus about BLOCK_BYTES, and O(T d) per keep_w member.
 
     Member i leaves the stacked arrays for square-root information form at
     round switch[i] (never if switch[i] >= T) and runs its later rounds
@@ -484,12 +468,14 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
                               for m in (keep_w, spectra, guard))
     col, K = np.cumsum(spectra) - 1, int(spectra.sum())  # member -> column of the spectra
     spec = np.empty((T + 1, 3, K)) if K else None
-    blocks = _Blocks()
+    screen, rounds = (), []  # the rest of _certify's arguments; the open block's rounds
     if K:
         cid = slice(None) if K == S else np.flatnonzero(spectra)
         spec[0, 0], spec[0, 2] = _trace_logdet(_factor([(0, P[cid])]))
         spec[0, 1] = _lam_max(P[cid])
-        blocks = _Blocks(spec, np.vecdot(xc := xs[:, cid], xc), drift[cid])
+        screen = (spec, np.vecdot(xc := xs[:, cid], xc), drift[cid], spec[0, 1].copy())
+    # rounds per block: as many as fill BLOCK_BYTES with the certified members' P_t
+    size = math.ceil(BLOCK_BYTES / max(8 * d * d * (K + int(guard.sum())), 1))
     roots = {}  # member -> SqrtInformation, from its switch round on
     try:
         for t in range(T):
@@ -523,11 +509,14 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
             if ksrc is not None:
                 ws[kdst, t] = w[ksrc]
             if K or gsrc is not None:
-                blocks.hold(t + 1, None if csrc is None else P[csrc], cdst,
-                            None if gsrc is None else P[gsrc],
-                            [(col[i], r.R) for i, r in roots.items() if spectra[i]])
+                rounds.append((t + 1, None if csrc is None else P[csrc], cdst,
+                               None if gsrc is None else P[gsrc],
+                               [(col[i], r.R) for i, r in roots.items() if spectra[i]]))
+                if len(rounds) == size:
+                    block, rounds = rounds, []
+                    _certify(block, *screen)
     finally:
-        blocks.certify()
+        _certify(rounds, *screen)
     held = zip(P, w)
     final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
              for i in range(S)]
@@ -600,16 +589,13 @@ def laser_min_cost(state: LaserState) -> float:
     return state.min_cost
 
 
-def d_spectrum(state: LaserState) -> tuple[float, float, float]:
-    """(Tr D, lambda_max D, ln det D) of the state's D_t, as cov_rounds
-    computes them: from the Cholesky factor of P_t = D_t^{-1} and its
-    eigvalsh or, in square-root form, from R and its singular values."""
-    root = state.sqrt_info
-    if root is not None:
-        tr, ld = _sqrt_trace_logdet(root.R)
-        return tr, float(_lam_max(R=root.R)), ld
-    (tr,), (ld,) = _trace_logdet(_factor([(state.t, state.cov[None])]))
-    return float(tr), float(_lam_max(state.cov)), float(ld)
+def logdet_D(state: LaserState) -> float:
+    """ln det D_t of the state, as cov_rounds computes it: -2 sum ln L_ii of
+    the Cholesky factor L of P_t, or 2 sum ln |R_ii| in square-root form."""
+    if state.sqrt_info is not None:
+        return 2.0 * float(np.log(np.abs(np.diagonal(state.sqrt_info.R))).sum())
+    L = _factor([(state.t, state.cov[None])])
+    return float(-2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)[0])
 
 
 # -- whole streams ---------------------------------------------------------------

@@ -292,6 +292,22 @@ def test_abbreviated_flag_overrides_config(tmp_path):
     assert {row.split(",")[1] for row in rows} == {"0"}
 
 
+def test_data_from_config_refuses_only_explicit_generated_flags(tmp_path, capsys):
+    # --data given only through --config: the config's own T serves gen and is
+    # not refused, while an explicit --T is
+    stream, config = tmp_path / "s.csv", tmp_path / "cfg.json"
+    assert run_cli("gen", "--kind", "A", "--T", "5", "--d", "4", "--out", str(stream)) == 0
+    config.write_text(json.dumps({"data": str(stream), "T": 20}))
+    argv = ["--config", str(config), "run", "--algo", "aar", "--b", "1",
+            "--out-prefix", str(tmp_path / "r")]
+    assert run_cli(*argv) == 0
+    assert len((tmp_path / "r_report.csv").read_text().splitlines()) == 6
+    capsys.readouterr()
+    assert run_cli(*argv, "--T", "20") == 2
+    assert capsys.readouterr().err == (
+        "error: --T applies to generated streams only, not with --data\n")
+
+
 # generated-run flags given next to --data, which would ignore them: (argv, the flag named)
 DATA_IGNORES = {
     "seeds-5": (["--seeds", "5"], "--seeds"),
@@ -462,11 +478,12 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
         (tmp_path / f"{name}.csv").write_text(text)
     for name, data in NOT_UTF8.items():
         (tmp_path / f"not-utf8-{name}").write_bytes(data)
+    # right after the subcommand, so that a case's own dataset flags come later and win
     extra = {"sweep": SWEEP_DATA, "run": RUN_DATA}.get(argv[0], []) if "--data" not in argv else []
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli(*[a.replace("TMP", str(tmp_path)) for a in argv + extra])
+        code = run_cli(*[a.replace("TMP", str(tmp_path)) for a in argv[:1] + extra + argv[1:]])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err

@@ -291,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser(_load_config(given.config)).parse_args(argv)
         elif given.subcommand == "run" and given.data is None:  # a generated run: the defaults
             args = build_parser().parse_args(argv)
-        if args.subcommand == "run" and args.data:
+        if args.subcommand == "run" and args.data is not None:
+            if not args.data:
+                raise ConfigError("--data needs the path of a stream CSV, got an empty one")
             for flag in (f for f in _GENERATED if getattr(given, f) is not _GENERATED):
                 raise ConfigError(f"--{flag.replace('_', '-')} applies to generated streams "
                                   "only, not with --data")

@@ -320,14 +320,15 @@ def resolve_workers(requested: int | None = None) -> int:
 
     DRIFTLEARN_THREADS caps (and, when no explicit request is made,
     sets) the count; 0 means auto (one per CPU). Unset and unrequested
-    means serial.
+    means serial. A value that is not a non-negative integer raises
+    InvalidParams.
     """
     env = os.environ.get("DRIFTLEARN_THREADS")
     cap = None
     if env not in (None, ""):
-        cap = int(env)
-        if cap == 0:
-            cap = os.cpu_count() or 1
+        if not env.strip().isdecimal():
+            raise InvalidParams(f"DRIFTLEARN_THREADS must be a non-negative integer, got {env!r}")
+        cap = int(env) or os.cpu_count() or 1
     if requested is None:
         wanted = cap if cap is not None else 1
     elif requested == 0:

@@ -66,11 +66,10 @@ Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
 lambda_max D_t only through its running maximum. cov_rounds certifies in
 blocks of a fixed number of rounds, as many as fill BLOCK_BYTES with their
-P_t (and R), and factors and inverts each block as a whole.
-Below d = MEMBERWISE_D one batched factorization and one batched
-triangular inverse serve a block's rounds and members; from it on, where
-the flops outweigh the per-call cost, each member takes one LAPACK potrf
-and one trtri of its own. The exact value, from eigvalsh of P_t or the
+P_t (and R). Each factor takes one LAPACK trtri of its own; the factors
+come from one batched factorization of the block below d = MEMBERWISE_D
+and, from it on, where the flops outweigh the per-call cost, from one
+LAPACK potrf per member. The exact value, from eigvalsh of P_t or the
 singular values of R, is taken only on rounds where a certified upper
 bound (Tr D_t, or the Lemma-6 eigenvalue map of the last exact value plus
 |x_t|^2) could raise that maximum. Per member the arithmetic does not
@@ -78,12 +77,10 @@ depend on the batch or the block, nor do the results.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import BadStream, InvalidParams, NotPositiveDefinite
@@ -92,9 +89,10 @@ from .errors import BadStream, InvalidParams, NotPositiveDefinite
 # of X/c; its predictions then stay within a few 1e-13 relative
 KAPPA_MAX = 1e4
 
-# d from which certification factors and inverts each member's P by LAPACK
-# calls of its own, not the stack by batched ones: on one BLAS thread 0.5-0.9x
-# the batched time at d = 32 (1-80 members), 1.1-1.3x at d = 20 (4-20 members)
+# d from which _factor factors each member's P by a potrf of its own, not the
+# stack by one batched Cholesky; the two round differently from d ~ 6 up. The
+# factoring alone, us a matrix on one BLAS thread, batched/per member: 0.37/1.35
+# at d = 4 (20 matrices); for one matrix 8.2-8.8/6.8, 17/14, 52/44 at d = 32, 50, 100
 MEMBERWISE_D = 32
 
 # bytes of P_t and R_t that fix the rounds per block of cov_rounds: as many as
@@ -330,19 +328,17 @@ def _factor(rounds):
                                   f"lambda_min = {low:.3e}") from None
 
 
+def _logdet(L):
+    """ln det D = -2 sum ln L_ii of each D = P^{-1} of a stack, from _factor's
+    factors L of P."""
+    return -2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def _trace_logdet(L):
     """(Tr D, ln det D) of each D = P^{-1} of a stack from _factor's factors
-    L of P: Tr D = |L^{-1}|_F^2 and ln det D = -2 sum ln L_ii. L^{-1} comes
-    from one batched scipy.linalg.inv below MEMBERWISE_D and from one LAPACK
-    trtri per member from it on."""
-    if L.shape[-1] < MEMBERWISE_D:
-        with warnings.catch_warnings():  # an ill-conditioned L still inverts to working accuracy
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            inv = scipy.linalg.inv(L, assume_a="lower triangular", check_finite=False)
-    else:
-        inv = np.array([linalg.tri_inverse(M) for M in L]).reshape(L.shape)
-    return ((inv * inv).sum(axis=(-2, -1)),
-            -2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1))
+    L of P: Tr D = |L^{-1}|_F^2, L^{-1} from one LAPACK trtri per member."""
+    inv = np.array([linalg.tri_inverse(M) for M in L]).reshape(L.shape)
+    return (inv * inv).sum(axis=(-2, -1)), _logdet(L)
 
 
 def _sqrt_trace_logdet(R):
@@ -593,9 +589,8 @@ def logdet_D(state: LaserState) -> float:
     """ln det D_t of the state, as cov_rounds computes it: -2 sum ln L_ii of
     the Cholesky factor L of P_t, or 2 sum ln |R_ii| in square-root form."""
     if state.sqrt_info is not None:
-        return 2.0 * float(np.log(np.abs(np.diagonal(state.sqrt_info.R))).sum())
-    L = _factor([(state.t, state.cov[None])])
-    return float(-2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)[0])
+        return _sqrt_trace_logdet(state.sqrt_info.R)[1]
+    return float(_logdet(_factor([(state.t, state.cov[None])]))[0])
 
 
 # -- whole streams ---------------------------------------------------------------

@@ -5,9 +5,9 @@ matrices and 1-d vectors. Matrices handed to a solve or log-det must be
 SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
 than returning garbage. Dimensions stay small (d of a few hundred at most),
 so Cholesky serves every solve, and QR and triangular solves the
-square-root information form of `laser`. From d = `laser.MEMBERWISE_D`
-on, `laser` certifies a stack member by member through `_cholesky` and
-`tri_inverse`; below it, per-call overhead makes batched calls cheaper.
+square-root information form of `laser`. `laser` certifies through
+`tri_inverse` at every d, and through `_cholesky` from d = `laser.MEMBERWISE_D`
+on; below it one batched `np.linalg.cholesky` costs less than a call per member.
 """
 
 import numpy as np

@@ -264,20 +264,28 @@ FIVE = [("laser", {"b": 1.0, "c": 100.0}), ("aar", {"b": 0.5}),
         ("crrls", {"reset_period": 10, "b_reset": 0.1})]
 WEAK_HINF = ("hinf", {"a": 8.0, "b": 2e-306, "c": 1.0})
 PINNED = Path(__file__).parent / "data"
+# the pinned experiments, by file prefix: the five learners (kind D, T = 30,
+# d = 4, three seeds), as written when each learner ran its own step loop,
+# and laser and hinf (kind C, T = 40, two seeds) on both sides of
+# laser.MEMBERWISE_D, as written when a batched scipy.linalg.inv served
+# certification below it
+CERTIFY = [FIVE[0], FIVE[2]]
+PINNED_RUNS = {"five_learner": (DatasetSpec(kind="D", T=30, d=4, seed=0), FIVE, [0, 1, 2]),
+               "certify_d20": (DatasetSpec(kind="C", T=40, d=20, seed=0), CERTIFY, [0, 1]),
+               "certify_d40": (DatasetSpec(kind="C", T=40, d=40, seed=0), CERTIFY, [0, 1])}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_five_learner_experiment_csv_bytes(workers, tmp_path, monkeypatch):
-    # the exact text of the report and bounds CSVs (kind D, T = 30, d = 4,
-    # three seeds), as written when each learner ran its own step loop
+    # the exact text of the report and bounds CSVs of each pinned experiment
     monkeypatch.delenv("DRIFTLEARN_THREADS", raising=False)
-    reports = harness.experiment(DatasetSpec(kind="D", T=30, d=4, seed=0), FIVE, [0, 1, 2],
-                                 workers=workers)
-    harness.write_report_csv(reports, tmp_path / "report.csv")
-    harness.write_bounds_csv(reports, tmp_path / "bounds.csv")
-    for name in ("report", "bounds"):
-        want = (PINNED / f"five_learner_{name}.csv").read_bytes()
-        assert (tmp_path / f"{name}.csv").read_bytes() == want, name
+    for prefix, (dataset, algos, seeds) in PINNED_RUNS.items():
+        reports = harness.experiment(dataset, algos, seeds, workers=workers)
+        harness.write_report_csv(reports, tmp_path / "report.csv")
+        harness.write_bounds_csv(reports, tmp_path / "bounds.csv")
+        for name in ("report", "bounds"):
+            want = (PINNED / f"{prefix}_{name}.csv").read_bytes()
+            assert (tmp_path / f"{name}.csv").read_bytes() == want, (prefix, name)
 
 
 def test_mixed_experiment_matches_single_learner_batches_bit_for_bit(monkeypatch):

@@ -399,6 +399,9 @@ BAD_INPUTS = {
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
                                  *flags, "--out-prefix", "TMP/r"]
        for case, (flags, _) in DATA_IGNORES.items()},
+    "run-data-empty": ["run", "--algo", "aar", "--b", "1", "--data", "", "--out-prefix", "TMP/r"],
+    "run-data-empty-with-T": ["run", "--algo", "aar", "--b", "1", "--data", "", "--T", "5",
+                              "--out-prefix", "TMP/r"],
 }
 # malformed stream CSVs (d = 2) for the stream-* cases
 BAD_STREAMS = {
@@ -458,6 +461,8 @@ BAD_INPUT_REASONS = {
     "stream-one-underscore-zero": "non-numeric field: could not convert string '1_0'",
     **{f"run-data-with-{case}": f"{flag} applies to generated streams only, not with --data"
        for case, (_, flag) in DATA_IGNORES.items()},
+    **{case: "--data needs the path of a stream CSV, got an empty one"
+       for case in ("run-data-empty", "run-data-empty-with-T")},
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]
@@ -490,6 +495,15 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert BAD_INPUT_REASONS.get(case, "") in err
     # the error line is all the user sees: no second line, no numpy warning
     assert err.count("\n") == 1 and not [str(w.message) for w in caught]
+
+
+def test_thread_count_that_is_not_an_integer_exits_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("DRIFTLEARN_THREADS", "two")
+    assert run_cli("run", "--algo", "aar", "--b", "1", "--kind", "C", "--T", "5", "--d", "2",
+                   "--out-prefix", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == (
+        "error: DRIFTLEARN_THREADS must be a non-negative integer, got 'two'\n")
+    assert not list(tmp_path.iterdir())
 
 
 FLAG_VALUES = {"b": 1.0, "c": 2.0, "a": 3.0, "eta": 0.5, "eps": 0.1, "reset_period": 4,

@@ -207,6 +207,10 @@ def test_resolve_workers_env_semantics(monkeypatch):
     assert harness.resolve_workers(8) == 2  # env caps explicit requests
     monkeypatch.setenv("DRIFTLEARN_THREADS", "0")
     assert harness.resolve_workers() >= 1
+    for bad in ("two", "-1", "1.5"):  # not a non-negative integer
+        monkeypatch.setenv("DRIFTLEARN_THREADS", bad)
+        with pytest.raises(InvalidParams, match=f"non-negative integer, got '{bad}'"):
+            harness.resolve_workers()
 
 
 def test_report_csv_roundtrip_and_reorder_invariance():

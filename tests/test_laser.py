@@ -293,17 +293,19 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
                     else _same(got, want)
 
 
-# -- the certification size rule: batched below MEMBERWISE_D, per member from it
+# -- _factor's size rule: one batched Cholesky below MEMBERWISE_D, potrf per member from it
 
 @pytest.mark.parametrize("d", [laser.MEMBERWISE_D - 1, laser.MEMBERWISE_D])
 def test_certification_paths_agree(d, monkeypatch):
-    # The paths share the trtri inverse and differ only in the rounding of
-    # the Cholesky factor, a batched one against one potrf per member, so
-    # Tr D and ln det D agree to about eps times the condition of P: tens
-    # of ulps for the first two members, hundreds to thousands for the
-    # ill-conditioned b = 0.1, c = 1. The tolerance is tests/test_batch.py's
-    # batch-independence TOL. (0.01, 1e12) moves to square-root form in
-    # round 1, so its one-member run certifies an empty stack from then on.
+    # Only _factor reads MEMBERWISE_D, so this tests its two paths alone:
+    # every factor takes the same trtri inverse, and the paths differ only
+    # in the rounding of the Cholesky factor, a batched one against one
+    # potrf per member. Tr D and ln det D agree to about eps times the
+    # condition of P: tens of ulps for the first two members, hundreds to
+    # thousands for the ill-conditioned b = 0.1, c = 1. The tolerance is
+    # tests/test_batch.py's batch-independence TOL. (0.01, 1e12) moves to
+    # square-root form in round 1, so its one-member run certifies an empty
+    # stack from then on.
     s = gen_stream(DatasetSpec(kind="C", T=60, d=d, seed=4))
     members = [[laser.LaserParams(1.0, 100.0), laser.LaserParams(10.0, 1000.0),
                 laser.LaserParams(0.1, 1.0), laser.LaserParams(0.01, 1e12)],
@@ -326,8 +328,9 @@ def test_certification_paths_agree(d, monkeypatch):
 
 def test_lost_definiteness_reads_the_same_on_both_paths(monkeypatch):
     # two of three members indefinite: the error names the round and the
-    # least eigenvalue of the failing members, on either path, with spectra
-    # (round 0) and with the guard (round 1)
+    # least eigenvalue of the failing members on either of _factor's paths,
+    # batched or potrf per member, with spectra (round 0) and with the
+    # guard (round 1)
     d = laser.MEMBERWISE_D
     P = np.stack([np.eye(d)] * 3)
     P[1, 3, 3], P[2, 5, 5] = -1e-3, -2e-2

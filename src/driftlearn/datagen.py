@@ -88,9 +88,13 @@ class DatasetSpec:
             raise BadDim(f"need d >= 2 for one rotated input pair, got {self.d}")
         if self.switch_period < 1:
             raise InvalidParams(f"switch_period must be positive, got {self.switch_period}")
+        if self.rotation_rate is not None and not math.isfinite(self.rotation_rate * self.T):
+            raise InvalidParams("rotation_rate must be finite, and so must the angle "
+                                f"rotation_rate * T, got {self.rotation_rate}")
         if self.noise_var is not None:
-            if self.noise_var < 0:
-                raise InvalidParams(f"noise_var must be non-negative, got {self.noise_var}")
+            if not 0.0 <= self.noise_var < math.inf:  # NaN fails the comparison too
+                raise InvalidParams(f"noise_var must be finite and non-negative, got "
+                                    f"{self.noise_var}")
             if self.kind in ("A", "B") and self.noise_var != 0.0:
                 raise InvalidParams(f"kind {self.kind} is noise-free; noise_var must be 0")
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (
     BadStream,
     DomainError,
     LengthMismatch,
+    NotPositiveDefinite,
     RegimeViolation,
     SingularSystem,
     TooLarge,
@@ -51,10 +51,6 @@ class ComparatorSequence:
     @property
     def T(self) -> int:
         return self.us.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.us.shape[1]
 
     def check(self, tol: float = 1e-12) -> None:
         """Assert the stored drift matches a recomputation."""
@@ -103,9 +99,7 @@ def tracking_cost(us, xs, ys, b: float, c: float) -> float:
 
         b ||u_1||^2 + c sum ||u_{s+1} - u_s||^2 + sum (y_s - u_s . x_s)^2
     """
-    us = np.asarray(us, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    us, xs, ys = (np.asarray(a, dtype=float) for a in (us, xs, ys))
     preds = np.einsum("td,td->t", xs, us)
     return float(
         b * us[0] @ us[0] + drift_term(c, drift_of(us)) + np.sum((ys - preds) ** 2)
@@ -115,9 +109,11 @@ def tracking_cost(us, xs, ys, b: float, c: float) -> float:
 def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequence]:
     """Exact minimum of the tracking cost over all sequences (u_1..u_T).
 
-    Assembles the block-tridiagonal normal equations of the strictly
-    convex stacked quadratic and solves them with a dense Cholesky
-    factorization. Returns (optimal value, argmin).
+    Solves the block-tridiagonal normal equations H u = g of the strictly
+    convex stacked quadratic by LAPACK Cholesky (SingularSystem if that
+    fails). Each entry of H gets the terms a block-by-block loop would add,
+    in its order: x_s x_s^T, b I on block 0, then c I per drift term.
+    Returns (optimal value, argmin).
     """
     xs, ys = checked_stream(xs, ys)
     T, d = xs.shape
@@ -126,28 +122,24 @@ def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequenc
     if not (b > 0 and c > 0 and math.isfinite(c)):
         raise ValueError(f"need finite b, c > 0, got b={b}, c={c}")
 
-    n = T * d
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    I = np.eye(d)
-    for s in range(T):
-        blk = slice(s * d, (s + 1) * d)
-        H[blk, blk] += np.outer(xs[s], xs[s])
-        g[blk] = ys[s] * xs[s]
-    H[0:d, 0:d] += b * I
-    for s in range(T - 1):
-        lo = slice(s * d, (s + 1) * d)
-        hi = slice((s + 1) * d, (s + 2) * d)
-        H[lo, lo] += c * I
-        H[hi, hi] += c * I
-        H[lo, hi] -= c * I
-        H[hi, lo] -= c * I
-
+    H = np.zeros((T * d, T * d))
+    H4 = H.reshape(T, d, T, d)  # H4[s, :, r, :] is block (s, r)
+    # (T, d, d) views of the diagonal blocks and (T - 1, d, d) of those above and below
+    diag, above, below = (np.einsum("sjsk->sjk", A)
+                          for A in (H4, H4[:-1, :, 1:], H4[1:, :, :-1]))
+    cI = c * np.eye(d)
+    diag += xs[:, :, None] * xs[:, None, :]
+    diag[0] += b * np.eye(d)
+    diag[:-1] += cI
+    diag[1:] += cI
+    above -= cI
+    below -= cI
+    g = (ys[:, None] * xs).reshape(-1)
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise SingularSystem("the stacked normal equations overflowed: inputs too large")
     try:
-        u = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(H, lower=True, check_finite=False), g
-        )
-    except scipy.linalg.LinAlgError as exc:
+        u = linalg._cho_solve(linalg._cholesky(H), g)
+    except NotPositiveDefinite as exc:
         raise SingularSystem(str(exc)) from exc
     value = float(ys @ ys - g @ u)
     return value, comparator_from_us(u.reshape(T, d))
@@ -155,9 +147,7 @@ def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequenc
 
 def tracking_cost_gradient(us, xs, ys, b: float, c: float) -> np.ndarray:
     """Gradient of the tracking cost at a stacked candidate (T, d)."""
-    us = np.asarray(us, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    us, xs, ys = (np.asarray(a, dtype=float) for a in (us, xs, ys))
     T, d = us.shape
     grad = np.zeros((T, d))
     preds = np.einsum("td,td->t", xs, us)
@@ -388,23 +378,28 @@ def hinf_direct(xs, ys, a: float, b: float, c: float) -> tuple[np.ndarray, np.nd
 # Eigenvalue growth control
 # ---------------------------------------------------------------------------
 
-def eigenvalue_step_map(lam: float, beta: float, xsq: float, gammasq: float) -> float:
+def eigenvalue_step_map(lam, beta, xsq, gammasq):
     """One step of the scalar eigenvalue recursion:
 
         f(lam) = lam * beta / (lam + beta) + xsq
 
-    for lam, beta >= 0 and 0 <= xsq <= gammasq. The suite checks
+    for lam, beta >= 0 and 0 <= xsq <= gammasq, elementwise over arguments
+    that broadcast together (a float when all four are scalars). Raises
+    DomainError if any element of any argument is negative or NaN, or any
+    xsq exceeds its gammasq. The suite checks
       (1) f <= beta + gammasq
       (2) f <= lam + gammasq
       (3) f <= max(lam, (3 gammasq + sqrt(gammasq^2 + 4 gammasq beta)) / 2)
     """
-    if lam < 0 or beta < 0 or xsq < 0 or gammasq < 0:
-        raise DomainError("all inputs must be non-negative")
-    if xsq > gammasq:
-        raise DomainError(f"xsq={xsq} exceeds gammasq={gammasq}")
-    if lam + beta == 0.0:
-        return float(xsq)
-    return float(lam * beta / (lam + beta) + xsq)
+    args = lam, beta, xsq, gammasq = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (lam, beta, xsq, gammasq)))
+    if not all((a >= 0.0).all() for a in args):  # NaN fails the comparison too
+        raise DomainError("all inputs must be non-negative and not NaN")
+    if (over := xsq > gammasq).any():
+        raise DomainError(f"xsq={xsq[over][0]} exceeds gammasq={gammasq[over][0]}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where lam + beta = 0
+        f = np.where(lam + beta == 0.0, xsq, lam * beta / (lam + beta) + xsq)
+    return float(f) if f.ndim == 0 else f
 
 
 def eig_cap(x_norm_sq_bound: float, b: float, c: float) -> float:

@@ -97,21 +97,19 @@ def certificate_suite(draws: int = 1000, seed: int = 0) -> SuiteResult:
 
 
 def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> SuiteResult:
-    """Grid check of the three ceilings on the scalar eigenvalue map."""
-    lams = np.linspace(0.0, 100.0, n_lam).tolist()
-    betas = np.linspace(0.0, 100.0, n_beta).tolist()
+    """Grid check of the three ceilings on the scalar eigenvalue map, one map
+    call per gammasq on the (beta, lam, xsq) grid."""
+    betas = np.linspace(0.0, 100.0, n_beta)[:, None, None]
+    lams = np.linspace(0.0, 100.0, n_lam)[:, None]
     worst = -math.inf
     cases = 0
     for gammasq in (0.5, 1.0, 4.0):
-        xsqs = np.linspace(0.0, gammasq, n_xsq).tolist()
-        for beta in betas:
-            ceiling = 0.5 * (3.0 * gammasq + math.sqrt(gammasq**2 + 4.0 * gammasq * beta))
-            for lam in lams:
-                cap3 = max(lam, ceiling)
-                for xsq in xsqs:
-                    f = oracle.eigenvalue_step_map(lam, beta, xsq, gammasq)
-                    worst = max(worst, f - (beta + gammasq), f - (lam + gammasq), f - cap3)
-                    cases += 1
+        f = oracle.eigenvalue_step_map(lams, betas, np.linspace(0.0, gammasq, n_xsq), gammasq)
+        ceiling = 0.5 * (3.0 * gammasq + np.sqrt(gammasq**2 + 4.0 * gammasq * betas))
+        worst = max(worst, float(np.max(f - (betas + gammasq))),
+                    float(np.max(f - (lams + gammasq))),
+                    float(np.max(f - np.maximum(lams, ceiling))))
+        cases += f.size
     return _result("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
 
 

@@ -402,6 +402,14 @@ BAD_INPUTS = {
     "run-data-empty": ["run", "--algo", "aar", "--b", "1", "--data", "", "--out-prefix", "TMP/r"],
     "run-data-empty-with-T": ["run", "--algo", "aar", "--b", "1", "--data", "", "--T", "5",
                               "--out-prefix", "TMP/r"],
+    # non-finite stream settings; 1e308 rad a step overflows the angle from step 2 on
+    **{f"{cmd}-{flag}-{value}": [cmd, "--kind", kind, f"--{flag}", value, *out]
+       for cmd, out in (("gen", ["--out", "TMP/x.csv"]),
+                        ("run", ["--algo", "laser", "--b", "1", "--c", "10",
+                                 "--out-prefix", "TMP/r"]))
+       for flag, kind, values in (("noise-var", "C", ("nan", "inf")),
+                                  ("rotation-rate", "A", ("nan", "inf", "1e308")))
+       for value in values},
 }
 # malformed stream CSVs (d = 2) for the stream-* cases
 BAD_STREAMS = {
@@ -463,6 +471,11 @@ BAD_INPUT_REASONS = {
        for case, (_, flag) in DATA_IGNORES.items()},
     **{case: "--data needs the path of a stream CSV, got an empty one"
        for case in ("run-data-empty", "run-data-empty-with-T")},
+    **{f"{cmd}-noise-var-{value}": f"noise_var must be finite and non-negative, got {value}"
+       for cmd in ("gen", "run") for value in ("nan", "inf")},
+    **{f"{cmd}-rotation-rate-{value}": "rotation_rate must be finite, and so must the angle "
+                                       f"rotation_rate * T, got {float(value)}"
+       for cmd in ("gen", "run") for value in ("nan", "inf", "1e308")},
 }
 SWEEP_DATA = ["--kind", "A", "--T", "20", "--d", "4", "--out", "TMP/best.json"]
 RUN_DATA = ["--kind", "A", "--T", "20", "--d", "4"]

@@ -137,6 +137,22 @@ def test_noise_var_rejected_for_noise_free_kinds():
     DatasetSpec(kind="A", T=10, d=10, seed=0, noise_var=0.0)  # explicit zero ok
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_stream_settings_rejected(value):
+    with pytest.raises(InvalidParams, match="noise_var must be finite"):
+        DatasetSpec(kind="C", T=10, d=10, noise_var=value)
+    with pytest.raises(InvalidParams, match="rotation_rate must be finite"):
+        DatasetSpec(kind="A", T=10, d=10, rotation_rate=value)
+
+
+def test_rotation_rate_whose_angle_overflows_rejected():
+    # the angle of step t is rotation_rate * t, which must stay finite up to T
+    with pytest.raises(InvalidParams, match=r"rotation_rate \* T, got 1e\+308"):
+        DatasetSpec(kind="A", T=2, d=4, rotation_rate=1e308)
+    stream = gen_stream(DatasetSpec(kind="A", T=1, d=4, rotation_rate=1e308))
+    assert np.isfinite(stream.ys).all()
+
+
 def test_bounds_are_realized_maxima():
     s = gen_stream(DatasetSpec(kind="C", T=500, d=10, seed=9))
     assert s.Y_bound == np.max(np.abs(s.ys))

@@ -1,10 +1,25 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftlearn import laser, linalg, oracle
-from driftlearn.errors import DomainError, LengthMismatch, RegimeViolation, TooLarge
+from driftlearn import laser, linalg, oracle, suites
+from driftlearn.errors import (
+    DomainError,
+    LengthMismatch,
+    RegimeViolation,
+    SingularSystem,
+    TooLarge,
+)
+
+# float.hex of brute_min_cost's value and argmin on pinned_streams(), (cases,
+# worst.hex()) of three suites and a digest of the eigenvalue map on the
+# scalar-map grid, all written by the code before brute_min_cost and the
+# scalar-map suite moved to array operations
+PINS = json.loads((Path(__file__).parent / "data" / "oracle_pins.json").read_text())
 
 
 def test_brute_min_cost_two_step_closed_form():
@@ -46,6 +61,88 @@ def test_brute_min_cost_huge_c_collapses_to_ridge():
 def test_brute_min_cost_budget_guard():
     with pytest.raises(TooLarge):
         oracle.brute_min_cost(np.zeros((500, 5)), np.zeros(500), 1.0, 2.0)
+
+
+def pinned_streams():
+    """The streams of PINS["brute"]: standard normal ones at T in {1, 2, 20}
+    and d in {1, 4, 5}, then one with zero labels and one whose inputs are
+    all zero, of both signs."""
+    for T in (1, 2, 20):
+        for d in (1, 4, 5):
+            rng = np.random.default_rng(100 * T + d)
+            yield f"T{T}-d{d}", rng.standard_normal((T, d)), rng.standard_normal(T)
+    rng = np.random.default_rng(7)
+    yield "zero-labels", rng.standard_normal((20, 4)), np.zeros(20)
+    xs = np.zeros((20, 4))
+    xs[::2] = -0.0
+    yield "zero-inputs", xs, rng.standard_normal(20)
+
+
+def test_brute_min_cost_pinned_bits():
+    b, c = PINS["brute_b_c"]
+    names = []
+    for name, xs, ys in pinned_streams():
+        value, comp = oracle.brute_min_cost(xs, ys, b, c)
+        assert value.hex() == PINS["brute"][name]["value"], name
+        assert [u.hex() for u in comp.us.ravel().tolist()] == PINS["brute"][name]["argmin"], name
+        names.append(name)
+    assert names == list(PINS["brute"])
+
+
+def loop_normal_equations(xs, ys, b, c):
+    """The stacked normal equations assembled block by block: the order of
+    additions brute_min_cost reproduces entry for entry."""
+    T, d = xs.shape
+    H, g, I = np.zeros((T * d, T * d)), np.zeros(T * d), np.eye(d)
+    for s in range(T):
+        blk = slice(s * d, (s + 1) * d)
+        H[blk, blk] += np.outer(xs[s], xs[s])
+        g[blk] = ys[s] * xs[s]
+    H[:d, :d] += b * I
+    for s in range(T - 1):
+        lo, hi = slice(s * d, (s + 1) * d), slice((s + 1) * d, (s + 2) * d)
+        H[lo, lo] += c * I
+        H[hi, hi] += c * I
+        H[lo, hi] -= c * I
+        H[hi, lo] -= c * I
+    return H, g
+
+
+def test_brute_min_cost_solves_the_loop_assembly_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        T, d = int(rng.integers(1, 21)), int(rng.integers(1, 6))
+        xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
+        xs[rng.random((T, d)) < 0.2] = -0.0  # signed zeros in x_s x_s^T
+        b, c = rng.uniform(0.1, 10.0, size=2).tolist()
+        H, g = loop_normal_equations(xs, ys, b, c)
+        u = linalg._cho_solve(linalg._cholesky(H), g)
+        value, comp = oracle.brute_min_cost(xs, ys, b, c)
+        assert value.hex() == float(ys @ ys - g @ u).hex()
+        assert comp.us.tobytes() == u.reshape(T, d).tobytes()
+
+
+PINNED_SUITES = {
+    "scalar_map_suite()": lambda: suites.scalar_map_suite(),
+    "oracle_equivalence_suite(50, 3)": lambda: suites.oracle_equivalence_suite(50, 3),
+    "comparator_bound_suite(T=40, seeds=(0, 1))":
+        lambda: suites.comparator_bound_suite(T=40, seeds=(0, 1)),
+}
+
+
+@pytest.mark.parametrize("call", PINNED_SUITES)
+def test_suite_pinned_bits(call):
+    result = PINNED_SUITES[call]()
+    assert [result.cases, result.worst.hex()] == PINS["suites"][call]
+
+
+def test_brute_min_cost_unsolvable_systems_are_singular_system():
+    # b is lost next to c = 2**1000, leaving [[c, -c], [-c, c]]: the factorization fails
+    with pytest.raises(SingularSystem, match="potrf"):
+        oracle.brute_min_cost(np.zeros((2, 1)), np.ones(2), 1.0, 2.0**1000)
+    # x x^T overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(SingularSystem, match="overflowed"):
+        oracle.brute_min_cost(np.array([[1e200, 1e200]]), np.ones(1), 1.0, 2.0)
 
 
 def test_brute_minimizer_first_order_stationarity():
@@ -226,6 +323,36 @@ def test_eigenvalue_step_map_values_and_domain():
         oracle.eigenvalue_step_map(-1.0, 1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         oracle.eigenvalue_step_map(1.0, 1.0, 2.0, 1.0)  # xsq above gammasq
+    with pytest.raises(DomainError, match="xsq=3.0 exceeds gammasq=1.0"):
+        oracle.eigenvalue_step_map(np.array([1.0, 2.0]), 1.0, np.array([0.5, 3.0]), 1.0)
+    with pytest.raises(DomainError, match="non-negative"):
+        oracle.eigenvalue_step_map(np.array([1.0, -2.0]), 1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_eigenvalue_step_map_refuses_nan(position):
+    args = [1.0, 2.0, 0.5, 1.0]
+    args[position] = math.nan
+    with pytest.raises(DomainError, match="NaN"):
+        oracle.eigenvalue_step_map(*args)
+    arrays = [np.full(3, a) for a in (1.0, 2.0, 0.5, 1.0)]
+    arrays[position][1] = math.nan
+    with pytest.raises(DomainError, match="NaN"):
+        oracle.eigenvalue_step_map(*arrays)
+
+
+def test_eigenvalue_step_map_array_form_is_the_scalar_form_bit_for_bit():
+    # every point of the scalar-map suite's grid, in its order
+    lams = betas = np.linspace(0.0, 100.0, 25)
+    scalar = np.array([oracle.eigenvalue_step_map(lam, beta, xsq, g)
+                       for g in (0.5, 1.0, 4.0) for beta in betas.tolist()
+                       for lam in lams.tolist() for xsq in np.linspace(0.0, g, 6).tolist()])
+    assert hashlib.sha256(scalar.tobytes()).hexdigest() == PINS["scalar_map_grid_sha256"]
+    arrays = [oracle.eigenvalue_step_map(lams[:, None], betas[:, None, None],
+                                         np.linspace(0.0, g, 6), g) for g in (0.5, 1.0, 4.0)]
+    assert np.concatenate([f.ravel() for f in arrays]).tobytes() == scalar.tobytes()
+    # the lam + beta = 0 corner returns xsq itself, sign of zero included
+    assert math.copysign(1.0, oracle.eigenvalue_step_map(0.0, 0.0, -0.0, 1.0)) == -1.0
 
 
 def test_bound_inputs_derived_quantities():

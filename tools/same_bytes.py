@@ -1,0 +1,116 @@
+"""Run a fixed set of driftlearn CLI commands and keep everything they write.
+
+    python3 tools/same_bytes.py OUTDIR
+
+Each command runs in a fresh interpreter that imports the driftlearn of
+the checkout holding this script, with BLAS pinned to one thread and
+DRIFTLEARN_THREADS removed (experiments run serially). Command NAME runs
+in its own directory OUTDIR/NAME, which ends up holding the files it
+wrote plus stdout.txt, stderr.txt and exit.txt. Commands that read an
+earlier command's output name it by a relative path (../gen-d4/stream.csv),
+so nothing written depends on where OUTDIR is.
+
+To check that a change writes the same bytes as its parent, run this
+script from both checkouts into two new directories and compare them:
+`diff -r OUT_PARENT OUT_CHANGE` prints nothing when every CSV, JSON, plot
+script, message and exit code is the same.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+KINDS = "ABCD"
+GEN_DIMS = (4, 20, 40)
+# the learners run on each generated stream CSV; (1, inf) and (0.001, inf)
+# are stationary, and (0.001, 1e12) runs in square-root information form
+DATA_LEARNERS = {
+    "laser-1-100": ["--algo", "laser", "--b", "1", "--c", "100"],
+    "laser-1-inf": ["--algo", "laser", "--b", "1", "--c", "inf"],
+    "laser-0.001-1e12": ["--algo", "laser", "--b", "0.001", "--c", "1e12"],
+    "laser-0.001-inf": ["--algo", "laser", "--b", "0.001", "--c", "inf"],
+    "aar": ["--algo", "aar", "--b", "1"],
+    "crrls": ["--algo", "crrls", "--reset-period", "50", "--b-reset", "1"],
+    "nlms": ["--algo", "nlms", "--eta", "0.5", "--eps", "1e-6"],
+    "hinf": ["--algo", "hinf", "--a", "8", "--b", "500", "--c", "500"],
+}
+LASER = ["--algo", "laser", "--b", "1", "--c", "100"]
+SHORT = ["--T", "300", "--seeds", "2"]
+
+
+# (name, argv) of every command, in run order
+COMMANDS = [
+    *((f"gen-d{d}", ["gen", "--kind", "C", "--T", "300", "--d", str(d), "--seed", "1",
+                     "--out", "stream.csv"]) for d in GEN_DIMS),
+    *((f"data-d{d}-{name}", ["run", *flags, "--data", f"../gen-d{d}/stream.csv"])
+      for d in GEN_DIMS for name, flags in DATA_LEARNERS.items()),
+    *((f"run-laser-d4-{k}", ["run", *LASER, "--kind", k, "--T", "200", "--d", "4",
+                             "--seeds", "3"]) for k in KINDS),
+    *((f"run-laser-10-1000-d20-{k}", ["run", "--algo", "laser", "--b", "10", "--c", "1000",
+                                      "--kind", k, "--d", "20", *SHORT]) for k in KINDS),
+    ("run-hinf-d20", ["run", "--algo", "hinf", "--a", "8", "--b", "500", "--c", "500",
+                      "--kind", "C", "--d", "20", *SHORT]),
+    ("run-tuned-low-d8", ["run", "--algo", "laser", "--tuned-regime", "low",
+                          "--eps-ratio", "0.1", "--kind", "C", "--d", "8", *SHORT]),
+    *((f"run-tuned-high-d{d}", ["run", "--algo", "laser", "--tuned-regime", "high",
+                                "--eps-ratio", "0.1", "--kind", "A", "--rotation-rate",
+                                "3.141592653589793", "--d", str(d), *SHORT])
+      for d in (4, 6)),  # d = 6 falls below the high-drift threshold: exit 2
+    ("run-laser-sqrt-d12", ["run", "--algo", "laser", "--b", "0.01", "--c", "1e12",
+                            "--kind", "C", "--d", "12", *SHORT]),
+    ("run-aar-d16", ["run", "--algo", "aar", "--b", "1", "--kind", "C", "--d", "16", *SHORT]),
+    ("run-crrls-d20", ["run", "--algo", "crrls", "--reset-period", "50", "--b-reset", "1",
+                       "--kind", "C", "--d", "20", *SHORT]),
+    ("run-laser-d31", ["run", *LASER, "--kind", "C", "--d", "31", *SHORT]),
+    ("run-laser-d32", ["run", *LASER, "--kind", "C", "--d", "32", *SHORT]),
+    ("run-laser-clipped-B", ["run", *LASER, "--clip-bound", "5", "--kind", "B",
+                             "--switch-period", "20", "--no-wrap", "--d", "8", *SHORT]),
+    ("run-hinf-weak-prior", ["run", "--algo", "hinf", "--a", "2", "--b", "1e-150", "--c", "1",
+                             "--kind", "D", "--T", "30", "--d", "4"]),
+    ("sweep-laser", ["sweep", "--algo", "laser", "--grid",
+                     '{"b": [0.5, 1, 5], "c": [2, 100, 1000]}', "--kind", "C", "--T", "200",
+                     "--d", "4", "--out", "best.json"]),
+    ("sweep-nlms", ["sweep", "--algo", "nlms", "--grid", '{"eta": ["inf", 0.25, 0.5]}',
+                    "--kind", "D", "--T", "200", "--d", "6", "--out", "best.json"]),
+    ("report", ["report", "--inputs", "../run-laser-d4-A/run_report.csv",
+                "../run-laser-d4-D/run_report.csv", "--out", "summary.csv",
+                "--plot", "curves.gp"]),
+    ("verify-all", ["verify", "--suite", "all"]),
+    ("verify-oracle", ["verify", "--suite", "oracle", "--trials", "50", "--seed", "3"]),
+    ("verify-lemma3", ["verify", "--suite", "lemma3", "--trials", "50", "--seed", "3"]),
+    ("verify-lemma6", ["verify", "--suite", "lemma6"]),
+    ("run-full-laser-C", ["run", *LASER, "--kind", "C", "--full"]),
+]
+
+
+def _env() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("DRIFTLEARN_THREADS", None)
+    return env
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("outdir", help="new or empty directory for the commands' outputs")
+    out = Path(ap.parse_args(argv).outdir)
+    if out.exists() and any(out.iterdir()):
+        ap.error(f"{out} is not empty")
+    env = _env()
+    for name, args in COMMANDS:
+        cwd = out / name
+        cwd.mkdir(parents=True)
+        proc = subprocess.run([sys.executable, "-m", "driftlearn.cli", *args], cwd=cwd, env=env,
+                              capture_output=True)
+        (cwd / "stdout.txt").write_bytes(proc.stdout)
+        (cwd / "stderr.txt").write_bytes(proc.stderr)
+        (cwd / "exit.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,7 +54,6 @@ from .oracle import (
     ComparatorSequence,
     DriftRegime,
     brute_min_cost,
-    comparator_from_us,
     comparator_loss,
     cumloss_bound,
     drift_tuned_bound,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDim, BadStream, InvalidParams, LengthMismatch
-from .oracle import ComparatorSequence, comparator_from_us
+from .oracle import ComparatorSequence
 
 KINDS = ("A", "B", "C", "D")
 MAX_PAIRS = 5
@@ -115,8 +115,9 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class LabeledStream:
-    """One generated stream plus its generating target sequence and the
-    realized label/input-norm bounds used by the bound evaluators."""
+    """One stream plus its generating target sequence and the realized
+    bounds Y_bound = max |y_t| and X_bound = max ||x_t|| used by the bound
+    evaluators; labeled_stream computes them."""
 
     xs: np.ndarray  # (T, d)
     ys: np.ndarray  # (T,)
@@ -149,36 +150,37 @@ def gen_inputs(spec: DatasetSpec) -> np.ndarray:
     return xs
 
 
-def _active_pair(spec: DatasetSpec, t: int) -> int:
-    """0-based pair index active at step t (1-based) for switching kinds."""
-    segment = (t - 1) // spec.switch_period
-    if spec.wrap_pairs:
-        return segment % spec.n_pairs
-    return min(segment, spec.n_pairs - 1)
-
-
 def gen_truth(spec: DatasetSpec) -> ComparatorSequence:
     """Generating target sequence u_1..u_T.
 
     Kinds A/C put (cos(omega*t), sin(omega*t)) in the first pair. Kinds
-    B/D advance the angle, from 0, by 1/t each step and embed
-    the unit vector in the pair active for that step's segment.
+    B/D advance the angle, from 0, by 1/t each step and embed the unit
+    vector in the pair of that step's segment of switch_period steps,
+    cycling through the pairs (or staying on the last without wrap_pairs).
     """
     T, d = spec.T, spec.d
     us = np.zeros((T, d))
     if spec.kind in ("A", "C"):
-        t_idx = np.arange(1, T + 1)
-        angles = spec.omega * t_idx
-        us[:, 0] = np.cos(angles)
-        us[:, 1] = np.sin(angles)
+        angles, pair = spec.omega * np.arange(1, T + 1), 0
     else:
-        theta = 0.0
-        for t in range(1, T + 1):
-            theta += 1.0 / t
-            p = _active_pair(spec, t)
-            us[t - 1, 2 * p] = math.cos(theta)
-            us[t - 1, 2 * p + 1] = math.sin(theta)
-    return comparator_from_us(us)
+        angles = np.cumsum(1.0 / np.arange(1, T + 1))  # adds in order, as a running sum
+        segment = np.arange(T) // spec.switch_period
+        pair = (segment % spec.n_pairs if spec.wrap_pairs
+                else np.minimum(segment, spec.n_pairs - 1))
+    rows = np.arange(T)
+    us[rows, 2 * pair] = np.cos(angles)
+    us[rows, 2 * pair + 1] = np.sin(angles)
+    return ComparatorSequence(us)
+
+
+@np.errstate(over="ignore")  # an infinite X_bound is kept, for the learners to refuse
+def labeled_stream(xs: np.ndarray, ys: np.ndarray, truth: ComparatorSequence) -> LabeledStream:
+    """The stream (xs, ys) with its generating targets and realized bounds;
+    BadStream if max y^2, max ||u_t||^2 or the drift V is not finite."""
+    Y_bound = float(np.max(np.abs(ys)))
+    if not math.isfinite(Y_bound * Y_bound + np.max(np.vecdot(truth.us, truth.us)) + truth.V):
+        raise BadStream("stream overflows: max y^2, max |u_t|^2 or the drift V is not finite")
+    return LabeledStream(xs, ys, truth, Y_bound, float(np.max(np.linalg.norm(xs, axis=1))))
 
 
 def gen_stream(spec: DatasetSpec) -> LabeledStream:
@@ -189,13 +191,7 @@ def gen_stream(spec: DatasetSpec) -> LabeledStream:
     if spec.sigma_sq > 0.0:
         noise = _rng(spec.seed, _STREAM_NOISE).standard_normal(spec.T)
         ys = ys + noise * math.sqrt(spec.sigma_sq)
-    return LabeledStream(
-        xs=xs,
-        ys=ys,
-        truth=truth,
-        Y_bound=float(np.max(np.abs(ys))),
-        X_bound=float(np.max(np.linalg.norm(xs, axis=1))),
-    )
+    return labeled_stream(xs, ys, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +248,8 @@ def read_stream_csv(path_or_file) -> LabeledStream:
         if not header or header[0] != "t" or "y" not in header:
             raise BadStream("not a stream CSV: bad header")
         d = header.index("y") - 1
+        if d < 1:
+            raise BadStream("stream CSV has no input columns")
         width = 2 * d + 2
         if len(header) != width:
             raise BadStream(f"header implies d={d} but has {len(header)} columns")
@@ -270,16 +268,7 @@ def read_stream_csv(path_or_file) -> LabeledStream:
     if not np.all(np.isfinite(table)):
         raise BadStream("stream CSV has non-finite values")
     table = np.ascontiguousarray(table[:, 1:])  # t is read as a number but not kept
-    xs, ys = table[:, :d], table[:, d]
-    with np.errstate(over="ignore"):  # an infinite bound; the learners raise BadStream
-        X_bound = float(np.max(np.linalg.norm(xs, axis=1)))
-    return LabeledStream(
-        xs=xs,
-        ys=ys,
-        truth=comparator_from_us(table[:, d + 1 :]),
-        Y_bound=float(np.max(np.abs(ys))),
-        X_bound=X_bound,
-    )
+    return labeled_stream(table[:, :d], table[:, d], ComparatorSequence(table[:, d + 1 :]))
 
 
 def stream_csv_text(stream: LabeledStream) -> str:

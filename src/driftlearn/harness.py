@@ -65,10 +65,17 @@ EIG_TOL = 1e-9       # tolerance on eigenvalue/log-det inequalities
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """The inequality lhs <= rhs, which holds within the additive tolerance
+    tol; a non-finite lhs never holds."""
+
     name: str
     lhs: float
     rhs: float
-    holds: bool
+    tol: float
+
+    @property
+    def holds(self) -> bool:
+        return math.isfinite(self.lhs) and self.lhs <= self.rhs + self.tol
 
     @property
     def slack(self) -> float:
@@ -258,20 +265,18 @@ def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list
     checks = []
     rhs = oracle.cumloss_bound(stream.truth, closs, lp.b, lp.c, stream.Y_bound,
                                report.quad_trace)
-    checks.append(BoundCheck(
-        "comparator_cumloss_bound", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
-    ))
+    checks.append(BoundCheck("comparator_cumloss_bound", report.L_T, rhs, BOUND_TOL))
     if lp.stationary:  # the trace term vanishes; only ln det D_T is needed
         logdet_T, trace_sum = laser.logdet_D(traj.state), 0.0
     else:
         logdet_T, trace_sum = float(traj.logdet_D[-1]), float(np.sum(traj.trace_D[:-1]))
     lhs = float(np.sum(report.quad_trace))
     rhs = float(oracle.logdet_bound_rhs(logdet_T, trace_sum, stream.dim, lp.b, lp.c))
-    checks.append(BoundCheck("logdet_quad_bound", lhs, rhs, lhs <= rhs + EIG_TOL))
+    checks.append(BoundCheck("logdet_quad_bound", lhs, rhs, EIG_TOL))
     if not lp.stationary:
         lam = float(traj.lam_peak_D[-1])  # the running maximum over t >= 1
         cap = oracle.eig_cap(stream.X_bound**2, lp.b, lp.c)
-        checks.append(BoundCheck("eig_cap", lam, cap, lam <= cap + EIG_TOL))
+        checks.append(BoundCheck("eig_cap", lam, cap, EIG_TOL))
     if regime is not None:
         u1 = stream.truth.us[0]
         ld = logdet_T - stream.dim * math.log(lp.b)
@@ -283,10 +288,7 @@ def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list
             closs,
             ld,
         )
-        checks.append(BoundCheck(
-            f"tuned_{regime.value}_drift_bound", report.L_T, rhs,
-            report.L_T <= rhs + BOUND_TOL,
-        ))
+        checks.append(BoundCheck(f"tuned_{regime.value}_drift_bound", report.L_T, rhs, BOUND_TOL))
     return checks
 
 
@@ -296,18 +298,14 @@ def _hinf_bound_checks(report, stream, hp, closs) -> list[BoundCheck]:
     lhs = hinf.hinf_filter_loss(report.post_update_w, stream.xs, truth)
     u1sq = float(truth.us[0] @ truth.us[0])
     rhs = hinf.filter_bound_rhs(hp, closs, u1sq, truth.V)
-    checks.append(BoundCheck("filter_error_bound", lhs, rhs, lhs <= rhs + BOUND_TOL))
+    checks.append(BoundCheck("filter_error_bound", lhs, rhs, BOUND_TOL))
     for alpha in ALPHA_GRID:
         rhs = hinf.regret_bound_rhs(hp, alpha, closs, u1sq, truth.V)
-        checks.append(BoundCheck(
-            f"regret_alpha_{alpha:g}", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
-        ))
+        checks.append(BoundCheck(f"regret_alpha_{alpha:g}", report.L_T, rhs, BOUND_TOL))
     a_opt = hinf.optimized_alpha(hp, closs, u1sq, truth.V)
     if a_opt is not None:
         rhs = hinf.regret_bound_rhs(hp, a_opt, closs, u1sq, truth.V)
-        checks.append(BoundCheck(
-            "regret_alpha_opt", report.L_T, rhs, report.L_T <= rhs + BOUND_TOL
-        ))
+        checks.append(BoundCheck("regret_alpha_opt", report.L_T, rhs, BOUND_TOL))
     return checks
 
 

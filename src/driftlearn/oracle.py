@@ -11,7 +11,7 @@ which the fast covariance-form learners are certified.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,31 +32,22 @@ BRUTE_BUDGET = 2000  # max T*d stacked variables for the dense solve
 
 @dataclass(frozen=True)
 class ComparatorSequence:
-    """A reference sequence u_1..u_T with its total squared drift.
-
-    V = sum_{t<T} ||u_{t+1} - u_t||^2 and nu = V/T. Stored values must
-    match a recomputation from us; see `drift_of`.
-    """
+    """A reference sequence u_1..u_T, given as us (T, d), and its total
+    squared drift V = sum_{t<T} ||u_{t+1} - u_t||^2, computed from us."""
 
     us: np.ndarray  # (T, d)
-    V: float
-    nu: float
+    V: float = field(init=False)
 
     def __post_init__(self):
         us = np.asarray(self.us, dtype=float)
         if us.ndim != 2:
             raise ValueError(f"us must be (T, d), got shape {us.shape}")
         object.__setattr__(self, "us", us)
+        object.__setattr__(self, "V", drift_of(us))
 
     @property
     def T(self) -> int:
         return self.us.shape[0]
-
-    def check(self, tol: float = 1e-12) -> None:
-        """Assert the stored drift matches a recomputation."""
-        v = drift_of(self.us)
-        if abs(v - self.V) > tol * max(1.0, abs(v)):
-            raise ValueError(f"stored V={self.V} but recomputed {v}")
 
 
 def checked_stream(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -70,18 +61,10 @@ def checked_stream(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+@np.errstate(over="ignore")
 def drift_of(us: np.ndarray) -> float:
-    """Total squared drift of a (T, d) sequence."""
-    us = np.asarray(us, dtype=float)
-    if us.shape[0] < 2:
-        return 0.0
+    """Total squared drift of a (T, d) array; inf if it overflows."""
     return float(np.sum((us[1:] - us[:-1]) ** 2))
-
-
-def comparator_from_us(us) -> ComparatorSequence:
-    us = np.asarray(us, dtype=float)
-    V = drift_of(us)
-    return ComparatorSequence(us=us, V=V, nu=V / us.shape[0])
 
 
 def comparator_loss(comp: ComparatorSequence, xs, ys) -> float:
@@ -142,7 +125,7 @@ def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequenc
     except NotPositiveDefinite as exc:
         raise SingularSystem(str(exc)) from exc
     value = float(ys @ ys - g @ u)
-    return value, comparator_from_us(u.reshape(T, d))
+    return value, ComparatorSequence(u.reshape(T, d))
 
 
 def tracking_cost_gradient(us, xs, ys, b: float, c: float) -> np.ndarray:

@@ -34,12 +34,18 @@ HIGH_DRIFT_SPEC = dict(kind="A", T=DESK_T, d=2, rotation_rate=math.pi)
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """The worst margin observed over a suite's cases; ok when it is within
+    tol, and a violation when it exceeds tol."""
+
     name: str
     cases: int
-    worst: float  # worst margin observed; > tol means violation
+    worst: float
     tol: float
-    ok: bool
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.worst <= self.tol
 
     def line(self) -> str:
         status = "ok" if self.ok else "VIOLATION"
@@ -50,10 +56,6 @@ class SuiteResult:
         if self.note:
             out += f" [{self.note}]"
         return out
-
-
-def _result(name, cases, worst, tol, note=""):
-    return SuiteResult(name, cases, worst, tol, worst <= tol, note)
 
 
 def oracle_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
@@ -78,7 +80,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
         value, _ = oracle.brute_min_cost(xs, ys, float(lo), float(hi))
         gap = abs(laser.laser_min_cost(state) - value) / (1.0 + abs(value))
         worst = max(worst, gap)
-    return _result("offline-optimum oracle equivalence", trials, worst, 1e-8)
+    return SuiteResult("offline-optimum oracle equivalence", trials, worst, 1e-8)
 
 
 def certificate_suite(draws: int = 1000, seed: int = 0) -> SuiteResult:
@@ -93,7 +95,7 @@ def certificate_suite(draws: int = 1000, seed: int = 0) -> SuiteResult:
         x = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
         c = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
         worst = max(worst, oracle.regret_certificate_gap(D, x, c))
-    return _result("per-step regret certificate", draws, worst, 1e-10)
+    return SuiteResult("per-step regret certificate", draws, worst, 1e-10)
 
 
 def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> SuiteResult:
@@ -110,7 +112,7 @@ def scalar_map_suite(n_lam: int = 25, n_beta: int = 25, n_xsq: int = 6) -> Suite
                     float(np.max(f - (lams + gammasq))),
                     float(np.max(f - np.maximum(lams, ceiling))))
         cases += f.size
-    return _result("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
+    return SuiteResult("scalar eigenvalue-map ceilings", cases, worst, 1e-12)
 
 
 def _desk_streams(T=DESK_T, seeds=DESK_SEEDS):
@@ -137,7 +139,7 @@ def logdet_trajectory_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         )
         worst = max(worst, float(np.max(lhs - rhs)))
         cases += stream.T
-    return _result("log-det quad-sum inequality", cases, worst, 1e-9)
+    return SuiteResult("log-det quad-sum inequality", cases, worst, 1e-9)
 
 
 def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -152,7 +154,7 @@ def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         # caps never decrease, so max_t (peak_t - cap_t) = max_t (lambda_max D_t - cap_t)
         worst = max(worst, float(np.max(traj.lam_peak_D[1:] - caps)))
         cases += stream.T
-    return _result("covariance eigenvalue cap", cases, worst, 1e-9)
+    return SuiteResult("covariance eigenvalue cap", cases, worst, 1e-9)
 
 
 def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -180,7 +182,7 @@ def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         rhs_p = oracle.cumloss_bound(best, closs_p, lp.b, lp.c, Y_p, quads[:n])
         worst = max(worst, L_p - rhs_p)
         cases += 1
-    return _result("comparator cumulative-loss bound", cases, worst, 1e-6)
+    return SuiteResult("comparator cumulative-loss bound", cases, worst, 1e-6)
 
 
 def _tuned_worst(streams, regime: str) -> float:
@@ -197,7 +199,7 @@ def tuned_bound_suite(seeds=DESK_SEEDS) -> SuiteResult:
     low = [gen_stream(DatasetSpec(kind="A", T=DESK_T, d=DESK_D, seed=s)) for s in seeds]
     high = [gen_stream(DatasetSpec(seed=s, **HIGH_DRIFT_SPEC)) for s in seeds]
     worst = max(_tuned_worst(low, "low"), _tuned_worst(high, "high"))
-    return _result("drift-tuned closed-form bounds", 2 * len(seeds), worst, 1e-6)
+    return SuiteResult("drift-tuned closed-form bounds", 2 * len(seeds), worst, 1e-6)
 
 
 def hinf_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -207,7 +209,7 @@ def hinf_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     checks = [b for r in harness.run_batch("hinf", [HINF_CERT] * len(streams), streams)
               for b in r.bound_checks]
     worst = max(b.lhs - b.rhs for b in checks)
-    return _result("robust-filter loss bounds", len(checks), worst, 1e-6)
+    return SuiteResult("robust-filter loss bounds", len(checks), worst, 1e-6)
 
 
 # (b, c) of the kernel suite's laser members and (a, b, c) of its hinf
@@ -239,9 +241,9 @@ def kernel_suite() -> SuiteResult:
     for stream, hp, report in zip(streams, hps, harness.run_batch("hinf", hps, streams)):
         yhats, ws, _ = oracle.hinf_direct(stream.xs, stream.ys, **hp)
         worst = max(worst, _gap(report.yhats, yhats), _gap(report.post_update_w, ws))
-    return _result("batched kernel vs direct recursion", 2 * len(streams) * DESK_T, worst, 1e-10,
-                   "the worst hinf gap, 2.4e-11 at (32, 1, 1), is oracle.hinf_direct's own "
-                   "error against a 40-digit run")
+    return SuiteResult("batched kernel vs direct recursion", 2 * len(streams) * DESK_T, worst,
+                       1e-10, "the worst hinf gap, 2.4e-11 at (32, 1, 1), is "
+                       "oracle.hinf_direct's own error against a 40-digit run")
 
 
 # verify's suites in run order: key -> runner(trials, seed), trials None for

@@ -36,7 +36,7 @@ def scaled(stream, k):
 STREAM_C = gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=1))
 STREAM_A = gen_stream(DatasetSpec(kind="A", T=T, d=D, seed=3))
 BIG = scaled(gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=5)), 1e6)
-ZERO = LabeledStream(np.zeros((T, D)), np.zeros(T), oracle.comparator_from_us(np.zeros((T, D))),
+ZERO = LabeledStream(np.zeros((T, D)), np.zeros(T), oracle.ComparatorSequence(np.zeros((T, D))),
                      1.0, 1.0)
 
 MEMBERS = {
@@ -147,7 +147,7 @@ def test_step_function_matches_batch_member_bit_for_bit(algo):
 # two good rounds, then an input whose x^T P' x overflows (|x|^2 ~ 5e400)
 OVERFLOW_AT_3 = LabeledStream(np.array([[1.0, 2.0], [-0.5, 1.0], [1e200, 2e200]]),
                               np.array([1.0, -1.0, 1.0]),
-                              oracle.comparator_from_us(np.zeros((3, 2))), 1.0, 1.0)
+                              oracle.ComparatorSequence(np.zeros((3, 2))), 1.0, 1.0)
 OVERFLOW_PARAMS = {"laser": {"b": 1.0, "c": 10.0}, "aar": {"b": 1.0},
                    "hinf": {"a": 2.0, "b": 1.0, "c": 10.0},
                    "crrls": {"reset_period": 2, "b_reset": 1.0}}  # resets after round 2
@@ -157,7 +157,7 @@ OVERFLOW_PARAMS = {"laser": {"b": 1.0, "c": 10.0}, "aar": {"b": 1.0},
 def test_step_and_loop_refuse_an_overflow_at_the_same_later_round(algo):
     params, stream = OVERFLOW_PARAMS[algo], OVERFLOW_AT_3
     good = replace(stream, xs=stream.xs[:2], ys=stream.ys[:2],
-                   truth=oracle.comparator_from_us(np.zeros((2, 2))))
+                   truth=oracle.ComparatorSequence(np.zeros((2, 2))))
     report, = harness.run_batch(algo, [params], [good])
     assert np.array_equal(step_predictions(algo, params, good), report.yhats)
     match = r"x\^T P' x overflowed at round 3: inputs too large for the prior"

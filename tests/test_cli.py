@@ -1,12 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from driftlearn import cli, harness, suites
-from driftlearn.datagen import read_stream_csv
+from driftlearn.datagen import DatasetSpec, gen_truth, read_stream_csv
 
 
 def run_cli(*argv):
@@ -207,7 +209,7 @@ def test_randomized_suites_and_all_take_trials_and_seed(monkeypatch, capsys):
 
 
 def test_verify_violation_exits_one(monkeypatch, capsys):
-    fake = suites.SuiteResult(name="fake", cases=1, worst=1.0, tol=1e-9, ok=False)
+    fake = suites.SuiteResult(name="fake", cases=1, worst=1.0, tol=1e-9)
     monkeypatch.setattr(suites, "run_suites", lambda *a, **k: [fake])
     assert run_cli("verify", "--suite", "oracle") == 1
     assert "VIOLATION" in capsys.readouterr().out
@@ -279,6 +281,36 @@ def test_config_values_get_the_flags_type_conversion(tmp_path):
     assert exc.value.code == 2
     config.write_text(json.dumps({"kind": "Z"}))
     assert run_cli("--config", str(config), "gen", "--out", str(out)) == 2
+
+
+def test_config_switch_flag_takes_only_a_bool(tmp_path, capsys):
+    config, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+    argv = ["--config", str(config), "gen", "--kind", "B", "--T", "30", "--d", "4",
+            "--switch-period", "5", "--out", str(out)]
+    config.write_text(json.dumps({"no_wrap": True}))
+    assert run_cli(*argv) == 0
+    frozen = gen_truth(DatasetSpec(kind="B", T=30, d=4, switch_period=5, wrap_pairs=False))
+    assert np.array_equal(read_stream_csv(out).truth.us, frozen.us)
+    config.write_text(json.dumps({"no_wrap": "true"}))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: config 'no_wrap' must be true or false, got 'true'\n"
+
+
+def test_config_list_for_a_flag_of_several_values(tmp_path):
+    # report's --inputs takes a list, or one value, as strings; an explicit
+    # --inputs wins, and the config's other entries still apply
+    for given, want in ((["a.csv", 2], ["a.csv", "2"]), ("a.csv", ["a.csv"])):
+        parser = cli.build_parser({"inputs": given})
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sub.choices["report"].get_default("inputs") == want
+    prefix, config = tmp_path / "r", tmp_path / "cfg.json"
+    assert run_cli("run", "--algo", "aar", "--b", "1", "--kind", "A", "--T", "5", "--d", "4",
+                   "--out-prefix", str(prefix)) == 0
+    config.write_text(json.dumps({"inputs": ["absent.csv"], "plot": str(tmp_path / "c.gp")}))
+    assert run_cli("--config", str(config), "report", "--inputs", f"{prefix}_report.csv",
+                   "--out", str(tmp_path / "s.csv")) == 0
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
+    assert (tmp_path / "c.gp").read_text().count("title 'aar'") == 1
 
 
 def test_abbreviated_flag_overrides_config(tmp_path):
@@ -395,7 +427,10 @@ BAD_INPUTS = {
                            ("nlms", ["--eta", "0.5"])]},
     **{f"stream-{name}": ["run", "--algo", "laser", "--b", "1", "--c", "10",
                           "--data", f"TMP/{name}.csv", "--out-prefix", "TMP/r"]
-       for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero")},
+       for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero",
+                    "no-inputs", "huge-label")},
+    "aar-stream-no-inputs": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/no-inputs.csv",
+                             "--out-prefix", "TMP/r"],
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
                                  *flags, "--out-prefix", "TMP/r"]
        for case, (flags, _) in DATA_IGNORES.items()},
@@ -411,13 +446,15 @@ BAD_INPUTS = {
                                   ("rotation-rate", "A", ("nan", "inf", "1e308")))
        for value in values},
 }
-# malformed stream CSVs (d = 2) for the stream-* cases
+# malformed stream CSVs for the stream-* cases, at d = 2 except no-inputs
 BAD_STREAMS = {
     "ragged": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,2,1,0\n",
     "non-numeric": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,two,1,0,0\n",
     "nan": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,nan,1,0,0\n",
     "bad-header": "s,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n",
     "one-underscore-zero": "t,x_1,x_2,y,u_1,u_2\n1,1_0,2,1,0,0\n",
+    "no-inputs": "t,y\n1,1\n",
+    "huge-label": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1e300,0,0\n",
 }
 # files with one 0xff byte, which is not UTF-8, for the *-not-utf8 cases
 NOT_UTF8 = {
@@ -467,6 +504,9 @@ BAD_INPUT_REASONS = {
     "stream-nan": "non-finite values",
     "stream-bad-header": "not a stream CSV: bad header",
     "stream-one-underscore-zero": "non-numeric field: could not convert string '1_0'",
+    **{case: "stream CSV has no input columns"
+       for case in ("stream-no-inputs", "aar-stream-no-inputs")},
+    "stream-huge-label": "stream overflows: max y^2, max |u_t|^2 or the drift V is not finite",
     **{f"run-data-with-{case}": f"{flag} applies to generated streams only, not with --data"
        for case, (_, flag) in DATA_IGNORES.items()},
     **{case: "--data needs the path of a stream CSV, got an empty one"

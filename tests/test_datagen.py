@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,13 +83,19 @@ def test_switching_truth_freeze_variant():
 
 
 def test_switching_angle_advances_at_inverse_rate():
-    spec = DatasetSpec(kind="B", T=10, d=10, seed=0)
-    truth = gen_truth(spec)
-    theta = 0.0
-    for t in range(1, 11):
-        theta += 1.0 / t
-        assert truth.us[t - 1, 0] == pytest.approx(math.cos(theta), abs=1e-12)
-        assert truth.us[t - 1, 1] == pytest.approx(math.sin(theta), abs=1e-12)
+    # the step loop as a reference: theta += 1/t, then the pair of the step's
+    # segment, cycled or frozen on the last; the array form equals it bit for bit
+    for T, d, period, wrap in itertools.product((1, 10, 301), (2, 5, 10, 13, 40), (1, 7, 50),
+                                                (True, False)):
+        spec = DatasetSpec(kind="B", T=T, d=d, switch_period=period, wrap_pairs=wrap)
+        want, theta = np.zeros((T, d)), 0.0
+        for t in range(1, T + 1):
+            theta += 1.0 / t
+            segment = (t - 1) // period
+            p = segment % spec.n_pairs if wrap else min(segment, spec.n_pairs - 1)
+            want[t - 1, 2 * p : 2 * p + 2] = math.cos(theta), math.sin(theta)
+        assert np.array_equal(gen_truth(spec).us, want), spec
+        assert np.array_equal(gen_truth(replace(spec, kind="D")).us, want), spec
 
 
 def test_input_pair_covariance_monte_carlo():
@@ -159,6 +167,23 @@ def test_bounds_are_realized_maxima():
     assert s.X_bound == np.max(np.linalg.norm(s.xs, axis=1))
 
 
+def test_stream_summaries_that_overflow_are_refused():
+    head = "t,x_1,x_2,y,u_1,u_2\n"
+    for body in ("1,1,2,1e300,0,0\n",  # y^2 overflows
+                 "1,1,2,1,1e200,0\n",  # |u_1|^2 overflows
+                 "1,1,2,1,1.3e154,0\n2,1,2,1,-1.3e154,0\n"):  # V alone overflows
+        with pytest.raises(BadStream, match="max y\\^2, max \\|u_t\\|\\^2 or the drift V"):
+            datagen.read_stream_csv(io.StringIO(head + body))
+    # huge inputs are kept, with an infinite X_bound, for the learners to refuse
+    back = datagen.read_stream_csv(io.StringIO(head + "1,1e200,2e200,1,0,0\n"))
+    assert back.X_bound == math.inf and back.Y_bound == 1.0
+
+
+def test_stream_csv_needs_an_input_column():
+    with pytest.raises(BadStream, match="no input columns"):
+        datagen.read_stream_csv(io.StringIO("t,y\n1,1\n"))
+
+
 def test_csv_roundtrip_is_exact():
     s = gen_stream(DatasetSpec(kind="D", T=40, d=10, seed=10))
     buf = io.StringIO()
@@ -180,9 +205,8 @@ def test_csv_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
                 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]
     xs, ys, us = s.xs.copy(), s.ys.copy(), s.truth.us.copy()
     xs[0, :len(specials)] = specials
-    ys[:len(specials)] = specials
-    us[1, :5] = specials[:5]  # moderate: the drift of huge targets overflows
-    stream = datagen.LabeledStream(xs, ys, oracle.comparator_from_us(us), 1.0, 1.0)
+    ys[:5] = us[1, :5] = specials[:5]  # moderate: a huge label's square overflows
+    stream = datagen.LabeledStream(xs, ys, oracle.ComparatorSequence(us), 1.0, 1.0)
     path = tmp_path / "extreme.csv"
     path.write_bytes(datagen.stream_csv_text(stream).replace("\n", "\r\n").encode() + b"\r\n")
     back = datagen.read_stream_csv(path)

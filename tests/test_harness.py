@@ -15,7 +15,7 @@ def hand_stream():
     return LabeledStream(
         xs=xs,
         ys=ys,
-        truth=oracle.comparator_from_us(us),
+        truth=oracle.ComparatorSequence(us),
         Y_bound=1.0,
         X_bound=1.0,
     )
@@ -30,12 +30,21 @@ def test_run_learner_hand_trace():
     assert all(b.holds for b in report.bound_checks)
 
 
+def test_bound_check_holds_within_its_tolerance_and_only_at_a_finite_lhs():
+    check = harness.BoundCheck
+    assert check("b", 1.0 + 1e-7, 1.0, 1e-6).holds and not check("b", 1.0 + 1e-5, 1.0, 1e-6).holds
+    assert check("b", 5.0, np.inf, 1e-6).holds  # c = inf with drift: an infinite ceiling
+    assert not any(check("b", lhs, np.inf, 1e-6).holds for lhs in (np.inf, np.nan))
+    assert not check("b", 1.0, np.nan, 1e-6).holds
+    assert check("b", 1.0, 3.0, 0.0).slack == 2.0
+
+
 def test_run_learner_zero_stream_gives_zero_loss():
     T, d = 5, 2
     stream = LabeledStream(
         xs=np.zeros((T, d)),
         ys=np.zeros(T),
-        truth=oracle.comparator_from_us(np.zeros((T, d))),
+        truth=oracle.ComparatorSequence(np.zeros((T, d))),
         Y_bound=1.0,
         X_bound=1.0,
     )

@@ -66,7 +66,7 @@ def test_weak_prior_loses_definiteness_at_its_round():
 
 
 def test_filter_loss_values():
-    comp = oracle.comparator_from_us(np.array([[0.5], [0.5]]))
+    comp = oracle.ComparatorSequence(np.array([[0.5], [0.5]]))
     xs = np.array([[1.0], [1.0]])
     assert hinf.hinf_filter_loss(np.array([[0.5], [0.5]]), xs, comp) == 0.0
     assert hinf.hinf_filter_loss(np.array([[1.0], [1.0]]), xs, comp) == pytest.approx(0.5)
@@ -79,7 +79,7 @@ def test_filter_loss_matches_naive_sum():
     T, d = 20, 3
     ws = rng.standard_normal((T, d))
     xs = rng.standard_normal((T, d))
-    comp = oracle.comparator_from_us(rng.standard_normal((T, d)))
+    comp = oracle.ComparatorSequence(rng.standard_normal((T, d)))
     naive = sum((xs[t] @ ws[t] - xs[t] @ comp.us[t]) ** 2 for t in range(T))
     assert hinf.hinf_filter_loss(ws, xs, comp) == pytest.approx(naive, rel=1e-12)
 

@@ -366,7 +366,7 @@ def normal_stream(seed, T=60, d=4):
     transcriptions keep their digits (desk inputs reach |x|^2 ~ 1e3)."""
     rng = np.random.default_rng(seed)
     xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
-    return LabeledStream(xs, ys, oracle.comparator_from_us(np.zeros((T, d))), 1.0, 1.0)
+    return LabeledStream(xs, ys, oracle.ComparatorSequence(np.zeros((T, d))), 1.0, 1.0)
 
 
 def run_loop_members(algo, params, streams):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftlearn import laser, linalg, oracle
+from driftlearn import harness, laser, linalg, oracle
 from driftlearn.datagen import DatasetSpec, gen_stream
 from driftlearn.errors import BadStream, InvalidParams, NotPositiveDefinite
 
@@ -291,6 +291,35 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
             if got is not None:
                 assert all(_same(g, w) for g, w in zip(got, want)) if isinstance(got, tuple) \
                     else _same(got, want)
+
+
+# b = 0.05 at c = inf moves this desk stream's state to square-root
+# information form at round 3
+SQRT_DESK = gen_stream(DatasetSpec(kind="C", T=200, d=4, seed=0))
+SQRT_PARAMS = laser.LaserParams(b=0.05, c=math.inf)
+
+
+def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
+    s = SQRT_DESK
+    member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
+    run, _ = laser.member_rounds([member], s.xs[:, None], s.ys[:, None])
+    assert run.final[0][2] is not None
+    state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
+    for x, y in zip(s.xs, s.ys):
+        state = laser.laser_update(state, x, y)
+        ws.append(state.w)
+    assert state.sqrt_info is not None and _same(run.ws[0], ws)
+
+
+def test_stationary_report_in_square_root_form_reads_ln_det_D():
+    s = SQRT_DESK
+    traj = laser.laser_trajectory(SQRT_PARAMS, s.xs, s.ys)
+    assert traj.state.sqrt_info is not None
+    sign, want = np.linalg.slogdet(oracle.laser_direct(s.xs, s.ys, 0.05, math.inf).Ds[-1])
+    assert sign == 1.0 and laser.logdet_D(traj.state) == pytest.approx(want, rel=1e-12)
+    report = harness.run_learner("laser", {"b": 0.05, "c": math.inf}, s)
+    (check,) = [b for b in report.bound_checks if b.name == "logdet_quad_bound"]
+    assert check.rhs == pytest.approx(want - s.dim * math.log(0.05), rel=1e-12) and check.holds
 
 
 # -- _factor's size rule: one batched Cholesky below MEMBERWISE_D, potrf per member from it

@@ -190,18 +190,16 @@ def test_brute_value_matches_direct_cost_at_minimizer():
 
 def test_comparator_bookkeeping():
     us = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    comp = oracle.comparator_from_us(us)
+    comp = oracle.ComparatorSequence(us)
     assert comp.V == pytest.approx(2.0)
-    assert comp.nu == pytest.approx(2.0 / 3.0)
-    comp.check()
-    with pytest.raises(ValueError):
-        oracle.ComparatorSequence(us=us, V=5.0, nu=5.0 / 3.0).check()
+    with pytest.raises(TypeError):  # V is computed from us, never given
+        oracle.ComparatorSequence(us=us, V=5.0)
 
 
 def test_comparator_loss_perfect_and_mismatched_lengths():
     xs = np.array([[1.0], [2.0]])
     us = np.array([[0.5], [0.5]])
-    comp = oracle.comparator_from_us(us)
+    comp = oracle.ComparatorSequence(us)
     ys = np.einsum("td,td->t", xs, us)
     assert oracle.comparator_loss(comp, xs, ys) == 0.0
     with pytest.raises(LengthMismatch):
@@ -245,14 +243,14 @@ def test_certificate_randomized_and_closed_form_agree():
 def test_cumloss_bound_single_step_equality_case():
     # one round (x, y) = (1, 1), b = 1, c = 2: the learner predicts 0 and
     # loses 1; against u = 0.5 with Y = 1 the bound is exactly 1.0
-    comp = oracle.comparator_from_us(np.array([[0.5]]))
+    comp = oracle.ComparatorSequence(np.array([[0.5]]))
     closs = oracle.comparator_loss(comp, [[1.0]], [1.0])
     rhs = oracle.cumloss_bound(comp, closs, 1.0, 2.0, 1.0, [0.5])
     assert rhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cumloss_bound_zero_label_stream():
-    comp = oracle.comparator_from_us(np.zeros((4, 2)))
+    comp = oracle.ComparatorSequence(np.zeros((4, 2)))
     quad = [0.3, 0.2, 0.1, 0.05]
     closs = oracle.comparator_loss(comp, np.zeros((4, 2)), np.zeros(4))
     rhs = oracle.cumloss_bound(comp, closs, 1.0, 2.0, 1.0, quad)

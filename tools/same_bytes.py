@@ -45,6 +45,11 @@ SHORT = ["--T", "300", "--seeds", "2"]
 COMMANDS = [
     *((f"gen-d{d}", ["gen", "--kind", "C", "--T", "300", "--d", str(d), "--seed", "1",
                      "--out", "stream.csv"]) for d in GEN_DIMS),
+    # the switching kinds' targets: the defaults, then frozen on the last pair at odd d
+    *((f"gen-{k}", ["gen", "--kind", k, "--out", "stream.csv"]) for k in "BD"),
+    *((f"gen-{k}-period-7-no-wrap-d13", ["gen", "--kind", k, "--T", "300", "--d", "13",
+                                         "--switch-period", "7", "--no-wrap",
+                                         "--out", "stream.csv"]) for k in "BD"),
     *((f"data-d{d}-{name}", ["run", *flags, "--data", f"../gen-d{d}/stream.csv"])
       for d in GEN_DIMS for name, flags in DATA_LEARNERS.items()),
     *((f"run-laser-d4-{k}", ["run", *LASER, "--kind", k, "--T", "200", "--d", "4",

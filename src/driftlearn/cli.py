@@ -28,37 +28,36 @@ class ConfigError(DriftLearnError):
     flag rejects, or a value needed from a flag or the config is missing."""
 
 
+# DatasetSpec's fields of the dataset flags of the same names
+_DATASET = ("kind", "T", "d", "seed", "rotation_rate", "switch_period", "noise_var")
+
+
 def _dataset_flags(p: argparse.ArgumentParser) -> None:
-    # --kind stays optional at parse time so --config can supply it;
-    # commands that need it validate after the merge
-    p.add_argument("--kind", choices=("A", "B", "C", "D"), default=None,
+    # each defaults to None, leaving DatasetSpec's default; --kind is optional at
+    # parse time so --config can supply it, and commands that need it check later
+    p.add_argument("--kind", choices=("A", "B", "C", "D"),
                    help="stream kind: A/B noise-free, C/D noisy; A/C constant-rate, B/D switching")
-    p.add_argument("--T", type=int, default=2000, help="stream length")
-    p.add_argument("--d", type=int, default=20, help="input dimension")
-    p.add_argument("--seed", type=int, default=0, help="stream seed")
-    p.add_argument("--rotation-rate", type=float, default=None,
+    p.add_argument("--T", type=int, help="stream length")
+    p.add_argument("--d", type=int, help="input dimension")
+    p.add_argument("--seed", type=int, help="stream seed")
+    p.add_argument("--rotation-rate", type=float,
                    help="per-step rotation angle for kinds A/C (default 0.2)")
-    p.add_argument("--switch-period", type=int, default=50,
+    p.add_argument("--switch-period", type=int,
                    help="steps between pair switches for kinds B/D")
-    p.add_argument("--noise-var", type=float, default=None,
+    p.add_argument("--noise-var", type=float,
                    help="label noise variance for kinds C/D (default 0.05)")
-    p.add_argument("--no-wrap", action="store_true",
+    p.add_argument("--no-wrap", action="store_true", default=None,
                    help="freeze on the last pair instead of cycling (kinds B/D)")
 
 
 def _dataset_from_args(args) -> DatasetSpec:
+    """The DatasetSpec of the dataset flags given, by flag or config."""
     if args.kind is None:
         raise ConfigError("--kind is required (flag or config) to generate a stream")
-    return DatasetSpec(
-        kind=args.kind,
-        T=args.T,
-        d=args.d,
-        seed=args.seed,
-        rotation_rate=args.rotation_rate,
-        switch_period=args.switch_period,
-        noise_var=args.noise_var,
-        wrap_pairs=not args.no_wrap,
-    )
+    given = {name: getattr(args, name) for name in _DATASET if getattr(args, name) is not None}
+    if args.no_wrap is not None:
+        given["wrap_pairs"] = not args.no_wrap
+    return DatasetSpec(**given)
 
 
 def _algo_flags(p: argparse.ArgumentParser) -> None:
@@ -90,8 +89,8 @@ def _load_grid(text: str) -> dict:
 def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
     """The config entries naming flags of p, as defaults argparse will
     type-convert (it converts string defaults only, so numbers become
-    strings) and check against the flag's choices. null keeps the
-    built-in default."""
+    strings) and check against the flag's choices; a flag they supply is
+    no longer required. null keeps the built-in default."""
     defaults = {}
     for action in p._actions:
         value = config.get(action.dest)
@@ -108,18 +107,16 @@ def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
             raise ConfigError(f"config {action.dest!r}: {value!r} is not one of "
                               f"{', '.join(map(str, action.choices))}")
         defaults[action.dest] = value
+        action.required = False
     return defaults
 
 
-# run's flags for generated streams, refused when given with --data; main's
-# first parse leaves this tuple as the value of each one that argv omits
-_GENERATED = ("seeds", "full", "kind", "T", "d", "seed", "rotation_rate", "switch_period",
-              "noise_var", "no_wrap")
+# run's flags for generated streams, refused when given with --data
+_GENERATED = ("seeds", "full", *_DATASET, "no_wrap")
 
 
-def build_parser(config: dict | None = None, unset=None) -> argparse.ArgumentParser:
-    """The driftlearn parser; config preloads the subcommands' flag defaults,
-    and unset, if given, replaces the defaults of run's _GENERATED flags."""
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The driftlearn parser; config preloads the subcommands' flag defaults."""
     ap = argparse.ArgumentParser(
         prog="driftlearn",
         description="Online regression under target drift: learners, "
@@ -137,13 +134,11 @@ def build_parser(config: dict | None = None, unset=None) -> argparse.ArgumentPar
     _algo_flags(r)
     r.add_argument("--data", default=None, help="stream CSV (else use dataset flags)")
     _dataset_flags(r)
-    r.add_argument("--seeds", type=int, default=1, help="number of seeds (generated data)")
+    r.add_argument("--seeds", type=int, help="number of seeds (generated data, default 1)")
     r.add_argument("--base-seed", type=int, default=0)
-    r.add_argument("--full", action="store_true",
+    r.add_argument("--full", action="store_true", default=None,
                    help="full-scale defaults: T=2000 d=20 seeds=100")
     r.add_argument("--out-prefix", default="run", help="prefix for <prefix>_report.csv etc.")
-    if unset is not None:
-        r.set_defaults(**dict.fromkeys(_GENERATED, unset))
 
     s = sub.add_parser("sweep", help="grid-tune a learner on one stream")
     s.add_argument("--algo", required=True, choices=harness.ALGO_IDS)
@@ -183,10 +178,10 @@ def _cmd_run(args) -> int:
         reports = [harness.run_learner(args.algo, _params_from_args(args), stream,
                                        seed=checked_seed(args.base_seed))]
     else:
-        if args.full:
-            args.T, args.d, args.seeds = 2000, 20, 100
+        if args.full:  # full scale: DatasetSpec's own T and d, and 100 seeds
+            args.T, args.d, args.seeds = None, None, 100
         dataset = _dataset_from_args(args)
-        seeds = [args.base_seed + i for i in range(args.seeds)]
+        seeds = [args.base_seed + i for i in range(1 if args.seeds is None else args.seeds)]
         reports = harness.experiment(
             dataset, [(args.algo, _params_from_args(args))], seeds
         )
@@ -284,17 +279,21 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        given = args = build_parser(unset=_GENERATED).parse_args(argv)
-        if given.config is not None:
-            # re-parse with the config as defaults, so explicit flags (however
-            # abbreviated) win and config values get the flags' own conversion
-            args = build_parser(_load_config(given.config)).parse_args(argv)
-        elif given.subcommand == "run" and given.data is None:  # a generated run: the defaults
-            args = build_parser().parse_args(argv)
+        # the config, read first, gives defaults that explicit flags override; its pre-parse
+        # stops at the subcommand, after which laser's --c would read as --config
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config", nargs="?")  # with no value, left to the full parse
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        path = pre.parse_known_args(argv)[0].config
+        config = {} if path is None else _load_config(path)
+        args = build_parser(config).parse_args(argv)
         if args.subcommand == "run" and args.data is not None:
             if not args.data:
                 raise ConfigError("--data needs the path of a stream CSV, got an empty one")
-            for flag in (f for f in _GENERATED if getattr(given, f) is not _GENERATED):
+            # the generated flags of argv alone: the config's may serve other commands
+            given = (build_parser({**config, **dict.fromkeys(_GENERATED)}).parse_args(argv)
+                     if config else args)
+            for flag in (f for f in _GENERATED if getattr(given, f) is not None):
                 raise ConfigError(f"--{flag.replace('_', '-')} applies to generated streams "
                                   "only, not with --data")
         return _COMMANDS[args.subcommand](args)

@@ -25,12 +25,12 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadDim, BadStream, InvalidParams, LengthMismatch
-from .oracle import ComparatorSequence
+from .oracle import ComparatorSequence, checked_stream
 
 KINDS = ("A", "B", "C", "D")
 MAX_PAIRS = 5
@@ -117,13 +117,25 @@ class DatasetSpec:
 class LabeledStream:
     """One stream plus its generating target sequence and the realized
     bounds Y_bound = max |y_t| and X_bound = max ||x_t|| used by the bound
-    evaluators; labeled_stream computes them."""
+    evaluators, derived when it is built, after checked_stream and a BadStream
+    if max y^2, max ||u_t||^2 or the drift V is not finite; an infinite X_bound
+    is kept, for the learners to refuse."""
 
     xs: np.ndarray  # (T, d)
     ys: np.ndarray  # (T,)
     truth: ComparatorSequence
-    Y_bound: float
-    X_bound: float
+    Y_bound: float = field(init=False)
+    X_bound: float = field(init=False)
+
+    @np.errstate(over="ignore")
+    def __post_init__(self):
+        xs, ys = checked_stream(self.xs, self.ys)
+        Y_bound, us = float(np.max(np.abs(ys))), self.truth.us
+        if not math.isfinite(Y_bound * Y_bound + np.max(np.vecdot(us, us)) + self.truth.V):
+            raise BadStream("stream overflows: max y^2, max |u_t|^2 or the drift V is not finite")
+        for name, value in (("xs", xs), ("ys", ys), ("Y_bound", Y_bound),
+                            ("X_bound", float(np.max(np.linalg.norm(xs, axis=1))))):
+            object.__setattr__(self, name, value)
 
     @property
     def T(self) -> int:
@@ -173,16 +185,6 @@ def gen_truth(spec: DatasetSpec) -> ComparatorSequence:
     return ComparatorSequence(us)
 
 
-@np.errstate(over="ignore")  # an infinite X_bound is kept, for the learners to refuse
-def labeled_stream(xs: np.ndarray, ys: np.ndarray, truth: ComparatorSequence) -> LabeledStream:
-    """The stream (xs, ys) with its generating targets and realized bounds;
-    BadStream if max y^2, max ||u_t||^2 or the drift V is not finite."""
-    Y_bound = float(np.max(np.abs(ys)))
-    if not math.isfinite(Y_bound * Y_bound + np.max(np.vecdot(truth.us, truth.us)) + truth.V):
-        raise BadStream("stream overflows: max y^2, max |u_t|^2 or the drift V is not finite")
-    return LabeledStream(xs, ys, truth, Y_bound, float(np.max(np.linalg.norm(xs, axis=1))))
-
-
 def gen_stream(spec: DatasetSpec) -> LabeledStream:
     """Inputs + target + labels (noisy for kinds C/D)."""
     xs = gen_inputs(spec)
@@ -191,7 +193,7 @@ def gen_stream(spec: DatasetSpec) -> LabeledStream:
     if spec.sigma_sq > 0.0:
         noise = _rng(spec.seed, _STREAM_NOISE).standard_normal(spec.T)
         ys = ys + noise * math.sqrt(spec.sigma_sq)
-    return labeled_stream(xs, ys, truth)
+    return LabeledStream(xs, ys, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def read_stream_csv(path_or_file) -> LabeledStream:
     if not np.all(np.isfinite(table)):
         raise BadStream("stream CSV has non-finite values")
     table = np.ascontiguousarray(table[:, 1:])  # t is read as a number but not kept
-    return labeled_stream(table[:, :d], table[:, d], ComparatorSequence(table[:, d + 1 :]))
+    return LabeledStream(table[:, :d], table[:, d], ComparatorSequence(table[:, d + 1 :]))
 
 
 def stream_csv_text(stream: LabeledStream) -> str:

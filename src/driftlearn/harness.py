@@ -213,12 +213,16 @@ def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
     truth_loss = {}  # stream -> the comparator's loss, computed once
     reports = []
     for i, stream in enumerate(streams):
+        algo_id, params, _, extra = members[i]
+        with np.errstate(over="ignore"):  # refused just below
+            losses = (stream.ys - yhats[i]) ** 2
+            cumlosses = np.cumsum(losses)
+        if not np.isfinite(cumlosses).all():
+            raise BadStream(f"{algo_id}: the cumulative loss overflows at round "
+                            f"{np.argmin(np.isfinite(cumlosses)) + 1}: labels too large")
         if id(stream) not in truth_loss:
             truth_loss[id(stream)] = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
         closs = truth_loss[id(stream)]
-        algo_id, params, _, extra = members[i]
-        losses = (stream.ys - yhats[i]) ** 2
-        cumlosses = np.cumsum(losses)
         L_T = float(cumlosses[-1]) if stream.T else 0.0
         report = RunReport(
             algo_id=algo_id,
@@ -248,8 +252,6 @@ def run_batch(algo_id: str, params: list[dict], streams: list[LabeledStream],
     the same stream object share it; all streams must share T and d."""
     if len(params) != len(streams) or not streams:
         raise LengthMismatch(f"{len(params)} parameter sets for {len(streams)} streams")
-    for stream in {id(s): s for s in streams}.values():
-        oracle.checked_stream(stream.xs, stream.ys)
     members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
     seeds = [0] * len(streams) if seeds is None else seeds
     return _run_members(members, streams, seeds, certify=True)
@@ -342,8 +344,6 @@ def _run_job(args):
     """One batch of an experiment: every learner on each seed's stream."""
     dataset_spec, algos, seeds = args
     streams = [gen_stream(replace(dataset_spec, seed=seed)) for seed in seeds]
-    for stream in streams:
-        oracle.checked_stream(stream.xs, stream.ys)
     members = [_member(algo_id, params, s) for algo_id, params in algos for s in streams]
     return _run_members(members, streams * len(algos), seeds * len(algos), certify=True)
 
@@ -489,7 +489,6 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     lexicographically smallest parameter tuple (candidates are enumerated
     in that order)."""
     stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
-    oracle.checked_stream(stream.xs, stream.ys)
     valid, members, skipped = [], [], []
     for params in _grid_candidates(spec.grid):
         try:

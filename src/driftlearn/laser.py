@@ -133,12 +133,6 @@ class LaserParams:
         """1/c, the per-round growth of P; 0 for the stationary sentinel."""
         return 0.0 if self.stationary else 1.0 / self.c
 
-    def covariance_holds(self, max_xsq: float) -> bool:
-        """Whether the covariance form is the more accurate one after inputs
-        with max |x|^2 = max_xsq (see the module docstring)."""
-        kappa = min(max_xsq, self.c) / self.b
-        return kappa <= max(KAPPA_MAX, max_xsq * self.inflation)
-
 
 class SqrtInformation(NamedTuple):
     """Square-root information statistics: D_t = R^T R with R upper
@@ -308,24 +302,26 @@ def _fold(form, w, x, y, lead, q, xw, inflation, t, weight=None, gain=None, root
 
 def _factor(rounds):
     """Lower Cholesky factors of the stacks P of rounds, a list of (t, P),
-    stacked in list order. They also guard definiteness: a failure names
-    the earliest round t whose stack fails (the first such entry on a tie)
-    and the least eigenvalue of its members whose factorization failed.
-    Below MEMBERWISE_D one batched factorization; from it on one LAPACK
-    potrf per member, with the upper triangle cleared."""
+    stacked in list order. They also guard definiteness: a failure, or a
+    factor whose diagonal is not finite, names the earliest round t whose
+    stack fails (the first such entry on a tie) and the least eigenvalue of
+    its failing finite members (NaN if none). Below MEMBERWISE_D one batched
+    factorization; from it on one LAPACK potrf per member, upper triangle cleared."""
     d = rounds[0][1].shape[-1]
     try:
-        if d < MEMBERWISE_D:
-            return np.linalg.cholesky(np.concatenate([P for _, P in rounds]))
-        return np.array([linalg._cholesky(A, clean=True)
-                         for _, P in rounds for A in P]).reshape(-1, d, d)
+        if d >= MEMBERWISE_D:
+            return np.array([linalg._cholesky(A, clean=True)
+                             for _, P in rounds for A in P]).reshape(-1, d, d)
+        L = np.linalg.cholesky(np.concatenate([P for _, P in rounds]))
+        if math.isfinite(np.diagonal(L, axis1=-2, axis2=-1).sum()):  # as in linalg._cholesky
+            return L
     except (np.linalg.LinAlgError, NotPositiveDefinite):
-        t, P = min(((t, P) for t, P in rounds if not all(map(linalg.factors, P))),
-                   key=lambda entry: entry[0], default=rounds[0])
-        low = min((np.linalg.eigvalsh(A)[0] for A in P if not linalg.factors(A)),
-                  default=math.nan)
-        raise NotPositiveDefinite(f"state lost definiteness at round {t}: "
-                                  f"lambda_min = {low:.3e}") from None
+        pass
+    t, P = min(((t, P) for t, P in rounds if not all(map(linalg.factors, P))),
+               key=lambda entry: entry[0], default=rounds[0])
+    low = min((np.linalg.eigvalsh(A)[0] for A in P  # eigvalsh may fail to converge on inf or NaN
+               if not linalg.factors(A) and np.isfinite(A).all()), default=math.nan)
+    raise NotPositiveDefinite(f"state lost definiteness at round {t}: lambda_min = {low:.3e}")
 
 
 def _logdet(L):
@@ -524,8 +520,9 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
 def _switches(params: LaserParams, xsq: float, max_xsq: float) -> bool:
     """The switch rule: an input with |x|^2 = xsq after inputs with max |x|^2
     = max_xsq moves a covariance-form state to square-root information form
-    if it is a new peak at which covariance_holds fails."""
-    return xsq > max_xsq and not params.covariance_holds(xsq)
+    if it is a new peak at which kappa = min(xsq, c)/b exceeds both KAPPA_MAX
+    and xsq/c (see the module docstring)."""
+    return xsq > max_xsq and min(xsq, params.c) / params.b > max(KAPPA_MAX, xsq * params.inflation)
 
 
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
@@ -646,6 +643,7 @@ def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMembe
     return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
 
 
+@np.errstate(over="ignore")  # cov_rounds refuses overflowing inputs, the harness overflowing losses
 def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     """Run the members in one cov_rounds call, member i reading xs[:, i] and
     ys[:, i]: (the CovRun, a LaserTrajectory per laser-round member and None
@@ -654,8 +652,7 @@ def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     Memory is that of cov_rounds.
     """
     T, S, d = xs.shape
-    with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
-        xsq = np.vecdot(xs, xs)
+    xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
     lz = [i for i, m in enumerate(members) if m.laser is not None]
     switch = np.full(S, T)

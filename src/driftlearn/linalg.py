@@ -55,16 +55,19 @@ def add_to_diagonal(A: np.ndarray, v, where=True) -> None:
 def _cholesky(A: np.ndarray, clean: bool = False) -> np.ndarray:
     """Lower Cholesky factor of A (the strict upper triangle is cleared only
     with clean), straight from LAPACK potrf: scipy's cho_factor/cho_solve
-    wrappers cost several times the factorization itself at small d."""
+    wrappers cost several times the factorization itself at small d. potrf
+    lets inf and NaN entries through to the diagonal, whose square roots sum
+    to a finite trace exactly when each is finite."""
     L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=clean)
-    if info != 0:
-        raise NotPositiveDefinite(f"Cholesky factorization failed (potrf info {info})")
+    if info != 0 or not np.isfinite(L.trace()):
+        raise NotPositiveDefinite(f"no finite Cholesky factor (potrf info {info})")
     return L
 
 
 def factors(A: np.ndarray) -> bool:
-    """Whether LAPACK potrf factorizes symmetric A, reading its lower triangle."""
-    return scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)[1] == 0
+    """Whether _cholesky factorizes symmetric A, reading its lower triangle."""
+    L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
+    return info == 0 and bool(np.isfinite(L.trace()))
 
 
 def cholesky_upper(A: np.ndarray) -> np.ndarray:

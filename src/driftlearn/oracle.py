@@ -459,14 +459,24 @@ def high_drift_threshold(inputs: BoundInputs) -> float:
     return inputs.T * inputs.Y**2 * inputs.d * inputs.M / inputs.mu**2
 
 
-def tuned_c(regime: DriftRegime, inputs: BoundInputs, V: float) -> float:
-    """Drift-tuned value of c.
+def _regime_c(regime: DriftRegime, T: int, d: int, Y: float, X: float, M: float,
+              V: float) -> float:
+    """Each regime's formula for c, from V > 0:
 
-    LOW:  c = (sqrt(2) T Y^2 d X / V)^{2/3}, valid when V <= low threshold.
-    HIGH: c = sqrt(Y^2 d M T / V),           valid when V >= high threshold.
-
-    V = 0 has no finite tuning; use the stationary sentinel c = inf.
+    LOW:  c = (sqrt(2) T Y^2 d X / V)^{2/3}
+    HIGH: c = sqrt(Y^2 d M T / V), with M = max(3 X^2, b + X^2) of the caller's b
     """
+    if regime is DriftRegime.LOW:
+        return (math.sqrt(2.0) * T * Y**2 * d * X / V) ** (2.0 / 3.0)
+    if regime is DriftRegime.HIGH:
+        return math.sqrt(Y**2 * d * M * T / V)
+    raise ValueError(f"unknown regime {regime!r}")
+
+
+def tuned_c(regime: DriftRegime, inputs: BoundInputs, V: float) -> float:
+    """Drift-tuned value of c (_regime_c), valid for LOW when V <= the low
+    threshold and for HIGH when V >= the high one. V = 0 has no finite
+    tuning; use the stationary sentinel c = inf."""
     low_thr = low_drift_threshold(inputs)
     high_thr = high_drift_threshold(inputs)
     if V <= 0:
@@ -474,48 +484,38 @@ def tuned_c(regime: DriftRegime, inputs: BoundInputs, V: float) -> float:
             "V = 0 admits no finite tuning; use c = inf (stationary learner). "
             f"Thresholds: low <= {low_thr:.6g}, high >= {high_thr:.6g}"
         )
-    if regime is DriftRegime.LOW:
-        if V > low_thr:
-            raise RegimeViolation(
-                f"V = {V:.6g} exceeds low-drift threshold {low_thr:.6g} "
-                f"(high-drift threshold is {high_thr:.6g})"
-            )
-        return (math.sqrt(2.0) * inputs.T * inputs.Y**2 * inputs.d * inputs.X / V) ** (2.0 / 3.0)
-    if regime is DriftRegime.HIGH:
-        if V < high_thr:
-            raise RegimeViolation(
-                f"V = {V:.6g} below high-drift threshold {high_thr:.6g} "
-                f"(low-drift threshold is {low_thr:.6g})"
-            )
-        return math.sqrt(inputs.Y**2 * inputs.d * inputs.M * inputs.T / V)
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime is DriftRegime.LOW and V > low_thr:
+        raise RegimeViolation(
+            f"V = {V:.6g} exceeds low-drift threshold {low_thr:.6g} "
+            f"(high-drift threshold is {high_thr:.6g})"
+        )
+    if regime is DriftRegime.HIGH and V < high_thr:
+        raise RegimeViolation(
+            f"V = {V:.6g} below high-drift threshold {high_thr:.6g} "
+            f"(low-drift threshold is {low_thr:.6g})"
+        )
+    return _regime_c(regime, inputs.T, inputs.d, inputs.Y, inputs.X, inputs.M, V)
 
 
 def tuned_params(
     regime: DriftRegime, T: int, d: int, Y: float, X: float, V: float, eps_ratio: float
 ) -> BoundInputs:
     """Self-consistent (b, c) for a tuned run: compute c from the regime
-    formula (which needs no b), set b = eps_ratio * c, then validate the
-    regime precondition with the resulting mu/M.
+    formula, set b = eps_ratio * c, then validate the regime precondition
+    with the resulting mu/M. HIGH's M depends on b = eps * c, so its c is
+    the scalar fixed point of the formula, iterated from M = 3 X^2.
     """
     if not 0.0 < eps_ratio < 1.0:
         raise DomainError(f"eps_ratio must lie in (0, 1), got {eps_ratio}")
     if V <= 0:
         raise RegimeViolation("V = 0 admits no finite tuning; use c = inf")
-    if regime is DriftRegime.LOW:
-        c = (math.sqrt(2.0) * T * Y**2 * d * X / V) ** (2.0 / 3.0)
-    elif regime is DriftRegime.HIGH:
-        # M depends on b = eps * c: iterate the scalar fixed point.
-        c = math.sqrt(Y**2 * d * max(3.0 * X * X, X * X) * T / V)
+    c = _regime_c(regime, T, d, Y, X, max(3.0 * X * X, X * X), V)
+    if regime is DriftRegime.HIGH:
         for _ in range(100):
             M = max(3.0 * X * X, eps_ratio * c + X * X)
-            c_next = math.sqrt(Y**2 * d * M * T / V)
-            if abs(c_next - c) <= 1e-13 * max(1.0, c):
-                c = c_next
+            c, c_prev = _regime_c(regime, T, d, Y, X, M, V), c
+            if abs(c - c_prev) <= 1e-13 * max(1.0, c_prev):
                 break
-            c = c_next
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
     inputs = BoundInputs(Y=Y, X=X, b=eps_ratio * c, c=c, d=d, T=T)
     tuned = tuned_c(regime, inputs, V)  # re-validates the precondition
     if abs(tuned - c) > 1e-9 * max(1.0, c):

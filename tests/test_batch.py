@@ -29,15 +29,13 @@ T, D = 200, 4
 
 def scaled(stream, k):
     """The stream with inputs and labels multiplied by k (same target)."""
-    return LabeledStream(stream.xs * k, stream.ys * k, stream.truth,
-                         stream.Y_bound * k, stream.X_bound * k)
+    return LabeledStream(stream.xs * k, stream.ys * k, stream.truth)
 
 
 STREAM_C = gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=1))
 STREAM_A = gen_stream(DatasetSpec(kind="A", T=T, d=D, seed=3))
 BIG = scaled(gen_stream(DatasetSpec(kind="C", T=T, d=D, seed=5)), 1e6)
-ZERO = LabeledStream(np.zeros((T, D)), np.zeros(T), oracle.ComparatorSequence(np.zeros((T, D))),
-                     1.0, 1.0)
+ZERO = LabeledStream(np.zeros((T, D)), np.zeros(T), oracle.ComparatorSequence(np.zeros((T, D))))
 
 MEMBERS = {
     "laser": [
@@ -147,7 +145,7 @@ def test_step_function_matches_batch_member_bit_for_bit(algo):
 # two good rounds, then an input whose x^T P' x overflows (|x|^2 ~ 5e400)
 OVERFLOW_AT_3 = LabeledStream(np.array([[1.0, 2.0], [-0.5, 1.0], [1e200, 2e200]]),
                               np.array([1.0, -1.0, 1.0]),
-                              oracle.ComparatorSequence(np.zeros((3, 2))), 1.0, 1.0)
+                              oracle.ComparatorSequence(np.zeros((3, 2))))
 OVERFLOW_PARAMS = {"laser": {"b": 1.0, "c": 10.0}, "aar": {"b": 1.0},
                    "hinf": {"a": 2.0, "b": 1.0, "c": 10.0},
                    "crrls": {"reset_period": 2, "b_reset": 1.0}}  # resets after round 2

@@ -340,6 +340,47 @@ def test_data_from_config_refuses_only_explicit_generated_flags(tmp_path, capsys
         "error: --T applies to generated streams only, not with --data\n")
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    # the config is read before the parse, so it can give flags argparse requires:
+    # run's --algo and the learner's parameters, report's --inputs and --out
+    stream, prefix, config = tmp_path / "s.csv", tmp_path / "r", tmp_path / "cfg.json"
+    assert run_cli("gen", "--kind", "A", "--T", "5", "--d", "4", "--out", str(stream)) == 0
+    config.write_text(json.dumps({"algo": "laser", "b": 1, "kind": "A", "T": 5, "d": 4}))
+    # --c after the subcommand is laser's, not an abbreviated --config
+    assert run_cli("--config", str(config), "run", "--c", "2", "--out-prefix", str(prefix)) == 0
+    assert "laser,0,1," in (tmp_path / "r_report.csv").read_text()
+    config.write_text(json.dumps({"inputs": [f"{prefix}_report.csv"], "out": "absent/s.csv"}))
+    assert run_cli("--conf", str(config), "report", "--out", str(tmp_path / "sum.csv")) == 0
+    assert len((tmp_path / "sum.csv").read_text().splitlines()) == 6
+    config.write_text(json.dumps({"algo": "aar", "b": 1, "data": str(stream)}))
+    argv = ["--config", str(config), "run", "--out-prefix", str(prefix)]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--T", "20") == 2
+    assert capsys.readouterr().err == (
+        "error: --T applies to generated streams only, not with --data\n")
+
+
+def test_full_runs_at_full_scale_over_any_T_d_and_seeds(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(harness, "experiment", lambda *args: calls.append(args) or [])
+    base = ["run", "--algo", "aar", "--b", "1", "--kind", "C", "--base-seed", "7", "--full",
+            "--out-prefix", str(tmp_path / "r")]
+    for extra in ([], ["--T", "300", "--d", "4", "--seeds", "2"]):
+        assert run_cli(*base, *extra) == 0
+        dataset, algos, seeds = calls.pop()
+        assert (dataset.kind, dataset.T, dataset.d) == ("C", 2000, 20)
+        assert algos == [("aar", {"b": "1"})] and seeds == list(range(7, 107))
+
+
+def test_run_warns_of_failed_checks_and_exits_zero(tmp_path, capsys):
+    assert run_cli("run", "--algo", "hinf", "--a", "32", "--b", "1", "--c", "1", "--kind", "C",
+                   "--T", "200", "--d", "4", "--out-prefix", str(tmp_path / "r")) == 0
+    assert capsys.readouterr().err == (
+        "warning: seed 0: failed checks: regret_alpha_0.1, regret_alpha_0.5, regret_alpha_1, "
+        "regret_alpha_2, regret_alpha_opt\n")
+
+
 # generated-run flags given next to --data, which would ignore them: (argv, the flag named)
 DATA_IGNORES = {
     "seeds-5": (["--seeds", "5"], "--seeds"),
@@ -429,6 +470,10 @@ BAD_INPUTS = {
                           "--data", f"TMP/{name}.csv", "--out-prefix", "TMP/r"]
        for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero",
                     "no-inputs", "huge-label")},
+    # finite labels whose losses overflow from round 2 on
+    **{f"{algo}-overflowing-loss": ["run", "--algo", algo, *flags, "--data", "TMP/huge-loss.csv",
+                                    "--out-prefix", "TMP/r"]
+       for algo, flags in [("laser", ["--b", "1", "--c", "10"]), ("nlms", ["--eta", "0.5"])]},
     "aar-stream-no-inputs": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/no-inputs.csv",
                              "--out-prefix", "TMP/r"],
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
@@ -446,7 +491,8 @@ BAD_INPUTS = {
                                   ("rotation-rate", "A", ("nan", "inf", "1e308")))
        for value in values},
 }
-# malformed stream CSVs for the stream-* cases, at d = 2 except no-inputs
+# malformed stream CSVs for the stream-* cases, at d = 2 except no-inputs, and
+# the labels of the *-overflowing-loss cases
 BAD_STREAMS = {
     "ragged": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,2,1,0\n",
     "non-numeric": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1,0,0\n2,1,two,1,0,0\n",
@@ -455,6 +501,7 @@ BAD_STREAMS = {
     "one-underscore-zero": "t,x_1,x_2,y,u_1,u_2\n1,1_0,2,1,0,0\n",
     "no-inputs": "t,y\n1,1\n",
     "huge-label": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1e300,0,0\n",
+    "huge-loss": "t,x_1,y,u_1\n1,1,1.3e154,0\n2,1,-1.3e154,0\n3,1,1.3e154,0\n",
 }
 # files with one 0xff byte, which is not UTF-8, for the *-not-utf8 cases
 NOT_UTF8 = {
@@ -479,6 +526,8 @@ BAD_INPUT_REASONS = {
     **{f"{algo}-overflowing-inputs": "x^T P' x overflowed at round 1"
        for algo in ("laser", "aar", "hinf", "crrls")},
     "nlms-overflowing-inputs": "eps + |x|^2 overflowed at round 1",
+    **{f"{algo}-overflowing-loss": f"{algo}: the cumulative loss overflows at round 2"
+       for algo in ("laser", "nlms")},
     "verify-lemma6-trials": "suite 'lemma6' does not read trials",
     **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},

@@ -206,7 +206,7 @@ def test_csv_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
     xs, ys, us = s.xs.copy(), s.ys.copy(), s.truth.us.copy()
     xs[0, :len(specials)] = specials
     ys[:5] = us[1, :5] = specials[:5]  # moderate: a huge label's square overflows
-    stream = datagen.LabeledStream(xs, ys, oracle.ComparatorSequence(us), 1.0, 1.0)
+    stream = datagen.LabeledStream(xs, ys, oracle.ComparatorSequence(us))
     path = tmp_path / "extreme.csv"
     path.write_bytes(datagen.stream_csv_text(stream).replace("\n", "\r\n").encode() + b"\r\n")
     back = datagen.read_stream_csv(path)

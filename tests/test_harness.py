@@ -16,8 +16,6 @@ def hand_stream():
         xs=xs,
         ys=ys,
         truth=oracle.ComparatorSequence(us),
-        Y_bound=1.0,
-        X_bound=1.0,
     )
 
 
@@ -45,8 +43,6 @@ def test_run_learner_zero_stream_gives_zero_loss():
         xs=np.zeros((T, d)),
         ys=np.zeros(T),
         truth=oracle.ComparatorSequence(np.zeros((T, d))),
-        Y_bound=1.0,
-        X_bound=1.0,
     )
     for algo, params in [
         ("laser", {"b": 1.0, "c": 2.0}),

@@ -216,8 +216,7 @@ def test_kernel_holds_at_large_input_scale():
 def test_weak_prior_at_input_scale_1e6_matches_high_precision(algo, params):
     # kappa ~ 1e15: the state moves to square-root information form at round 1
     base = gen_stream(DatasetSpec(kind="C", T=200, d=4, seed=5))
-    stream = LabeledStream(base.xs * 1e6, base.ys * 1e6, base.truth,
-                           base.Y_bound * 1e6, base.X_bound * 1e6)
+    stream = LabeledStream(base.xs * 1e6, base.ys * 1e6, base.truth)
     report = harness.run_learner(algo, params, stream)
     ref = mp_predictions(stream.xs, stream.ys, params["b"], params.get("c", math.inf))
     assert rel_dev(report.yhats, ref) <= 1e-12
@@ -366,7 +365,7 @@ def normal_stream(seed, T=60, d=4):
     transcriptions keep their digits (desk inputs reach |x|^2 ~ 1e3)."""
     rng = np.random.default_rng(seed)
     xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
-    return LabeledStream(xs, ys, oracle.ComparatorSequence(np.zeros((T, d))), 1.0, 1.0)
+    return LabeledStream(xs, ys, oracle.ComparatorSequence(np.zeros((T, d))))
 
 
 def run_loop_members(algo, params, streams):

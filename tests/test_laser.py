@@ -378,6 +378,27 @@ def test_lost_definiteness_reads_the_same_on_both_paths(monkeypatch):
     assert "at round 1: lambda_min = -2.000e-02" in messages[d, "guard"]
 
 
+def _with_inf(d, *entries):
+    A = np.eye(d)
+    for i, j in entries:
+        A[i, j] = A[j, i] = math.inf
+    return A
+
+
+@pytest.mark.parametrize("A", [[[math.inf, math.inf], [math.inf, math.inf]],
+                               [[math.nan, 0.0], [0.0, 1.0]],
+                               _with_inf(4, (1, 1), (0, 2))])  # eigvalsh does not converge
+def test_non_finite_factor_fails_on_both_paths(A, monkeypatch):
+    # np.linalg.cholesky, like potrf, factors the first two into an inf or NaN
+    # diagonal; lambda_min is that of the finite failing members, here none
+    d = len(A)
+    rounds = [(1, np.eye(d)[None]), (2, np.stack([np.eye(d), A]))]
+    for threshold in (d, d + 1):  # per member, then batched
+        monkeypatch.setattr(laser, "MEMBERWISE_D", threshold)
+        with pytest.raises(NotPositiveDefinite, match="at round 2: lambda_min = nan"):
+            laser._factor(rounds)
+
+
 # -- certification in blocks of rounds: the block size moves no output ---------
 
 def _block_budgets(round_bytes):

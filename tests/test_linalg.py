@@ -52,6 +52,16 @@ def test_spd_solve_rejects_indefinite_and_mismatched():
         linalg.spd_solve(np.ones((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("A", [[[math.inf, math.inf], [math.inf, math.inf]],
+                               [[math.nan, 0.0], [0.0, 1.0]]])
+def test_non_finite_factor_does_not_factorize(A):
+    # potrf reports success on these, with an inf or NaN on the factor's diagonal
+    A = np.array(A)
+    assert not linalg.factors(A)
+    with pytest.raises(NotPositiveDefinite):
+        linalg._cholesky(A)
+
+
 def test_logdet_known_values():
     assert linalg.logdet(np.eye(3)) == pytest.approx(0.0, abs=1e-14)
     assert linalg.logdet(np.array([[2.0]])) == pytest.approx(math.log(2.0))

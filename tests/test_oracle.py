@@ -406,6 +406,15 @@ def test_tuned_params_fixed_point_consistency():
     assert oracle.tuned_c(oracle.DriftRegime.LOW, inputs, 5.0) == pytest.approx(inputs.c)
 
 
+def test_tuned_params_high_iterates_to_its_fixed_point():
+    # b = 0.9 c exceeds 2 X^2, so M = b + X^2 moves with c and the loop runs
+    # several passes from c = sqrt(300); (b, c) are pinned bit for bit
+    inputs = oracle.tuned_params(oracle.DriftRegime.HIGH, T=1000, d=1, Y=1.0, X=1.0, V=10.0,
+                                 eps_ratio=0.9)
+    assert (inputs.b.hex(), inputs.c.hex()) == ("0x1.47f3a92e11901p+6", "0x1.6c64114fa1bc8p+6")
+    assert inputs.c > 5 * math.sqrt(300.0)
+
+
 def test_drift_tuned_bound_zero_labels_reduces_to_offsets():
     bi = oracle.BoundInputs(Y=1.0, X=1.0, b=0.2, c=2.0, d=3, T=50)
     V = 0.5 * oracle.low_drift_threshold(bi)

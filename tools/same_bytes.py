@@ -6,9 +6,10 @@ Each command runs in a fresh interpreter that imports the driftlearn of
 the checkout holding this script, with BLAS pinned to one thread and
 DRIFTLEARN_THREADS removed (experiments run serially). Command NAME runs
 in its own directory OUTDIR/NAME, which ends up holding the files it
-wrote plus stdout.txt, stderr.txt and exit.txt. Commands that read an
-earlier command's output name it by a relative path (../gen-d4/stream.csv),
-so nothing written depends on where OUTDIR is.
+wrote plus stdout.txt, stderr.txt and exit.txt. A command may carry a
+--config object, written there as config.json before it runs. Commands that
+read an earlier command's output name it by a relative path
+(../gen-d4/stream.csv), so nothing written depends on where OUTDIR is.
 
 To check that a change writes the same bytes as its parent, run this
 script from both checkouts into two new directories and compare them:
@@ -17,6 +18,7 @@ script, message and exit code is the same.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -41,7 +43,10 @@ LASER = ["--algo", "laser", "--b", "1", "--c", "100"]
 SHORT = ["--T", "300", "--seeds", "2"]
 
 
-# (name, argv) of every command, in run order
+CONFIG = ["--config", "config.json"]
+
+
+# (name, argv) or (name, argv, config) of every command, in run order
 COMMANDS = [
     *((f"gen-d{d}", ["gen", "--kind", "C", "--T", "300", "--d", str(d), "--seed", "1",
                      "--out", "stream.csv"]) for d in GEN_DIMS),
@@ -88,6 +93,15 @@ COMMANDS = [
     ("verify-lemma3", ["verify", "--suite", "lemma3", "--trials", "50", "--seed", "3"]),
     ("verify-lemma6", ["verify", "--suite", "lemma6"]),
     ("run-full-laser-C", ["run", *LASER, "--kind", "C", "--full"]),
+    # dataset values, learner parameters and --data from a config; flags override
+    ("config-gen", [*CONFIG, "gen", "--d", "6", "--out", "stream.csv"],
+     {"kind": "D", "T": 150, "d": 9, "seed": 4, "switch_period": 20, "no_wrap": True}),
+    ("config-run", [*CONFIG, "run", "--algo", "laser", "--seeds", "2"],
+     {"kind": "C", "T": 120, "d": 5, "seed": 3, "noise_var": 0.2, "rotation_rate": 0.05,
+      "b": 1, "c": 50, "eta": 0.5}),
+    ("config-data", [*CONFIG, "run", "--algo", "hinf", "--a", "8", "--out-prefix", "data"],
+     {"data": "../config-gen/stream.csv", "kind": "A", "T": 50, "d": 4, "seeds": 3,
+      "b": 500, "c": 500}),
 ]
 
 
@@ -105,9 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     if out.exists() and any(out.iterdir()):
         ap.error(f"{out} is not empty")
     env = _env()
-    for name, args in COMMANDS:
+    for name, args, *config in COMMANDS:
         cwd = out / name
         cwd.mkdir(parents=True)
+        if config:
+            (cwd / "config.json").write_text(json.dumps(config[0], indent=2) + "\n")
         proc = subprocess.run([sys.executable, "-m", "driftlearn.cli", *args], cwd=cwd, env=env,
                               capture_output=True)
         (cwd / "stdout.txt").write_bytes(proc.stdout)

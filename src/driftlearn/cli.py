@@ -41,11 +41,11 @@ def _dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="input dimension")
     p.add_argument("--seed", type=int, help="stream seed")
     p.add_argument("--rotation-rate", type=float,
-                   help="per-step rotation angle for kinds A/C (default 0.2)")
+                   help=f"per-step rotation angle for kinds A/C (default {DatasetSpec('A').omega})")
     p.add_argument("--switch-period", type=int,
                    help="steps between pair switches for kinds B/D")
     p.add_argument("--noise-var", type=float,
-                   help="label noise variance for kinds C/D (default 0.05)")
+                   help=f"label noise variance for kinds C/D (default {DatasetSpec('C').sigma_sq})")
     p.add_argument("--no-wrap", action="store_true", default=None,
                    help="freeze on the last pair instead of cycling (kinds B/D)")
 
@@ -137,7 +137,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     r.add_argument("--seeds", type=int, help="number of seeds (generated data, default 1)")
     r.add_argument("--base-seed", type=int, default=0)
     r.add_argument("--full", action="store_true", default=None,
-                   help="full-scale defaults: T=2000 d=20 seeds=100")
+                   help=f"full-scale defaults: T={DatasetSpec.T} d={DatasetSpec.d} seeds=100")
     r.add_argument("--out-prefix", default="run", help="prefix for <prefix>_report.csv etc.")
 
     s = sub.add_parser("sweep", help="grid-tune a learner on one stream")

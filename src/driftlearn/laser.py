@@ -643,7 +643,6 @@ def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMembe
     return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
 
 
-@np.errstate(over="ignore")  # cov_rounds refuses overflowing inputs, the harness overflowing losses
 def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     """Run the members in one cov_rounds call, member i reading xs[:, i] and
     ys[:, i]: (the CovRun, a LaserTrajectory per laser-round member and None
@@ -652,7 +651,8 @@ def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     Memory is that of cov_rounds.
     """
     T, S, d = xs.shape
-    xsq = np.vecdot(xs, xs)
+    with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
+        xsq = np.vecdot(xs, xs)
     peaks = np.maximum.accumulate(xsq, axis=0)
     lz = [i for i, m in enumerate(members) if m.laser is not None]
     switch = np.full(S, T)
@@ -673,7 +673,8 @@ def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     if np.isfinite(bound).any():
         yhats = clip(yhats, bound[:, None])
     err = ys.T[lz] - run.xw[lz]  # cumsum adds in order, as _step_fold does
-    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
+    with np.errstate(over="ignore"):  # as the losses, which the harness refuses
+        min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
     max_xsq = np.max(xsq, axis=0, initial=0.0)
     col = np.cumsum([m.spectra for m in members]) - 1
     for j, i in enumerate(lz):

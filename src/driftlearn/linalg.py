@@ -10,6 +10,8 @@ square-root information form of `laser`. `laser` certifies through
 on; below it one batched `np.linalg.cholesky` costs less than a call per member.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -57,9 +59,10 @@ def _cholesky(A: np.ndarray, clean: bool = False) -> np.ndarray:
     with clean), straight from LAPACK potrf: scipy's cho_factor/cho_solve
     wrappers cost several times the factorization itself at small d. potrf
     lets inf and NaN entries through to the diagonal, whose square roots sum
-    to a finite trace exactly when each is finite."""
+    to a finite trace exactly when each is finite; summed as a list, since a
+    numpy reduction costs more than potrf itself at small d."""
     L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=clean)
-    if info != 0 or not np.isfinite(L.trace()):
+    if info != 0 or not math.isfinite(sum(L.diagonal().tolist())):
         raise NotPositiveDefinite(f"no finite Cholesky factor (potrf info {info})")
     return L
 
@@ -67,7 +70,7 @@ def _cholesky(A: np.ndarray, clean: bool = False) -> np.ndarray:
 def factors(A: np.ndarray) -> bool:
     """Whether _cholesky factorizes symmetric A, reading its lower triangle."""
     L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
-    return info == 0 and bool(np.isfinite(L.trace()))
+    return info == 0 and math.isfinite(sum(L.diagonal().tolist()))
 
 
 def cholesky_upper(A: np.ndarray) -> np.ndarray:

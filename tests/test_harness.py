@@ -5,7 +5,7 @@ import pytest
 
 from driftlearn import harness, oracle
 from driftlearn.datagen import DatasetSpec, LabeledStream, gen_stream
-from driftlearn.errors import InvalidParams, LengthMismatch, UnknownAlgo
+from driftlearn.errors import BadStream, InvalidParams, LengthMismatch, UnknownAlgo
 
 
 def hand_stream():
@@ -194,6 +194,20 @@ def test_sweep_tie_break_prefers_smallest_tuple():
     )
     result = harness.sweep(spec, dataset)
     assert result.best_params["eps"] == 0.0
+
+
+def test_sweep_passes_over_a_diverging_learner_that_a_run_refuses():
+    # NLMS with eta = 50 diverges on this stream until its loss overflows: the
+    # sweep scores that point inf and picks another, a certified run refuses it
+    dataset = DatasetSpec(kind="C", T=200, d=4, seed=0)
+    spec = harness.SweepSpec(algo_id="nlms", grid={"eta": [0.5, 1.0, 50.0]}, tuning_seed=0)
+    result = harness.sweep(spec, dataset)
+    assert result.best_params == {"eta": 1.0}
+    assert result.evaluated[-1] == ({"eta": 50.0}, np.inf)
+    assert np.isfinite([loss for _, loss in result.evaluated[:2]]).all()
+    with pytest.raises(BadStream, match="nlms: the cumulative loss overflows at round .*: "
+                                        "predictions or labels too large"):
+        harness.run_learner("nlms", {"eta": 50.0}, gen_stream(dataset))
 
 
 def test_sweep_all_invalid_raises():

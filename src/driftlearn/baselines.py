@@ -84,7 +84,8 @@ def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
 def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     """Run S NLMS members from the given states in one step loop; returns
     the predictions (S, T). xs (T, S, d) and ys (T, S) as in
-    `laser.cov_rounds`. BadStream if some eps + |x|^2 overflows."""
+    `laser.cov_rounds`. BadStream if some eps + |x|^2 overflows; a member
+    that diverges predicts inf or NaN, whose loss a certified run refuses."""
     eta = np.array([st.eta for st in states])
     eps = np.array([st.eps for st in states])
     with np.errstate(over="ignore"):
@@ -94,8 +95,9 @@ def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
         raise BadStream(f"eps + |x|^2 overflowed at round {t + 1}: inputs too large")
     w = np.stack([st.w for st in states])
     yhats = np.empty((len(states), xs.shape[0]))
-    for t in range(xs.shape[0]):
-        yhats[:, t], w = _nlms_round(w, xs[t], ys[t], eta, eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging member's loss is inf or NaN
+        for t in range(xs.shape[0]):
+            yhats[:, t], w = _nlms_round(w, xs[t], ys[t], eta, eps)
     return yhats
 
 

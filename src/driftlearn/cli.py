@@ -16,6 +16,7 @@ codes: 0 ok, 1 violation or I/O failure, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 
 from . import harness, suites
@@ -76,12 +77,17 @@ def _params_from_args(args) -> dict:
     return {name: v for name, v in given if v is not None}
 
 
+def _strict_constant(name: str):
+    raise ConfigError(f"bad grid JSON: {name} is not JSON; write it as a string, such as \"inf\"")
+
+
 def _load_grid(text: str) -> dict:
+    """The grid, as strict JSON: the sweep JSON echoes its values."""
     try:
         if text.startswith("@"):
             with open(text[1:], encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.loads(text)
+                return json.load(fh, parse_constant=_strict_constant)
+        return json.loads(text, parse_constant=_strict_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad grid JSON: {exc}") from exc
 
@@ -204,11 +210,13 @@ def _cmd_sweep(args) -> int:
         "best_params": result.best_params,
         "best_loss": result.best_loss,
         "evaluated": len(result.evaluated),
-        "losses": [{"params": p, "L_T": loss} for p, loss in result.evaluated],
+        # a diverged point's inf or NaN is not JSON
+        "losses": [{"params": p, "L_T": loss if math.isfinite(loss) else None}
+                   for p, loss in result.evaluated],
         "skipped": [{"params": p, "reason": r} for p, r in result.skipped],
     }
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for p, reason in result.skipped:
         print(f"skipped {p}: {reason}", file=sys.stderr)

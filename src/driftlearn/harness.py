@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -223,8 +222,12 @@ def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
                             f"{np.argmin(np.isfinite(cumlosses)) + 1}: predictions or labels "
                             "too large")
         if id(stream) not in truth_loss:
-            truth_loss[id(stream)] = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
+            with np.errstate(over="ignore"):  # refused below when certifying, as the losses
+                truth_loss[id(stream)] = oracle.comparator_loss(stream.truth, stream.xs, stream.ys)
         closs = truth_loss[id(stream)]
+        if certify and not math.isfinite(closs):
+            raise BadStream("the comparator's cumulative loss overflows: labels or comparator "
+                            "too large")
         L_T = float(cumlosses[-1]) if stream.T else 0.0
         report = RunReport(
             algo_id=algo_id,
@@ -368,6 +371,8 @@ def experiment(
     if n <= 1 or len(jobs) <= 1:
         batches = [_run_job(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=n) as pool:
             batches = list(pool.map(_run_job, jobs))
     reports = [r for batch in batches for r in batch]
@@ -482,7 +487,8 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     one batch that shares the stream, and select by L_T: no bound is
     checked. Invalid points are skipped with a diagnostic; ties go to the
     lexicographically smallest parameter tuple (candidates are enumerated
-    in that order)."""
+    in that order). A diverging point keeps its inf or NaN L_T in evaluated;
+    InvalidParams when every point is skipped or diverges."""
     stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
     valid, members, skipped = [], [], []
     for params in _grid_candidates(spec.grid):
@@ -502,6 +508,9 @@ def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
     for params, L_T in evaluated:
         if L_T < best_loss:
             best_params, best_loss = params, L_T
+    if best_params is None:
+        raise InvalidParams(f"no grid point has a finite loss: each of the {len(evaluated)} "
+                            "evaluated diverged")
     return SweepResult(best_params, best_loss, evaluated, skipped)
 
 

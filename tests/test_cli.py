@@ -156,15 +156,18 @@ def test_sweep_json_lists_every_evaluated_points_loss(tmp_path):
 
 
 def test_sweep_skips_infinite_eta_and_writes_strict_json(tmp_path, capsys):
+    # eta = 50 diverges on this stream until its loss overflows: written as null
     out = tmp_path / "best.json"
-    assert run_cli("sweep", "--algo", "nlms", "--grid", '{"eta": ["inf", 0.5]}',
-                   "--kind", "C", "--T", "30", "--d", "4", "--out", str(out)) == 0
+    assert run_cli("sweep", "--algo", "nlms", "--grid", '{"eta": ["inf", 0.5, 50]}',
+                   "--kind", "C", "--T", "200", "--d", "4", "--out", str(out)) == 0
 
     def refuse(name):
         raise ValueError(f"not valid JSON: {name}")
 
     payload = json.loads(out.read_text(), parse_constant=refuse)
-    assert [entry["params"] for entry in payload["losses"]] == [{"eta": 0.5}]
+    assert [entry["params"] for entry in payload["losses"]] == [{"eta": 0.5}, {"eta": 50}]
+    assert payload["losses"][1]["L_T"] is None
+    assert payload["best_params"] == {"eta": 0.5}
     assert payload["skipped"] == [{"params": {"eta": "inf"},
                                    "reason": "eta must be positive and finite, got inf"}]
     assert "skipped {'eta': 'inf'}" in capsys.readouterr().err
@@ -474,6 +477,16 @@ BAD_INPUTS = {
     **{f"{algo}-overflowing-loss": ["run", "--algo", algo, *flags, "--data", "TMP/huge-loss.csv",
                                     "--out-prefix", "TMP/r"]
        for algo, flags in [("laser", ["--b", "1", "--c", "10"]), ("nlms", ["--eta", "0.5"])]},
+    # finite labels and comparator whose residual y - u x overflows when squared
+    "comparator-overflowing-loss": ["run", "--algo", "laser", "--b", "1", "--c", "10",
+                                    "--data", "TMP/huge-comparator-loss.csv",
+                                    "--out-prefix", "TMP/r"],
+    # eta = 50 diverges on this stream until its loss overflows
+    "sweep-every-point-diverges": ["sweep", "--algo", "nlms", "--grid", '{"eta": [50]}',
+                                   "--kind", "C", "--T", "200", "--d", "4"],
+    **{f"sweep-grid-{name}": ["sweep", "--algo", "laser", "--grid",
+                              f'{{"b": [1], "c": [{name}]}}']
+       for name in ("Infinity", "NaN")},
     "aar-stream-no-inputs": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/no-inputs.csv",
                              "--out-prefix", "TMP/r"],
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
@@ -502,6 +515,7 @@ BAD_STREAMS = {
     "no-inputs": "t,y\n1,1\n",
     "huge-label": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1e300,0,0\n",
     "huge-loss": "t,x_1,y,u_1\n1,1,1.3e154,0\n2,1,-1.3e154,0\n3,1,1.3e154,0\n",
+    "huge-comparator-loss": "t,x_1,y,u_1\n1,1,9e153,-9e153\n",
 }
 # files with one 0xff byte, which is not UTF-8, for the *-not-utf8 cases
 NOT_UTF8 = {
@@ -528,6 +542,11 @@ BAD_INPUT_REASONS = {
     "nlms-overflowing-inputs": "eps + |x|^2 overflowed at round 1",
     **{f"{algo}-overflowing-loss": f"{algo}: the cumulative loss overflows at round 2"
        for algo in ("laser", "nlms")},
+    "comparator-overflowing-loss": "the comparator's cumulative loss overflows",
+    "sweep-every-point-diverges": "no grid point has a finite loss: each of the 1 evaluated "
+                                  "diverged",
+    **{f"sweep-grid-{name}": f"bad grid JSON: {name} is not JSON"
+       for name in ("Infinity", "NaN")},
     "verify-lemma6-trials": "suite 'lemma6' does not read trials",
     **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},

@@ -210,6 +210,16 @@ def test_sweep_passes_over_a_diverging_learner_that_a_run_refuses():
         harness.run_learner("nlms", {"eta": 50.0}, gen_stream(dataset))
 
 
+def test_sweep_keeps_a_nan_loss_without_warnings():
+    # at the default T and d, NLMS with eta = 5 overflows its weights and then
+    # predicts NaN; the sweep keeps that loss and warns of nothing (warnings fail here)
+    dataset = DatasetSpec(kind="C")
+    spec = harness.SweepSpec(algo_id="nlms", grid={"eta": [0.5, 1, 5]}, tuning_seed=0)
+    result = harness.sweep(spec, dataset)
+    assert result.best_params == {"eta": 1}
+    assert result.evaluated[-1][0] == {"eta": 5} and np.isnan(result.evaluated[-1][1])
+
+
 def test_sweep_all_invalid_raises():
     dataset = DatasetSpec(kind="A", T=10, d=4, seed=0)
     spec = harness.SweepSpec(algo_id="laser", grid={"b": [5.0], "c": [1.0]}, tuning_seed=0)

@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +63,30 @@ def test_non_finite_factor_does_not_factorize(A):
     assert not linalg.factors(A)
     with pytest.raises(NotPositiveDefinite):
         linalg._cholesky(A)
+
+
+ROUTINES = ("dpotrf", "dpotrs", "dtrtrs", "dtrtri", "dtpqrt")
+
+
+def test_importing_the_cli_leaves_scipy_linalg_and_multiprocessing_out(subprocess_env):
+    heavy = ("scipy.linalg", "numpy.f2py", "concurrent.futures.process")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, driftlearn.cli; "
+                               f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=subprocess_env, check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_lapack_routines_are_scipys():
+    for name in ROUTINES:
+        assert getattr(linalg._lapack, name) is getattr(scipy.linalg.lapack, name), name
+
+
+def test_flapack_loader_falls_back_to_scipy_linalg(tmp_path):
+    lapack = linalg._load_flapack(str(tmp_path))  # holds no extension
+    for name in ROUTINES:
+        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name), name
 
 
 def test_logdet_known_values():

@@ -22,6 +22,7 @@ def test_every_command_parses_and_reads_only_earlier_outputs():
     spec.loader.exec_module(tool)
     names = [name for name, *_ in tool.COMMANDS]
     assert len(set(names)) == len(names)
+    assert set(tool.FILES) <= set(names)
     for i, (name, argv, *config) in enumerate(tool.COMMANDS):
         config = config[0] if config else None
         args = cli.build_parser(config).parse_args(argv)  # a bad argv exits, failing the test

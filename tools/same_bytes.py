@@ -7,7 +7,8 @@ the checkout holding this script, with BLAS pinned to one thread and
 DRIFTLEARN_THREADS removed (experiments run serially). Command NAME runs
 in its own directory OUTDIR/NAME, which ends up holding the files it
 wrote plus stdout.txt, stderr.txt and exit.txt. A command may carry a
---config object, written there as config.json before it runs. Commands that
+--config object, written there as config.json before it runs, and files of
+its own (FILES), written there too. Commands that
 read an earlier command's output name it by a relative path
 (../gen-d4/stream.csv), so nothing written depends on where OUTDIR is.
 
@@ -85,6 +86,14 @@ COMMANDS = [
                      "--d", "4", "--out", "best.json"]),
     ("sweep-nlms", ["sweep", "--algo", "nlms", "--grid", '{"eta": ["inf", 0.25, 0.5]}',
                     "--kind", "D", "--T", "200", "--d", "6", "--out", "best.json"]),
+    # eta = 5 ends in a NaN loss, written as null; eta = 50 alone diverges: exit 2
+    ("sweep-nlms-diverging-C", ["sweep", "--algo", "nlms", "--grid", '{"eta": [0.5, 1, 5]}',
+                                "--kind", "C", "--out", "best.json"]),
+    ("sweep-nlms-all-diverging", ["sweep", "--algo", "nlms", "--grid", '{"eta": [50]}',
+                                  "--kind", "C", "--T", "200", "--d", "4", "--out", "best.json"]),
+    # the comparator's squared residual overflows on this stream: exit 2
+    ("data-comparator-overflow", ["run", "--algo", "laser", "--b", "1", "--c", "10",
+                                  "--data", "stream.csv"]),
     ("report", ["report", "--inputs", "../run-laser-d4-A/run_report.csv",
                 "../run-laser-d4-D/run_report.csv", "--out", "summary.csv",
                 "--plot", "curves.gp"]),
@@ -103,6 +112,9 @@ COMMANDS = [
      {"data": "../config-gen/stream.csv", "kind": "A", "T": 50, "d": 4, "seeds": 3,
       "b": 500, "c": 500}),
 ]
+
+# files written into a command's directory before it runs
+FILES = {"data-comparator-overflow": {"stream.csv": "t,x_1,y,u_1\n1,1,9e153,-9e153\n"}}
 
 
 def _env() -> dict:
@@ -124,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         cwd.mkdir(parents=True)
         if config:
             (cwd / "config.json").write_text(json.dumps(config[0], indent=2) + "\n")
+        for file, text in FILES.get(name, {}).items():
+            (cwd / file).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "driftlearn.cli", *args], cwd=cwd, env=env,
                               capture_output=True)
         (cwd / "stdout.txt").write_bytes(proc.stdout)

@@ -8,8 +8,8 @@ Subcommands:
   verify  run the numerical certification suites (nonzero exit on violation)
   report  aggregate report CSVs into a summary CSV plus a gnuplot script
 
-Flags can be preloaded from a JSON config file via --config; explicit
-flags override config values. All randomness is seed-controlled, so any
+A JSON file given by --config is read as the subcommand's flags, before
+the command line's own, which win. All randomness is seed-controlled, so any
 command is deterministic given its flags. Diagnostics go to stderr; exit
 codes: 0 ok, 1 violation or I/O failure, 2 usage error.
 """
@@ -35,7 +35,7 @@ _DATASET = ("kind", "T", "d", "seed", "rotation_rate", "switch_period", "noise_v
 
 def _dataset_flags(p: argparse.ArgumentParser) -> None:
     # each defaults to None, leaving DatasetSpec's default; --kind is optional at
-    # parse time so --config can supply it, and commands that need it check later
+    # parse time since run --data needs none, and commands that need it check later
     p.add_argument("--kind", choices=("A", "B", "C", "D"),
                    help="stream kind: A/B noise-free, C/D noisy; A/C constant-rate, B/D switching")
     p.add_argument("--T", type=int, help="stream length")
@@ -92,44 +92,46 @@ def _load_grid(text: str) -> dict:
         raise ConfigError(f"bad grid JSON: {exc}") from exc
 
 
-def _config_defaults(p: argparse.ArgumentParser, config: dict) -> dict:
-    """The config entries naming flags of p, as defaults argparse will
-    type-convert (it converts string defaults only, so numbers become
-    strings) and check against the flag's choices; a flag they supply is
-    no longer required. null keeps the built-in default."""
-    defaults = {}
-    for action in p._actions:
+def _config_argv(ap: argparse.ArgumentParser, argv: list, rest: list, config: dict) -> list:
+    """argv with the config's entries for flags of its subcommand rest[0] as
+    tokens right after it, so the command line's own flags come later and win:
+    true is the bare switch, false and null give none, a list for a flag of
+    several values gives several, and another list or an object its JSON."""
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    p = sub.choices.get(rest[0]) if rest else None  # None: no subcommand, or no such one
+    tokens, at = [], len(argv) - len(rest) + 1
+    while at < len(argv) and not argv[at].startswith("-"):  # a stray word stays unrecognized
+        at += 1
+    for action in p._actions if p else ():
         value = config.get(action.dest)
-        if value is None or not action.option_strings:
+        if value is None or isinstance(action, argparse._HelpAction):
             continue
+        flag = action.option_strings[0]
         if action.nargs == 0:  # store_true
             if not isinstance(value, bool):
                 raise ConfigError(f"config {action.dest!r} must be true or false, got {value!r}")
-        elif action.nargs in ("+", "*"):
-            value = [str(v) for v in (value if isinstance(value, list) else [value])]
+            tokens += [flag] if value else []
+        elif action.nargs == "+" and isinstance(value, list):
+            tokens += [flag, *map(str, value)]
         else:
-            value = str(value)
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config {action.dest!r}: {value!r} is not one of "
-                              f"{', '.join(map(str, action.choices))}")
-        defaults[action.dest] = value
-        action.required = False
-    return defaults
+            text = json.dumps(value) if isinstance(value, (dict, list)) else value
+            tokens.append(f"{flag}={text}")
+    return argv[:at] + tokens + argv[at:]
 
 
 # run's flags for generated streams, refused when given with --data
 _GENERATED = ("seeds", "full", *_DATASET, "no_wrap")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The driftlearn parser; config preloads the subcommands' flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The driftlearn parser."""
     ap = argparse.ArgumentParser(
         prog="driftlearn",
         description="Online regression under target drift: learners, "
                     "benchmarks, and numerical bound certification.",
     )
     ap.add_argument("--config", default=None,
-                    help="JSON file of flag defaults (explicit flags override)")
+                    help="JSON file of the subcommand's flags (explicit flags override)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("gen", help="write a synthetic stream CSV")
@@ -166,9 +168,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     rp.add_argument("--inputs", nargs="+", required=True)
     rp.add_argument("--out", required=True, help="summary CSV path")
     rp.add_argument("--plot", default=None, help="gnuplot script path")
-    if config:
-        for p in (g, r, s, v, rp):
-            p.set_defaults(**_config_defaults(p, config))
     return ap
 
 
@@ -287,21 +286,21 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # the config, read first, gives defaults that explicit flags override; its pre-parse
-        # stops at the subcommand, after which laser's --c would read as --config
+        # the pre-parse stops at the subcommand, after which laser's --c would read as --config
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config", nargs="?")  # with no value, left to the full parse
         pre.add_argument("rest", nargs=argparse.REMAINDER)
-        path = pre.parse_known_args(argv)[0].config
-        config = {} if path is None else _load_config(path)
-        args = build_parser(config).parse_args(argv)
+        known = pre.parse_known_args(argv)[0]
+        config = {} if known.config is None else _load_config(known.config)
+        ap = build_parser()
+        args = ap.parse_args(_config_argv(ap, argv, known.rest, config))
         if args.subcommand == "run" and args.data is not None:
             if not args.data:
                 raise ConfigError("--data needs the path of a stream CSV, got an empty one")
             # the generated flags of argv alone: the config's may serve other commands
-            given = (build_parser({**config, **dict.fromkeys(_GENERATED)}).parse_args(argv)
-                     if config else args)
-            for flag in (f for f in _GENERATED if getattr(given, f) is not None):
+            own = {k: v for k, v in config.items() if k not in _GENERATED}
+            user = args if own == config else ap.parse_args(_config_argv(ap, argv, known.rest, own))
+            for flag in (f for f in _GENERATED if getattr(user, f) is not None):
                 raise ConfigError(f"--{flag.replace('_', '-')} applies to generated streams "
                                   "only, not with --data")
         return _COMMANDS[args.subcommand](args)

@@ -483,21 +483,22 @@ def _grid_candidates(grid: dict) -> list[dict]:
 
 
 def sweep(spec: SweepSpec, dataset: DatasetSpec) -> SweepResult:
-    """Evaluate every grid point on the tuning stream, all valid points as
-    one batch that shares the stream, and select by L_T: no bound is
-    checked. Invalid points are skipped with a diagnostic; ties go to the
-    lexicographically smallest parameter tuple (candidates are enumerated
-    in that order). A diverging point keeps its inf or NaN L_T in evaluated;
-    InvalidParams when every point is skipped or diverges."""
+    """Evaluate each grid point on the tuning stream, all valid points as one
+    batch sharing the stream, and select by L_T: no bound is checked. Invalid
+    points are skipped with a diagnostic, a point equal once converted to an
+    earlier one is dropped, and ties go to the lexicographically smallest
+    parameter tuple (candidates are enumerated in that order). A diverging
+    point keeps its inf or NaN L_T; InvalidParams when every point is skipped or diverges."""
     stream = gen_stream(replace(dataset, seed=spec.tuning_seed))
-    valid, members, skipped = [], [], []
+    valid, members, skipped, seen = [], [], [], []
     for params in _grid_candidates(spec.grid):
         try:
-            members.append(_member(spec.algo_id, params, stream, certify=False))
+            if (point := _checked(spec.algo_id, params)) not in seen:
+                seen.append(point)
+                members.append(_member(spec.algo_id, params, stream, certify=False))
+                valid.append(params)
         except InvalidParams as exc:
             skipped.append((params, str(exc)))
-            continue
-        valid.append(params)
     if not valid:
         reasons = "; ".join(f"{params}: {reason}" for params, reason in skipped)
         raise InvalidParams(f"every grid point was invalid ({reasons})")

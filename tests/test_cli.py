@@ -1,8 +1,8 @@
-import argparse
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,8 +282,10 @@ def test_config_values_get_the_flags_type_conversion(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("--config", str(config), "gen", "--out", str(out))
     assert exc.value.code == 2
-    config.write_text(json.dumps({"kind": "Z"}))
-    assert run_cli("--config", str(config), "gen", "--out", str(out)) == 2
+    config.write_text(json.dumps({"kind": "Z"}))  # not one of --kind's choices
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(config), "gen", "--out", str(out))
+    assert exc.value.code == 2
 
 
 def test_config_switch_flag_takes_only_a_bool(tmp_path, capsys):
@@ -299,14 +301,22 @@ def test_config_switch_flag_takes_only_a_bool(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config 'no_wrap' must be true or false, got 'true'\n"
 
 
-def test_config_list_for_a_flag_of_several_values(tmp_path):
+def test_config_list_for_a_flag_of_several_values(monkeypatch, tmp_path):
     # report's --inputs takes a list, or one value, as strings; an explicit
     # --inputs wins, and the config's other entries still apply
-    for given, want in ((["a.csv", 2], ["a.csv", "2"]), ("a.csv", ["a.csv"])):
-        parser = cli.build_parser({"inputs": given})
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert sub.choices["report"].get_default("inputs") == want
     prefix, config = tmp_path / "r", tmp_path / "cfg.json"
+    with monkeypatch.context() as m:
+        m.setitem(cli._COMMANDS, "report", lambda args: args.inputs)
+        for given, want in ((["a.csv", 2], ["a.csv", "2"]), ("a.csv", ["a.csv"])):
+            config.write_text(json.dumps({"inputs": given}))
+            assert run_cli("--config", str(config), "report", "--out", "s.csv") == want
+    # an empty list exits 2, as --inputs with no value does, and a stray word
+    # after the subcommand is not taken for one more input
+    for given, stray in (([], []), (["a.csv"], ["stray"])):
+        config.write_text(json.dumps({"inputs": given}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", str(config), "report", *stray, "--out", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2 and not (tmp_path / "s.csv").exists()
     assert run_cli("run", "--algo", "aar", "--b", "1", "--kind", "A", "--T", "5", "--d", "4",
                    "--out-prefix", str(prefix)) == 0
     config.write_text(json.dumps({"inputs": ["absent.csv"], "plot": str(tmp_path / "c.gp")}))
@@ -314,6 +324,23 @@ def test_config_list_for_a_flag_of_several_values(tmp_path):
                    "--out", str(tmp_path / "s.csv")) == 0
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
     assert (tmp_path / "c.gp").read_text().count("title 'aar'") == 1
+
+
+def test_config_ignores_help_and_passes_values_that_begin_with_a_dash(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"help": True, "out": "-x.csv"}))
+    assert run_cli("--config", "cfg.json", "gen", "--kind", "A", "--T", "5", "--d", "2") == 0
+    assert read_stream_csv("-x.csv").T == 5
+
+
+def test_config_grid_object_matches_the_grid_string(tmp_path):
+    config, dataset = tmp_path / "cfg.json", ["--kind", "C", "--T", "20", "--d", "4"]
+    config.write_text(json.dumps({"grid": {"eta": [0.5, 1]}}))
+    assert run_cli("--config", str(config), "sweep", "--algo", "nlms", *dataset,
+                   "--out", str(tmp_path / "object.json")) == 0
+    assert run_cli("sweep", "--algo", "nlms", "--grid", '{"eta": [0.5, 1]}', *dataset,
+                   "--out", str(tmp_path / "string.json")) == 0
+    assert (tmp_path / "object.json").read_bytes() == (tmp_path / "string.json").read_bytes()
 
 
 def test_abbreviated_flag_overrides_config(tmp_path):

@@ -220,6 +220,19 @@ def test_sweep_keeps_a_nan_loss_without_warnings():
     assert result.evaluated[-1][0] == {"eta": 5} and np.isnan(result.evaluated[-1][1])
 
 
+def test_sweep_runs_points_equal_once_converted_once():
+    # 0.5, 0.5 and "0.5" are one point, and the first in candidate order stays;
+    # a value the table refuses has no converted form, so each is skipped
+    dataset = DatasetSpec(kind="C", T=40, d=4, seed=0)
+    spec = harness.SweepSpec(algo_id="nlms", grid={"eta": [0.5, "x", 1, 0.5, "0.5", "1.0", "x"]},
+                             tuning_seed=0)
+    result = harness.sweep(spec, dataset)
+    assert [params for params, _ in result.evaluated] == [{"eta": 0.5}, {"eta": 1}]
+    assert [params for params, _ in result.skipped] == [{"eta": "x"}] * 2
+    alone = harness.sweep(harness.SweepSpec("nlms", {"eta": [0.5, 1]}, 0), dataset)
+    assert result.evaluated == alone.evaluated
+
+
 def test_sweep_all_invalid_raises():
     dataset = DatasetSpec(kind="A", T=10, d=4, seed=0)
     spec = harness.SweepSpec(algo_id="laser", grid={"b": [5.0], "c": [1.0]}, tuning_seed=0)

@@ -91,6 +91,10 @@ COMMANDS = [
                                 "--kind", "C", "--out", "best.json"]),
     ("sweep-nlms-all-diverging", ["sweep", "--algo", "nlms", "--grid", '{"eta": [50]}',
                                   "--kind", "C", "--T", "200", "--d", "4", "--out", "best.json"]),
+    # 0.5 and "0.5" are one point once converted: it runs once
+    ("sweep-duplicate-grid-points", ["sweep", "--algo", "nlms", "--grid",
+                                     '{"eta": [0.5, 0.5, "0.5"]}', "--kind", "C", "--T", "200",
+                                     "--d", "4", "--out", "best.json"]),
     # the comparator's squared residual overflows on this stream: exit 2
     ("data-comparator-overflow", ["run", "--algo", "laser", "--b", "1", "--c", "10",
                                   "--data", "stream.csv"]),
@@ -111,6 +115,9 @@ COMMANDS = [
     ("config-data", [*CONFIG, "run", "--algo", "hinf", "--a", "8", "--out-prefix", "data"],
      {"data": "../config-gen/stream.csv", "kind": "A", "T": 50, "d": 4, "seeds": 3,
       "b": 500, "c": 500}),
+    # the grid as a JSON object in the config, not as a string
+    ("config-sweep-grid-object", [*CONFIG, "sweep", "--algo", "nlms", "--kind", "C", "--T", "20",
+                                  "--d", "4", "--out", "best.json"], {"grid": {"eta": [0.5]}}),
 ]
 
 # files written into a command's directory before it runs

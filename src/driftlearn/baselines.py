@@ -19,8 +19,9 @@ artifact-defined:
 CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
 the reset: `crrls_step` makes one-member calls of `laser._innovate` and
 `laser._fold`, the stages of `laser.cov_rounds`, in which `harness` runs
-S members. The NLMS round is written once over leading member axes, for
-`nlms_step` and for `nlms_trajectories`, its S-member loop.
+S members as `laser.CovMember` records. The NLMS round, its overflow
+check included, is written once over leading member axes, for `nlms_step`
+and for `nlms_trajectories`, its S-member loop.
 """
 
 import math
@@ -48,6 +49,7 @@ class NlmsState:
     w: np.ndarray
     eta: float
     eps: float
+    t: int = 0
 
     @property
     def dim(self) -> int:
@@ -62,10 +64,14 @@ def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
     return NlmsState(w=np.zeros(d), eta=eta, eps=eps)
 
 
-def _nlms_round(w, x, y, eta, eps):
-    """(yhat, w) after one round, over any leading member axes."""
+def _nlms_round(w, x, y, eta, eps, t):
+    """(yhat, w) after round t, over any leading member axes. Callers ignore
+    overflow: x is finite, so eps + |x|^2 is infinite only if it overflowed,
+    which raises BadStream."""
     yhat = np.vecdot(x, w)
     denom = eps + np.vecdot(x, x)
+    if not np.isfinite(denom).all():
+        raise BadStream(f"eps + |x|^2 overflowed at round {t}: inputs too large")
     # a zero denominator means x = 0 (with eps = 0): the step is then zero
     denom = np.where(denom > 0.0, denom, 1.0)
     return yhat, w + (eta * (y - yhat))[..., None] * x / denom[..., None]
@@ -74,30 +80,24 @@ def _nlms_round(w, x, y, eta, eps):
 def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
     """One round; BadStream if eps + |x|^2 overflows."""
     x = linalg.as_vector(x, state.dim)
-    with np.errstate(over="ignore"):
-        if not math.isfinite(state.eps + x @ x):
-            raise BadStream("eps + |x|^2 overflowed: inputs too large")
-    yhat, w = _nlms_round(state.w, x, y, state.eta, state.eps)
-    return float(yhat), replace(state, w=w)
+    with np.errstate(over="ignore"):  # an overflowing eps + |x|^2 is inf, which raises
+        yhat, w = _nlms_round(state.w, x, y, state.eta, state.eps, state.t + 1)
+    return float(yhat), replace(state, w=w, t=state.t + 1)
 
 
 def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     """Run S NLMS members from the given states in one step loop; returns
     the predictions (S, T). xs (T, S, d) and ys (T, S) as in
-    `laser.cov_rounds`. BadStream if some eps + |x|^2 overflows; a member
-    that diverges predicts inf or NaN, whose loss a certified run refuses."""
+    `laser.cov_rounds`. BadStream at the first round where some eps + |x|^2
+    overflows; a member that diverges predicts inf or NaN, whose loss a
+    certified run refuses."""
     eta = np.array([st.eta for st in states])
     eps = np.array([st.eps for st in states])
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(eps + np.vecdot(xs, xs))
-    if not finite.all():
-        t = int(np.argmin(finite.all(axis=1)))
-        raise BadStream(f"eps + |x|^2 overflowed at round {t + 1}: inputs too large")
     w = np.stack([st.w for st in states])
     yhats = np.empty((len(states), xs.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging member's loss is inf or NaN
         for t in range(xs.shape[0]):
-            yhats[:, t], w = _nlms_round(w, xs[t], ys[t], eta, eps)
+            yhats[:, t], w = _nlms_round(w, xs[t], ys[t], eta, eps, t + 1)
     return yhats
 
 

@@ -193,15 +193,15 @@ def _batch_inputs(streams: list[LabeledStream]):
 
 def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
     """Run set-up members (from _member), of one learner or several, and
-    report each: every laser, AAR, hinf and CR-RLS member in one
-    laser.member_rounds call, then the NLMS members in their own loop.
+    report each: every laser, AAR, hinf and CR-RLS member's CovMember in
+    one laser.cov_rounds call, then the NLMS members in their own loop.
     Without certify no bound is checked, no spectrum computed and a loss
     that overflows is kept (inf or NaN) instead of refused."""
     yhats, trajs, post_ws = {}, {}, {}
     family = [i for i, m in enumerate(members) if m[0] != "nlms"]
     if family:
-        run, lt = laser.member_rounds([members[i][2] for i in family],
-                                      *_batch_inputs([streams[i] for i in family]))
+        run, lt = laser.cov_rounds([members[i][2] for i in family],
+                                   *_batch_inputs([streams[i] for i in family]))
         for j, i in enumerate(family):
             trajs[i], yhats[i] = lt[j], run.xw[j] if lt[j] is None else lt[j].yhats
             post_ws[i] = run.ws[j] if members[i][2].keep_w else None

@@ -16,7 +16,8 @@ with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T 
 and a Ptilde_t x = a P'x / s. The state holds Ptilde_t = P_t - c^{-1} I,
 from (b^{-1} - c^{-1}) I (negative when b > c), and derives P_t.
 `hinf_step` makes one-member calls of `laser._innovate` and `laser._fold`, the
-stages of `laser.cov_rounds`, in which `harness` runs S members.
+stages of `laser.cov_rounds`, in which `harness` runs S members, each a
+`laser.CovMember` record of that weight and gain.
 `oracle.hinf_direct` transcribes the recursion above as the reference.
 
 The filtering guarantee bounds the error of the post-update weights

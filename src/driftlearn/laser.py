@@ -57,11 +57,14 @@ gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
 members (grid points, streams, or both, sharing T and d), calls them, and
 every single-state step makes one-member calls of them (see `hinf`,
 `baselines`); `_switches` holds the switch rule for both. Laser, AAR,
-hinf and CR-RLS members differ only in the entries of a `CovMember`
-record (start P, inflation, weight, gain, reset, spectra, kept weights),
-so `member_rounds` runs any mix of them in one `cov_rounds` call. Members
-stay on (S, d, d) and (S, d) arrays until their inputs move them to
-square-root form, and then take their rounds on LAPACK calls of their own.
+hinf and CR-RLS members differ only in their `CovMember` records (start
+P, inflation, weight, gain, reset, spectra, kept weights, and a laser
+member's LaserParams), which are all that `cov_rounds` takes, so one call
+runs any mix of them; it derives each laser member's guard and switch
+round from its record. Members stay on (S, d, d) and (S, d) arrays until
+their inputs move them to square-root form, and then take their rounds
+on LAPACK calls of their own.
+
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
 lambda_max D_t only through its running maximum. cov_rounds certifies in
@@ -410,19 +413,38 @@ def _certify(rounds, spec=None, xsq=None, rate=None, ub=None):
         lam[:] = np.maximum(peak, ub)  # a skipped ub lies below the peak
 
 
-@np.errstate(over="ignore")  # an overflowing x^T P' x is inf, which _innovate reports
-def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
-               keep_w=None, spectra=None, guard=None, switch=None) -> CovRun:
-    """Run S members of the covariance-form round from P (S, d, d) and w = 0
-    over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and ys[:, i]
-    (a broadcast view when all read one stream). Each later argument holds
-    one entry per member, or is None when all take its default: inflation
-    is 1/c (0 at c = inf, where nothing is added), weight and gain are
-    those of _fold (1), after each reset-th round P returns to its start
-    (never if reset > T), and keep_w, spectra and guard are masks, or one
-    bool for all (none by default). Entries shrink with the members held in
-    the stacked arrays, so a member's arithmetic does not depend on its
-    batch. keep_w keeps the post-update weights.
+class CovMember(NamedTuple):
+    """One member of cov_rounds, its learner's round as a thin record: the
+    start P (d, d), inflation 1/c (0 at c = inf, where nothing is added),
+    the weight and gain of _fold, reset period (0: never), spectra and
+    keep_w. laser holds the LaserParams of a laser-round member, which
+    takes their switch rule, shrinkage and clip, and is guarded if it
+    drifts without spectra."""
+
+    P: np.ndarray
+    inflation: float = 0.0
+    weight: float = 1.0
+    gain: float = 1.0
+    reset: int = 0
+    keep_w: bool = False
+    spectra: bool = False
+    laser: LaserParams | None = None
+
+
+def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
+    """The laser round from laser_init's P."""
+    return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
+
+
+@np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
+def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
+    """Run S members of the covariance-form round, each from its start P and
+    w = 0, over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and
+    ys[:, i] (a broadcast view when all read one stream): (the CovRun, a
+    LaserTrajectory per laser-round member and None per other). A field every
+    member leaves at its default costs nothing, and entries shrink with the
+    members held in the stacked arrays, so a member's arithmetic does not
+    depend on its batch. keep_w keeps the post-update weights.
 
     spectra records, before round 1 and after each round, Tr D and ln det D
     of D = P^{-1}, from the Cholesky factor of P, and the peak of
@@ -431,33 +453,40 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     (eigvalsh) is taken only where the bound ub_t = min(Tr D_t,
     ub_{t-1}/(1 + ub_{t-1}/c) + |x_t|^2), the Lemma-6 map reset to each
     exact value, could raise the member's peak. The factorization also
-    guards those members, and guard's are factorized too. Rounds after the
-    start are certified by _certify in blocks of a fixed number of rounds,
-    those whose P_t fill BLOCK_BYTES: when a block is full, after the last
-    round, and before any error leaves the loop, so a failed factorization
-    raises NotPositiveDefinite for the earliest round that lost
-    definiteness, ahead of a later round's error. Memory is O(S (T + d^2))
-    plus about BLOCK_BYTES, and O(T d) per keep_w member.
+    guards those members and the drifting laser-round members without
+    spectra. Rounds after the start are certified by _certify in blocks of
+    a fixed number of rounds, those whose P_t fill BLOCK_BYTES: when a
+    block is full, after the last round, and before any error leaves the
+    loop, so a failed factorization raises NotPositiveDefinite for the
+    earliest round that lost definiteness, ahead of a later round's error.
+    Memory is O(S (T + d^2)) plus about BLOCK_BYTES, and O(T d) per keep_w
+    member.
 
-    Member i leaves the stacked arrays for square-root information form at
-    round switch[i] (never if switch[i] >= T) and runs its later rounds
-    alone. That form and the screen's map are the laser round's: a member
-    with spectra or a switch round must have weight and gain 1 and no reset.
+    A laser-round member leaves the stacked arrays for square-root
+    information form at the first round where _switches holds, and runs its
+    later rounds alone. A member with spectra or laser must have weight and
+    gain 1 and no reset: that form and the screen's map are the laser round's.
     """
     T, S, d = xs.shape
-    drift = np.zeros(S) if inflation is None else inflation  # 1/c of every member
+    xsq = np.vecdot(xs, xs)  # (T, S) |x_t|^2, for the switch rounds and the screen
+    field = {k: np.array([getattr(m, k) for m in members]) for k in CovMember._fields[1:7]}
+    drift, keep_w, spectra = field["inflation"], field["keep_w"], field["spectra"]
+    weight, gain = (field[k] if (field[k] != 1.0).any() else None for k in ("weight", "gain"))
+    resets = {k for p in set(field["reset"].tolist()) - {0} for k in range(p, T + 1, p)}
+    reset = np.where(field["reset"] > 0, field["reset"], T + 1) if resets else None
+    guard = np.array([m.laser is not None and not (m.spectra or m.laser.stationary)
+                      for m in members])
+    lz = [i for i, m in enumerate(members) if m.laser is not None]
+    switch, peaks = np.full(S, T), np.maximum.accumulate(xsq, axis=0)
+    switch[lz] = [_switch_round(members[i].laser, peaks[:, i]) for i in lz]
     inflation = drift[:, None] if drift.any() else None
     drifts = True if drift.all() else (drift != 0)[:, None]  # where held rows add inflation
     root = 1.0 if weight is None else np.sqrt(weight)
-    switch = np.full(S, T) if switch is None else switch
-    P0, w, ids = P, np.zeros((S, d)), np.arange(S)  # ids: the held members
+    P = P0 = np.stack([m.P for m in members])
+    w, ids = np.zeros((S, d)), np.arange(S)  # ids: the held members
     moves = {0, *switch[switch < T].tolist()}
-    resets = {k for p in set([] if reset is None else reset[reset <= T].tolist())
-              for k in range(p, T + 1, p)}
     xws, qs = np.empty((S, T)), np.empty((S, T))
-    ws = None if keep_w is None else np.empty((S, T, d))
-    keep_w, spectra, guard = (np.broadcast_to(bool(m) if np.ndim(m) == 0 else m, S)
-                              for m in (keep_w, spectra, guard))
+    ws = np.empty((S, T, d)) if keep_w.any() else None
     col, K = np.cumsum(spectra) - 1, int(spectra.sum())  # member -> column of the spectra
     spec = np.empty((T + 1, 3, K)) if K else None
     screen, rounds = (), []  # the rest of _certify's arguments; the open block's rounds
@@ -465,7 +494,7 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
         cid = slice(None) if K == S else np.flatnonzero(spectra)
         spec[0, 0], spec[0, 2] = _trace_logdet(_factor([(0, P[cid])]))
         spec[0, 1] = _lam_max(P[cid])
-        screen = (spec, np.vecdot(xc := xs[:, cid], xc), drift[cid], spec[0, 1].copy())
+        screen = (spec, xsq[:, cid], drift[cid], spec[0, 1].copy())
     # rounds per block: as many as fill BLOCK_BYTES with the certified members' P_t
     size = math.ceil(BLOCK_BYTES / max(8 * d * d * (K + int(guard.sum())), 1))
     roots = {}  # member -> SqrtInformation, from its switch round on
@@ -512,7 +541,25 @@ def cov_rounds(P, xs, ys, inflation=None, weight=None, gain=None, reset=None,
     held = zip(P, w)
     final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
              for i in range(S)]
-    return CovRun(xws, qs, final, ws, spec)
+    run, out = CovRun(xws, qs, final, ws, spec), [None] * S
+    if not lz:
+        return run, out
+    s = 1.0 + qs[lz]
+    yhats, quads = xws[lz] / s, qs[lz] / s
+    bound = np.array([members[i].laser.clip_bound or math.inf for i in lz])
+    if np.isfinite(bound).any():
+        yhats = clip(yhats, bound[:, None])
+    err = ys.T[lz] - xws[lz]  # cumsum adds in order, as _step_fold does
+    # an overflowing cost is kept, as the losses, which the harness refuses
+    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
+    max_xsq = np.max(xsq, axis=0, initial=0.0)
+    for j, i in enumerate(lz):
+        cov, w, root = final[i]
+        state = LaserState(members[i].laser, w, cov, root, float(max_xsq[i]),
+                           float(min_cost[j]), T, float(quads[j, -1]) if T else 0.0)
+        extra = spec[:, :, col[i]].T if spectra[i] else ()
+        out[i] = LaserTrajectory(yhats[j], quads[j], state, *extra)
+    return run, out
 
 
 # -- the single-state step functions: one-member calls of the stages ------------
@@ -621,74 +668,9 @@ def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
     return len(peaks)
 
 
-class CovMember(NamedTuple):
-    """One member of member_rounds, its learner's round as a thin record of
-    cov_rounds's entries: the start P (d, d), inflation 1/c, weight, gain,
-    reset period (0: never), spectra and keep_w. laser holds the
-    LaserParams of a laser-round member, which takes their switch rule,
-    shrinkage and clip, and is guarded if it drifts without spectra."""
-
-    P: np.ndarray
-    inflation: float = 0.0
-    weight: float = 1.0
-    gain: float = 1.0
-    reset: int = 0
-    keep_w: bool = False
-    spectra: bool = False
-    laser: LaserParams | None = None
-
-
-def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
-    """The laser round from laser_init's P."""
-    return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
-
-
-def member_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
-    """Run the members in one cov_rounds call, member i reading xs[:, i] and
-    ys[:, i]: (the CovRun, a LaserTrajectory per laser-round member and None
-    per other). An entry that every member leaves at its default is passed
-    as None, so a batch of one learner pays nothing for the others' fields.
-    Memory is that of cov_rounds.
-    """
-    T, S, d = xs.shape
-    with np.errstate(over="ignore"):  # cov_rounds reports overflowing inputs
-        xsq = np.vecdot(xs, xs)
-    peaks = np.maximum.accumulate(xsq, axis=0)
-    lz = [i for i, m in enumerate(members) if m.laser is not None]
-    switch = np.full(S, T)
-    switch[lz] = [_switch_round(members[i].laser, peaks[:, i]) for i in lz]
-    kw = {k: np.array([getattr(m, k) for m in members]) for k in CovMember._fields[1:7]}
-    kw = {k: v for k, v in kw.items() if (v != CovMember._field_defaults[k]).any()}
-    if "reset" in kw:
-        kw["reset"] = np.where(kw["reset"] > 0, kw["reset"], T + 1)
-    guard = [m.laser is not None and not (m.spectra or m.laser.stationary) for m in members]
-    run = cov_rounds(np.stack([m.P for m in members]), xs, ys, guard=np.array(guard),
-                     switch=switch, **kw)
-    out = [None] * S
-    if not lz:
-        return run, out
-    s = 1.0 + run.q[lz]
-    yhats, quads = run.xw[lz] / s, run.q[lz] / s
-    bound = np.array([members[i].laser.clip_bound or math.inf for i in lz])
-    if np.isfinite(bound).any():
-        yhats = clip(yhats, bound[:, None])
-    err = ys.T[lz] - run.xw[lz]  # cumsum adds in order, as _step_fold does
-    with np.errstate(over="ignore"):  # as the losses, which the harness refuses
-        min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
-    max_xsq = np.max(xsq, axis=0, initial=0.0)
-    col = np.cumsum([m.spectra for m in members]) - 1
-    for j, i in enumerate(lz):
-        cov, w, root = run.final[i]
-        state = LaserState(members[i].laser, w, cov, root, float(max_xsq[i]),
-                           float(min_cost[j]), T, float(quads[j, -1]) if T else 0.0)
-        extra = run.spectra[:, :, col[i]].T if members[i].spectra else ()
-        out[i] = LaserTrajectory(yhats[j], quads[j], state, *extra)
-    return run, out
-
-
 def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
     """Run S members of the learner, params[i] for member i, under the
-    online protocol in one member_rounds call; one LaserTrajectory per
+    online protocol in one cov_rounds call; one LaserTrajectory per
     member, in order. xs is (T, S, d) and ys (T, S), as in cov_rounds. One
     whose inputs move it to square-root information form leaves the stacked
     arrays at that round. Each drifting covariance-form member's P (with
@@ -697,7 +679,7 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     the spectra.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return member_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)[1]
+    return cov_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)[1]
 
 
 def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:

@@ -461,39 +461,41 @@ def high_drift_threshold(inputs: BoundInputs) -> float:
 
 def _regime_c(regime: DriftRegime, T: int, d: int, Y: float, X: float, M: float,
               V: float) -> float:
-    """Each regime's formula for c, from V > 0:
+    """Each regime's formula for c, from V > 0 (_check_regime refuses any
+    other regime):
 
     LOW:  c = (sqrt(2) T Y^2 d X / V)^{2/3}
     HIGH: c = sqrt(Y^2 d M T / V), with M = max(3 X^2, b + X^2) of the caller's b
     """
     if regime is DriftRegime.LOW:
         return (math.sqrt(2.0) * T * Y**2 * d * X / V) ** (2.0 / 3.0)
-    if regime is DriftRegime.HIGH:
-        return math.sqrt(Y**2 * d * M * T / V)
-    raise ValueError(f"unknown regime {regime!r}")
+    return math.sqrt(Y**2 * d * M * T / V)
+
+
+def _check_regime(regime: DriftRegime, inputs: BoundInputs, V: float) -> None:
+    """The regime precondition: RegimeViolation unless V is at most the low
+    threshold for LOW and at least the high one for HIGH; ValueError for
+    any other regime."""
+    low_thr, high_thr = low_drift_threshold(inputs), high_drift_threshold(inputs)
+    if regime is DriftRegime.LOW and V > low_thr:
+        raise RegimeViolation(f"V = {V:.6g} exceeds low-drift threshold {low_thr:.6g} "
+                              f"(high-drift threshold is {high_thr:.6g})")
+    if regime is DriftRegime.HIGH and V < high_thr:
+        raise RegimeViolation(f"V = {V:.6g} below high-drift threshold {high_thr:.6g} "
+                              f"(low-drift threshold is {low_thr:.6g})")
+    if not isinstance(regime, DriftRegime):
+        raise ValueError(f"unknown regime {regime!r}")
 
 
 def tuned_c(regime: DriftRegime, inputs: BoundInputs, V: float) -> float:
     """Drift-tuned value of c (_regime_c), valid for LOW when V <= the low
     threshold and for HIGH when V >= the high one. V = 0 has no finite
     tuning; use the stationary sentinel c = inf."""
-    low_thr = low_drift_threshold(inputs)
-    high_thr = high_drift_threshold(inputs)
     if V <= 0:
-        raise RegimeViolation(
-            "V = 0 admits no finite tuning; use c = inf (stationary learner). "
-            f"Thresholds: low <= {low_thr:.6g}, high >= {high_thr:.6g}"
-        )
-    if regime is DriftRegime.LOW and V > low_thr:
-        raise RegimeViolation(
-            f"V = {V:.6g} exceeds low-drift threshold {low_thr:.6g} "
-            f"(high-drift threshold is {high_thr:.6g})"
-        )
-    if regime is DriftRegime.HIGH and V < high_thr:
-        raise RegimeViolation(
-            f"V = {V:.6g} below high-drift threshold {high_thr:.6g} "
-            f"(low-drift threshold is {low_thr:.6g})"
-        )
+        raise RegimeViolation("V = 0 admits no finite tuning; use c = inf (stationary learner). "
+                              f"Thresholds: low <= {low_drift_threshold(inputs):.6g}, "
+                              f"high >= {high_drift_threshold(inputs):.6g}")
+    _check_regime(regime, inputs, V)
     return _regime_c(regime, inputs.T, inputs.d, inputs.Y, inputs.X, inputs.M, V)
 
 
@@ -542,6 +544,7 @@ def drift_tuned_bound(
     eps = inputs.eps_ratio
     if not 0.0 < eps < 1.0:
         raise RegimeViolation(f"requires b = eps*c with eps in (0,1), got {eps}")
+    _check_regime(regime, inputs, V)
     base = (
         inputs.b * u1_norm_sq
         + eps / (1.0 - eps) * inputs.Y**2 * inputs.d
@@ -549,18 +552,12 @@ def drift_tuned_bound(
         + inputs.Y**2 * logdet_DT_over_b
     )
     if regime is DriftRegime.LOW:
-        if V > low_drift_threshold(inputs):
-            raise RegimeViolation("low-drift bound requested outside its regime")
         drift_term = (
             3.0
             * (math.sqrt(2.0) * inputs.Y**2 * inputs.d * inputs.X) ** (2.0 / 3.0)
             * inputs.T ** (2.0 / 3.0)
             * V ** (1.0 / 3.0)
         )
-    elif regime is DriftRegime.HIGH:
-        if V < high_drift_threshold(inputs):
-            raise RegimeViolation("high-drift bound requested outside its regime")
-        drift_term = 2.0 * math.sqrt(inputs.Y**2 * inputs.d * inputs.T * inputs.M * V)
     else:
-        raise ValueError(f"unknown regime {regime!r}")
+        drift_term = 2.0 * math.sqrt(inputs.Y**2 * inputs.d * inputs.T * inputs.M * V)
     return float(base + drift_term)

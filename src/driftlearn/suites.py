@@ -139,7 +139,7 @@ def logdet_trajectory_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         )
         worst = max(worst, float(np.max(lhs - rhs)))
         cases += stream.T
-    return SuiteResult("log-det quad-sum inequality", cases, worst, 1e-9)
+    return SuiteResult("log-det quad-sum inequality", cases, worst, harness.EIG_TOL)
 
 
 def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -154,7 +154,7 @@ def eig_cap_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         # caps never decrease, so max_t (peak_t - cap_t) = max_t (lambda_max D_t - cap_t)
         worst = max(worst, float(np.max(traj.lam_peak_D[1:] - caps)))
         cases += stream.T
-    return SuiteResult("covariance eigenvalue cap", cases, worst, 1e-9)
+    return SuiteResult("covariance eigenvalue cap", cases, worst, harness.EIG_TOL)
 
 
 def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -182,7 +182,7 @@ def comparator_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
         rhs_p = oracle.cumloss_bound(best, closs_p, lp.b, lp.c, Y_p, quads[:n])
         worst = max(worst, L_p - rhs_p)
         cases += 1
-    return SuiteResult("comparator cumulative-loss bound", cases, worst, 1e-6)
+    return SuiteResult("comparator cumulative-loss bound", cases, worst, harness.BOUND_TOL)
 
 
 def _tuned_worst(streams, regime: str) -> float:
@@ -199,7 +199,7 @@ def tuned_bound_suite(seeds=DESK_SEEDS) -> SuiteResult:
     low = [gen_stream(DatasetSpec(kind="A", T=DESK_T, d=DESK_D, seed=s)) for s in seeds]
     high = [gen_stream(DatasetSpec(seed=s, **HIGH_DRIFT_SPEC)) for s in seeds]
     worst = max(_tuned_worst(low, "low"), _tuned_worst(high, "high"))
-    return SuiteResult("drift-tuned closed-form bounds", 2 * len(seeds), worst, 1e-6)
+    return SuiteResult("drift-tuned closed-form bounds", 2 * len(seeds), worst, harness.BOUND_TOL)
 
 
 def hinf_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
@@ -209,7 +209,7 @@ def hinf_bound_suite(T=DESK_T, seeds=DESK_SEEDS) -> SuiteResult:
     checks = [b for r in harness.run_batch("hinf", [HINF_CERT] * len(streams), streams)
               for b in r.bound_checks]
     worst = max(b.lhs - b.rhs for b in checks)
-    return SuiteResult("robust-filter loss bounds", len(checks), worst, 1e-6)
+    return SuiteResult("robust-filter loss bounds", len(checks), worst, harness.BOUND_TOL)
 
 
 # (b, c) of the kernel suite's laser members and (a, b, c) of its hinf

@@ -146,19 +146,24 @@ def test_step_function_matches_batch_member_bit_for_bit(algo):
 OVERFLOW_AT_3 = LabeledStream(np.array([[1.0, 2.0], [-0.5, 1.0], [1e200, 2e200]]),
                               np.array([1.0, -1.0, 1.0]),
                               oracle.ComparatorSequence(np.zeros((3, 2))))
-OVERFLOW_PARAMS = {"laser": {"b": 1.0, "c": 10.0}, "aar": {"b": 1.0},
-                   "hinf": {"a": 2.0, "b": 1.0, "c": 10.0},
-                   "crrls": {"reset_period": 2, "b_reset": 1.0}}  # resets after round 2
+COV_OVERFLOW = r"x\^T P' x overflowed at round 3: inputs too large for the prior"
+NLMS_OVERFLOW = r"eps \+ \|x\|\^2 overflowed at round 3: inputs too large"
+# (params, the refusal's message) of each learner
+OVERFLOW_PARAMS = {"laser": ({"b": 1.0, "c": 10.0}, COV_OVERFLOW),
+                   "aar": ({"b": 1.0}, COV_OVERFLOW),
+                   "hinf": ({"a": 2.0, "b": 1.0, "c": 10.0}, COV_OVERFLOW),
+                   "nlms": ({"eta": 0.5}, NLMS_OVERFLOW),
+                   # resets after round 2
+                   "crrls": ({"reset_period": 2, "b_reset": 1.0}, COV_OVERFLOW)}
 
 
 @pytest.mark.parametrize("algo", OVERFLOW_PARAMS)
 def test_step_and_loop_refuse_an_overflow_at_the_same_later_round(algo):
-    params, stream = OVERFLOW_PARAMS[algo], OVERFLOW_AT_3
+    (params, match), stream = OVERFLOW_PARAMS[algo], OVERFLOW_AT_3
     good = replace(stream, xs=stream.xs[:2], ys=stream.ys[:2],
                    truth=oracle.ComparatorSequence(np.zeros((2, 2))))
     report, = harness.run_batch(algo, [params], [good])
     assert np.array_equal(step_predictions(algo, params, good), report.yhats)
-    match = r"x\^T P' x overflowed at round 3: inputs too large for the prior"
     with pytest.raises(BadStream, match=match):
         step_predictions(algo, params, stream)
     with pytest.raises(BadStream, match=match):

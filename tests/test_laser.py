@@ -221,21 +221,32 @@ def test_update_without_predict_recomputes_propagation():
 
 def _indefinite_start():
     """P = diag(1, -1e-3), a slightly negative eigenvalue in a direction the
-    input x = (1, 0) never touches, at c = 1e6: (P, xs, ys, inflation)."""
-    return np.diag([1.0, -1e-3])[None], np.array([[[1.0, 0.0]]]), np.ones((1, 1)), np.array([1e-6])
+    input x = (1, 0) never touches, at c = 1e6: (member, xs, ys). The member
+    is a laser-round one, drifting without spectra, so it is guarded."""
+    member = laser.CovMember(np.diag([1.0, -1e-3]), 1e-6, laser=laser.LaserParams(1.0, 1e6))
+    return member, np.array([[[1.0, 0.0]]]), np.ones((1, 1))
 
 
 def test_cov_rounds_guard_catches_lost_definiteness():
-    P, xs, ys, inflation = _indefinite_start()
+    member, xs, ys = _indefinite_start()
     with pytest.raises(NotPositiveDefinite, match="at round 1"):
-        laser.cov_rounds(P, xs, ys, inflation, guard=np.array([True]))
+        laser.cov_rounds([member], xs, ys)
+
+
+def test_cov_rounds_derives_the_guard_from_the_record():
+    # the same start as a stationary laser member: it is not guarded, and
+    # its untouched negative direction raises nothing
+    member, xs, ys = _indefinite_start()
+    _, (traj,) = laser.cov_rounds([member._replace(inflation=0.0, laser=laser.LaserParams(1.0))],
+                                  xs, ys)
+    assert traj.state.cov[1, 1] == -1e-3 and traj.yhats[0] == 0.0
 
 
 def test_cov_rounds_spectra_check_the_start():
     # P's own lambda_min, before round 1 moves it to -1e-3 + 1e-6
-    P, xs, ys, inflation = _indefinite_start()
+    member, xs, ys = _indefinite_start()
     with pytest.raises(NotPositiveDefinite, match="lambda_min = -1.000e-03"):
-        laser.cov_rounds(P, xs, ys, inflation, spectra=True)
+        laser.cov_rounds([member._replace(spectra=True)], xs, ys)
 
 
 def _same(a, b):
@@ -250,41 +261,41 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
     # (weight a - 1, gain a, kept weights), CR-RLS rows with a reset,
     # stationary rows on an all-zero stream, one of them from a P whose
     # diagonal holds a -0.0 that adding a zero inflation would turn into
-    # 0.0, and a laser and an AAR row that switch to square-root form; each
-    # row must equal its own call
+    # 0.0, and a laser and an AAR row that switch to square-root form, at
+    # rounds 0 and 3; each row must equal its own call
     T, d = 40, 3
     s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=2))
     big, zero, I = s.xs * 1e6, np.zeros((T, d)), np.eye(d)
-    rows = [  # (xs, ys, start P, cov_rounds entries other than the defaults)
-        (s.xs, s.ys, 0.99 * I, {"inflation": 0.01, "spectra": True}),
-        (s.xs, s.ys, 9.0 * I, {"inflation": 0.1, "weight": 1.0, "gain": 2.0, "keep_w": True}),
-        (s.xs, s.ys, 10.0 * I, {"reset": 7}),
-        (zero, zero[:, 0], np.diag([1.0, -0.0, 1.0]), {}),
-        (s.xs, s.ys, 1.9 * I, {"inflation": 0.5, "spectra": True}),
-        (big, s.ys * 1e6, (1.0 - 1e-12) * I, {"inflation": 1e-12, "spectra": True, "switch": 0}),
-        (s.xs, s.ys, 0.5 * I, {"inflation": 1 / 50, "weight": 7.0, "gain": 8.0, "keep_w": True}),
-        (big, s.ys * 1e6, I, {"switch": 3}),
-        (zero, zero[:, 0], 2.0 * I, {"reset": 5}),
+    late = (np.concatenate((s.xs[:3], big[3:])), np.concatenate((s.ys[:3], s.ys[3:] * 1e6)))
+    rows = [  # (xs, ys, member)
+        (s.xs, s.ys, laser.CovMember(0.99 * I, 0.01, spectra=True)),
+        (s.xs, s.ys, laser.CovMember(9.0 * I, 0.1, 1.0, 2.0, keep_w=True)),
+        (s.xs, s.ys, laser.CovMember(10.0 * I, reset=7)),
+        (zero, zero[:, 0], laser.CovMember(np.diag([1.0, -0.0, 1.0]))),
+        (s.xs, s.ys, laser.CovMember(1.9 * I, 0.5, spectra=True)),
+        (big, s.ys * 1e6, laser.CovMember((1.0 - 1e-12) * I, 1e-12, spectra=True,
+                                          laser=laser.LaserParams(1.0, 1e12))),
+        (s.xs, s.ys, laser.CovMember(0.5 * I, 1 / 50, 7.0, 8.0, keep_w=True)),
+        (*late, laser.CovMember(I, laser=laser.LaserParams(1.0))),  # b = 1, c = inf: AAR
+        (zero, zero[:, 0], laser.CovMember(2.0 * I, reset=5)),
     ]
-    defaults = {"inflation": 0.0, "weight": 1.0, "gain": 1.0, "reset": T + 1, "keep_w": False,
-                "spectra": False, "switch": T}
+    assert [laser._switch_round(rows[i][2].laser, np.maximum.accumulate(np.vecdot(x, x)))
+            for i, x in ((5, big), (7, late[0]))] == [0, 3]
 
     def call(members):
-        kw = {k: np.array([m[3].get(k, v) for m in members]) for k, v in defaults.items()}
-        kw = {k: v for k, v in kw.items() if (v != defaults[k]).any()}
-        return laser.cov_rounds(np.array([m[2] for m in members]),
+        return laser.cov_rounds([m[2] for m in members],
                                 np.stack([m[0] for m in members], axis=1),
-                                np.stack([m[1] for m in members], axis=1), **kw)
+                                np.stack([m[1] for m in members], axis=1))[0]
 
     mixed = call(rows)
     assert mixed.final[5][2] is not None and mixed.final[7][2] is not None
-    column = np.cumsum([m[3].get("spectra", False) for m in rows]) - 1
+    column = np.cumsum([m[2].spectra for m in rows]) - 1
     for i, member in enumerate(rows):
         alone = call([member])
         assert _same(mixed.xw[i], alone.xw[0]) and _same(mixed.q[i], alone.q[0])
-        if member[3].get("keep_w"):
+        if member[2].keep_w:
             assert _same(mixed.ws[i], alone.ws[0])
-        if member[3].get("spectra"):
+        if member[2].spectra:
             assert _same(mixed.spectra[:, :, column[i]], alone.spectra[:, :, 0])
         for got, want in zip(mixed.final[i], alone.final[0]):
             assert (got is None) == (want is None)
@@ -302,7 +313,7 @@ SQRT_PARAMS = laser.LaserParams(b=0.05, c=math.inf)
 def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
     s = SQRT_DESK
     member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
-    run, _ = laser.member_rounds([member], s.xs[:, None], s.ys[:, None])
+    run, _ = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
     assert run.final[0][2] is not None
     state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
     for x, y in zip(s.xs, s.ys):
@@ -365,12 +376,14 @@ def test_lost_definiteness_reads_the_same_on_both_paths(monkeypatch):
     P[1, 3, 3], P[2, 5, 5] = -1e-3, -2e-2
     xs = np.zeros((1, 3, d))
     xs[..., 0] = 1.0
+    members = {"spectra": [laser.CovMember(A, 1e-6, spectra=True) for A in P],
+               "guard": [laser.CovMember(A, 1e-6, laser=laser.LaserParams(1.0, 1e6)) for A in P]}
     messages = {}
     for threshold in (d, d + 1):
         monkeypatch.setattr(laser, "MEMBERWISE_D", threshold)
-        for key, kw in (("spectra", {"spectra": True}), ("guard", {"guard": np.ones(3, bool)})):
+        for key, batch in members.items():
             with pytest.raises(NotPositiveDefinite) as exc:
-                laser.cov_rounds(P, xs, np.ones((1, 3)), np.full(3, 1e-6), **kw)
+                laser.cov_rounds(batch, xs, np.ones((1, 3)))
             messages[threshold, key] = str(exc.value)
     assert messages[d, "spectra"] == messages[d + 1, "spectra"] == (
         "state lost definiteness at round 0: lambda_min = -2.000e-02")
@@ -412,39 +425,45 @@ def test_block_size_moves_no_output(d, monkeypatch):
     # spectra rows, a guarded row, hinf and CR-RLS rows (one with a reset,
     # kept weights) and square-root members with spectra, one from round 0
     # and one from round 3: every output and the eigvalsh calls must not
-    # depend on how many rounds a block holds
+    # depend on how many rounds a block holds. The last member's laser
+    # params (c = 1e12, not 1/inflation) only put its switch at round 3,
+    # the first of its rows scaled by 1e6.
     T = 40
     s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=6))
     big, I = s.xs * 1e6, np.eye(d)
-    rows = [  # (xs, ys, start P, inflation, weight, gain, reset, keep_w, spectra, guard, switch)
-        (s.xs, s.ys, 0.99 * I, 0.01, 1.0, 1.0, T + 1, False, True, False, T),
-        (s.xs, s.ys, 1.9 * I, 0.5, 1.0, 1.0, T + 1, False, True, False, T),
-        (s.xs, s.ys, 0.9 * I, 0.1, 1.0, 1.0, T + 1, False, False, True, T),
-        (s.xs, s.ys, 9.0 * I, 0.1, 1.0, 2.0, T + 1, True, False, False, T),
-        (s.xs, s.ys, 10.0 * I, 0.0, 1.0, 1.0, 7, True, False, False, T),
-        (big, s.ys * 1e6, (1.0 - 1e-12) * I, 1e-12, 1.0, 1.0, T + 1, False, True, False, 0),
-        (big, s.ys * 1e6, 0.99 * I, 0.01, 1.0, 1.0, T + 1, False, True, False, 3),
+    late = (np.concatenate((s.xs[:3], big[3:])), np.concatenate((s.ys[:3], s.ys[3:] * 1e6)))
+    switching = laser.LaserParams(1.0, 1e12)
+    rows = [  # (xs, ys, member); the third is guarded
+        (s.xs, s.ys, laser.CovMember(0.99 * I, 0.01, spectra=True)),
+        (s.xs, s.ys, laser.CovMember(1.9 * I, 0.5, spectra=True)),
+        (s.xs, s.ys, laser.CovMember(0.9 * I, 0.1, laser=laser.LaserParams(1.0, 10.0))),
+        (s.xs, s.ys, laser.CovMember(9.0 * I, 0.1, 1.0, 2.0, keep_w=True)),
+        (s.xs, s.ys, laser.CovMember(10.0 * I, reset=7, keep_w=True)),
+        (big, s.ys * 1e6,
+         laser.CovMember((1.0 - 1e-12) * I, 1e-12, spectra=True, laser=switching)),
+        (*late, laser.CovMember(0.99 * I, 0.01, spectra=True, laser=switching)),
     ]
-    P = np.stack([m[2] for m in rows])
+    members = [m[2] for m in rows]
     xs, ys = (np.stack([m[k] for m in rows], axis=1) for k in (0, 1))
-    entries = dict(zip(("inflation", "weight", "gain", "reset", "keep_w", "spectra", "guard",
-                        "switch"), (np.array([m[k] for m in rows]) for k in range(3, 11))))
+    assert [laser._switch_round(switching, np.maximum.accumulate(np.vecdot(x, x)))
+            for x in (big, late[0])] == [0, 3]
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
-    certified = sum(m[8] or m[9] for m in rows)
+    certified = sum(m.spectra or m.laser is not None for m in members)
     runs = {}
     for name, budget in _block_budgets(certified * d * d * 8).items():
         monkeypatch.setattr(laser, "BLOCK_BYTES", budget)
         calls.clear()
-        runs[name] = laser.cov_rounds(P, xs, ys, **entries), len(calls)
+        runs[name] = laser.cov_rounds(members, xs, ys)[0], len(calls)
     (want, want_calls), = [runs.pop("one round")]
     assert want.final[5][2] is not None and want.final[6][2] is not None and want_calls > 0
+    keep_w = [m.keep_w for m in members]
     for got, got_calls in runs.values():
         assert got_calls == want_calls
         for name in ("xw", "q", "spectra"):
             assert _same(getattr(got, name), getattr(want, name))
-        assert _same(got.ws[entries["keep_w"]], want.ws[entries["keep_w"]])
+        assert _same(got.ws[keep_w], want.ws[keep_w])
         for g, w in ((g, w) for member in zip(got.final, want.final) for g, w in zip(*member)):
             assert (g is None) == (w is None)
             if g is not None:
@@ -453,29 +472,30 @@ def test_block_size_moves_no_output(d, monkeypatch):
 
 
 def _falling_start(T=10):
-    """A guarded member on an all-zero stream from P = 1.125 I at inflation
-    -1/4, so P_t = (1.125 - t/4) I exactly, indefinite from round 5 on:
-    (P, xs, ys, inflation)."""
-    return 1.125 * np.eye(2)[None], np.zeros((T, 1, 2)), np.zeros((T, 1)), np.array([-0.25])
+    """A member on an all-zero stream from P = 1.125 I at inflation -1/4, so
+    P_t = (1.125 - t/4) I exactly, indefinite from round 5 on: (member, xs,
+    ys). Its laser params, of a finite c, make it a guarded laser member."""
+    member = laser.CovMember(1.125 * np.eye(2), -0.25, laser=laser.LaserParams(1.0, 4.0))
+    return member, np.zeros((T, 1, 2)), np.zeros((T, 1))
 
 
 @pytest.mark.parametrize("block", ["one round", "three rounds", "whole stream"])
 def test_lost_definiteness_in_a_later_block_names_its_round(block, monkeypatch):
     # three-round blocks hold rounds 1-3 and 4-6: round 5 fails in the second
-    P, xs, ys, inflation = _falling_start()
-    monkeypatch.setattr(laser, "BLOCK_BYTES", _block_budgets(P[0].nbytes)[block])
+    member, xs, ys = _falling_start()
+    monkeypatch.setattr(laser, "BLOCK_BYTES", _block_budgets(member.P.nbytes)[block])
     with pytest.raises(NotPositiveDefinite,
                        match="state lost definiteness at round 5: lambda_min = -1.250e-01"):
-        laser.cov_rounds(P, xs, ys, inflation, guard=True)
+        laser.cov_rounds([member], xs, ys)
 
 
 def test_lost_definiteness_wins_over_a_later_overflow(monkeypatch):
     # round 7 overflows x^T P' x while round 5 still waits in the block: the
     # earlier round's error is the one raised
-    P, xs, ys, inflation = _falling_start()
+    member, xs, ys = _falling_start()
     xs[6, 0, 0] = 1e200
     monkeypatch.setattr(laser, "BLOCK_BYTES", 2**62)
     with pytest.raises(NotPositiveDefinite, match="at round 5:"):
-        laser.cov_rounds(P, xs, ys, inflation, guard=True)
+        laser.cov_rounds([member], xs, ys)
     with pytest.raises(BadStream, match="overflowed at round 7"):
-        laser.cov_rounds(P, xs, ys, inflation)
+        laser.cov_rounds([member._replace(laser=None)], xs, ys)

@@ -81,13 +81,20 @@ def _strict_constant(name: str):
     raise ConfigError(f"bad grid JSON: {name} is not JSON; write it as a string, such as \"inf\"")
 
 
+def _finite_float(text: str) -> float:
+    if math.isfinite(value := float(text)):
+        return value
+    raise ConfigError(f"bad grid JSON: {text} overflows; write it as a string, such as \"inf\"")
+
+
 def _load_grid(text: str) -> dict:
     """The grid, as strict JSON: the sweep JSON echoes its values."""
+    strict = {"parse_constant": _strict_constant, "parse_float": _finite_float}
     try:
         if text.startswith("@"):
             with open(text[1:], encoding="utf-8") as fh:
-                return json.load(fh, parse_constant=_strict_constant)
-        return json.loads(text, parse_constant=_strict_constant)
+                return json.load(fh, **strict)
+        return json.loads(text, **strict)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad grid JSON: {exc}") from exc
 
@@ -214,9 +221,9 @@ def _cmd_sweep(args) -> int:
                    for p, loss in result.evaluated],
         "skipped": [{"params": p, "reason": r} for p, r in result.skipped],
     }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # before --out opens
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     for p, reason in result.skipped:
         print(f"skipped {p}: {reason}", file=sys.stderr)
     return 0

@@ -176,7 +176,7 @@ def gen_truth(spec: DatasetSpec) -> ComparatorSequence:
         angles, pair = spec.omega * np.arange(1, T + 1), 0
     else:
         angles = np.cumsum(1.0 / np.arange(1, T + 1))  # adds in order, as a running sum
-        segment = np.arange(T) // spec.switch_period
+        segment = np.arange(T) // min(spec.switch_period, T)  # one segment from T on
         pair = (segment % spec.n_pairs if spec.wrap_pairs
                 else np.minimum(segment, spec.n_pairs - 1))
     rows = np.arange(T)

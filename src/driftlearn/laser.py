@@ -61,9 +61,9 @@ hinf and CR-RLS members differ only in their `CovMember` records (start
 P, inflation, weight, gain, reset, spectra, kept weights, and a laser
 member's LaserParams), which are all that `cov_rounds` takes, so one call
 runs any mix of them; it derives each laser member's guard and switch
-round from its record. Members stay on (S, d, d) and (S, d) arrays until
-their inputs move them to square-root form, and then take their rounds
-on LAPACK calls of their own.
+round from its record. Every member has a row of the (S, d, d) and (S, d)
+arrays for all T rounds; one that its inputs move to square-root form
+keeps its row, frozen, and takes its rounds on LAPACK calls of its own.
 
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
@@ -367,46 +367,33 @@ class CovRun(NamedTuple):
                                  # of the K members with spectra, in member order
 
 
-def _slots(mask, ids, slot):
-    """(held rows, their slot[member]) of the held members, ids, that mask
-    selects: slices if that is every member, Nones if it is none."""
-    rows = np.flatnonzero(mask[ids])
-    if len(rows) == len(mask):
-        return slice(None), slice(None)
-    return (rows, slot[ids[rows]]) if len(rows) else (None, None)
-
-
 def _certify(rounds, spec=None, xsq=None, rate=None, ub=None):
-    """Certify a block of cov_rounds's held rounds, a list of (t, Pc, cdst,
-    Pg, roots): P_t of the held members with spectra (to columns cdst of
-    spec) and of the guarded ones, and (column, R_t) of the square-root
-    members with spectra. One _factor call factors every P_t of the block,
-    one _trace_logdet call gives Tr D and ln det D of those with spectra,
-    and the lambda_max screen runs over the rounds in order, updating the
-    bound ub in place. spec is None when only guarding."""
-    held = [(t, Pc) for t, Pc, _, _, _ in rounds if Pc is not None]
-    guarded = [(t, Pg) for t, _, _, Pg, _ in rounds if Pg is not None]
-    if held or guarded:
-        L = _factor(held + guarded)
+    """Certify a block of cov_rounds's rounds, a list of (t, Pc, Pg, roots):
+    P_t of the K members with spectra, in column order, and of the guarded
+    ones, and (column, R_t) of the square-root members with spectra, which
+    keep their rows of Pc, frozen, and whose R_t replace them. One _factor
+    call factors every P_t of the block, one _trace_logdet call gives Tr D
+    and ln det D of those with spectra, and the lambda_max screen runs over
+    the rounds in order, updating the bound ub in place. spec is None when
+    only guarding."""
+    if not rounds:
+        return
+    L = _factor([(t, Pc) for t, Pc, _, _ in rounds if Pc is not None]
+                + [(t, Pg) for t, _, Pg, _ in rounds if Pg is not None])
     if spec is None:
         return
-    if held:
-        trs, lds = _trace_logdet(L[:sum(len(Pc) for _, Pc in held)])
-    at = 0
-    for t, Pc, cdst, _, roots in rounds:
+    t0, n, K = rounds[0][0], len(rounds), spec.shape[2]
+    trs, lds = _trace_logdet(L[:n * K])
+    spec[t0:t0 + n, 0], spec[t0:t0 + n, 2] = trs.reshape(n, K), lds.reshape(n, K)
+    for t, Pc, _, roots in rounds:
         tr, lam, ld = spec[t]
-        if Pc is not None:
-            tr[cdst], ld[cdst] = trs[at:at + len(Pc)], lds[at:at + len(Pc)]
-            at += len(Pc)
         for c, R in roots:
             tr[c], ld[c] = _sqrt_trace_logdet(R)
         np.minimum(tr, ub / (1.0 + ub * rate) + xsq[t - 1], out=ub)
         peak = spec[t - 1, 1] if t > 1 else -math.inf  # the peak so far: none before round 1
         need = ub * (1.0 + PEAK_MARGIN) > peak
-        if Pc is not None:
-            exact = need[cdst]
-            if exact.any():
-                ub[np.arange(len(ub))[cdst][exact]] = _lam_max(Pc[exact])
+        if need.any():
+            ub[need] = _lam_max(Pc[need])
         for c, R in roots:
             if need[c]:
                 ub[c] = _lam_max(R=R)
@@ -442,9 +429,9 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     w = 0, over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and
     ys[:, i] (a broadcast view when all read one stream): (the CovRun, a
     LaserTrajectory per laser-round member and None per other). A field every
-    member leaves at its default costs nothing, and entries shrink with the
-    members held in the stacked arrays, so a member's arithmetic does not
-    depend on its batch. keep_w keeps the post-update weights.
+    member leaves at its default costs nothing, and no op on the stacked
+    arrays mixes their rows, so a member's arithmetic does not depend on its
+    batch. keep_w keeps the post-update weights.
 
     spectra records, before round 1 and after each round, Tr D and ln det D
     of D = P^{-1}, from the Cholesky factor of P, and the peak of
@@ -462,10 +449,11 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     Memory is O(S (T + d^2)) plus about BLOCK_BYTES, and O(T d) per keep_w
     member.
 
-    A laser-round member leaves the stacked arrays for square-root
-    information form at the first round where _switches holds, and runs its
-    later rounds alone. A member with spectra or laser must have weight and
-    gain 1 and no reset: that form and the screen's map are the laser round's.
+    A laser-round member moves to square-root information form at the first
+    round where _switches holds and keeps its row, frozen: the row reads x = 0
+    from then on, and the member's own rounds replace what it writes. A
+    member with spectra or laser must have weight and gain 1 and no reset:
+    that form and the screen's map are the laser round's.
     """
     T, S, d = xs.shape
     xsq = np.vecdot(xs, xs)  # (T, S) |x_t|^2, for the switch rounds and the screen
@@ -477,21 +465,23 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     guard = np.array([m.laser is not None and not (m.spectra or m.laser.stationary)
                       for m in members])
     lz = [i for i, m in enumerate(members) if m.laser is not None]
-    switch, peaks = np.full(S, T), np.maximum.accumulate(xsq, axis=0)
-    switch[lz] = [_switch_round(members[i].laser, peaks[:, i]) for i in lz]
+    peaks, moves = np.maximum.accumulate(xsq, axis=0), {}  # round -> the members switching at it
+    for i in lz:
+        moves.setdefault(_switch_round(members[i].laser, peaks[:, i]), []).append(i)
     inflation = drift[:, None] if drift.any() else None
-    drifts = True if drift.all() else (drift != 0)[:, None]  # where held rows add inflation
+    drifts = True if drift.all() else (drift != 0)[:, None]  # where rows add inflation
     root = 1.0 if weight is None else np.sqrt(weight)
     P = P0 = np.stack([m.P for m in members])
-    w, ids = np.zeros((S, d)), np.arange(S)  # ids: the held members
-    moves = {0, *switch[switch < T].tolist()}
+    w, frozen = np.zeros((S, d)), np.zeros((S, 1), dtype=bool)  # frozen: the switched rows
     xws, qs = np.empty((S, T)), np.empty((S, T))
     ws = np.empty((S, T, d)) if keep_w.any() else None
     col, K = np.cumsum(spectra) - 1, int(spectra.sum())  # member -> column of the spectra
+    # rows of the members with spectra, of the guarded ones and of the keep_w ones
+    cid, gid, kid = (slice(None) if m.all() else np.flatnonzero(m) if m.any() else None
+                     for m in (spectra, guard, keep_w))
     spec = np.empty((T + 1, 3, K)) if K else None
     screen, rounds = (), []  # the rest of _certify's arguments; the open block's rounds
     if K:
-        cid = slice(None) if K == S else np.flatnonzero(spectra)
         spec[0, 0], spec[0, 2] = _trace_logdet(_factor([(0, P[cid])]))
         spec[0, 1] = _lam_max(P[cid])
         screen = (spec, xsq[:, cid], drift[cid], spec[0, 1].copy())
@@ -501,45 +491,35 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     try:
         for t in range(T):
             x, y = xs[t], ys[t]
-            if t in moves:  # and round 0, which places the held rows
-                keep = switch[ids] != t
-                for j in np.flatnonzero(~keep):
-                    roots[int(ids[j])] = _to_sqrt_info(P[j], w[j])
-                P, w, P0, inflation, drifts, weight, gain, root, reset, ids = (
-                    a[keep] if isinstance(a, np.ndarray) else a
-                    for a in (P, w, P0, inflation, drifts, weight, gain, root, reset, ids))
-                rows = ids if roots else slice(None)  # the members held in the stacked arrays
-                (gsrc, _), (ksrc, kdst), (csrc, cdst) = (
-                    _slots(m, ids, slot) for m, slot in ((guard, col), (keep_w, np.arange(S)),
-                                                         (spectra, col)))
-            if roots:
-                for i, r in roots.items():
-                    lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
-                    roots[i] = r = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None,
-                                         t + 1)[0]
-                    if keep_w[i]:
-                        ws[i, t] = linalg.tri_solve(*r)
-                x, y = x[rows], y[rows]
-            Px, q, xw = _innovate(P, w, x, inflation, t + 1, drifts)
-            P, w, _, _ = _fold(P, w, x, y, Px, q, xw, inflation, t + 1, weight, gain, root,
+            for i in moves.get(t, ()):
+                roots[i], frozen[i] = _to_sqrt_info(P[i], w[i]), True
+            # a frozen row reads x = 0: its round leaves w, adds I/c to P and has s = 1,
+            # and the square-root rounds below replace everything of it that is read
+            x0 = np.where(frozen, 0.0, x) if roots else x
+            Px, q, xw = _innovate(P, w, x0, inflation, t + 1, drifts)
+            P, w, _, _ = _fold(P, w, x0, y, Px, q, xw, inflation, t + 1, weight, gain, root,
                                drifts)
-            xws[rows, t], qs[rows, t] = xw, q
+            xws[:, t], qs[:, t] = xw, q
             if t + 1 in resets:
                 due = (t + 1) % reset == 0
                 P[due] = P0[due]
-            if ksrc is not None:
-                ws[kdst, t] = w[ksrc]
-            if K or gsrc is not None:
-                rounds.append((t + 1, None if csrc is None else P[csrc], cdst,
-                               None if gsrc is None else P[gsrc],
+            if kid is not None:
+                ws[kid, t] = w[kid]
+            for i, r in roots.items():
+                lead, qs[i, t], xws[i, t] = _innovate(r, None, x[i], drift[i], t + 1)
+                roots[i] = r = _fold(r, None, x[i], y[i], lead, qs[i, t], xws[i, t], None,
+                                     t + 1)[0]
+                if keep_w[i]:
+                    ws[i, t] = linalg.tri_solve(*r)
+            if K or gid is not None:
+                rounds.append((t + 1, P[cid] if K else None, None if gid is None else P[gid],
                                [(col[i], r.R) for i, r in roots.items() if spectra[i]]))
                 if len(rounds) == size:
                     block, rounds = rounds, []
                     _certify(block, *screen)
     finally:
         _certify(rounds, *screen)
-    held = zip(P, w)
-    final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (*next(held), None)
+    final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (P[i], w[i], None)
              for i in range(S)]
     run, out = CovRun(xws, qs, final, ws, spec), [None] * S
     if not lz:
@@ -672,8 +652,8 @@ def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTraje
     """Run S members of the learner, params[i] for member i, under the
     online protocol in one cov_rounds call; one LaserTrajectory per
     member, in order. xs is (T, S, d) and ys (T, S), as in cov_rounds. One
-    whose inputs move it to square-root information form leaves the stacked
-    arrays at that round. Each drifting covariance-form member's P (with
+    whose inputs move it to square-root information form keeps its row,
+    frozen, from that round on. Each drifting covariance-form member's P (with
     spectra, every one's) is checked positive definite after every round by
     the stacked Cholesky factorization, per block of rounds, that also gives
     the spectra.

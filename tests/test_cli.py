@@ -514,6 +514,9 @@ BAD_INPUTS = {
     **{f"sweep-grid-{name}": ["sweep", "--algo", "laser", "--grid",
                               f'{{"b": [1], "c": [{name}]}}']
        for name in ("Infinity", "NaN")},
+    # a number that overflows a double reads as inf unless refused
+    "sweep-grid-overflowing-number": ["sweep", "--algo", "laser", "--grid",
+                                      '{"b": [1], "c": [1e400]}'],
     "aar-stream-no-inputs": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/no-inputs.csv",
                              "--out-prefix", "TMP/r"],
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
@@ -574,6 +577,7 @@ BAD_INPUT_REASONS = {
                                   "diverged",
     **{f"sweep-grid-{name}": f"bad grid JSON: {name} is not JSON"
        for name in ("Infinity", "NaN")},
+    "sweep-grid-overflowing-number": "bad grid JSON: 1e400 overflows; write it as a string",
     "verify-lemma6-trials": "suite 'lemma6' does not read trials",
     **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},

@@ -82,6 +82,15 @@ def test_switching_truth_freeze_variant():
     assert np.all(truth.us[250:300, :8] == 0.0)
 
 
+def test_switch_period_beyond_a_c_long_is_one_segment():
+    # a period of T or more leaves the target in the first pair, whatever its size
+    for kind in "BD":
+        spec = DatasetSpec(kind=kind, T=20, d=4, seed=1, switch_period=20)
+        want, got = gen_stream(spec), gen_stream(replace(spec, switch_period=2**70))
+        assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
+        assert np.array_equal(got.truth.us, want.truth.us)
+
+
 def test_switching_angle_advances_at_inverse_rate():
     # the step loop as a reference: theta += 1/t, then the pair of the step's
     # segment, cycled or frozen on the last; the array form equals it bit for bit

@@ -261,12 +261,18 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
     # (weight a - 1, gain a, kept weights), CR-RLS rows with a reset,
     # stationary rows on an all-zero stream, one of them from a P whose
     # diagonal holds a -0.0 that adding a zero inflation would turn into
-    # 0.0, and a laser and an AAR row that switch to square-root form, at
-    # rounds 0 and 3; each row must equal its own call
+    # 0.0, and rows that switch to square-root form and keep their rows,
+    # frozen: a certified laser row at round 0, an AAR row at round 3, a
+    # guarded laser row at round 5 and a laser row with kept weights at round
+    # 8; each row must equal its own call
     T, d = 40, 3
     s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=2))
     big, zero, I = s.xs * 1e6, np.zeros((T, d)), np.eye(d)
-    late = (np.concatenate((s.xs[:3], big[3:])), np.concatenate((s.ys[:3], s.ys[3:] * 1e6)))
+
+    def late(k):  # the stream, scaled by 1e6 from round k on
+        return np.concatenate((s.xs[:k], big[k:])), np.concatenate((s.ys[:k], s.ys[k:] * 1e6))
+
+    drifting = laser.LaserParams(1.0, 1e12)
     rows = [  # (xs, ys, member)
         (s.xs, s.ys, laser.CovMember(0.99 * I, 0.01, spectra=True)),
         (s.xs, s.ys, laser.CovMember(9.0 * I, 0.1, 1.0, 2.0, keep_w=True)),
@@ -276,11 +282,14 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
         (big, s.ys * 1e6, laser.CovMember((1.0 - 1e-12) * I, 1e-12, spectra=True,
                                           laser=laser.LaserParams(1.0, 1e12))),
         (s.xs, s.ys, laser.CovMember(0.5 * I, 1 / 50, 7.0, 8.0, keep_w=True)),
-        (*late, laser.CovMember(I, laser=laser.LaserParams(1.0))),  # b = 1, c = inf: AAR
+        (*late(3), laser.CovMember(I, laser=laser.LaserParams(1.0))),  # b = 1, c = inf: AAR
         (zero, zero[:, 0], laser.CovMember(2.0 * I, reset=5)),
+        (*late(5), laser.laser_member(drifting, d)),  # guarded: drifts, no spectra
+        (*late(8), laser.laser_member(drifting, d)._replace(keep_w=True)),
     ]
     assert [laser._switch_round(rows[i][2].laser, np.maximum.accumulate(np.vecdot(x, x)))
-            for i, x in ((5, big), (7, late[0]))] == [0, 3]
+            for i, x in ((5, big), (7, late(3)[0]), (9, late(5)[0]), (10, late(8)[0]))] \
+        == [0, 3, 5, 8]
 
     def call(members):
         return laser.cov_rounds([m[2] for m in members],
@@ -288,7 +297,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
                                 np.stack([m[1] for m in members], axis=1))[0]
 
     mixed = call(rows)
-    assert mixed.final[5][2] is not None and mixed.final[7][2] is not None
+    assert all(mixed.final[i][2] is not None for i in (5, 7, 9, 10))
     column = np.cumsum([m[2].spectra for m in rows]) - 1
     for i, member in enumerate(rows):
         alone = call([member])

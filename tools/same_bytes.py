@@ -95,6 +95,21 @@ COMMANDS = [
     ("sweep-duplicate-grid-points", ["sweep", "--algo", "nlms", "--grid",
                                      '{"eta": [0.5, 0.5, "0.5"]}', "--kind", "C", "--T", "200",
                                      "--d", "4", "--out", "best.json"]),
+    # members that move to square-root form at different rounds of one call: AAR
+    # at rounds 0 and 163 and never; certified laser members at 163, 33, 65 and 26
+    ("sweep-aar-staggered-switch", ["sweep", "--algo", "aar", "--grid",
+                                    '{"b": [0.001, 0.1, 1]}', "--kind", "C", "--T", "300",
+                                    "--d", "4", "--out", "best.json"]),
+    ("run-laser-staggered-switch", ["run", "--algo", "laser", "--b", "0.1", "--c", "1e12",
+                                    "--kind", "C", "--T", "300", "--d", "4", "--seeds", "4"]),
+    # a number that overflows to inf is refused like Infinity: exit 2
+    ("sweep-grid-overflowing-number", ["sweep", "--algo", "laser", "--grid",
+                                       '{"b": [1], "c": [1e400]}', "--kind", "C", "--T", "20",
+                                       "--d", "4", "--out", "best.json"]),
+    # a period of 2^63 or more cuts the stream into one segment, as any period >= T
+    ("gen-B-huge-switch-period", ["gen", "--kind", "B", "--T", "20", "--d", "4",
+                                  "--switch-period", "9223372036854775808", "--out",
+                                  "stream.csv"]),
     # the comparator's squared residual overflows on this stream: exit 2
     ("data-comparator-overflow", ["run", "--algo", "laser", "--b", "1", "--c", "10",
                                   "--data", "stream.csv"]),

@@ -8,7 +8,6 @@ every recursion and regret bound the learners rely on.
 """
 
 from .baselines import (
-    CrRlsState,
     NlmsState,
     aar_init,
     aar_step,
@@ -38,8 +37,9 @@ from .harness import (
     run_learner,
     sweep,
 )
-from .hinf import HInfParams, HInfState, hinf_filter_loss, hinf_init, hinf_step
+from .hinf import HInfParams, hinf_filter_loss, hinf_init, hinf_step
 from .laser import (
+    CovState,
     LaserParams,
     LaserState,
     laser_init,

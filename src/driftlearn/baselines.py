@@ -17,9 +17,10 @@ artifact-defined:
             and P resets to b_reset^{-1} I every N steps.
 
 CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
-the reset: `crrls_step` makes one-member calls of `laser._innovate` and
-`laser._fold`, the stages of `laser.cov_rounds`, in which `harness` runs
-S members as `laser.CovMember` records. The NLMS round, its overflow
+the reset: `crrls_init` writes it once, as a `laser.CovMember` record of
+start P and reset period, in a `laser.CovState`; `crrls_step` is
+`laser.cov_step` on that state, and `harness` runs the same record as a
+member of `laser.cov_rounds`. The NLMS round, its overflow
 check included, is written once over leading member axes, for `nlms_step`
 and for `nlms_trajectories`, its S-member loop.
 """
@@ -101,39 +102,19 @@ def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     return yhats
 
 
-@dataclass
-class CrRlsState:
-    w: np.ndarray
-    P: np.ndarray
-    reset_period: int
-    t: int
-    b_reset: float
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-
-def crrls_init(d: int, reset_period: int, b_reset: float) -> CrRlsState:
+def crrls_init(d: int, reset_period: int, b_reset: float) -> laser.CovState:
+    """The record of the round at c = inf, unshrunk, from P = b_reset^{-1} I,
+    to which P resets whenever the step count hits a multiple of the period."""
     if not reset_period >= 1:
         raise InvalidParams(f"reset_period must be >= 1, got {reset_period}")
     if not (0 < b_reset < math.inf and math.isfinite(1.0 / b_reset)):
         raise InvalidParams(f"b_reset must be positive and finite with a finite reciprocal, "
                             f"got {b_reset}")
-    return CrRlsState(
-        w=np.zeros(d), P=np.eye(d) / b_reset, reset_period=reset_period, t=0, b_reset=b_reset
-    )
+    P = np.eye(d) / b_reset
+    return laser.CovState(laser.CovMember(P, reset=reset_period), np.zeros(d), P, 0)
 
 
-def crrls_step(state: CrRlsState, x, y: float) -> tuple[float, CrRlsState]:
-    """RLS step with the pre-update P used for nothing but its own update;
-    the covariance resets to b_reset^{-1} I whenever the new step count
-    hits a multiple of the reset period."""
-    x = linalg.as_vector(x, state.dim)
-    t = state.t + 1
-    with np.errstate(over="ignore"):  # an overflowing x^T P x is inf, which _innovate reports
-        Px, q, xw = laser._innovate(state.P, state.w, x, None, t)
-    P, w, _, _ = laser._fold(state.P, state.w, x, y, Px, q, xw, None, t)
-    if t % state.reset_period == 0:
-        P = np.eye(state.dim) / state.b_reset
-    return float(xw), replace(state, w=w, P=P, t=t)
+def crrls_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:
+    """RLS step with the pre-update P used for nothing but its own update,
+    then the record's reset."""
+    return laser.cov_step(state, x, y)

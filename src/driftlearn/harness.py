@@ -165,15 +165,12 @@ def _member(algo_id: str, params: dict, stream: LabeledStream, certify: bool = T
     p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
     if algo_id == "aar":  # the laser round at c = inf; it certifies no bounds
         return algo_id, params, laser.laser_member(laser.LaserParams(b=p["b"]), d), None
-    if algo_id == "hinf":  # the round with weight a - 1 and gain a, unshrunk
-        state = hinf.hinf_init(hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"]), d)
-        a = state.params.a
-        return algo_id, params, laser.CovMember(state.P_tilde, 1.0 / state.params.c, a - 1.0, a,
-                                                keep_w=certify), state.params
+    if algo_id == "hinf":
+        hp = hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"])
+        return algo_id, params, hinf.hinf_init(hp, d).member._replace(keep_w=certify), hp
     if algo_id == "nlms":
         return algo_id, params, baselines.nlms_init(d, p["eta"], p["eps"]), None
-    state = baselines.crrls_init(d, p["reset_period"], p["b_reset"])  # c = inf, unshrunk
-    return algo_id, params, laser.CovMember(state.P, reset=state.reset_period), None
+    return algo_id, params, baselines.crrls_init(d, p["reset_period"], p["b_reset"]).member, None
 
 
 def _batch_inputs(streams: list[LabeledStream]):
@@ -475,7 +472,7 @@ def _grid_candidates(grid: dict) -> list[dict]:
 
     def sort_key(v):
         if isinstance(v, (int, float)):  # bool included
-            return (0, float(v))
+            return (0, v)
         return (1, str(v))
 
     combos = itertools.product(*[sorted(grid[k], key=sort_key) for k in keys])

@@ -13,11 +13,12 @@ zero, which is what lets the filter track a moving target.
 A round is the covariance-form round of `laser` with downdate weight
 a - 1, gain a and no last-step shrinkage, O(d^2) with no factorization:
 with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T / s
-and a Ptilde_t x = a P'x / s. The state holds Ptilde_t = P_t - c^{-1} I,
-from (b^{-1} - c^{-1}) I (negative when b > c), and derives P_t.
-`hinf_step` makes one-member calls of `laser._innovate` and `laser._fold`, the
-stages of `laser.cov_rounds`, in which `harness` runs S members, each a
-`laser.CovMember` record of that weight and gain.
+and a Ptilde_t x = a P'x / s. `hinf_init` writes that round once, as a
+`laser.CovMember` record: start Ptilde_0 = (b^{-1} - c^{-1}) I (negative
+when b > c), inflation c^{-1}, weight a - 1 and gain a. Its state is a
+`laser.CovState`, whose cov holds Ptilde_t = P_t - c^{-1} I and whose P
+derives P_t; `hinf_step` is `laser.cov_step` on it, and `harness` runs the
+same record as a member of `laser.cov_rounds`.
 `oracle.hinf_direct` transcribes the recursion above as the reference.
 
 The filtering guarantee bounds the error of the post-update weights
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import laser, linalg
+from . import laser
 from .errors import InvalidParams, LengthMismatch
 from .oracle import ComparatorSequence, drift_term
 
@@ -54,40 +55,18 @@ class HInfParams:
             raise InvalidParams(f"b must be finite, got {self.b}")
 
 
-@dataclass
-class HInfState:
-    """The filter after t rounds: w_t and Ptilde_t = P_t - c^{-1} I."""
-
-    params: HInfParams
-    w: np.ndarray
-    P_tilde: np.ndarray
-    t: int
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.P_tilde + np.eye(self.dim) / self.params.c
-
-
-def hinf_init(params: HInfParams, d: int) -> HInfState:
-    """w = 0, P = b^{-1} I."""
+def hinf_init(params: HInfParams, d: int) -> laser.CovState:
+    """w = 0, P = b^{-1} I: the record of the round from Ptilde_0 = (b^{-1} -
+    c^{-1}) I, with inflation c^{-1}, weight a - 1 and gain a."""
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
-    return HInfState(params, np.zeros(d), (1.0 / params.b - 1.0 / params.c) * np.eye(d), 0)
+    a, Pt = params.a, (1.0 / params.b - 1.0 / params.c) * np.eye(d)
+    return laser.CovState(laser.CovMember(Pt, 1.0 / params.c, a - 1.0, a), np.zeros(d), Pt, 0)
 
 
-def hinf_step(state: HInfState, x, y: float) -> tuple[float, HInfState]:
+def hinf_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:
     """One round: returns (yhat, new state). yhat uses the pre-update w."""
-    x = linalg.as_vector(x, state.dim)
-    a, inflation = state.params.a, 1.0 / state.params.c or None
-    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _innovate reports
-        Px, q, xw = laser._innovate(state.P_tilde, state.w, x, inflation, state.t + 1)
-    P, w, _, _ = laser._fold(state.P_tilde, state.w, x, y, Px, q, xw, inflation, state.t + 1,
-                             a - 1.0, a, math.sqrt(a - 1.0))
-    return float(xw), HInfState(state.params, w, P, state.t + 1)
+    return laser.cov_step(state, x, y)
 
 
 def hinf_filter_loss(post_update_ws, xs, comparator: ComparatorSequence) -> float:

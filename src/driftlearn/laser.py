@@ -55,9 +55,9 @@ one square-root member): `_innovate` (P'x or the drift update, q, x . w
 and the overflow check) and `_fold` (s = 1 + weight q, err =
 gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
 members (grid points, streams, or both, sharing T and d), calls them, and
-every single-state step makes one-member calls of them (see `hinf`,
-`baselines`); `_switches` holds the switch rule for both. Laser, AAR,
-hinf and CR-RLS members differ only in their `CovMember` records (start
+so does every single-state step: `cov_step` runs hinf's and CR-RLS's
+`CovState`, and `_switches` holds the laser switch rule for both. Laser,
+AAR, hinf and CR-RLS members differ only in their `CovMember` records (start
 P, inflation, weight, gain, reset, spectra, kept weights, and a laser
 member's LaserParams), which are all that `cov_rounds` takes, so one call
 runs any mix of them; it derives each laser member's guard and switch
@@ -423,6 +423,26 @@ def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMembe
     return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
 
 
+@dataclass(slots=True)
+class CovState:
+    """A single-state learner (hinf, CR-RLS) after t rounds: its record, w,
+    and cov, its row in cov_rounds, from (and reset to) the record's P
+    array. P = cov + inflation I is the next round's P'."""
+
+    member: CovMember
+    w: np.ndarray
+    cov: np.ndarray
+    t: int
+
+    @property
+    def dim(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.cov + self.member.inflation * np.eye(self.dim)
+
+
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
 def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     """Run S members of the covariance-form round, each from its start P and
@@ -595,6 +615,21 @@ def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) 
     if step is None:
         step = _step_innovation(state, linalg.as_vector(x, state.dim))
     return _step_fold(state, y, step)
+
+
+def cov_step(state: CovState, x, y: float) -> tuple[float, CovState]:
+    """One round of the state's record, its reset included, as cov_rounds runs
+    it for a covariance-form member: (x . w before the round, the new state).
+    A laser record's switch and shrinkage do not apply: it steps by laser_update."""
+    m, t, x = state.member, state.t + 1, linalg.as_vector(x, state.dim)
+    inflation = m.inflation or None
+    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _innovate reports
+        lead, q, xw = _innovate(state.cov, state.w, x, inflation, t)
+    cov, w, _, _ = _fold(state.cov, state.w, x, y, lead, q, xw, inflation, t, m.weight, m.gain,
+                         math.sqrt(m.weight))
+    if m.reset and t % m.reset == 0:
+        cov = m.P
+    return float(xw), CovState(m, w, cov, t)
 
 
 def laser_min_cost(state: LaserState) -> float:

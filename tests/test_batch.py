@@ -142,6 +142,32 @@ def test_step_function_matches_batch_member_bit_for_bit(algo):
         assert np.array_equal(step_predictions(algo, params, stream), report.yhats), params
 
 
+def assert_same_record(got, want):
+    """Equal CovMember records: every field, the P arrays by value."""
+    assert got._fields == want._fields
+    for name, a, b in zip(got._fields, got, want):
+        assert (np.array_equal(a, b) if name == "P" else a == b), name
+
+
+def test_step_loop_runs_the_record_the_single_state_init_builds():
+    for params, stream in MEMBERS["hinf"]:
+        state = hinf.hinf_init(hinf.HInfParams(**params), D)
+        assert_same_record(harness._member("hinf", params, stream)[2],
+                           state.member._replace(keep_w=True))
+    for params, stream in MEMBERS["crrls"]:
+        assert_same_record(harness._member("crrls", params, stream)[2],
+                           baselines.crrls_init(D, **params).member)
+    # a reset returns the state to the record's start, which no round has written into
+    state = baselines.crrls_init(D, reset_period=7, b_reset=0.1)
+    start = state.member.P.copy()
+    for x, y in zip(STREAM_C.xs[:6], STREAM_C.ys):
+        _, state = baselines.crrls_step(state, x, y)
+    assert not np.array_equal(state.P, start)
+    _, state = baselines.crrls_step(state, STREAM_C.xs[6], STREAM_C.ys[6])
+    assert state.t == 7 and np.array_equal(state.P, start)
+    assert np.array_equal(state.member.P, start)
+
+
 # two good rounds, then an input whose x^T P' x overflows (|x|^2 ~ 5e400)
 OVERFLOW_AT_3 = LabeledStream(np.array([[1.0, 2.0], [-0.5, 1.0], [1e200, 2e200]]),
                               np.array([1.0, -1.0, 1.0]),

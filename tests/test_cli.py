@@ -442,6 +442,8 @@ BAD_INPUTS = {
                         "--data", "TMP/not-utf8-stream.csv", "--out-prefix", "TMP/r"],
     "report-not-utf8": ["report", "--inputs", "TMP/not-utf8-report.csv", "--out", "TMP/s.csv"],
     "config-not-utf8": ["--config", "TMP/not-utf8-config.json", "gen", "--out", "TMP/x.csv"],
+    "config-not-an-object": ["--config", "TMP/list-config.json", "gen", "--out", "TMP/x.csv"],
+    "config-missing": ["--config", "TMP/missing.json", "gen", "--out", "TMP/x.csv"],
     "sweep-grid-not-utf8": ["sweep", "--algo", "laser", "--grid", "@TMP/not-utf8-grid.json"],
     "sweep-grid-list": ["sweep", "--algo", "laser", "--grid", "[1]"],
     "sweep-grid-bad-json": ["sweep", "--algo", "laser", "--grid", '{"b": [1]'],
@@ -451,6 +453,7 @@ BAD_INPUTS = {
                                 '{"reset_period": [2.5], "b_reset": [1]}'],
     "report-on-stream-csv": ["report", "--inputs", "TMP/stream.csv", "--out", "TMP/s.csv"],
     "report-non-numeric": ["report", "--inputs", "TMP/bad_report.csv", "--out", "TMP/s.csv"],
+    "report-step-gap": ["report", "--inputs", "TMP/gap_report.csv", "--out", "TMP/s.csv"],
     "verify-trials-0": ["verify", "--trials", "0"],
     "verify-trials-negative": ["verify", "--trials", "-1"],
     "verify-lemma6-trials": ["verify", "--suite", "lemma6", "--trials", "1"],
@@ -471,6 +474,8 @@ BAD_INPUTS = {
                    "--out-prefix", "TMP/r"],
     "crrls-b-reset-inf": ["run", "--algo", "crrls", "--reset-period", "3", "--b-reset", "inf",
                           "--out-prefix", "TMP/r"],
+    "aar-missing-b": ["run", "--algo", "aar", "--kind", "C", "--T", "20", "--d", "4",
+                      "--out-prefix", "TMP/r"],
     "hinf-weak-prior": ["run", "--algo", "hinf", "--a", "2", "--b", "1e-150", "--c", "1",
                         "--kind", "D", "--T", "30", "--d", "4", "--out-prefix", "TMP/r"],
     "tuned-regime-with-b": ["run", "--algo", "laser", "--tuned-regime", "low",
@@ -499,7 +504,7 @@ BAD_INPUTS = {
     **{f"stream-{name}": ["run", "--algo", "laser", "--b", "1", "--c", "10",
                           "--data", f"TMP/{name}.csv", "--out-prefix", "TMP/r"]
        for name in ("ragged", "non-numeric", "nan", "bad-header", "one-underscore-zero",
-                    "no-inputs", "huge-label")},
+                    "no-inputs", "huge-label", "short-header")},
     # finite labels whose losses overflow from round 2 on
     **{f"{algo}-overflowing-loss": ["run", "--algo", algo, *flags, "--data", "TMP/huge-loss.csv",
                                     "--out-prefix", "TMP/r"]
@@ -517,6 +522,9 @@ BAD_INPUTS = {
     # a number that overflows a double reads as inf unless refused
     "sweep-grid-overflowing-number": ["sweep", "--algo", "laser", "--grid",
                                       '{"b": [1], "c": [1e400]}'],
+    # an integer too large for a double: sorting the grid must not convert it
+    "sweep-grid-huge-integer": ["sweep", "--algo", "laser", "--grid",
+                                '{"b": [1], "c": [1%s]}' % ("0" * 400)],
     "aar-stream-no-inputs": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/no-inputs.csv",
                              "--out-prefix", "TMP/r"],
     **{f"run-data-with-{case}": ["run", "--algo", "aar", "--b", "1", "--data", "TMP/stream.csv",
@@ -546,6 +554,7 @@ BAD_STREAMS = {
     "huge-label": "t,x_1,x_2,y,u_1,u_2\n1,1,2,1e300,0,0\n",
     "huge-loss": "t,x_1,y,u_1\n1,1,1.3e154,0\n2,1,-1.3e154,0\n3,1,1.3e154,0\n",
     "huge-comparator-loss": "t,x_1,y,u_1\n1,1,9e153,-9e153\n",
+    "short-header": "t,x_1,x_2,y,u_1\n1,1,2,1,0\n",
 }
 # files with one 0xff byte, which is not UTF-8, for the *-not-utf8 cases
 NOT_UTF8 = {
@@ -578,6 +587,11 @@ BAD_INPUT_REASONS = {
     **{f"sweep-grid-{name}": f"bad grid JSON: {name} is not JSON"
        for name in ("Infinity", "NaN")},
     "sweep-grid-overflowing-number": "bad grid JSON: 1e400 overflows; write it as a string",
+    "sweep-grid-huge-integer": "parameter 'c': int too large to convert to float)",
+    "aar-missing-b": "missing parameter(s): ['b']",
+    "report-step-gap": "run 'laser' has gaps in its step index",
+    "config-not-an-object": "list-config.json must hold a JSON object of flag defaults",
+    "config-missing": "missing.json: [Errno 2] No such file or directory",
     "verify-lemma6-trials": "suite 'lemma6' does not read trials",
     **{f"verify-{suite}-seed": f"suite '{suite}' does not read seed"
        for suite in ("lemma5", "lemma7", "bounds", "kernel")},
@@ -603,6 +617,7 @@ BAD_INPUT_REASONS = {
     "stream-nan": "non-finite values",
     "stream-bad-header": "not a stream CSV: bad header",
     "stream-one-underscore-zero": "non-numeric field: could not convert string '1_0'",
+    "stream-short-header": "header implies d=2 but has 5 columns",
     **{case: "stream CSV has no input columns"
        for case in ("stream-no-inputs", "aar-stream-no-inputs")},
     "stream-huge-label": "stream overflows: max y^2, max |u_t|^2 or the drift V is not finite",
@@ -628,6 +643,10 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     (tmp_path / "bad_report.csv").write_text(
         "algo,seed,t,yhat,y,loss,cumloss\nlaser,0,1,x,1,1,1\n"
     )
+    (tmp_path / "gap_report.csv").write_text(
+        "algo,seed,t,yhat,y,loss,cumloss\nlaser,0,1,0,1,1,1\nlaser,0,3,0,1,1,2\n"
+    )
+    (tmp_path / "list-config.json").write_text("[1]")
     (tmp_path / "huge.csv").write_text(
         "t,x_1,x_2,y,u_1,u_2\n1,1e200,2e200,1,0,0\n2,-1e200,3e200,1,0,0\n"
     )

@@ -233,6 +233,24 @@ def test_sweep_runs_points_equal_once_converted_once():
     assert result.evaluated == alone.evaluated
 
 
+def test_sweep_skips_an_integer_too_large_for_a_double():
+    # the grid sorts without converting its values; the conversion refuses this one
+    dataset = DatasetSpec(kind="C", T=20, d=4, seed=0)
+    huge = 10**400
+    result = harness.sweep(harness.SweepSpec("laser", {"b": [1], "c": [huge, 100]}, 0), dataset)
+    assert [params for params, _ in result.evaluated] == [{"b": 1, "c": 100}]
+    assert result.skipped == [({"b": 1, "c": huge},
+                               "parameter 'c': int too large to convert to float")]
+
+
+def test_run_batch_refuses_mismatched_streams_and_parameter_sets():
+    short, long = (gen_stream(DatasetSpec(kind="A", T=T, d=4, seed=0)) for T in (20, 30))
+    with pytest.raises(LengthMismatch, match="the streams of one batch must share T and d"):
+        harness.run_batch("aar", [{"b": 1.0}] * 2, [short, long])
+    with pytest.raises(LengthMismatch, match="1 parameter sets for 2 streams"):
+        harness.run_batch("aar", [{"b": 1.0}], [short, short])
+
+
 def test_sweep_all_invalid_raises():
     dataset = DatasetSpec(kind="A", T=10, d=4, seed=0)
     spec = harness.SweepSpec(algo_id="laser", grid={"b": [5.0], "c": [1.0]}, tuning_seed=0)

@@ -106,6 +106,10 @@ COMMANDS = [
     ("sweep-grid-overflowing-number", ["sweep", "--algo", "laser", "--grid",
                                        '{"b": [1], "c": [1e400]}', "--kind", "C", "--T", "20",
                                        "--d", "4", "--out", "best.json"]),
+    # an integer too large for a double is refused as a grid value: exit 2
+    ("sweep-grid-huge-integer", ["sweep", "--algo", "laser", "--grid",
+                                 '{"b": [1], "c": [1%s]}' % ("0" * 400), "--kind", "C",
+                                 "--T", "20", "--d", "4", "--out", "best.json"]),
     # a period of 2^63 or more cuts the stream into one segment, as any period >= T
     ("gen-B-huge-switch-period", ["gen", "--kind", "B", "--T", "20", "--d", "4",
                                   "--switch-period", "9223372036854775808", "--out",
@@ -116,6 +120,8 @@ COMMANDS = [
     ("report", ["report", "--inputs", "../run-laser-d4-A/run_report.csv",
                 "../run-laser-d4-D/run_report.csv", "--out", "summary.csv",
                 "--plot", "curves.gp"]),
+    # a run whose step index jumps from 1 to 3: exit 2
+    ("report-step-gap", ["report", "--inputs", "gap.csv", "--out", "summary.csv"]),
     ("verify-all", ["verify", "--suite", "all"]),
     ("verify-oracle", ["verify", "--suite", "oracle", "--trials", "50", "--seed", "3"]),
     ("verify-lemma3", ["verify", "--suite", "lemma3", "--trials", "50", "--seed", "3"]),
@@ -136,7 +142,9 @@ COMMANDS = [
 ]
 
 # files written into a command's directory before it runs
-FILES = {"data-comparator-overflow": {"stream.csv": "t,x_1,y,u_1\n1,1,9e153,-9e153\n"}}
+FILES = {"data-comparator-overflow": {"stream.csv": "t,x_1,y,u_1\n1,1,9e153,-9e153\n"},
+         "report-step-gap": {"gap.csv": "algo,seed,t,yhat,y,loss,cumloss\n"
+                                        "laser,0,1,0,1,1,1\nlaser,0,3,0,1,1,2\n"}}
 
 
 def _env() -> dict:

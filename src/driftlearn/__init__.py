@@ -41,7 +41,6 @@ from .hinf import HInfParams, hinf_filter_loss, hinf_init, hinf_step
 from .laser import (
     CovState,
     LaserParams,
-    LaserState,
     laser_init,
     laser_min_cost,
     laser_predict,

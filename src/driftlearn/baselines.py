@@ -3,9 +3,9 @@
 AAR is the stationary limit of the drift-aware learner: with
 A_t = b I + sum x_s x_s^T and r_t = sum y_s x_s it predicts with the new
 input already folded in, yhat = x^T (A + x x^T)^{-1} r. That is exactly
-LASER at c = inf, so an AAR state is a `LaserState` (A = state.D) and
-`aar_step` runs the laser step's stages itself, not `laser_predict` and
-`laser_update`.
+LASER at c = inf, so an AAR state is the `laser.CovState` of the laser
+record at c = inf (A = state.D) and `aar_step` runs the laser step's
+stages itself, not `laser_predict` and `laser_update`.
 
 NLMS and CR-RLS use their canonical textbook updates; only their names
 and roles are fixed by the comparison, so the exact forms below are
@@ -18,7 +18,8 @@ artifact-defined:
 
 CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
 the reset: `crrls_init` writes it once, as a `laser.CovMember` record of
-start P and reset period, in a `laser.CovState`; `crrls_step` is
+start P and reset period (an integer, which `as_integer` checks here and
+for `harness`), in a `laser.CovState`; `crrls_step` is
 `laser.cov_step` on that state, and `harness` runs the same record as a
 member of `laser.cov_rounds`. The NLMS round, its overflow
 check included, is written once over leading member axes, for `nlms_step`
@@ -34,12 +35,12 @@ from . import laser, linalg
 from .errors import BadStream, InvalidParams
 
 
-def aar_init(b: float, d: int) -> laser.LaserState:
+def aar_init(b: float, d: int) -> laser.CovState:
     """Forward ridge with prior b I: the laser state at c = inf."""
     return laser.laser_init(laser.LaserParams(b=b, c=math.inf), d)
 
 
-def aar_step(state: laser.LaserState, x, y: float) -> tuple[float, laser.LaserState]:
+def aar_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:
     """Forward ridge prediction, then fold (x, y) into the statistics."""
     step = laser._step_innovation(state, linalg.as_vector(x, state.dim))
     return float(step.xw / (1.0 + step.q)), laser._step_fold(state, y, step)
@@ -58,6 +59,8 @@ class NlmsState:
 
 
 def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
+    if d < 1:
+        raise InvalidParams(f"d must be >= 1, got {d}")
     if not 0 < eta < math.inf:
         raise InvalidParams(f"eta must be positive and finite, got {eta}")
     if not 0 <= eps < math.inf:
@@ -102,16 +105,25 @@ def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     return yhats
 
 
+def as_integer(value) -> int:
+    """An integral value, not a bool, as an int, else InvalidParams; int()
+    would truncate 2.5 to 2."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise InvalidParams(f"expected an integer, got {value!r}")
+    return int(float(value))
+
+
 def crrls_init(d: int, reset_period: int, b_reset: float) -> laser.CovState:
     """The record of the round at c = inf, unshrunk, from P = b_reset^{-1} I,
-    to which P resets whenever the step count hits a multiple of the period."""
-    if not reset_period >= 1:
+    to which P resets whenever the step count hits a multiple of the period,
+    an integer >= 1."""
+    period = as_integer(reset_period)
+    if not period >= 1:
         raise InvalidParams(f"reset_period must be >= 1, got {reset_period}")
     if not (0 < b_reset < math.inf and math.isfinite(1.0 / b_reset)):
         raise InvalidParams(f"b_reset must be positive and finite with a finite reciprocal, "
                             f"got {b_reset}")
-    P = np.eye(d) / b_reset
-    return laser.CovState(laser.CovMember(P, reset=reset_period), np.zeros(d), P, 0)
+    return laser.cov_init(1.0 / b_reset, d, reset=period)
 
 
 def crrls_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:

@@ -30,13 +30,6 @@ def _optional_float(value):
     return None if value is None else float(value)
 
 
-def _integer(value) -> int:
-    """An integral value as an int; int() would truncate 2.5 to 2."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(float(value))
-
-
 # The one list of each learner's parameters: name -> (conversion, default).
 # run_learner rejects names not listed here and values their conversion
 # refuses, and needs each parameter whose default is REQUIRED; laser needs
@@ -52,7 +45,7 @@ LEARNER_PARAMS = {
     },
     "aar": {"b": (float, REQUIRED)},
     "nlms": {"eta": (float, REQUIRED), "eps": (float, 0.0)},
-    "crrls": {"reset_period": (_integer, REQUIRED), "b_reset": (float, REQUIRED)},
+    "crrls": {"reset_period": (baselines.as_integer, REQUIRED), "b_reset": (float, REQUIRED)},
     "hinf": {"a": (float, REQUIRED), "b": (float, REQUIRED), "c": (float, REQUIRED)},
 }
 ALGO_IDS = tuple(LEARNER_PARAMS)

@@ -16,8 +16,9 @@ with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T 
 and a Ptilde_t x = a P'x / s. `hinf_init` writes that round once, as a
 `laser.CovMember` record: start Ptilde_0 = (b^{-1} - c^{-1}) I (negative
 when b > c), inflation c^{-1}, weight a - 1 and gain a. Its state is a
-`laser.CovState`, whose cov holds Ptilde_t = P_t - c^{-1} I and whose P
-derives P_t; `hinf_step` is `laser.cov_step` on it, and `harness` runs the
+`laser.CovState`, the state of every covariance-family learner, whose cov
+holds Ptilde_t = P_t - c^{-1} I and whose P derives P_t (a laser state's P
+is its cov); `hinf_step` is `laser.cov_step` on it, and `harness` runs the
 same record as a member of `laser.cov_rounds`.
 `oracle.hinf_direct` transcribes the recursion above as the reference.
 
@@ -58,10 +59,8 @@ class HInfParams:
 def hinf_init(params: HInfParams, d: int) -> laser.CovState:
     """w = 0, P = b^{-1} I: the record of the round from Ptilde_0 = (b^{-1} -
     c^{-1}) I, with inflation c^{-1}, weight a - 1 and gain a."""
-    if d < 1:
-        raise InvalidParams(f"d must be >= 1, got {d}")
-    a, Pt = params.a, (1.0 / params.b - 1.0 / params.c) * np.eye(d)
-    return laser.CovState(laser.CovMember(Pt, 1.0 / params.c, a - 1.0, a), np.zeros(d), Pt, 0)
+    return laser.cov_init(1.0 / params.b - 1.0 / params.c, d, inflation=1.0 / params.c,
+                          weight=params.a - 1.0, gain=params.a)
 
 
 def hinf_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:

@@ -55,8 +55,10 @@ one square-root member): `_innovate` (P'x or the drift update, q, x . w
 and the overflow check) and `_fold` (s = 1 + weight q, err =
 gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
 members (grid points, streams, or both, sharing T and d), calls them, and
-so does every single-state step: `cov_step` runs hinf's and CR-RLS's
-`CovState`, and `_switches` holds the laser switch rule for both. Laser,
+so does the one single-state round, `_step_innovation` then `_step_fold`
+on a `CovState`, the one state of every learner here: `cov_step` runs it,
+`laser_predict` and `laser_update` add the shrinkage and clip, and
+`_switches` holds the laser switch rule for both. Laser,
 AAR, hinf and CR-RLS members differ only in their `CovMember` records (start
 P, inflation, weight, gain, reset, spectra, kept weights, and a laser
 member's LaserParams), which are all that `cov_rounds` takes, so one call
@@ -145,59 +147,11 @@ class SqrtInformation(NamedTuple):
     z: np.ndarray
 
 
-@dataclass(slots=True)
-class LaserState:
-    """The learner after t observed rounds.
-
-    w = D_t^{-1} e_t in both forms. In covariance form cov holds
-    P = D_t^{-1} and sqrt_info is None; in square-root information form cov
-    is None and sqrt_info holds (R, z). min_cost is the minimum of the
-    tracking cost over the observed prefix; max_xsq is the largest |x|^2
-    seen. last_x_quad records the most recent x_t^T D_t^{-1} x_t for bound
-    diagnostics. P, D, e and f are derived for tests and diagnostics and
-    cost a factorization or a solve per access.
-    """
-
-    params: LaserParams
-    w: np.ndarray
-    cov: np.ndarray | None
-    sqrt_info: SqrtInformation | None
-    max_xsq: float
-    min_cost: float
-    t: int
-    last_x_quad: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def P(self) -> np.ndarray:
-        if self.cov is not None:
-            return self.cov
-        U = linalg.tri_solve(self.sqrt_info.R, np.eye(self.dim))  # R^{-1}
-        return U @ U.T
-
-    @property
-    def D(self) -> np.ndarray:
-        R = (self.sqrt_info or _to_sqrt_info(self.cov, self.w)).R
-        return R.T @ R
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.D @ self.w
-
-    @property
-    def f(self) -> float:
-        """f_t = min cost + e_t^T D_t^{-1} e_t."""
-        return self.min_cost + float(self.e @ self.w)
-
-
 class LaserStep(NamedTuple):
-    """What laser_predict computed for one input, reused by laser_update."""
+    """What _step_innovation computed for one input, reused by _step_fold."""
 
     x: np.ndarray         # the validated input
-    max_xsq: float        # max |x|^2 including this input
+    max_xsq: float        # max |x|^2 including this input (a laser record's)
     form: object          # the state's P, or its (R, z) once it has switched
     lead: object          # what _innovate returned for _fold: P'x, or (R', z')
     q: float              # x^T P' x, with P' = P + I/c; s = 1 + q
@@ -214,13 +168,6 @@ def _p0(params: LaserParams) -> float:
     if params.stationary:
         return 1.0 / params.b
     return (params.c - params.b) / (params.b * params.c)
-
-
-def laser_init(params: LaserParams, d: int) -> LaserState:
-    """Fresh state: P = (1/b - 1/c) I (I/b when c is infinite), w = 0."""
-    if d < 1:
-        raise InvalidParams(f"d must be >= 1, got {d}")
-    return LaserState(params, np.zeros(d), _p0(params) * np.eye(d), None, 0.0, 0.0, 0)
 
 
 # -- the square-root information form, for one member ----------------------------
@@ -360,8 +307,7 @@ class CovRun(NamedTuple):
 
     xw: np.ndarray               # (S, T): x_t . w_{t-1}
     q: np.ndarray                # (S, T): x_t^T P' x_t, unweighted
-    final: list                  # per member after the last round: (P, w, None)
-                                 # in covariance form, else (None, w, (R, z))
+    final: list                  # per member, its CovState after the last round
     ws: np.ndarray | None        # (S, T, d) post-update weights of the keep_w members
     spectra: np.ndarray | None   # (T + 1, 3, K) (Tr D, peak lambda_max D, ln det D)
                                  # of the K members with spectra, in member order
@@ -418,21 +364,25 @@ class CovMember(NamedTuple):
     laser: LaserParams | None = None
 
 
-def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
-    """The laser round from laser_init's P."""
-    return CovMember(_p0(params) * np.eye(d), params.inflation, spectra=spectra, laser=params)
-
-
 @dataclass(slots=True)
 class CovState:
-    """A single-state learner (hinf, CR-RLS) after t rounds: its record, w,
-    and cov, its row in cov_rounds, from (and reset to) the record's P
-    array. P = cov + inflation I is the next round's P'."""
+    """A covariance-family learner after t rounds: its record, w, and cov,
+    its row in cov_rounds, from (and reset to) the record's P array, or None
+    once a laser record has moved to square-root form, whose (R, z)
+    sqrt_info holds. Only a laser record's state updates max_xsq (the
+    largest |x|^2 seen), min_cost (the minimum tracking cost of the prefix)
+    and last_x_quad (the latest x_t^T D_t^{-1} x_t). P is laser's and AAR's
+    D_t^{-1}, else cov + inflation I (the next P'); D = P^{-1}, e = D w, f,
+    and P in square-root form cost a factorization or a solve per access."""
 
     member: CovMember
     w: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray | None
     t: int
+    sqrt_info: SqrtInformation | None = None
+    max_xsq: float = 0.0
+    min_cost: float = 0.0
+    last_x_quad: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -440,7 +390,44 @@ class CovState:
 
     @property
     def P(self) -> np.ndarray:
-        return self.cov + self.member.inflation * np.eye(self.dim)
+        if self.sqrt_info is not None:
+            U = linalg.tri_solve(self.sqrt_info.R, np.eye(self.dim))  # R^{-1}
+            return U @ U.T
+        m = self.member  # laser and AAR: D_t^{-1}; the others: P'
+        return self.cov if m.laser else self.cov + m.inflation * np.eye(self.dim)
+
+    @property
+    def D(self) -> np.ndarray:
+        R = (self.sqrt_info or _to_sqrt_info(self.P, self.w)).R
+        return R.T @ R
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.D @ self.w
+
+    @property
+    def f(self) -> float:
+        """f_t = min cost + e_t^T D_t^{-1} e_t."""
+        return self.min_cost + float(self.e @ self.w)
+
+
+def cov_init(p0: float, d: int, **fields) -> CovState:
+    """The state before round 1 of the record that starts from P = p0 I,
+    d >= 1, with CovMember's other fields: w = 0, cov the record's P."""
+    if d < 1:
+        raise InvalidParams(f"d must be >= 1, got {d}")
+    P = p0 * np.eye(d)
+    return CovState(CovMember(P, **fields), np.zeros(d), P, 0)
+
+
+def laser_init(params: LaserParams, d: int) -> CovState:
+    """Fresh state: P = (1/b - 1/c) I (I/b when c is infinite), w = 0."""
+    return cov_init(_p0(params), d, inflation=params.inflation, laser=params)
+
+
+def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
+    """The laser round of laser_init's state."""
+    return laser_init(params, d).member._replace(spectra=spectra)
 
 
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
@@ -539,8 +526,8 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
                     _certify(block, *screen)
     finally:
         _certify(rounds, *screen)
-    final = [(None, linalg.tri_solve(*roots[i]), roots[i]) if i in roots else (P[i], w[i], None)
-             for i in range(S)]
+    final = [CovState(m, linalg.tri_solve(*roots[i]), None, T, roots[i]) if i in roots
+             else CovState(m, w[i], P[i], T) for i, m in enumerate(members)]
     run, out = CovRun(xws, qs, final, ws, spec), [None] * S
     if not lz:
         return run, out
@@ -554,9 +541,9 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
     max_xsq = np.max(xsq, axis=0, initial=0.0)
     for j, i in enumerate(lz):
-        cov, w, root = final[i]
-        state = LaserState(members[i].laser, w, cov, root, float(max_xsq[i]),
-                           float(min_cost[j]), T, float(quads[j, -1]) if T else 0.0)
+        state = final[i]
+        state.max_xsq, state.min_cost = float(max_xsq[i]), float(min_cost[j])
+        state.last_x_quad = float(quads[j, -1]) if T else 0.0
         extra = spec[:, :, col[i]].T if spectra[i] else ()
         out[i] = LaserTrajectory(yhats[j], quads[j], state, *extra)
     return run, out
@@ -573,27 +560,38 @@ def _switches(params: LaserParams, xsq: float, max_xsq: float) -> bool:
 
 
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
-def _step_innovation(state: LaserState, x: np.ndarray) -> LaserStep:
-    """The switch rule, then _innovate, for the validated input x."""
-    form, xsq = state.sqrt_info or state.cov, float(x @ x)
-    if state.sqrt_info is None and _switches(state.params, xsq, state.max_xsq):
-        form = _to_sqrt_info(state.cov, state.w)
-    return LaserStep(x, max(xsq, state.max_xsq), form,
-                     *_innovate(form, state.w, x, state.params.inflation or None, state.t + 1))
+def _step_innovation(state: CovState, x: np.ndarray) -> LaserStep:
+    """A laser record's switch rule, then _innovate, for the validated input x."""
+    m, form, max_xsq = state.member, state.sqrt_info or state.cov, state.max_xsq
+    if m.laser is not None:
+        xsq = float(x @ x)
+        if state.sqrt_info is None and _switches(m.laser, xsq, max_xsq):
+            form = _to_sqrt_info(state.cov, state.w)
+        max_xsq = max(xsq, max_xsq)
+    return LaserStep(x, max_xsq, form, *_innovate(form, state.w, x, m.inflation or None,
+                                                  state.t + 1))
 
 
-def _step_fold(state: LaserState, y: float, step: LaserStep) -> LaserState:
-    """The state after _fold commits step's round with label y."""
+def _step_fold(state: CovState, y: float, step: LaserStep) -> CovState:
+    """The state after _fold commits step's round with label y, with the
+    record's inflation, weight and gain, then its reset; a laser record's
+    statistics are updated too."""
     x, max_xsq, form, lead, q, xw = step
-    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, state.params.inflation or None,
-                            state.t + 1)
-    cov, root = (form, None) if w is not None else (None, form)
-    w = w if root is None else linalg.tri_solve(*root)
-    return LaserState(state.params, w, cov, root, max_xsq, float(state.min_cost + err * err / s),
-                      state.t + 1, float(q / s))
+    m, t = state.member, state.t + 1
+    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, m.inflation or None, t, m.weight,
+                            m.gain, math.sqrt(m.weight))
+    root = None
+    if w is None:  # square-root form
+        root, form, w = form, None, linalg.tri_solve(*form)
+    elif m.reset and t % m.reset == 0:
+        form = m.P
+    if m.laser is None:
+        return CovState(m, w, form, t)
+    return CovState(m, w, form, t, root, max_xsq, float(state.min_cost + err * err / s),
+                    float(q / s))
 
 
-def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
+def laser_predict(state: CovState, x) -> tuple[float, LaserStep]:
     """Last-step min-max prediction for input x.
 
     Returns (yhat, step); pass step to laser_update for this same x to
@@ -601,12 +599,12 @@ def laser_predict(state: LaserState, x) -> tuple[float, LaserStep]:
     """
     step = _step_innovation(state, linalg.as_vector(x, state.dim))
     yhat = float(step.xw / (1.0 + step.q))
-    if state.params.clip_bound is not None:
-        yhat = clip(yhat, state.params.clip_bound)
+    if state.member.laser.clip_bound is not None:
+        yhat = clip(yhat, state.member.laser.clip_bound)
     return yhat, step
 
 
-def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) -> LaserState:
+def laser_update(state: CovState, x, y: float, step: LaserStep | None = None) -> CovState:
     """Commit the round: fold (x, y) into the state.
 
     step, if given, must be the one laser_predict returned for this same
@@ -618,21 +616,13 @@ def laser_update(state: LaserState, x, y: float, step: LaserStep | None = None) 
 
 
 def cov_step(state: CovState, x, y: float) -> tuple[float, CovState]:
-    """One round of the state's record, its reset included, as cov_rounds runs
-    it for a covariance-form member: (x . w before the round, the new state).
-    A laser record's switch and shrinkage do not apply: it steps by laser_update."""
-    m, t, x = state.member, state.t + 1, linalg.as_vector(x, state.dim)
-    inflation = m.inflation or None
-    with np.errstate(over="ignore"):  # an overflowing x^T P' x is inf, which _innovate reports
-        lead, q, xw = _innovate(state.cov, state.w, x, inflation, t)
-    cov, w, _, _ = _fold(state.cov, state.w, x, y, lead, q, xw, inflation, t, m.weight, m.gain,
-                         math.sqrt(m.weight))
-    if m.reset and t % m.reset == 0:
-        cov = m.P
-    return float(xw), CovState(m, w, cov, t)
+    """One round of the state's record, as cov_rounds runs it: (x . w before
+    the round, the new state)."""
+    step = _step_innovation(state, linalg.as_vector(x, state.dim))
+    return float(step.xw), _step_fold(state, y, step)
 
 
-def laser_min_cost(state: LaserState) -> float:
+def laser_min_cost(state: CovState) -> float:
     """Minimum of the offline tracking cost over all comparator sequences
     for the observed prefix, f_t - e_t^T D_t^{-1} e_t, accumulated in
     innovation form.
@@ -644,12 +634,12 @@ def laser_min_cost(state: LaserState) -> float:
     return state.min_cost
 
 
-def logdet_D(state: LaserState) -> float:
+def logdet_D(state: CovState) -> float:
     """ln det D_t of the state, as cov_rounds computes it: -2 sum ln L_ii of
     the Cholesky factor L of P_t, or 2 sum ln |R_ii| in square-root form."""
     if state.sqrt_info is not None:
         return _sqrt_trace_logdet(state.sqrt_info.R)[1]
-    return float(_logdet(_factor([(state.t, state.cov[None])]))[0])
+    return float(_logdet(_factor([(state.t, state.P[None])]))[0])
 
 
 # -- whole streams ---------------------------------------------------------------
@@ -667,7 +657,7 @@ class LaserTrajectory:
 
     yhats: np.ndarray
     quads: np.ndarray
-    state: LaserState
+    state: CovState
     trace_D: np.ndarray | None = None
     lam_peak_D: np.ndarray | None = None
     logdet_D: np.ndarray | None = None

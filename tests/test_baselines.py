@@ -139,3 +139,27 @@ def test_crrls_validation():
         baselines.crrls_init(1, reset_period=0, b_reset=1.0)
     with pytest.raises(InvalidParams):
         baselines.crrls_init(1, reset_period=5, b_reset=0.0)
+    # a period that is not an integer: 2.5 would reset at t = 5 and 10, True every round
+    for period in (2.5, True, False, float("inf")):
+        with pytest.raises(InvalidParams, match="expected an integer"):
+            baselines.crrls_init(2, period, 1.0)
+    # an integral one is taken as an int
+    assert type(baselines.crrls_init(2, np.int64(3), 1.0).member.reset) is int
+    assert baselines.crrls_init(2, 3.0, 1.0).member.reset == 3
+
+
+# each init of dimension d, for the dimension refusal
+INITS = {
+    "laser": lambda d: laser.laser_init(laser.LaserParams(b=1.0, c=10.0), d),
+    "aar": lambda d: baselines.aar_init(1.0, d),
+    "hinf": lambda d: hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=1.0), d),
+    "crrls": lambda d: baselines.crrls_init(d, 3, 1.0),
+    "nlms": lambda d: baselines.nlms_init(d, eta=0.5),
+}
+
+
+@pytest.mark.parametrize("d", [0, -1, -2])
+@pytest.mark.parametrize("learner", INITS)
+def test_init_refuses_a_dimension_below_one(learner, d):
+    with pytest.raises(InvalidParams, match=f"d must be >= 1, got {d}"):
+        INITS[learner](d)

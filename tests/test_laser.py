@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftlearn import harness, laser, linalg, oracle
+from driftlearn import baselines, harness, hinf, laser, linalg, oracle
 from driftlearn.datagen import DatasetSpec, gen_stream
 from driftlearn.errors import BadStream, InvalidParams, NotPositiveDefinite
 
@@ -256,6 +256,22 @@ def _same(a, b):
                                                                           np.signbit(b))
 
 
+STATE_FIELDS = ("w", "cov", "sqrt_info", "t", "max_xsq", "min_cost", "last_x_quad")
+
+
+def _same_state(got, want):
+    """Equal CovStates: every field but the record bit for bit, cov and
+    sqrt_info None in both or in neither."""
+    for name in STATE_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        if g is None or w is None:
+            if g is not w:
+                return False
+        elif not (all(map(_same, g, w)) if isinstance(g, tuple) else _same(g, w)):
+            return False
+    return True
+
+
 def test_cov_rounds_mixed_rows_match_their_own_calls():
     # one call mixing every member kind: certified laser rows, hinf rows
     # (weight a - 1, gain a, kept weights), CR-RLS rows with a reset,
@@ -297,7 +313,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
                                 np.stack([m[1] for m in members], axis=1))[0]
 
     mixed = call(rows)
-    assert all(mixed.final[i][2] is not None for i in (5, 7, 9, 10))
+    assert all(mixed.final[i].sqrt_info is not None for i in (5, 7, 9, 10))
     column = np.cumsum([m[2].spectra for m in rows]) - 1
     for i, member in enumerate(rows):
         alone = call([member])
@@ -306,11 +322,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
             assert _same(mixed.ws[i], alone.ws[0])
         if member[2].spectra:
             assert _same(mixed.spectra[:, :, column[i]], alone.spectra[:, :, 0])
-        for got, want in zip(mixed.final[i], alone.final[0]):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert all(_same(g, w) for g, w in zip(got, want)) if isinstance(got, tuple) \
-                    else _same(got, want)
+        assert _same_state(mixed.final[i], alone.final[0])
 
 
 # b = 0.05 at c = inf moves this desk stream's state to square-root
@@ -323,12 +335,48 @@ def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
     s = SQRT_DESK
     member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
     run, _ = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
-    assert run.final[0][2] is not None
+    assert run.final[0].sqrt_info is not None
     state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
     for x, y in zip(s.xs, s.ys):
         state = laser.laser_update(state, x, y)
         ws.append(state.w)
     assert state.sqrt_info is not None and _same(run.ws[0], ws)
+
+
+def test_step_and_loop_reach_the_same_state():
+    # a laser member that moves to square-root form in its fourth round, an AAR
+    # member, a hinf member and a CR-RLS member that resets at rounds 7,
+    # 14, ...: each member's final state in one cov_rounds call is the state
+    # its own step function reaches from its init, field for field
+    s = SQRT_DESK
+    steps = [(laser.laser_init(SQRT_PARAMS, s.dim), laser.laser_update),
+             (baselines.aar_init(1.0, s.dim), lambda st, x, y: baselines.aar_step(st, x, y)[1]),
+             (hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=10.0), s.dim),
+              lambda st, x, y: hinf.hinf_step(st, x, y)[1]),
+             (baselines.crrls_init(s.dim, 7, 0.5),
+              lambda st, x, y: baselines.crrls_step(st, x, y)[1])]
+    run, _ = laser.cov_rounds([st.member for st, _ in steps],
+                              *(np.repeat(a[:, None], len(steps), axis=1) for a in (s.xs, s.ys)))
+    for (state, step), final in zip(steps, run.final):
+        for x, y in zip(s.xs, s.ys):
+            state = step(state, x, y)
+        assert final.member is state.member and _same_state(final, state)
+    assert run.final[0].sqrt_info is not None and run.final[0].min_cost > 0.0
+
+
+def test_cov_step_commits_a_laser_record_as_laser_update():
+    # through the switch to square-root form in the fourth round
+    s, state = SQRT_DESK, laser.laser_init(SQRT_PARAMS, SQRT_DESK.dim)
+    for t, (x, y) in enumerate(zip(s.xs[:10], s.ys), start=1):
+        xw, got = laser.cov_step(state, x, y)
+        want = laser.laser_update(state, x, y)
+        assert xw == laser.laser_predict(state, x)[1].xw and _same_state(got, want)
+        assert (got.sqrt_info is None) == (t < 4)
+        state = want
+    # cov_step returns x . w, unshrunk; a laser state's P is D_t^{-1}, not P + I/c
+    assert laser.laser_predict(state, s.xs[10])[0] != laser.cov_step(state, s.xs[10], 0.0)[0]
+    _, drifting = laser.cov_step(laser.laser_init(laser.LaserParams(1.0, 10.0), 2), [1.0, 0.0], 1.0)
+    assert drifting.P is drifting.cov
 
 
 def test_stationary_report_in_square_root_form_reads_ln_det_D():
@@ -466,18 +514,15 @@ def test_block_size_moves_no_output(d, monkeypatch):
         calls.clear()
         runs[name] = laser.cov_rounds(members, xs, ys)[0], len(calls)
     (want, want_calls), = [runs.pop("one round")]
-    assert want.final[5][2] is not None and want.final[6][2] is not None and want_calls > 0
+    assert want.final[5].sqrt_info is not None and want.final[6].sqrt_info is not None \
+        and want_calls > 0
     keep_w = [m.keep_w for m in members]
     for got, got_calls in runs.values():
         assert got_calls == want_calls
         for name in ("xw", "q", "spectra"):
             assert _same(getattr(got, name), getattr(want, name))
         assert _same(got.ws[keep_w], want.ws[keep_w])
-        for g, w in ((g, w) for member in zip(got.final, want.final) for g, w in zip(*member)):
-            assert (g is None) == (w is None)
-            if g is not None:
-                assert all(_same(a, b) for a, b in zip(g, w)) if isinstance(g, tuple) \
-                    else _same(g, w)
+        assert all(map(_same_state, got.final, want.final))
 
 
 def _falling_start(T=10):

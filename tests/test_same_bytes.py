@@ -3,7 +3,8 @@
 Every argv must parse through the CLI's own entry point, given the
 command's config, and a command that reads an earlier one's output
 (../NAME/...), in its argv or config, must name a command that runs
-before it. Nothing is run here: each subcommand is replaced by a stub.
+before it, and each demo the tool runs must exist. Nothing is run here:
+each subcommand is replaced by a stub.
 """
 
 import importlib.util
@@ -16,10 +17,15 @@ from driftlearn import cli
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 
 
-def test_every_command_parses_and_reads_only_earlier_outputs(monkeypatch, tmp_path):
+def _tool():
     spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_every_command_parses_and_reads_only_earlier_outputs(monkeypatch, tmp_path):
+    tool = _tool()
     names = [name for name, *_ in tool.COMMANDS]
     assert len(set(names)) == len(names)
     assert set(tool.FILES) <= set(names)
@@ -34,3 +40,10 @@ def test_every_command_parses_and_reads_only_earlier_outputs(monkeypatch, tmp_pa
         assert args.subcommand == argv[2 if config else 0], name  # after --config config.json
         for ref in re.findall(r"\.\./([^/]+)/", " ".join(argv) + json.dumps(config)):
             assert ref in names[:i], f"{name} reads the output of {ref}, which has not run"
+
+
+def test_every_named_demo_exists():
+    tool = _tool()
+    assert tool.DEMOS
+    for demo in tool.DEMOS:
+        assert (tool.ROOT / "demos" / demo).is_file(), demo

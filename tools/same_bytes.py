@@ -1,12 +1,13 @@
-"""Run a fixed set of driftlearn CLI commands and keep everything they write.
+"""Run a fixed set of driftlearn CLI commands and demos and keep everything they write.
 
     python3 tools/same_bytes.py OUTDIR
 
-Each command runs in a fresh interpreter that imports the driftlearn of
-the checkout holding this script, with BLAS pinned to one thread and
-DRIFTLEARN_THREADS removed (experiments run serially). Command NAME runs
-in its own directory OUTDIR/NAME, which ends up holding the files it
-wrote plus stdout.txt, stderr.txt and exit.txt. A command may carry a
+Each command, and each demo of DEMOS, runs in a fresh interpreter that
+imports the driftlearn of the checkout holding this script, with BLAS
+pinned to one thread and DRIFTLEARN_THREADS removed (experiments run
+serially). Command NAME runs in its own directory OUTDIR/NAME, and demo
+FILE.py in OUTDIR/demo-FILE; each directory ends up holding the files
+written there plus stdout.txt, stderr.txt and exit.txt. A command may carry a
 --config object, written there as config.json before it runs, and files of
 its own (FILES), written there too. Commands that
 read an earlier command's output name it by a relative path
@@ -25,7 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 KINDS = "ABCD"
 GEN_DIMS = (4, 20, 40)
 # the learners run on each generated stream CSV; (1, inf) and (0.001, inf)
@@ -141,6 +143,10 @@ COMMANDS = [
                                   "--d", "4", "--out", "best.json"], {"grid": {"eta": [0.5]}}),
 ]
 
+# the demos that step the single-state API (laser_predict and laser_update)
+# and print the state's D, e, f and min cost
+DEMOS = ("01_laser_walkthrough.py", "05_stationary_limit.py")
+
 # files written into a command's directory before it runs
 FILES = {"data-comparator-overflow": {"stream.csv": "t,x_1,y,u_1\n1,1,9e153,-9e153\n"},
          "report-step-gap": {"gap.csv": "algo,seed,t,yhat,y,loss,cumloss\n"
@@ -152,6 +158,15 @@ def _env() -> dict:
                MKL_NUM_THREADS="1")
     env.pop("DRIFTLEARN_THREADS", None)
     return env
+
+
+def _run(cwd: Path, argv: list[str], env: dict) -> None:
+    """Run argv in cwd and keep its stdout, stderr and exit code there."""
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    (cwd / "stdout.txt").write_bytes(proc.stdout)
+    (cwd / "stderr.txt").write_bytes(proc.stderr)
+    (cwd / "exit.txt").write_text(f"{proc.returncode}\n")
+    print(f"{cwd.name}: exit {proc.returncode}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,12 +183,11 @@ def main(argv: list[str] | None = None) -> int:
             (cwd / "config.json").write_text(json.dumps(config[0], indent=2) + "\n")
         for file, text in FILES.get(name, {}).items():
             (cwd / file).write_text(text)
-        proc = subprocess.run([sys.executable, "-m", "driftlearn.cli", *args], cwd=cwd, env=env,
-                              capture_output=True)
-        (cwd / "stdout.txt").write_bytes(proc.stdout)
-        (cwd / "stderr.txt").write_bytes(proc.stderr)
-        (cwd / "exit.txt").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}", flush=True)
+        _run(cwd, [sys.executable, "-m", "driftlearn.cli", *args], env)
+    for demo in DEMOS:
+        cwd = out / f"demo-{Path(demo).stem}"
+        cwd.mkdir(parents=True)
+        _run(cwd, [sys.executable, str(ROOT / "demos" / demo)], env)
     return 0
 
 

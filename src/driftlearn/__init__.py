@@ -45,7 +45,6 @@ from .laser import (
     laser_min_cost,
     laser_predict,
     laser_trajectories,
-    laser_trajectory,
     laser_update,
 )
 from .oracle import (

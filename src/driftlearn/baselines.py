@@ -18,8 +18,8 @@ artifact-defined:
 
 CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
 the reset: `crrls_init` writes it once, as a `laser.CovMember` record of
-start P and reset period (an integer, which `as_integer` checks here and
-for `harness`), in a `laser.CovState`; `crrls_step` is
+start P and reset period (an integer, which `laser.as_integer` checks),
+in a `laser.CovState`; `crrls_step` is
 `laser.cov_step` on that state, and `harness` runs the same record as a
 member of `laser.cov_rounds`. The NLMS round, its overflow
 check included, is written once over leading member axes, for `nlms_step`
@@ -59,6 +59,7 @@ class NlmsState:
 
 
 def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
+    d = laser.as_integer(d)
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
     if not 0 < eta < math.inf:
@@ -105,19 +106,11 @@ def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     return yhats
 
 
-def as_integer(value) -> int:
-    """An integral value, not a bool, as an int, else InvalidParams; int()
-    would truncate 2.5 to 2."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise InvalidParams(f"expected an integer, got {value!r}")
-    return int(float(value))
-
-
 def crrls_init(d: int, reset_period: int, b_reset: float) -> laser.CovState:
     """The record of the round at c = inf, unshrunk, from P = b_reset^{-1} I,
     to which P resets whenever the step count hits a multiple of the period,
     an integer >= 1."""
-    period = as_integer(reset_period)
+    period = laser.as_integer(reset_period)
     if not period >= 1:
         raise InvalidParams(f"reset_period must be >= 1, got {reset_period}")
     if not (0 < b_reset < math.inf and math.isfinite(1.0 / b_reset)):

@@ -45,7 +45,7 @@ LEARNER_PARAMS = {
     },
     "aar": {"b": (float, REQUIRED)},
     "nlms": {"eta": (float, REQUIRED), "eps": (float, 0.0)},
-    "crrls": {"reset_period": (baselines.as_integer, REQUIRED), "b_reset": (float, REQUIRED)},
+    "crrls": {"reset_period": (laser.as_integer, REQUIRED), "b_reset": (float, REQUIRED)},
     "hinf": {"a": (float, REQUIRED), "b": (float, REQUIRED), "c": (float, REQUIRED)},
 }
 ALGO_IDS = tuple(LEARNER_PARAMS)
@@ -183,18 +183,16 @@ def _batch_inputs(streams: list[LabeledStream]):
 
 def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
     """Run set-up members (from _member), of one learner or several, and
-    report each: every laser, AAR, hinf and CR-RLS member's CovMember in
-    one laser.cov_rounds call, then the NLMS members in their own loop.
-    Without certify no bound is checked, no spectrum computed and a loss
-    that overflows is kept (inf or NaN) instead of refused."""
-    yhats, trajs, post_ws = {}, {}, {}
+    report each: every laser, AAR, hinf and CR-RLS member from its
+    Trajectory of one laser.cov_rounds call, then the NLMS members in their
+    own loop. Without certify no bound is checked, no spectrum computed and
+    a loss that overflows is kept (inf or NaN) instead of refused."""
     family = [i for i, m in enumerate(members) if m[0] != "nlms"]
+    trajs = {}
     if family:
-        run, lt = laser.cov_rounds([members[i][2] for i in family],
-                                   *_batch_inputs([streams[i] for i in family]))
-        for j, i in enumerate(family):
-            trajs[i], yhats[i] = lt[j], run.xw[j] if lt[j] is None else lt[j].yhats
-            post_ws[i] = run.ws[j] if members[i][2].keep_w else None
+        trajs = dict(zip(family, laser.cov_rounds([members[i][2] for i in family],
+                                                  *_batch_inputs([streams[i] for i in family]))))
+    yhats = {i: traj.yhats for i, traj in trajs.items()}
     nlms = [i for i, m in enumerate(members) if m[0] == "nlms"]
     if nlms:
         yhats.update(zip(nlms, baselines.nlms_trajectories(
@@ -229,7 +227,7 @@ def _run_members(members, streams, seeds, certify: bool) -> list[RunReport]:
             L_T=L_T,
             regret_vs_truth=L_T - closs,
             quad_trace=trajs[i].quads if algo_id == "laser" else None,
-            post_update_w=post_ws.get(i),
+            post_update_w=trajs[i].ws if i in trajs else None,
             seed=seeds[i],
         )
         if certify and algo_id == "laser":

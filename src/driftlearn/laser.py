@@ -52,20 +52,20 @@ loses about eps * sqrt(X/b).
 
 Each round is written once, as two stages over leading member axes (or
 one square-root member): `_innovate` (P'x or the drift update, q, x . w
-and the overflow check) and `_fold` (s = 1 + weight q, err =
-gain (y - x . w) and the commit). `cov_rounds`, the one step loop over S
-members (grid points, streams, or both, sharing T and d), calls them, and
-so does the one single-state round, `_step_innovation` then `_step_fold`
-on a `CovState`, the one state of every learner here: `cov_step` runs it,
-`laser_predict` and `laser_update` add the shrinkage and clip, and
-`_switches` holds the laser switch rule for both. Laser,
-AAR, hinf and CR-RLS members differ only in their `CovMember` records (start
-P, inflation, weight, gain, reset, spectra, kept weights, and a laser
-member's LaserParams), which are all that `cov_rounds` takes, so one call
-runs any mix of them; it derives each laser member's guard and switch
-round from its record. Every member has a row of the (S, d, d) and (S, d)
-arrays for all T rounds; one that its inputs move to square-root form
-keeps its row, frozen, and takes its rounds on LAPACK calls of its own.
+and the overflow check) and `_fold` (s = 1 + weight q, err = gain (y -
+x . w) and the commit). Two callers run them: `cov_rounds`, the one step
+loop over S members (grid points, streams, or both, sharing T and d),
+which returns one `Trajectory` per member, and the one single-state
+round, `_step_innovation` then `_step_fold` on a `CovState`, the one state
+of every learner here: `cov_step` runs it, `laser_predict` and
+`laser_update` add the shrinkage and clip, and `_switches` holds the laser
+switch rule for both. Laser, AAR, hinf and CR-RLS members differ only in
+their `CovMember` records (start P, inflation, weight, gain, reset,
+spectra, kept weights, and a laser member's LaserParams), which are all
+that `cov_rounds` takes, so one call runs any mix of them, and its caller
+reads every member's Trajectory the same way. Each keeps its row of the
+(S, d, d) and (S, d) arrays for all T rounds, frozen once its inputs move
+it to square-root form, which runs on LAPACK calls of its own.
 
 Bound checks take Tr D_t and ln det D_t from the Cholesky factor L of P_t
 (Tr D = |L^{-1}|_F^2, ln det D = -2 sum ln L_ii), or from R, and need
@@ -204,7 +204,12 @@ def _innovate(form, w, x, inflation, t, drifts=True):
             np.fill_diagonal(B[:, d:], 1.0 / math.sqrt(inflation))
             F = linalg.qr_stacked(A, B)
             R, z = F[d:-1, d:-1], F[d:-1, -1]
-        v = linalg.tri_solve(R, x, trans=1)  # R'^{-T} x
+        try:
+            v = linalg.tri_solve(R, x, trans=1)  # R'^{-T} x
+        except NotPositiveDefinite:  # a huge c: the drift rows, sqrt(c) each, swamp R
+            c = 1.0 / inflation if inflation else math.inf
+            raise NotPositiveDefinite(f"the square-root factor R' is singular at round {t}: "
+                                      f"c = {c:g} is too large for the drift update") from None
         lead, q, xw = SqrtInformation(R, z), v @ v, v @ z
     else:
         lead = np.matvec(form, x)
@@ -300,17 +305,6 @@ def _lam_max(P=None, R=None):
     # the eigenvalues of P, descending, raised as an array: numpy's scalar
     # power rounds differently in the last bit
     return 1.0 / (np.linalg.svd(R, compute_uv=False) ** -2)[0]
-
-
-class CovRun(NamedTuple):
-    """What cov_rounds recorded of S members over T rounds."""
-
-    xw: np.ndarray               # (S, T): x_t . w_{t-1}
-    q: np.ndarray                # (S, T): x_t^T P' x_t, unweighted
-    final: list                  # per member, its CovState after the last round
-    ws: np.ndarray | None        # (S, T, d) post-update weights of the keep_w members
-    spectra: np.ndarray | None   # (T + 1, 3, K) (Tr D, peak lambda_max D, ln det D)
-                                 # of the K members with spectra, in member order
 
 
 def _certify(rounds, spec=None, xsq=None, rate=None, ub=None):
@@ -411,9 +405,54 @@ class CovState:
         return self.min_cost + float(self.e @ self.w)
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """One cov_rounds member's pass over its stream: per round x_t . w_{t-1}
+    (xw) and x_t^T P' x_t, unweighted (q), its CovState after the last
+    round, and a keep_w member's (T, d) post-update weights (ws). With
+    spectra, trace_D and logdet_D hold Tr D_t and ln det D_t for t = 0..T,
+    and lam_peak_D holds lambda_max D_0 and then, at t >= 1, the running
+    maximum of lambda_max D_s over 1 <= s <= t (see cov_rounds). What a
+    member does not keep is None."""
+
+    xw: np.ndarray
+    q: np.ndarray
+    state: CovState
+    ws: np.ndarray | None = None
+    trace_D: np.ndarray | None = None
+    lam_peak_D: np.ndarray | None = None
+    logdet_D: np.ndarray | None = None
+
+    @property
+    def yhats(self) -> np.ndarray:
+        """A laser record's xw / (1 + q), clipped to its clip_bound; else xw."""
+        params = self.state.member.laser
+        if params is None:
+            return self.xw
+        yhats = self.xw / (1.0 + self.q)
+        return yhats if params.clip_bound is None else clip(yhats, params.clip_bound)
+
+    @property
+    def quads(self) -> np.ndarray | None:
+        """A laser record's x_t^T D_t^{-1} x_t = q / (1 + q), else None."""
+        return None if self.state.member.laser is None else self.q / (1.0 + self.q)
+
+
+def as_integer(value) -> int:
+    """An integral value, not a bool, as an int, else InvalidParams: int()
+    would truncate 2.5 to 2, and float() overflows beyond a double's range."""
+    try:
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(float(value))
+    except OverflowError as exc:
+        raise InvalidParams(str(exc)) from None
+    raise InvalidParams(f"expected an integer, got {value!r}")
+
+
 def cov_init(p0: float, d: int, **fields) -> CovState:
     """The state before round 1 of the record that starts from P = p0 I,
     d >= 1, with CovMember's other fields: w = 0, cov the record's P."""
+    d = as_integer(d)
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
     P = p0 * np.eye(d)
@@ -431,14 +470,15 @@ def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMembe
 
 
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
-def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
+def cov_rounds(members: list[CovMember], xs, ys) -> list[Trajectory]:
     """Run S members of the covariance-form round, each from its start P and
     w = 0, over xs (T, S, d) and ys (T, S), member i reading xs[:, i] and
-    ys[:, i] (a broadcast view when all read one stream): (the CovRun, a
-    LaserTrajectory per laser-round member and None per other). A field every
-    member leaves at its default costs nothing, and no op on the stacked
-    arrays mixes their rows, so a member's arithmetic does not depend on its
-    batch. keep_w keeps the post-update weights.
+    ys[:, i] (a broadcast view when all read one stream): one Trajectory
+    per member, in order, whose state of a laser-round member carries its
+    statistics. A field every member leaves at its default costs nothing,
+    and no op on the stacked arrays mixes their rows, so a member's
+    arithmetic does not depend on its batch. keep_w keeps the post-update
+    weights.
 
     spectra records, before round 1 and after each round, Tr D and ln det D
     of D = P^{-1}, from the Cholesky factor of P, and the peak of
@@ -471,10 +511,10 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
     reset = np.where(field["reset"] > 0, field["reset"], T + 1) if resets else None
     guard = np.array([m.laser is not None and not (m.spectra or m.laser.stationary)
                       for m in members])
-    lz = [i for i, m in enumerate(members) if m.laser is not None]
     peaks, moves = np.maximum.accumulate(xsq, axis=0), {}  # round -> the members switching at it
-    for i in lz:
-        moves.setdefault(_switch_round(members[i].laser, peaks[:, i]), []).append(i)
+    for i, m in enumerate(members):
+        if m.laser is not None:
+            moves.setdefault(_switch_round(m.laser, peaks[:, i]), []).append(i)
     inflation = drift[:, None] if drift.any() else None
     drifts = True if drift.all() else (drift != 0)[:, None]  # where rows add inflation
     root = 1.0 if weight is None else np.sqrt(weight)
@@ -526,27 +566,18 @@ def cov_rounds(members: list[CovMember], xs, ys) -> tuple[CovRun, list]:
                     _certify(block, *screen)
     finally:
         _certify(rounds, *screen)
-    final = [CovState(m, linalg.tri_solve(*roots[i]), None, T, roots[i]) if i in roots
-             else CovState(m, w[i], P[i], T) for i, m in enumerate(members)]
-    run, out = CovRun(xws, qs, final, ws, spec), [None] * S
-    if not lz:
-        return run, out
-    s = 1.0 + qs[lz]
-    yhats, quads = xws[lz] / s, qs[lz] / s
-    bound = np.array([members[i].laser.clip_bound or math.inf for i in lz])
-    if np.isfinite(bound).any():
-        yhats = clip(yhats, bound[:, None])
-    err = ys.T[lz] - xws[lz]  # cumsum adds in order, as _step_fold does
-    # an overflowing cost is kept, as the losses, which the harness refuses
-    min_cost = np.cumsum(err * err / s, axis=1)[:, -1] if T else np.zeros(len(lz))
-    max_xsq = np.max(xsq, axis=0, initial=0.0)
-    for j, i in enumerate(lz):
-        state = final[i]
-        state.max_xsq, state.min_cost = float(max_xsq[i]), float(min_cost[j])
-        state.last_x_quad = float(quads[j, -1]) if T else 0.0
-        extra = spec[:, :, col[i]].T if spectra[i] else ()
-        out[i] = LaserTrajectory(yhats[j], quads[j], state, *extra)
-    return run, out
+    out = []
+    for i, m in enumerate(members):
+        state = (CovState(m, linalg.tri_solve(*roots[i]), None, T, roots[i]) if i in roots
+                 else CovState(m, w[i], P[i], T))
+        if m.laser is not None and T:
+            s, err = 1.0 + qs[i], ys[:, i] - xws[i]  # cumsum adds in order, as _step_fold does
+            # an overflowing cost is kept, as the losses, which the harness refuses
+            state.min_cost = float(np.cumsum(err * err / s)[-1])
+            state.max_xsq, state.last_x_quad = float(xsq[:, i].max()), float(qs[i, -1] / s[-1])
+        out.append(Trajectory(xws[i], qs[i], state, ws[i] if keep_w[i] else None,
+                              *(spec[:, :, col[i]].T if spectra[i] else ())))
+    return out
 
 
 # -- the single-state step functions: one-member calls of the stages ------------
@@ -644,25 +675,6 @@ def logdet_D(state: CovState) -> float:
 
 # -- whole streams ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaserTrajectory:
-    """One pass of the learner over a stream.
-
-    yhats and quads (x_t^T D_t^{-1} x_t) have one entry per round. With
-    spectra, trace_D and logdet_D hold Tr D_t and ln det D_t for t = 0..T,
-    and lam_peak_D holds lambda_max D_0 and then, at t >= 1, the running
-    maximum of lambda_max D_s over 1 <= s <= t (see cov_rounds); otherwise
-    they are None.
-    """
-
-    yhats: np.ndarray
-    quads: np.ndarray
-    state: CovState
-    trace_D: np.ndarray | None = None
-    lam_peak_D: np.ndarray | None = None
-    logdet_D: np.ndarray | None = None
-
-
 def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
     """The first round at which _switches holds, where the running max |x|^2
     (the values in peaks) rises, or len(peaks) if it never does."""
@@ -673,25 +685,14 @@ def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
     return len(peaks)
 
 
-def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[LaserTrajectory]:
+def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[Trajectory]:
     """Run S members of the learner, params[i] for member i, under the
-    online protocol in one cov_rounds call; one LaserTrajectory per
-    member, in order. xs is (T, S, d) and ys (T, S), as in cov_rounds. One
-    whose inputs move it to square-root information form keeps its row,
-    frozen, from that round on. Each drifting covariance-form member's P (with
-    spectra, every one's) is checked positive definite after every round by
-    the stacked Cholesky factorization, per block of rounds, that also gives
-    the spectra.
+    online protocol in one cov_rounds call; one Trajectory per member, in
+    order. xs is (T, S, d) and ys (T, S), as in cov_rounds: one stream
+    (T, d) runs as laser_trajectories([p], xs[:, None], ys[:, None])[0].
+    Each drifting covariance-form member's P (with spectra, every one's) is
+    checked positive definite after every round, per block of rounds, by
+    the Cholesky factorization that also gives the spectra.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return cov_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)[1]
-
-
-def laser_trajectory(params: LaserParams, xs, ys, spectra: bool = False) -> LaserTrajectory:
-    """Run the learner over the stream (xs, ys) under the online protocol.
-
-    xs is a (T, d) array and ys a (T,) array, run as the one-member
-    batch (T, 1, d) and (T, 1). Memory is O(T + d^2): no per-step matrix
-    is kept.
-    """
-    return laser_trajectories([params], np.expand_dims(xs, 1), np.expand_dims(ys, 1), spectra)[0]
+    return cov_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)

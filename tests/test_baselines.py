@@ -143,6 +143,9 @@ def test_crrls_validation():
     for period in (2.5, True, False, float("inf")):
         with pytest.raises(InvalidParams, match="expected an integer"):
             baselines.crrls_init(2, period, 1.0)
+    # one beyond a double's range, which float() would not convert
+    with pytest.raises(InvalidParams, match="int too large to convert to float"):
+        baselines.crrls_init(2, 10**400, 1.0)
     # an integral one is taken as an int
     assert type(baselines.crrls_init(2, np.int64(3), 1.0).member.reset) is int
     assert baselines.crrls_init(2, 3.0, 1.0).member.reset == 3
@@ -158,8 +161,10 @@ INITS = {
 }
 
 
-@pytest.mark.parametrize("d", [0, -1, -2])
+@pytest.mark.parametrize("d", [0, -1, -2, 2.5, True])
 @pytest.mark.parametrize("learner", INITS)
 def test_init_refuses_a_dimension_below_one(learner, d):
-    with pytest.raises(InvalidParams, match=f"d must be >= 1, got {d}"):
+    # a d that is not an integer, or a bool, is refused as a reset period is
+    message = f"d must be >= 1, got {d}" if type(d) is int else f"expected an integer, got {d}"
+    with pytest.raises(InvalidParams, match=message):
         INITS[learner](d)

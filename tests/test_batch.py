@@ -199,7 +199,7 @@ def test_step_and_loop_refuse_an_overflow_at_the_same_later_round(algo):
 def test_laser_spectra_and_states_do_not_depend_on_the_batch():
     members = MEMBERS["laser"]
     lps = [harness._laser_params(p, s)[0] for p, s in members]
-    alone = [laser.laser_trajectory(lp, s.xs, s.ys, spectra=True)
+    alone = [laser.laser_trajectories([lp], s.xs[:, None], s.ys[:, None], spectra=True)[0]
              for lp, (_, s) in zip(lps, members)]
     switched = [tr.state.sqrt_info is not None for tr in alone]
     assert switched == [s is BIG for _, s in members]

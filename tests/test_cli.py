@@ -487,6 +487,9 @@ BAD_INPUTS = {
                                         "--b-reset", "1", "--out-prefix", "TMP/r"],
     "tuned-regime-unknown": ["run", "--algo", "laser", "--tuned-regime", "mid",
                              "--eps-ratio", "0.1", "--out-prefix", "TMP/r"],
+    # the drift rows of c = 1e100 leave the square-root factor singular in round 1
+    "run-laser-huge-c": ["run", "--algo", "laser", "--b", "0.01", "--c", "1e100", "--kind", "C",
+                         "--T", "200", "--d", "4", "--out-prefix", "TMP/r"],
     "laser-b-reciprocal-overflows": ["run", "--algo", "laser", "--b", "1e-310", "--c", "1",
                                      "--out-prefix", "TMP/r"],
     "aar-b-reciprocal-overflows": ["run", "--algo", "aar", "--b", "1e-310",
@@ -573,6 +576,7 @@ BAD_INPUT_REASONS = {
     "crrls-reset-period-non-integral": "parameter 'reset_period': expected an integer, got '2.5'",
     "tuned-regime-unknown": "parameter 'tuned_regime': 'mid' is not a valid DriftRegime",
     "laser-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
+    "run-laser-huge-c": "R' is singular at round 1: c = 1e+100 is too large",
     "aar-b-reciprocal-overflows": "finite reciprocal, got 1e-310",
     "hinf-b-reciprocal-overflows": "finite reciprocals, got b=1e-310",
     "crrls-b-reset-reciprocal-overflows": "finite reciprocal, got 1e-310",

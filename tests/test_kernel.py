@@ -126,8 +126,8 @@ def test_aar_is_laser_at_infinite_c():
 
 def test_trajectory_spectra_match_direct_matrices():
     stream = gen_stream(DatasetSpec(kind="D", T=40, d=4, seed=5))
-    traj = laser.laser_trajectory(laser.LaserParams(b=1.0, c=100.0), stream.xs, stream.ys,
-                                  spectra=True)
+    (traj,) = laser.laser_trajectories([laser.LaserParams(b=1.0, c=100.0)], stream.xs[:, None],
+                                       stream.ys[:, None], spectra=True)
     ref = oracle.laser_direct(stream.xs, stream.ys, 1.0, 100.0)
     lam = np.linalg.eigvalsh(ref.Ds)
     np.testing.assert_allclose(traj.trace_D, lam.sum(axis=1), rtol=1e-10)
@@ -155,8 +155,8 @@ def test_spectra_peak_is_the_running_maximum_of_eigvalsh(k):
     # the screened rounds skip eigvalsh only where it cannot raise the peak,
     # so the peak is the running maximum of the exact values, bit for bit
     stream, b, c = SPECTRA_STREAMS[k]
-    traj = laser.laser_trajectory(laser.LaserParams(b=b, c=c), stream.xs, stream.ys,
-                                  spectra=True)
+    (traj,) = laser.laser_trajectories([laser.LaserParams(b=b, c=c)], stream.xs[:, None],
+                                       stream.ys[:, None], spectra=True)
     lam = 1.0 / np.linalg.eigvalsh(stepped_ps(stream.xs, stream.ys, b, c))[:, 0]
     assert np.array_equal(traj.lam_peak_D,
                           np.concatenate((lam[:1], np.maximum.accumulate(lam[1:]))))
@@ -169,8 +169,8 @@ TRACE_STREAMS = SPECTRA_STREAMS + [(gen_stream(DatasetSpec(kind="C", T=100, d=10
 @pytest.mark.parametrize("k", range(len(TRACE_STREAMS)))
 def test_cholesky_trace_and_logdet_match_eigvalsh(k):
     stream, b, c = TRACE_STREAMS[k]
-    traj = laser.laser_trajectory(laser.LaserParams(b=b, c=c), stream.xs, stream.ys,
-                                  spectra=True)
+    (traj,) = laser.laser_trajectories([laser.LaserParams(b=b, c=c)], stream.xs[:, None],
+                                       stream.ys[:, None], spectra=True)
     ev = np.linalg.eigvalsh(stepped_ps(stream.xs, stream.ys, b, c))
     np.testing.assert_allclose(traj.trace_D, (1.0 / ev).sum(axis=1), rtol=1e-10, atol=0)
     np.testing.assert_allclose(traj.logdet_D, -np.log(ev).sum(axis=1), rtol=1e-10, atol=0)

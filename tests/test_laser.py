@@ -205,6 +205,17 @@ def test_zero_labels_give_zero_min_cost():
     assert laser.laser_min_cost(state) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_huge_c_names_the_round_whose_drift_update_fails():
+    # at b = 0.01 the covariance form holds while |x|^2 <= 100; round 3's
+    # input moves the state to square-root form, where the drift rows of c =
+    # 1e100, sqrt(c) each, swamp R and leave R' singular
+    state = laser.laser_init(laser.LaserParams(0.01, 1e100), 2)
+    for x in ([1.0, 0.0], [0.0, 1.0]):
+        state = laser.laser_update(state, x, 1.0)
+    with pytest.raises(NotPositiveDefinite, match=r"R' is singular at round 3: c = 1e\+100 "):
+        laser.laser_update(state, [20.0, 5.0], 1.0)
+
+
 def test_update_without_predict_recomputes_propagation():
     rng = np.random.default_rng(17)
     params = laser.LaserParams(b=1.0, c=5.0)
@@ -237,8 +248,8 @@ def test_cov_rounds_derives_the_guard_from_the_record():
     # the same start as a stationary laser member: it is not guarded, and
     # its untouched negative direction raises nothing
     member, xs, ys = _indefinite_start()
-    _, (traj,) = laser.cov_rounds([member._replace(inflation=0.0, laser=laser.LaserParams(1.0))],
-                                  xs, ys)
+    (traj,) = laser.cov_rounds([member._replace(inflation=0.0, laser=laser.LaserParams(1.0))],
+                               xs, ys)
     assert traj.state.cov[1, 1] == -1e-3 and traj.yhats[0] == 0.0
 
 
@@ -256,7 +267,13 @@ def _same(a, b):
                                                                           np.signbit(b))
 
 
+def _same_or_none(a, b):
+    """Both None, or the same bit for bit."""
+    return a is b is None or (a is not None and b is not None and _same(a, b))
+
+
 STATE_FIELDS = ("w", "cov", "sqrt_info", "t", "max_xsq", "min_cost", "last_x_quad")
+SPECTRA = ("trace_D", "lam_peak_D", "logdet_D")
 
 
 def _same_state(got, want):
@@ -280,7 +297,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
     # 0.0, and rows that switch to square-root form and keep their rows,
     # frozen: a certified laser row at round 0, an AAR row at round 3, a
     # guarded laser row at round 5 and a laser row with kept weights at round
-    # 8; each row must equal its own call
+    # 8, which clips its predictions; each row must equal its own call
     T, d = 40, 3
     s = gen_stream(DatasetSpec(kind="C", T=T, d=d, seed=2))
     big, zero, I = s.xs * 1e6, np.zeros((T, d)), np.eye(d)
@@ -289,6 +306,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
         return np.concatenate((s.xs[:k], big[k:])), np.concatenate((s.ys[:k], s.ys[k:] * 1e6))
 
     drifting = laser.LaserParams(1.0, 1e12)
+    clipped = laser.LaserParams(1.0, 1e12, clip_bound=1.0)
     rows = [  # (xs, ys, member)
         (s.xs, s.ys, laser.CovMember(0.99 * I, 0.01, spectra=True)),
         (s.xs, s.ys, laser.CovMember(9.0 * I, 0.1, 1.0, 2.0, keep_w=True)),
@@ -301,7 +319,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
         (*late(3), laser.CovMember(I, laser=laser.LaserParams(1.0))),  # b = 1, c = inf: AAR
         (zero, zero[:, 0], laser.CovMember(2.0 * I, reset=5)),
         (*late(5), laser.laser_member(drifting, d)),  # guarded: drifts, no spectra
-        (*late(8), laser.laser_member(drifting, d)._replace(keep_w=True)),
+        (*late(8), laser.laser_member(clipped, d)._replace(keep_w=True)),
     ]
     assert [laser._switch_round(rows[i][2].laser, np.maximum.accumulate(np.vecdot(x, x)))
             for i, x in ((5, big), (7, late(3)[0]), (9, late(5)[0]), (10, late(8)[0]))] \
@@ -310,19 +328,25 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
     def call(members):
         return laser.cov_rounds([m[2] for m in members],
                                 np.stack([m[0] for m in members], axis=1),
-                                np.stack([m[1] for m in members], axis=1))[0]
+                                np.stack([m[1] for m in members], axis=1))
 
     mixed = call(rows)
-    assert all(mixed.final[i].sqrt_info is not None for i in (5, 7, 9, 10))
-    column = np.cumsum([m[2].spectra for m in rows]) - 1
-    for i, member in enumerate(rows):
-        alone = call([member])
-        assert _same(mixed.xw[i], alone.xw[0]) and _same(mixed.q[i], alone.q[0])
-        if member[2].keep_w:
-            assert _same(mixed.ws[i], alone.ws[0])
-        if member[2].spectra:
-            assert _same(mixed.spectra[:, :, column[i]], alone.spectra[:, :, 0])
-        assert _same_state(mixed.final[i], alone.final[0])
+    assert all(mixed[i].state.sqrt_info is not None for i in (5, 7, 9, 10))
+    assert np.abs(mixed[10].yhats).max() == 1.0 < np.abs(mixed[10].xw).max()  # it clips
+    for got, row in zip(mixed, rows):
+        member, (alone,) = row[2], call([row])
+        for name in ("xw", "q", "ws", *SPECTRA):
+            assert _same_or_none(getattr(got, name), getattr(alone, name))
+        assert _same_state(got.state, alone.state)
+        # the record's own view of its rows: predictions, kept weights, spectra
+        if member.laser is None:
+            assert got.yhats is got.xw and got.quads is None
+        else:
+            yhats, bound = got.xw / (1.0 + got.q), member.laser.clip_bound
+            assert _same(got.yhats, yhats if bound is None else laser.clip(yhats, bound))
+            assert _same(got.quads, got.q / (1.0 + got.q))
+        assert (got.ws is None) == (not member.keep_w)
+        assert all((getattr(got, name) is None) == (not member.spectra) for name in SPECTRA)
 
 
 # b = 0.05 at c = inf moves this desk stream's state to square-root
@@ -334,13 +358,13 @@ SQRT_PARAMS = laser.LaserParams(b=0.05, c=math.inf)
 def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
     s = SQRT_DESK
     member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
-    run, _ = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
-    assert run.final[0].sqrt_info is not None
+    (traj,) = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
+    assert traj.state.sqrt_info is not None
     state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
     for x, y in zip(s.xs, s.ys):
         state = laser.laser_update(state, x, y)
         ws.append(state.w)
-    assert state.sqrt_info is not None and _same(run.ws[0], ws)
+    assert state.sqrt_info is not None and _same(traj.ws, ws)
 
 
 def test_step_and_loop_reach_the_same_state():
@@ -355,13 +379,13 @@ def test_step_and_loop_reach_the_same_state():
               lambda st, x, y: hinf.hinf_step(st, x, y)[1]),
              (baselines.crrls_init(s.dim, 7, 0.5),
               lambda st, x, y: baselines.crrls_step(st, x, y)[1])]
-    run, _ = laser.cov_rounds([st.member for st, _ in steps],
-                              *(np.repeat(a[:, None], len(steps), axis=1) for a in (s.xs, s.ys)))
-    for (state, step), final in zip(steps, run.final):
+    trajs = laser.cov_rounds([st.member for st, _ in steps],
+                             *(np.repeat(a[:, None], len(steps), axis=1) for a in (s.xs, s.ys)))
+    for (state, step), final in zip(steps, (tr.state for tr in trajs)):
         for x, y in zip(s.xs, s.ys):
             state = step(state, x, y)
         assert final.member is state.member and _same_state(final, state)
-    assert run.final[0].sqrt_info is not None and run.final[0].min_cost > 0.0
+    assert trajs[0].state.sqrt_info is not None and trajs[0].state.min_cost > 0.0
 
 
 def test_cov_step_commits_a_laser_record_as_laser_update():
@@ -381,7 +405,7 @@ def test_cov_step_commits_a_laser_record_as_laser_update():
 
 def test_stationary_report_in_square_root_form_reads_ln_det_D():
     s = SQRT_DESK
-    traj = laser.laser_trajectory(SQRT_PARAMS, s.xs, s.ys)
+    (traj,) = laser.laser_trajectories([SQRT_PARAMS], s.xs[:, None], s.ys[:, None])
     assert traj.state.sqrt_info is not None
     sign, want = np.linalg.slogdet(oracle.laser_direct(s.xs, s.ys, 0.05, math.inf).Ds[-1])
     assert sign == 1.0 and laser.logdet_D(traj.state) == pytest.approx(want, rel=1e-12)
@@ -512,17 +536,16 @@ def test_block_size_moves_no_output(d, monkeypatch):
     for name, budget in _block_budgets(certified * d * d * 8).items():
         monkeypatch.setattr(laser, "BLOCK_BYTES", budget)
         calls.clear()
-        runs[name] = laser.cov_rounds(members, xs, ys)[0], len(calls)
+        runs[name] = laser.cov_rounds(members, xs, ys), len(calls)
     (want, want_calls), = [runs.pop("one round")]
-    assert want.final[5].sqrt_info is not None and want.final[6].sqrt_info is not None \
+    assert want[5].state.sqrt_info is not None and want[6].state.sqrt_info is not None \
         and want_calls > 0
-    keep_w = [m.keep_w for m in members]
     for got, got_calls in runs.values():
         assert got_calls == want_calls
-        for name in ("xw", "q", "spectra"):
-            assert _same(getattr(got, name), getattr(want, name))
-        assert _same(got.ws[keep_w], want.ws[keep_w])
-        assert all(map(_same_state, got.final, want.final))
+        for g, w in zip(got, want):
+            for name in ("xw", "q", "ws", *SPECTRA):
+                assert _same_or_none(getattr(g, name), getattr(w, name))
+            assert _same_state(g.state, w.state)
 
 
 def _falling_start(T=10):

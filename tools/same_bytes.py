@@ -74,6 +74,9 @@ COMMANDS = [
       for d in (4, 6)),  # d = 6 falls below the high-drift threshold: exit 2
     ("run-laser-sqrt-d12", ["run", "--algo", "laser", "--b", "0.01", "--c", "1e12",
                             "--kind", "C", "--d", "12", *SHORT]),
+    # the drift rows of c = 1e100 swamp the square-root factor in round 1: exit 2
+    ("run-laser-huge-c", ["run", "--algo", "laser", "--b", "0.01", "--c", "1e100",
+                          "--kind", "C", "--T", "200", "--d", "4"]),
     ("run-aar-d16", ["run", "--algo", "aar", "--b", "1", "--kind", "C", "--d", "16", *SHORT]),
     ("run-crrls-d20", ["run", "--algo", "crrls", "--reset-period", "50", "--b-reset", "1",
                        "--kind", "C", "--d", "20", *SHORT]),
@@ -143,9 +146,12 @@ COMMANDS = [
                                   "--d", "4", "--out", "best.json"], {"grid": {"eta": [0.5]}}),
 ]
 
-# the demos that step the single-state API (laser_predict and laser_update)
-# and print the state's D, e, f and min cost
-DEMOS = ("01_laser_walkthrough.py", "05_stationary_limit.py")
+# every demo: 01 and 05 step the single-state API (laser_predict and
+# laser_update) and print the state's D, e, f and min cost, 02 prints the
+# regret certificate, and 03 and 04 print harness.experiment and
+# run_learner results, which come through the step loop's trajectories
+DEMOS = ("01_laser_walkthrough.py", "02_certifying_the_recursions.py", "03_drift_benchmark.py",
+         "04_bound_gallery.py", "05_stationary_limit.py")
 
 # files written into a command's directory before it runs
 FILES = {"data-comparator-overflow": {"stream.csv": "t,x_1,y,u_1\n1,1,9e153,-9e153\n"},

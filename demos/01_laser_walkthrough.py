@@ -27,8 +27,8 @@ state = laser.laser_init(params, d=1)
 print(f"init: D0 = {state.D[0,0]:.4f} (= bc/(c-b)), e0 = {state.e[0]:.1f}")
 
 for t, (x, y) in enumerate(zip(xs, ys), start=1):
-    yhat, step = laser.laser_predict(state, x)
-    state = laser.laser_update(state, x, y, step=step)
+    yhat = laser.laser_predict(state, x)
+    state = laser.laser_update(state, x, y)
     print(
         f"round {t}: x={x[0]:+.1f} y={y:+.2f} -> yhat={yhat:+.4f} "
         f"loss={(y - yhat)**2:.4f} "

@@ -25,8 +25,8 @@ def laser_losses(stream, c):
     st = laser.laser_init(laser.LaserParams(b=1.0, c=c), stream.dim)
     total, dev = 0.0, 0.0
     for t in range(stream.T):
-        yhat, step = laser.laser_predict(st, stream.xs[t])
-        st = laser.laser_update(st, stream.xs[t], stream.ys[t], step=step)
+        yhat = laser.laser_predict(st, stream.xs[t])
+        st = laser.laser_update(st, stream.xs[t], stream.ys[t])
         ref = ridge_prediction(stream.xs, stream.ys, t)
         total += (stream.ys[t] - yhat) ** 2
         dev = max(dev, abs(yhat - ref))

@@ -4,8 +4,8 @@ AAR is the stationary limit of the drift-aware learner: with
 A_t = b I + sum x_s x_s^T and r_t = sum y_s x_s it predicts with the new
 input already folded in, yhat = x^T (A + x x^T)^{-1} r. That is exactly
 LASER at c = inf, so an AAR state is the `laser.CovState` of the laser
-record at c = inf (A = state.D) and `aar_step` runs the laser step's
-stages itself, not `laser_predict` and `laser_update`.
+record at c = inf (A = state.D), and `aar_step` is `laser.cov_step` on
+it, whose prediction for a laser record is the shrunk one.
 
 NLMS and CR-RLS use their canonical textbook updates; only their names
 and roles are fixed by the comparison, so the exact forms below are
@@ -16,14 +16,14 @@ artifact-defined:
             w += P x (y - yhat)   [updated P]
             and P resets to b_reset^{-1} I every N steps.
 
-CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk, plus
-the reset: `crrls_init` writes it once, as a `laser.CovMember` record of
-start P and reset period (an integer, which `laser.as_integer` checks),
-in a `laser.CovState`; `crrls_step` is
+CR-RLS is the covariance-form round of `laser` at c = inf, unshrunk,
+plus the reset: `crrls_init` writes it once, as a `laser.CovMember`
+record of start P and reset period (an integer, which
+`linalg.as_integer` checks), in a `laser.CovState`; `crrls_step` is
 `laser.cov_step` on that state, and `harness` runs the same record as a
-member of `laser.cov_rounds`. The NLMS round, its overflow
-check included, is written once over leading member axes, for `nlms_step`
-and for `nlms_trajectories`, its S-member loop.
+member of `laser.cov_rounds`. The NLMS round, its overflow check
+included, is written once over leading member axes, for `nlms_step` and
+for `nlms_trajectories`, its S-member loop.
 """
 
 import math
@@ -42,8 +42,7 @@ def aar_init(b: float, d: int) -> laser.CovState:
 
 def aar_step(state: laser.CovState, x, y: float) -> tuple[float, laser.CovState]:
     """Forward ridge prediction, then fold (x, y) into the statistics."""
-    step = laser._step_innovation(state, linalg.as_vector(x, state.dim))
-    return float(step.xw / (1.0 + step.q)), laser._step_fold(state, y, step)
+    return laser.cov_step(state, x, y)
 
 
 @dataclass
@@ -59,7 +58,7 @@ class NlmsState:
 
 
 def nlms_init(d: int, eta: float, eps: float = 0.0) -> NlmsState:
-    d = laser.as_integer(d)
+    d = linalg.as_integer(d)
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
     if not 0 < eta < math.inf:
@@ -83,7 +82,9 @@ def _nlms_round(w, x, y, eta, eps, t):
 
 
 def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
-    """One round; BadStream if eps + |x|^2 overflows."""
+    """One round; BadStream if y is not finite or eps + |x|^2 overflows."""
+    if not math.isfinite(y):
+        raise BadStream(f"label {y} at round {state.t + 1} is not finite")
     x = linalg.as_vector(x, state.dim)
     with np.errstate(over="ignore"):  # an overflowing eps + |x|^2 is inf, which raises
         yhat, w = _nlms_round(state.w, x, y, state.eta, state.eps, state.t + 1)
@@ -110,7 +111,7 @@ def crrls_init(d: int, reset_period: int, b_reset: float) -> laser.CovState:
     """The record of the round at c = inf, unshrunk, from P = b_reset^{-1} I,
     to which P resets whenever the step count hits a multiple of the period,
     an integer >= 1."""
-    period = laser.as_integer(reset_period)
+    period = linalg.as_integer(reset_period)
     if not period >= 1:
         raise InvalidParams(f"reset_period must be >= 1, got {reset_period}")
     if not (0 < b_reset < math.inf and math.isfinite(1.0 / b_reset)):

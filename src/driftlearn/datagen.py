@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDim, BadStream, InvalidParams, LengthMismatch
+from .linalg import as_integer
 from .oracle import ComparatorSequence, checked_stream
 
 KINDS = ("A", "B", "C", "D")
@@ -41,7 +42,8 @@ _STREAM_NOISE = 2
 
 
 def checked_seed(seed: int) -> int:
-    """seed, unless outside [0, 2**64): _rng keys Philox with it as one uint64."""
+    """seed as an int, if integral and in [0, 2**64): _rng keys Philox with it as one uint64."""
+    seed = as_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
     return seed
@@ -66,7 +68,7 @@ class DatasetSpec:
     defaults to 0.05 for the noisy kinds C/D and must be 0 for A/B.
     wrap_pairs controls what happens after the last coordinate pair in
     the switching kinds: cycle back to the first pair (default) or
-    freeze on the last one.
+    freeze on the last one. T, d, switch_period and seed must be integral.
     """
 
     kind: str
@@ -81,7 +83,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParams(f"kind must be one of {KINDS}, got {self.kind!r}")
-        checked_seed(self.seed)
+        for name in ("T", "d", "switch_period"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         if self.T < 1:
             raise InvalidParams(f"T must be positive, got {self.T}")
         if self.d < 2:
@@ -117,9 +121,10 @@ class DatasetSpec:
 class LabeledStream:
     """One stream plus its generating target sequence and the realized
     bounds Y_bound = max |y_t| and X_bound = max ||x_t|| used by the bound
-    evaluators, derived when it is built, after checked_stream and a BadStream
-    if max y^2, max ||u_t||^2 or the drift V is not finite; an infinite X_bound
-    is kept, for the learners to refuse."""
+    evaluators, derived when it is built, after checked_stream, a
+    LengthMismatch if the comparator's shape is not the inputs', and a
+    BadStream if max y^2, max ||u_t||^2 or the drift V is not finite; an
+    infinite X_bound is kept, for the learners to refuse."""
 
     xs: np.ndarray  # (T, d)
     ys: np.ndarray  # (T,)
@@ -131,6 +136,8 @@ class LabeledStream:
     def __post_init__(self):
         xs, ys = checked_stream(self.xs, self.ys)
         Y_bound, us = float(np.max(np.abs(ys))), self.truth.us
+        if us.shape != xs.shape:
+            raise LengthMismatch(f"comparator {us.shape} and inputs {xs.shape} are not aligned")
         if not math.isfinite(Y_bound * Y_bound + np.max(np.vecdot(us, us)) + self.truth.V):
             raise BadStream("stream overflows: max y^2, max |u_t|^2 or the drift V is not finite")
         for name, value in (("xs", xs), ("ys", ys), ("Y_bound", Y_bound),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, hinf, laser, oracle
+from . import baselines, hinf, laser, linalg, oracle
 from .datagen import FLOAT_FORMAT, DatasetSpec, LabeledStream, gen_stream, open_csv, write_csv
 from .errors import BadStream, InvalidParams, LengthMismatch, UnknownAlgo
 
@@ -45,7 +45,7 @@ LEARNER_PARAMS = {
     },
     "aar": {"b": (float, REQUIRED)},
     "nlms": {"eta": (float, REQUIRED), "eps": (float, 0.0)},
-    "crrls": {"reset_period": (laser.as_integer, REQUIRED), "b_reset": (float, REQUIRED)},
+    "crrls": {"reset_period": (linalg.as_integer, REQUIRED), "b_reset": (float, REQUIRED)},
     "hinf": {"a": (float, REQUIRED), "b": (float, REQUIRED), "c": (float, REQUIRED)},
 }
 ALGO_IDS = tuple(LEARNER_PARAMS)
@@ -245,8 +245,10 @@ def run_batch(algo_id: str, params: list[dict], streams: list[LabeledStream],
     the same stream object share it; all streams must share T and d."""
     if len(params) != len(streams) or not streams:
         raise LengthMismatch(f"{len(params)} parameter sets for {len(streams)} streams")
-    members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
     seeds = [0] * len(streams) if seeds is None else seeds
+    if len(seeds) != len(streams):
+        raise LengthMismatch(f"{len(seeds)} seeds for {len(streams)} streams")
+    members = [_member(algo_id, p, s) for p, s in zip(params, streams)]
     return _run_members(members, streams, seeds, certify=True)
 
 

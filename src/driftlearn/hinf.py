@@ -16,10 +16,11 @@ with P' = P_{t-1} and s = 1 + (a-1) x^T P' x, Ptilde_t = P' - (a-1) P'x (P'x)^T 
 and a Ptilde_t x = a P'x / s. `hinf_init` writes that round once, as a
 `laser.CovMember` record: start Ptilde_0 = (b^{-1} - c^{-1}) I (negative
 when b > c), inflation c^{-1}, weight a - 1 and gain a. Its state is a
-`laser.CovState`, the state of every covariance-family learner, whose cov
+`laser.CovState`, the state of every covariance-family learner, whose form
 holds Ptilde_t = P_t - c^{-1} I and whose P derives P_t (a laser state's P
-is its cov); `hinf_step` is `laser.cov_step` on it, and `harness` runs the
-same record as a member of `laser.cov_rounds`.
+is its form); `hinf_step` is `laser.cov_step` on it, which predicts x . w
+unshrunk, and `harness` runs the same record as a member of
+`laser.cov_rounds`.
 `oracle.hinf_direct` transcribes the recursion above as the reference.
 
 The filtering guarantee bounds the error of the post-update weights

@@ -50,20 +50,21 @@ scale b (streams shorter than d), where the drift update loses digits
 sqrt(b X) with X/b >> 1e8 where the rule keeps the covariance form, which
 loses about eps * sqrt(X/b).
 
-Each round is written once, as two stages over leading member axes (or
-one square-root member): `_innovate` (P'x or the drift update, q, x . w
-and the overflow check) and `_fold` (s = 1 + weight q, err = gain (y -
-x . w) and the commit). Two callers run them: `cov_rounds`, the one step
-loop over S members (grid points, streams, or both, sharing T and d),
-which returns one `Trajectory` per member, and the one single-state
-round, `_step_innovation` then `_step_fold` on a `CovState`, the one state
-of every learner here: `cov_step` runs it, `laser_predict` and
-`laser_update` add the shrinkage and clip, and `_switches` holds the laser
-switch rule for both. Laser, AAR, hinf and CR-RLS members differ only in
-their `CovMember` records (start P, inflation, weight, gain, reset,
-spectra, kept weights, and a laser member's LaserParams), which are all
-that `cov_rounds` takes, so one call runs any mix of them, and its caller
-reads every member's Trajectory the same way. Each keeps its row of the
+Each round is written once, as two stages over leading member axes (or one
+square-root member): `_innovate` (P'x or the drift update, q, x . w and
+the overflow check) and `_fold` (s = 1 + weight q, err = gain (y - x . w)
+and the commit). Two callers run them: `cov_rounds`, the one step loop
+over S members (grid points, streams, or both, sharing T and d), which
+returns one `Trajectory` per member, and `cov_step`, the one single-state
+round on a `CovState`, the one state of every learner here. Both predict
+x . w, or for a laser record x . w / (1 + q), clipped (`_shrunk`), and
+`_switches` holds the laser switch rule for both; `laser_predict` is
+`cov_step`'s prediction without the commit, and `laser_update` its new
+state. Laser, AAR, hinf and CR-RLS members differ only in their
+`CovMember` records (start P, inflation, weight, gain, reset, spectra,
+kept weights, and a laser member's LaserParams), which are all that
+`cov_rounds` takes, so one call runs any mix of them, and its caller reads
+every member's Trajectory the same way. Each keeps its row of the
 (S, d, d) and (S, d) arrays for all T rounds, frozen once its inputs move
 it to square-root form, which runs on LAPACK calls of its own.
 
@@ -147,20 +148,15 @@ class SqrtInformation(NamedTuple):
     z: np.ndarray
 
 
-class LaserStep(NamedTuple):
-    """What _step_innovation computed for one input, reused by _step_fold."""
-
-    x: np.ndarray         # the validated input
-    max_xsq: float        # max |x|^2 including this input (a laser record's)
-    form: object          # the state's P, or its (R, z) once it has switched
-    lead: object          # what _innovate returned for _fold: P'x, or (R', z')
-    q: float              # x^T P' x, with P' = P + I/c; s = 1 + q
-    xw: float             # x . w
-
-
 def clip(x, y):
     """sign(x) * min(|x|, y), elementwise."""
     return np.copysign(np.minimum(np.abs(x), y), x)
+
+
+def _shrunk(xw, q, params: LaserParams):
+    """A laser record's prediction xw / (1 + q), clipped to its clip_bound."""
+    yhat = xw / (1.0 + q)
+    return yhat if params.clip_bound is None else clip(yhat, params.clip_bound)
 
 
 def _p0(params: LaserParams) -> float:
@@ -360,20 +356,20 @@ class CovMember(NamedTuple):
 
 @dataclass(slots=True)
 class CovState:
-    """A covariance-family learner after t rounds: its record, w, and cov,
-    its row in cov_rounds, from (and reset to) the record's P array, or None
-    once a laser record has moved to square-root form, whose (R, z)
-    sqrt_info holds. Only a laser record's state updates max_xsq (the
-    largest |x|^2 seen), min_cost (the minimum tracking cost of the prefix)
-    and last_x_quad (the latest x_t^T D_t^{-1} x_t). P is laser's and AAR's
-    D_t^{-1}, else cov + inflation I (the next P'); D = P^{-1}, e = D w, f,
-    and P in square-root form cost a factorization or a solve per access."""
+    """A covariance-family learner after t rounds: its record, w, and form,
+    what _innovate reads: an array, its row in cov_rounds, from (and reset
+    to) the record's P, or the SqrtInformation (R, z) once a laser record
+    has moved to square-root form. Only a laser record's state updates
+    max_xsq (the largest |x|^2 seen), min_cost (the minimum tracking cost of
+    the prefix) and last_x_quad (the latest x_t^T D_t^{-1} x_t). P is
+    laser's and AAR's D_t^{-1}, else form + inflation I (the next P'); D =
+    P^{-1}, e = D w, f, and P in square-root form cost a factorization or a
+    solve per access."""
 
     member: CovMember
     w: np.ndarray
-    cov: np.ndarray | None
+    form: np.ndarray | SqrtInformation
     t: int
-    sqrt_info: SqrtInformation | None = None
     max_xsq: float = 0.0
     min_cost: float = 0.0
     last_x_quad: float = 0.0
@@ -384,15 +380,16 @@ class CovState:
 
     @property
     def P(self) -> np.ndarray:
-        if self.sqrt_info is not None:
-            U = linalg.tri_solve(self.sqrt_info.R, np.eye(self.dim))  # R^{-1}
+        if isinstance(self.form, SqrtInformation):
+            U = linalg.tri_solve(self.form.R, np.eye(self.dim))  # R^{-1}
             return U @ U.T
         m = self.member  # laser and AAR: D_t^{-1}; the others: P'
-        return self.cov if m.laser else self.cov + m.inflation * np.eye(self.dim)
+        return self.form if m.laser else self.form + m.inflation * np.eye(self.dim)
 
     @property
     def D(self) -> np.ndarray:
-        R = (self.sqrt_info or _to_sqrt_info(self.P, self.w)).R
+        form = self.form
+        R = (form if isinstance(form, SqrtInformation) else _to_sqrt_info(self.P, self.w)).R
         return R.T @ R
 
     @property
@@ -427,10 +424,7 @@ class Trajectory:
     def yhats(self) -> np.ndarray:
         """A laser record's xw / (1 + q), clipped to its clip_bound; else xw."""
         params = self.state.member.laser
-        if params is None:
-            return self.xw
-        yhats = self.xw / (1.0 + self.q)
-        return yhats if params.clip_bound is None else clip(yhats, params.clip_bound)
+        return self.xw if params is None else _shrunk(self.xw, self.q, params)
 
     @property
     def quads(self) -> np.ndarray | None:
@@ -438,21 +432,10 @@ class Trajectory:
         return None if self.state.member.laser is None else self.q / (1.0 + self.q)
 
 
-def as_integer(value) -> int:
-    """An integral value, not a bool, as an int, else InvalidParams: int()
-    would truncate 2.5 to 2, and float() overflows beyond a double's range."""
-    try:
-        if not isinstance(value, bool) and float(value).is_integer():
-            return int(float(value))
-    except OverflowError as exc:
-        raise InvalidParams(str(exc)) from None
-    raise InvalidParams(f"expected an integer, got {value!r}")
-
-
 def cov_init(p0: float, d: int, **fields) -> CovState:
     """The state before round 1 of the record that starts from P = p0 I,
-    d >= 1, with CovMember's other fields: w = 0, cov the record's P."""
-    d = as_integer(d)
+    d >= 1, with CovMember's other fields: w = 0, form the record's P."""
+    d = linalg.as_integer(d)
     if d < 1:
         raise InvalidParams(f"d must be >= 1, got {d}")
     P = p0 * np.eye(d)
@@ -568,10 +551,10 @@ def cov_rounds(members: list[CovMember], xs, ys) -> list[Trajectory]:
         _certify(rounds, *screen)
     out = []
     for i, m in enumerate(members):
-        state = (CovState(m, linalg.tri_solve(*roots[i]), None, T, roots[i]) if i in roots
+        state = (CovState(m, linalg.tri_solve(*roots[i]), roots[i], T) if i in roots
                  else CovState(m, w[i], P[i], T))
         if m.laser is not None and T:
-            s, err = 1.0 + qs[i], ys[:, i] - xws[i]  # cumsum adds in order, as _step_fold does
+            s, err = 1.0 + qs[i], ys[:, i] - xws[i]  # cumsum adds in order, as cov_step does
             # an overflowing cost is kept, as the losses, which the harness refuses
             state.min_cost = float(np.cumsum(err * err / s)[-1])
             state.max_xsq, state.last_x_quad = float(xsq[:, i].max()), float(qs[i, -1] / s[-1])
@@ -591,66 +574,51 @@ def _switches(params: LaserParams, xsq: float, max_xsq: float) -> bool:
 
 
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
-def _step_innovation(state: CovState, x: np.ndarray) -> LaserStep:
-    """A laser record's switch rule, then _innovate, for the validated input x."""
-    m, form, max_xsq = state.member, state.sqrt_info or state.cov, state.max_xsq
+def _step_innovation(state: CovState, x):
+    """A laser record's switch rule, then _innovate, for input x: (x
+    validated, form, max |x|^2 including x, lead, q, xw)."""
+    x = linalg.as_vector(x, state.dim)
+    m, form, max_xsq = state.member, state.form, state.max_xsq
     if m.laser is not None:
         xsq = float(x @ x)
-        if state.sqrt_info is None and _switches(m.laser, xsq, max_xsq):
-            form = _to_sqrt_info(state.cov, state.w)
+        if not isinstance(form, SqrtInformation) and _switches(m.laser, xsq, max_xsq):
+            form = _to_sqrt_info(form, state.w)
         max_xsq = max(xsq, max_xsq)
-    return LaserStep(x, max_xsq, form, *_innovate(form, state.w, x, m.inflation or None,
-                                                  state.t + 1))
-
-
-def _step_fold(state: CovState, y: float, step: LaserStep) -> CovState:
-    """The state after _fold commits step's round with label y, with the
-    record's inflation, weight and gain, then its reset; a laser record's
-    statistics are updated too."""
-    x, max_xsq, form, lead, q, xw = step
-    m, t = state.member, state.t + 1
-    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, m.inflation or None, t, m.weight,
-                            m.gain, math.sqrt(m.weight))
-    root = None
-    if w is None:  # square-root form
-        root, form, w = form, None, linalg.tri_solve(*form)
-    elif m.reset and t % m.reset == 0:
-        form = m.P
-    if m.laser is None:
-        return CovState(m, w, form, t)
-    return CovState(m, w, form, t, root, max_xsq, float(state.min_cost + err * err / s),
-                    float(q / s))
-
-
-def laser_predict(state: CovState, x) -> tuple[float, LaserStep]:
-    """Last-step min-max prediction for input x.
-
-    Returns (yhat, step); pass step to laser_update for this same x to
-    avoid recomputing it.
-    """
-    step = _step_innovation(state, linalg.as_vector(x, state.dim))
-    yhat = float(step.xw / (1.0 + step.q))
-    if state.member.laser.clip_bound is not None:
-        yhat = clip(yhat, state.member.laser.clip_bound)
-    return yhat, step
-
-
-def laser_update(state: CovState, x, y: float, step: LaserStep | None = None) -> CovState:
-    """Commit the round: fold (x, y) into the state.
-
-    step, if given, must be the one laser_predict returned for this same
-    x; x is then not read again. When omitted it is recomputed.
-    """
-    if step is None:
-        step = _step_innovation(state, linalg.as_vector(x, state.dim))
-    return _step_fold(state, y, step)
+    return x, form, max_xsq, *_innovate(form, state.w, x, m.inflation or None, state.t + 1)
 
 
 def cov_step(state: CovState, x, y: float) -> tuple[float, CovState]:
-    """One round of the state's record, as cov_rounds runs it: (x . w before
-    the round, the new state)."""
-    step = _step_innovation(state, linalg.as_vector(x, state.dim))
-    return float(step.xw), _step_fold(state, y, step)
+    """One round of the state's record, as cov_rounds runs it: (the
+    prediction, as Trajectory.yhats gives it, the new state). _fold commits
+    (x, y) with the record's inflation, weight and gain, then its reset;
+    a laser record's statistics are updated too. A label that is not
+    finite raises BadStream, as it does in a stream."""
+    if not math.isfinite(y):
+        raise BadStream(f"label {y} at round {state.t + 1} is not finite")
+    x, form, max_xsq, lead, q, xw = _step_innovation(state, x)
+    m, t = state.member, state.t + 1
+    form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, m.inflation or None, t, m.weight,
+                            m.gain, math.sqrt(m.weight))
+    if w is None:  # square-root form
+        w = linalg.tri_solve(*form)
+    elif m.reset and t % m.reset == 0:
+        form = m.P
+    if m.laser is None:
+        return float(xw), CovState(m, w, form, t)
+    state = CovState(m, w, form, t, max_xsq, float(state.min_cost + err * err / s), float(q / s))
+    return float(_shrunk(xw, q, m.laser)), state
+
+
+def laser_predict(state: CovState, x) -> float:
+    """Last-step min-max prediction for input x, the one cov_step returns,
+    without committing the round."""
+    _, _, _, _, q, xw = _step_innovation(state, x)
+    return float(_shrunk(xw, q, state.member.laser))
+
+
+def laser_update(state: CovState, x, y: float) -> CovState:
+    """Commit the round: fold (x, y) into the state (cov_step's new state)."""
+    return cov_step(state, x, y)[1]
 
 
 def laser_min_cost(state: CovState) -> float:
@@ -668,8 +636,8 @@ def laser_min_cost(state: CovState) -> float:
 def logdet_D(state: CovState) -> float:
     """ln det D_t of the state, as cov_rounds computes it: -2 sum ln L_ii of
     the Cholesky factor L of P_t, or 2 sum ln |R_ii| in square-root form."""
-    if state.sqrt_info is not None:
-        return _sqrt_trace_logdet(state.sqrt_info.R)[1]
+    if isinstance(state.form, SqrtInformation):
+        return _sqrt_trace_logdet(state.form.R)[1]
     return float(_logdet(_factor([(state.t, state.P[None])]))[0])
 
 

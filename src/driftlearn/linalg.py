@@ -1,7 +1,8 @@
 """Dense symmetric-matrix kernels shared by all learners.
 
 Everything here operates on plain float64 numpy arrays: square symmetric
-matrices and 1-d vectors. Matrices handed to a solve or log-det must be
+matrices and 1-d vectors, checked by `as_matrix` and `as_vector`, and
+integers, checked by `as_integer`. Matrices handed to a solve or log-det must be
 SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
 than returning garbage. Dimensions stay small (d of a few hundred at most),
 so Cholesky serves every solve, and QR and triangular solves the
@@ -25,7 +26,7 @@ import os
 import numpy as np
 import scipy
 
-from .errors import DimMismatch, NotPositiveDefinite
+from .errors import BadStream, DimMismatch, InvalidParams, NotPositiveDefinite
 
 
 def _load_flapack(linalg_dir: str):
@@ -51,7 +52,7 @@ def as_matrix(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
+        raise BadStream("matrix has non-finite entries")
     return A
 
 
@@ -63,8 +64,22 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimMismatch(f"expected length {dim}, got {v.shape[0]}")
     if not np.isfinite(v).all():
-        raise ValueError("vector has non-finite entries")
+        raise BadStream("vector has non-finite entries")
     return v
+
+
+def as_integer(value, name: str | None = None) -> int:
+    """An integral value, not a bool, as an int, else InvalidParams, naming
+    name if given. An int comes back unchanged, where float() would round
+    2**53 + 1; any other value only if float(value).is_integer(), where
+    int() would truncate 2.5 to 2. Either must lie within a double's range."""
+    try:
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(value) if isinstance(value, (int, np.integer)) else int(float(value))
+        fault = f"expected an integer, got {value!r}"
+    except OverflowError as exc:
+        fault = str(exc)
+    raise InvalidParams(fault if name is None else f"{name}: {fault}")
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:

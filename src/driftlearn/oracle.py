@@ -128,20 +128,6 @@ def brute_min_cost(xs, ys, b: float, c: float) -> tuple[float, ComparatorSequenc
     return value, ComparatorSequence(u.reshape(T, d))
 
 
-def tracking_cost_gradient(us, xs, ys, b: float, c: float) -> np.ndarray:
-    """Gradient of the tracking cost at a stacked candidate (T, d)."""
-    us, xs, ys = (np.asarray(a, dtype=float) for a in (us, xs, ys))
-    T, d = us.shape
-    grad = np.zeros((T, d))
-    preds = np.einsum("td,td->t", xs, us)
-    grad += 2.0 * (preds - ys)[:, None] * xs
-    grad[0] += 2.0 * b * us[0]
-    diffs = us[1:] - us[:-1]
-    grad[:-1] += -2.0 * c * diffs
-    grad[1:] += 2.0 * c * diffs
-    return grad.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Per-step regret certificate
 # ---------------------------------------------------------------------------

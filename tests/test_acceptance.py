@@ -47,8 +47,8 @@ def test_hand_trace_fixture():
     }
     worst = 0.0
     for i in range(2):
-        yhat, step = laser.laser_predict(state, xs[i])
-        state = laser.laser_update(state, xs[i], ys[i], step=step)
+        yhat = laser.laser_predict(state, xs[i])
+        state = laser.laser_update(state, xs[i], ys[i])
         brute_value, _ = oracle.brute_min_cost(xs[: i + 1], ys[: i + 1], 1.0, 2.0)
         worst = max(
             worst,
@@ -126,8 +126,8 @@ def test_stationary_reduction(forward_ridge):
             st = laser.laser_init(laser.LaserParams(b=1.0, c=c), d)
             out = np.empty(T)
             for t in range(T):
-                out[t], step = laser.laser_predict(st, xs[t])
-                st = laser.laser_update(st, xs[t], ys[t], step=step)
+                out[t] = laser.laser_predict(st, xs[t])
+                st = laser.laser_update(st, xs[t], ys[t])
             return out
 
         ref = forward_ridge(xs, ys, 1.0)

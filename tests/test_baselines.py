@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -69,14 +70,29 @@ def test_nlms_overflowing_denominator_is_bad_stream():
 
 # each single-state step on a fresh state of dimension 2
 STEPS = {
-    "laser": lambda x: laser.laser_update(laser.laser_init(laser.LaserParams(b=1.0, c=10.0), 2),
-                                          x, 1.0),
-    "aar": lambda x: baselines.aar_step(baselines.aar_init(1.0, 2), x, 1.0),
-    "hinf": lambda x: hinf.hinf_step(hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=1.0), 2),
-                                     x, 1.0),
-    "crrls": lambda x: baselines.crrls_step(baselines.crrls_init(2, 3, 1.0), x, 1.0),
-    "nlms": lambda x: baselines.nlms_step(baselines.nlms_init(2, eta=0.5), x, 1.0),
+    "laser": lambda x, y=1.0: laser.laser_update(
+        laser.laser_init(laser.LaserParams(b=1.0, c=10.0), 2), x, y),
+    "cov": lambda x, y=1.0: laser.cov_step(laser.laser_init(laser.LaserParams(b=1.0), 2), x, y),
+    "aar": lambda x, y=1.0: baselines.aar_step(baselines.aar_init(1.0, 2), x, y),
+    "hinf": lambda x, y=1.0: hinf.hinf_step(
+        hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=1.0), 2), x, y),
+    "crrls": lambda x, y=1.0: baselines.crrls_step(baselines.crrls_init(2, 3, 1.0), x, y),
+    "nlms": lambda x, y=1.0: baselines.nlms_step(baselines.nlms_init(2, eta=0.5), x, y),
 }
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("learner", STEPS)
+def test_single_state_step_refuses_a_non_finite_label(learner, y):
+    # as a stream carrying it is refused, not folded into inf or NaN weights
+    with pytest.raises(BadStream, match=r"label .* at round 1 is not finite"):
+        STEPS[learner]([1.0, 1.0], y)
+
+
+@pytest.mark.parametrize("learner", STEPS)
+def test_single_state_step_refuses_a_non_finite_input(learner):
+    with pytest.raises(BadStream, match="vector has non-finite entries"):
+        STEPS[learner]([1.0, math.nan])
 
 
 @pytest.mark.parametrize("learner", STEPS)

@@ -117,8 +117,7 @@ def step_predictions(algo, params, stream):
         state = laser.laser_init(harness._laser_params(params, stream)[0], d)
 
         def step(state, x, y):
-            yhat, innovation = laser.laser_predict(state, x)
-            return yhat, laser.laser_update(state, x, y, innovation)
+            return laser.laser_predict(state, x), laser.laser_update(state, x, y)
     elif algo == "aar":
         state, step = baselines.aar_init(params["b"], d), baselines.aar_step
     elif algo == "hinf":
@@ -201,7 +200,7 @@ def test_laser_spectra_and_states_do_not_depend_on_the_batch():
     lps = [harness._laser_params(p, s)[0] for p, s in members]
     alone = [laser.laser_trajectories([lp], s.xs[:, None], s.ys[:, None], spectra=True)[0]
              for lp, (_, s) in zip(lps, members)]
-    switched = [tr.state.sqrt_info is not None for tr in alone]
+    switched = [isinstance(tr.state.form, laser.SqrtInformation) for tr in alone]
     assert switched == [s is BIG for _, s in members]
     for batch in batches(len(members)):
         streams = [members[i][1] for i in batch]

@@ -148,6 +148,22 @@ def test_seed_outside_uint64_rejected():
     assert not np.array_equal(last.xs, gen_stream(DatasetSpec(kind="A", T=4, d=4, seed=0)).xs)
 
 
+@pytest.mark.parametrize("field", ["T", "d", "switch_period", "seed"])
+@pytest.mark.parametrize("value", [4.5, True, math.inf, math.nan])
+def test_sizes_and_seed_must_be_integers(field, value):
+    # not a numpy TypeError or IndexError, nor seed 1's stream for seed 1.5
+    with pytest.raises(InvalidParams, match=f"{field}: expected an integer, got {value}"):
+        DatasetSpec(**{"kind": "B", "T": 8, "d": 4, field: value})
+
+
+def test_integral_sizes_and_seeds_are_kept_exactly():
+    spec = DatasetSpec(kind="D", T=8.0, d=np.int64(4), seed=2.0, switch_period=3.0)
+    assert spec == DatasetSpec(kind="D", T=8, d=4, seed=2, switch_period=3)
+    assert all(type(getattr(spec, k)) is int for k in ("T", "d", "seed", "switch_period"))
+    assert DatasetSpec(kind="A", T=4, d=4, seed=2**64 - 1).seed == 2**64 - 1
+    assert DatasetSpec(kind="A", T=4, d=4, seed=2**53 + 1).seed == 2**53 + 1  # not rounded
+
+
 def test_noise_var_rejected_for_noise_free_kinds():
     with pytest.raises(ValueError):
         DatasetSpec(kind="A", T=10, d=10, seed=0, noise_var=0.1)

@@ -249,6 +249,18 @@ def test_run_batch_refuses_mismatched_streams_and_parameter_sets():
         harness.run_batch("aar", [{"b": 1.0}] * 2, [short, long])
     with pytest.raises(LengthMismatch, match="1 parameter sets for 2 streams"):
         harness.run_batch("aar", [{"b": 1.0}], [short, short])
+    # one seed per stream: not an IndexError for too few, nor a dropped extra one
+    for seeds in ([0], [0, 1, 2]):
+        with pytest.raises(LengthMismatch, match=f"{len(seeds)} seeds for 2 streams"):
+            harness.run_batch("aar", [{"b": 1.0}] * 2, [short, short], seeds=seeds)
+
+
+def test_labeled_stream_refuses_a_comparator_of_another_shape():
+    # not a numpy broadcast error in oracle.comparator_loss once a learner runs
+    xs, ys = np.ones((3, 2)), np.ones(3)
+    for us in (np.ones((3, 3)), np.ones((2, 2))):
+        with pytest.raises(LengthMismatch, match="comparator .* and inputs .* are not aligned"):
+            LabeledStream(xs, ys, oracle.ComparatorSequence(us))
 
 
 def test_sweep_all_invalid_raises():

@@ -24,8 +24,7 @@ def kernel_run(xs, ys, b, c):
     state = laser.laser_init(laser.LaserParams(b=b, c=c), xs.shape[1])
     yhats, states = [], [state]
     for x, y in zip(xs, ys):
-        yhat, step = laser.laser_predict(state, x)
-        state = laser.laser_update(state, x, y, step=step)
+        yhat, state = laser.cov_step(state, x, y)
         yhats.append(yhat)
         states.append(state)
     return np.array(yhats), states
@@ -146,8 +145,8 @@ SPECTRA_STREAMS = [(gen_stream(DatasetSpec(kind=k, T=200, d=4, seed=2)), 1.0, 10
 def stepped_ps(xs, ys, b, c):
     """P_0..P_T of the single-state step functions, all in covariance form."""
     _, states = kernel_run(xs, ys, b, c)
-    assert states[-1].sqrt_info is None
-    return np.array([st_.cov for st_ in states])
+    assert not isinstance(states[-1].form, laser.SqrtInformation)
+    return np.array([st_.form for st_ in states])
 
 
 @pytest.mark.parametrize("k", range(len(SPECTRA_STREAMS)))
@@ -185,8 +184,8 @@ def test_spectra_when_every_member_has_switched_form():
                                      spectra=True)
     for lp, traj in zip(lps, trajs):
         _, states = kernel_run(xs, ys, lp.b, lp.c)
-        assert all(st_.sqrt_info is not None for st_ in states[1:])
-        Rs = [st_.sqrt_info.R for st_ in states[1:]]
+        assert all(isinstance(st_.form, laser.SqrtInformation) for st_ in states[1:])
+        Rs = [st_.form.R for st_ in states[1:]]
         np.testing.assert_allclose(traj.trace_D[1:], [np.sum(R * R) for R in Rs], rtol=1e-12)
         lam = [np.linalg.svd(R, compute_uv=False)[0] ** 2 for R in Rs]
         np.testing.assert_allclose(traj.lam_peak_D[1:], np.maximum.accumulate(lam), rtol=1e-12)
@@ -266,11 +265,11 @@ def test_stress_stays_spd_and_matches_high_precision(case):
     assume(kappa_of(xs, b, c) <= 1e3)
     yhats, states = kernel_run(xs, ys, b, c)
     for state in states:
-        if state.sqrt_info is None:
-            assert np.array_equal(state.cov, state.cov.T)
-            assert np.linalg.eigvalsh(state.cov)[0] > 0.0
+        if not isinstance(state.form, laser.SqrtInformation):
+            assert np.array_equal(state.form, state.form.T)
+            assert np.linalg.eigvalsh(state.form)[0] > 0.0
         else:
-            R = state.sqrt_info.R
+            R = state.form.R
             assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) != 0.0)
     ref = mp_predictions(xs, ys, b, c)
     if not np.any(ref):
@@ -291,7 +290,7 @@ def test_weak_prior_slow_forgetting_switches_to_information_form(b, c):
     # information form
     xs, ys = big_stream(1e6)
     yhats, states = kernel_run(xs, ys, b, c)
-    assert states[0].sqrt_info is None and states[-1].sqrt_info is not None
+    assert [isinstance(states[i].form, laser.SqrtInformation) for i in (0, -1)] == [False, True]
     assert rel_dev(yhats, mp_predictions(xs, ys, b, c, dps=50)) <= 1e-13
 
 
@@ -299,7 +298,7 @@ def test_moderate_inputs_stay_in_covariance_form():
     stream = gen_stream(DatasetSpec(kind="C", T=250, d=20, seed=4))
     for b, c in [(10.0, 300.0), (10.0, 10000.0), (300.0, 1000.0), (100.0, math.inf)]:
         _, states = kernel_run(stream.xs, stream.ys, b, c)
-        assert states[-1].sqrt_info is None
+        assert not isinstance(states[-1].form, laser.SqrtInformation)
 
 
 KNOWN_DEFECT = ("known defect: with max|x|^2/b >> 1e4 while some direction still "
@@ -341,7 +340,7 @@ def test_largest_input_first_at_moderate_forgetting_keeps_covariance_form():
     order = np.r_[first, np.delete(np.arange(len(xs)), first)]
     xs, ys = xs[order], ys[order]
     yhats, states = kernel_run(xs, ys, 1.0, 2e4)
-    assert all(st_.sqrt_info is None for st_ in states)
+    assert not any(isinstance(st_.form, laser.SqrtInformation) for st_ in states)
     assert rel_dev(yhats, mp_predictions(xs, ys, 1.0, 2e4, dps=50)) <= 1e-12
 
 

@@ -25,8 +25,8 @@ def run_trace():
     state = laser.laser_init(params, 1)
     steps = []
     for x, y in zip(TRACE_XS, TRACE_YS):
-        yhat, step = laser.laser_predict(state, x)
-        state = laser.laser_update(state, x, y, step=step)
+        yhat = laser.laser_predict(state, x)
+        state = laser.laser_update(state, x, y)
         steps.append((yhat, state))
     return steps
 
@@ -73,10 +73,10 @@ def test_predict_zero_input_predicts_zero():
     params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 2)
     state = laser.laser_update(state, [1.0, 0.0], 1.0)
-    yhat, step = laser.laser_predict(state, [0.0, 0.0])
+    yhat = laser.laser_predict(state, [0.0, 0.0])
     assert yhat == 0.0
     # propagation only: D becomes (D^{-1} + c^{-1} I)^{-1}, so P becomes P + I/c
-    propagated = laser.laser_update(state, [0.0, 0.0], 0.0, step=step)
+    propagated = laser.laser_update(state, [0.0, 0.0], 0.0)
     np.testing.assert_allclose(propagated.P, state.P + np.eye(2) / 2.0, atol=1e-12)
 
 
@@ -119,11 +119,11 @@ def test_forward_property():
     for t in range(30):
         x = rng.standard_normal(3)
         y = rng.standard_normal()
-        yhat, step = laser.laser_predict(state, x)
-        ghost = laser.laser_update(state, x, 0.0, step=step)
+        yhat = laser.laser_predict(state, x)
+        ghost = laser.laser_update(state, x, 0.0)
         forward = float(x @ linalg.spd_solve(ghost.D, ghost.e))
         assert abs(yhat - forward) <= 1e-12
-        state = laser.laser_update(state, x, y, step=step)
+        state = laser.laser_update(state, x, y)
 
 
 def test_eigenvalue_cap_along_trajectory():
@@ -149,8 +149,8 @@ def test_stationary_reduction_to_forward_ridge(forward_ridge):
         state = laser.laser_init(laser.LaserParams(b=1.0, c=c), d)
         preds = []
         for t in range(T):
-            yhat, step = laser.laser_predict(state, xs[t])
-            state = laser.laser_update(state, xs[t], ys[t], step=step)
+            yhat = laser.laser_predict(state, xs[t])
+            state = laser.laser_update(state, xs[t], ys[t])
             preds.append(yhat)
         return np.array(preds)
 
@@ -170,8 +170,8 @@ def test_per_step_regret_identity():
         for t in range(25):
             x = rng.standard_normal(d)
             y = rng.standard_normal()
-            yhat, step = laser.laser_predict(state, x)
-            state = laser.laser_update(state, x, y, step=step)
+            yhat = laser.laser_predict(state, x)
+            state = laser.laser_update(state, x, y)
             cost = laser.laser_min_cost(state)
             lhs = (y - yhat) ** 2 + prev_cost - cost
             rhs = y * y * state.last_x_quad
@@ -186,7 +186,7 @@ def test_clip_bound_applies_to_predictions():
     params = laser.LaserParams(b=1.0, c=2.0, clip_bound=0.1)
     state = laser.laser_init(params, 1)
     state = laser.laser_update(state, [1.0], 1.0)
-    yhat, _ = laser.laser_predict(state, [1.0])
+    yhat = laser.laser_predict(state, [1.0])
     assert yhat == pytest.approx(0.1)  # unclipped value is 0.25
 
 
@@ -221,13 +221,14 @@ def test_update_without_predict_recomputes_propagation():
     params = laser.LaserParams(b=1.0, c=5.0)
     a = laser.laser_init(params, 3)
     b = laser.laser_init(params, 3)
-    for _ in range(5):
+    for _ in range(5):  # laser_predict leaves the state as it was
         x, y = rng.standard_normal(3), rng.standard_normal()
-        _, step = laser.laser_predict(a, x)
-        a = laser.laser_update(a, x, y, step=step)
+        laser.laser_predict(a, x)
+        a = laser.laser_update(a, x, y)
         b = laser.laser_update(b, x, y)
     np.testing.assert_allclose(a.D, b.D, atol=1e-14)
     np.testing.assert_allclose(a.e, b.e, atol=1e-14)
+    assert _same_state(a, b)
 
 
 def _indefinite_start():
@@ -250,7 +251,7 @@ def test_cov_rounds_derives_the_guard_from_the_record():
     member, xs, ys = _indefinite_start()
     (traj,) = laser.cov_rounds([member._replace(inflation=0.0, laser=laser.LaserParams(1.0))],
                                xs, ys)
-    assert traj.state.cov[1, 1] == -1e-3 and traj.yhats[0] == 0.0
+    assert traj.state.form[1, 1] == -1e-3 and traj.yhats[0] == 0.0
 
 
 def test_cov_rounds_spectra_check_the_start():
@@ -272,19 +273,23 @@ def _same_or_none(a, b):
     return a is b is None or (a is not None and b is not None and _same(a, b))
 
 
-STATE_FIELDS = ("w", "cov", "sqrt_info", "t", "max_xsq", "min_cost", "last_x_quad")
+STATE_FIELDS = ("w", "form", "t", "max_xsq", "min_cost", "last_x_quad")
 SPECTRA = ("trace_D", "lam_peak_D", "logdet_D")
 
 
+def _switched(state):
+    """Whether the state has moved to square-root information form."""
+    return isinstance(state.form, laser.SqrtInformation)
+
+
 def _same_state(got, want):
-    """Equal CovStates: every field but the record bit for bit, cov and
-    sqrt_info None in both or in neither."""
+    """Equal CovStates: every field but the record bit for bit, form in the
+    same form in both."""
     for name in STATE_FIELDS:
         g, w = getattr(got, name), getattr(want, name)
-        if g is None or w is None:
-            if g is not w:
-                return False
-        elif not (all(map(_same, g, w)) if isinstance(g, tuple) else _same(g, w)):
+        if isinstance(g, tuple) != isinstance(w, tuple):
+            return False
+        if not (all(map(_same, g, w)) if isinstance(g, tuple) else _same(g, w)):
             return False
     return True
 
@@ -331,7 +336,7 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
                                 np.stack([m[1] for m in members], axis=1))
 
     mixed = call(rows)
-    assert all(mixed[i].state.sqrt_info is not None for i in (5, 7, 9, 10))
+    assert all(_switched(mixed[i].state) for i in (5, 7, 9, 10))
     assert np.abs(mixed[10].yhats).max() == 1.0 < np.abs(mixed[10].xw).max()  # it clips
     for got, row in zip(mixed, rows):
         member, (alone,) = row[2], call([row])
@@ -359,12 +364,12 @@ def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
     s = SQRT_DESK
     member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
     (traj,) = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
-    assert traj.state.sqrt_info is not None
+    assert _switched(traj.state)
     state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
     for x, y in zip(s.xs, s.ys):
         state = laser.laser_update(state, x, y)
         ws.append(state.w)
-    assert state.sqrt_info is not None and _same(traj.ws, ws)
+    assert _switched(state) and _same(traj.ws, ws)
 
 
 def test_step_and_loop_reach_the_same_state():
@@ -385,28 +390,52 @@ def test_step_and_loop_reach_the_same_state():
         for x, y in zip(s.xs, s.ys):
             state = step(state, x, y)
         assert final.member is state.member and _same_state(final, state)
-    assert trajs[0].state.sqrt_info is not None and trajs[0].state.min_cost > 0.0
+    assert _switched(trajs[0].state) and trajs[0].state.min_cost > 0.0
 
 
 def test_cov_step_commits_a_laser_record_as_laser_update():
     # through the switch to square-root form in the fourth round
     s, state = SQRT_DESK, laser.laser_init(SQRT_PARAMS, SQRT_DESK.dim)
     for t, (x, y) in enumerate(zip(s.xs[:10], s.ys), start=1):
-        xw, got = laser.cov_step(state, x, y)
+        yhat, got = laser.cov_step(state, x, y)
         want = laser.laser_update(state, x, y)
-        assert xw == laser.laser_predict(state, x)[1].xw and _same_state(got, want)
-        assert (got.sqrt_info is None) == (t < 4)
+        assert yhat == laser.laser_predict(state, x) and _same_state(got, want)
+        assert _switched(got) == (t >= 4)
         state = want
-    # cov_step returns x . w, unshrunk; a laser state's P is D_t^{-1}, not P + I/c
-    assert laser.laser_predict(state, s.xs[10])[0] != laser.cov_step(state, s.xs[10], 0.0)[0]
+    # a laser state's P is D_t^{-1}, not P + I/c
     _, drifting = laser.cov_step(laser.laser_init(laser.LaserParams(1.0, 10.0), 2), [1.0, 0.0], 1.0)
-    assert drifting.P is drifting.cov
+    assert drifting.P is drifting.form
+
+
+def test_cov_step_predicts_as_the_loop():
+    # a clipped laser record, an AAR record that moves to square-root form at
+    # round 3, a hinf record and a CR-RLS record: cov_step predicts laser_predict's
+    # shrunk, clipped value for the first two and x . w for the others, as
+    # Trajectory.yhats does for the same record in cov_rounds
+    s = SQRT_DESK
+    states = [laser.laser_init(laser.LaserParams(1.0, 100.0, clip_bound=2.0), s.dim),
+              baselines.aar_init(0.05, s.dim),
+              hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=10.0), s.dim),
+              baselines.crrls_init(s.dim, 7, 0.5)]
+    trajs = laser.cov_rounds([st.member for st in states],
+                             *(np.repeat(a[:, None], len(states), axis=1) for a in (s.xs, s.ys)))
+    for state, traj in zip(states, trajs):
+        yhats = []
+        for x, y in zip(s.xs, s.ys):
+            want = (laser.laser_predict(state, x) if state.member.laser
+                    else float(np.vecdot(x, state.w)))
+            yhat, state = laser.cov_step(state, x, y)
+            assert yhat == want
+            yhats.append(yhat)
+        assert _same(yhats, traj.yhats)
+    assert np.abs(trajs[0].yhats).max() == 2.0 < np.abs(trajs[0].xw / (1.0 + trajs[0].q)).max()
+    assert _switched(trajs[1].state)
 
 
 def test_stationary_report_in_square_root_form_reads_ln_det_D():
     s = SQRT_DESK
     (traj,) = laser.laser_trajectories([SQRT_PARAMS], s.xs[:, None], s.ys[:, None])
-    assert traj.state.sqrt_info is not None
+    assert _switched(traj.state)
     sign, want = np.linalg.slogdet(oracle.laser_direct(s.xs, s.ys, 0.05, math.inf).Ds[-1])
     assert sign == 1.0 and laser.logdet_D(traj.state) == pytest.approx(want, rel=1e-12)
     report = harness.run_learner("laser", {"b": 0.05, "c": math.inf}, s)
@@ -438,7 +467,7 @@ def test_certification_paths_agree(d, monkeypatch):
                            for tr in laser.laser_trajectories(
                                params, np.repeat(s.xs[:, None], len(params), axis=1),
                                np.repeat(s.ys[:, None], len(params), axis=1), spectra=True)]
-    assert runs[d][-1].state.sqrt_info is not None
+    assert _switched(runs[d][-1].state)
     for per_member, batched in zip(runs[d], runs[d + 1]):
         for name in ("trace_D", "logdet_D"):
             got, want = getattr(per_member, name), getattr(batched, name)
@@ -538,7 +567,7 @@ def test_block_size_moves_no_output(d, monkeypatch):
         calls.clear()
         runs[name] = laser.cov_rounds(members, xs, ys), len(calls)
     (want, want_calls), = [runs.pop("one round")]
-    assert want[5].state.sqrt_info is not None and want[6].state.sqrt_info is not None \
+    assert _switched(want[5].state) and _switched(want[6].state) \
         and want_calls > 0
     for got, got_calls in runs.values():
         assert got_calls == want_calls

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlearn import linalg
-from driftlearn.errors import DimMismatch, NotPositiveDefinite
+from driftlearn.errors import BadStream, DimMismatch, NotPositiveDefinite
 
 
 def random_spd(rng, d, ridge=1.0):
@@ -165,7 +165,9 @@ def test_spd_inverse_roundtrip():
 
 
 def test_vectors_must_be_finite():
-    with pytest.raises(ValueError):
+    # a DriftLearnError, as their shape errors are, and still a ValueError
+    with pytest.raises(BadStream, match="vector has non-finite entries"):
         linalg.as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadStream, match="matrix has non-finite entries"):
         linalg.as_matrix([[1.0, 0.0], [0.0, np.inf]])
+    assert issubclass(BadStream, ValueError)

@@ -37,7 +37,7 @@ for t, (x, y) in enumerate(zip(xs, ys), start=1):
 
 # The recursion's offline optimum must equal a direct minimization of
 # the penalized tracking cost over ALL comparator sequences (u_1..u_T).
-recursive = laser.laser_min_cost(state)
+recursive = state.min_cost
 brute, comp = oracle.brute_min_cost(xs, ys, b, c)
 print(f"\noffline optimum, recursive : {recursive:.12f}")
 print(f"offline optimum, brute     : {brute:.12f}")

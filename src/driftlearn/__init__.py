@@ -42,7 +42,6 @@ from .laser import (
     CovState,
     LaserParams,
     laser_init,
-    laser_min_cost,
     laser_predict,
     laser_trajectories,
     laser_update,

@@ -93,10 +93,11 @@ def nlms_step(state: NlmsState, x, y: float) -> tuple[float, NlmsState]:
 
 def nlms_trajectories(states: list[NlmsState], xs, ys) -> np.ndarray:
     """Run S NLMS members from the given states in one step loop; returns
-    the predictions (S, T). xs (T, S, d) and ys (T, S) as in
-    `laser.cov_rounds`. BadStream at the first round where some eps + |x|^2
-    overflows; a member that diverges predicts inf or NaN, whose loss a
-    certified run refuses."""
+    the predictions (S, T). xs (T, S, d) and ys (T, S), checked finite, as
+    in `laser.cov_rounds`. BadStream at the first round where some eps +
+    |x|^2 overflows; a member that diverges predicts inf or NaN, whose loss
+    a certified run refuses."""
+    linalg.check_finite(xs, ys)
     eta = np.array([st.eta for st in states])
     eps = np.array([st.eps for st in states])
     w = np.stack([st.w for st in states])

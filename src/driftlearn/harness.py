@@ -153,11 +153,11 @@ def _member(algo_id: str, params: dict, stream: LabeledStream, certify: bool = T
     d = stream.dim
     if algo_id == "laser":
         lp, regime, inputs = _laser_params(params, stream)
-        spectra = certify and not lp.stationary
-        return algo_id, params, laser.laser_member(lp, d, spectra), (lp, regime, inputs)
+        member = laser.laser_init(lp, d).member._replace(spectra=certify and not lp.stationary)
+        return algo_id, params, member, (lp, regime, inputs)
     p = _checked(algo_id, params)  # UnknownAlgo for an id not in the table
     if algo_id == "aar":  # the laser round at c = inf; it certifies no bounds
-        return algo_id, params, laser.laser_member(laser.LaserParams(b=p["b"]), d), None
+        return algo_id, params, baselines.aar_init(p["b"], d).member, None
     if algo_id == "hinf":
         hp = hinf.HInfParams(a=p["a"], b=p["b"], c=p["c"])
         return algo_id, params, hinf.hinf_init(hp, d).member._replace(keep_w=certify), hp
@@ -267,9 +267,9 @@ def _laser_bound_checks(report, stream, traj, lp, regime, inputs, closs) -> list
         logdet_T, trace_sum = laser.logdet_D(traj.state), 0.0
     else:
         logdet_T, trace_sum = float(traj.logdet_D[-1]), float(np.sum(traj.trace_D[:-1]))
-    lhs = float(np.sum(report.quad_trace))
-    rhs = float(oracle.logdet_bound_rhs(logdet_T, trace_sum, stream.dim, lp.b, lp.c))
-    checks.append(BoundCheck("logdet_quad_bound", lhs, rhs, EIG_TOL))
+    sides = oracle.logdet_bound_sides(report.quad_trace, logdet_T, trace_sum, stream.dim,
+                                      lp.b, lp.c)
+    checks.append(BoundCheck("logdet_quad_bound", *sides, EIG_TOL))
     if not lp.stationary:
         lam = float(traj.lam_peak_D[-1])  # the running maximum over t >= 1
         cap = oracle.eig_cap(stream.X_bound**2, lp.b, lp.c)

@@ -59,7 +59,7 @@ returns one `Trajectory` per member, and `cov_step`, the one single-state
 round on a `CovState`, the one state of every learner here. Both predict
 x . w, or for a laser record x . w / (1 + q), clipped (`_shrunk`), and
 `_switches` holds the laser switch rule for both; `laser_predict` is
-`cov_step`'s prediction without the commit, and `laser_update` its new
+`cov_step`'s prediction, its new state dropped, and `laser_update` its new
 state. Laser, AAR, hinf and CR-RLS members differ only in their
 `CovMember` records (start P, inflation, weight, gain, reset, spectra,
 kept weights, and a laser member's LaserParams), which are all that
@@ -447,11 +447,6 @@ def laser_init(params: LaserParams, d: int) -> CovState:
     return cov_init(_p0(params), d, inflation=params.inflation, laser=params)
 
 
-def laser_member(params: LaserParams, d: int, spectra: bool = False) -> CovMember:
-    """The laser round of laser_init's state."""
-    return laser_init(params, d).member._replace(spectra=spectra)
-
-
 @np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
 def cov_rounds(members: list[CovMember], xs, ys) -> list[Trajectory]:
     """Run S members of the covariance-form round, each from its start P and
@@ -483,8 +478,10 @@ def cov_rounds(members: list[CovMember], xs, ys) -> list[Trajectory]:
     round where _switches holds and keeps its row, frozen: the row reads x = 0
     from then on, and the member's own rounds replace what it writes. A
     member with spectra or laser must have weight and gain 1 and no reset:
-    that form and the screen's map are the laser round's.
+    that form and the screen's map are the laser round's. An input or label
+    that is not finite raises BadStream before round 1.
     """
+    linalg.check_finite(xs, ys)
     T, S, d = xs.shape
     xsq = np.vecdot(xs, xs)  # (T, S) |x_t|^2, for the switch rounds and the screen
     field = {k: np.array([getattr(m, k) for m in members]) for k in CovMember._fields[1:7]}
@@ -573,30 +570,23 @@ def _switches(params: LaserParams, xsq: float, max_xsq: float) -> bool:
     return xsq > max_xsq and min(xsq, params.c) / params.b > max(KAPPA_MAX, xsq * params.inflation)
 
 
-@np.errstate(over="ignore")  # an overflowing |x|^2 or x^T P' x is inf, which _innovate reports
-def _step_innovation(state: CovState, x):
-    """A laser record's switch rule, then _innovate, for input x: (x
-    validated, form, max |x|^2 including x, lead, q, xw)."""
-    x = linalg.as_vector(x, state.dim)
-    m, form, max_xsq = state.member, state.form, state.max_xsq
-    if m.laser is not None:
-        xsq = float(x @ x)
-        if not isinstance(form, SqrtInformation) and _switches(m.laser, xsq, max_xsq):
-            form = _to_sqrt_info(form, state.w)
-        max_xsq = max(xsq, max_xsq)
-    return x, form, max_xsq, *_innovate(form, state.w, x, m.inflation or None, state.t + 1)
-
-
 def cov_step(state: CovState, x, y: float) -> tuple[float, CovState]:
     """One round of the state's record, as cov_rounds runs it: (the
-    prediction, as Trajectory.yhats gives it, the new state). _fold commits
-    (x, y) with the record's inflation, weight and gain, then its reset;
-    a laser record's statistics are updated too. A label that is not
-    finite raises BadStream, as it does in a stream."""
+    prediction, as Trajectory.yhats gives it, the new state). A laser
+    record's switch rule, _innovate, then _fold with the record's inflation,
+    weight and gain, then its reset; a laser record's statistics too. A
+    label that is not finite raises BadStream, as it does in a stream."""
     if not math.isfinite(y):
         raise BadStream(f"label {y} at round {state.t + 1} is not finite")
-    x, form, max_xsq, lead, q, xw = _step_innovation(state, x)
-    m, t = state.member, state.t + 1
+    x = linalg.as_vector(x, state.dim)
+    m, form, max_xsq, t = state.member, state.form, state.max_xsq, state.t + 1
+    with np.errstate(over="ignore"):  # an overflowing |x|^2 or x^T P' x is inf: _innovate raises
+        if m.laser is not None:
+            xsq = float(x @ x)
+            if not isinstance(form, SqrtInformation) and _switches(m.laser, xsq, max_xsq):
+                form = _to_sqrt_info(form, state.w)
+            max_xsq = max(xsq, max_xsq)
+        lead, q, xw = _innovate(form, state.w, x, m.inflation or None, t)
     form, w, s, err = _fold(form, state.w, x, y, lead, q, xw, m.inflation or None, t, m.weight,
                             m.gain, math.sqrt(m.weight))
     if w is None:  # square-root form
@@ -610,27 +600,14 @@ def cov_step(state: CovState, x, y: float) -> tuple[float, CovState]:
 
 
 def laser_predict(state: CovState, x) -> float:
-    """Last-step min-max prediction for input x, the one cov_step returns,
-    without committing the round."""
-    _, _, _, _, q, xw = _step_innovation(state, x)
-    return float(_shrunk(xw, q, state.member.laser))
+    """The prediction cov_step gives for input x, without committing the
+    round: it does not read the label."""
+    return cov_step(state, x, 0.0)[0]
 
 
 def laser_update(state: CovState, x, y: float) -> CovState:
     """Commit the round: fold (x, y) into the state (cov_step's new state)."""
     return cov_step(state, x, y)[1]
-
-
-def laser_min_cost(state: CovState) -> float:
-    """Minimum of the offline tracking cost over all comparator sequences
-    for the observed prefix, f_t - e_t^T D_t^{-1} e_t, accumulated in
-    innovation form.
-
-    Requires at least one committed round.
-    """
-    if state.t < 1:
-        raise ValueError("no rounds committed yet")
-    return state.min_cost
 
 
 def logdet_D(state: CovState) -> float:
@@ -654,13 +631,14 @@ def _switch_round(params: LaserParams, peaks: np.ndarray) -> int:
 
 
 def laser_trajectories(params, xs, ys, spectra: bool = False) -> list[Trajectory]:
-    """Run S members of the learner, params[i] for member i, under the
-    online protocol in one cov_rounds call; one Trajectory per member, in
-    order. xs is (T, S, d) and ys (T, S), as in cov_rounds: one stream
+    """Run S members of the learner, member i laser_init(params[i], d)'s
+    record with spectra, in one cov_rounds call; one Trajectory per member,
+    in order. xs is (T, S, d) and ys (T, S), as in cov_rounds: one stream
     (T, d) runs as laser_trajectories([p], xs[:, None], ys[:, None])[0].
     Each drifting covariance-form member's P (with spectra, every one's) is
     checked positive definite after every round, per block of rounds, by
     the Cholesky factorization that also gives the spectra.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return cov_rounds([laser_member(p, xs.shape[2], spectra) for p in params], xs, ys)
+    d = xs.shape[2]
+    return cov_rounds([laser_init(p, d).member._replace(spectra=spectra) for p in params], xs, ys)

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix kernels shared by all learners.
 
 Everything here operates on plain float64 numpy arrays: square symmetric
-matrices and 1-d vectors, checked by `as_matrix` and `as_vector`, and
-integers, checked by `as_integer`. Matrices handed to a solve or log-det must be
-SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
+matrices and 1-d vectors, checked by `as_matrix` and `as_vector`, streams,
+by `check_finite`, and integers, by `as_integer`. Matrices handed to a solve or log-det
+must be SPD; failure raises :class:`~driftlearn.errors.NotPositiveDefinite` rather
 than returning garbage. Dimensions stay small (d of a few hundred at most),
 so Cholesky serves every solve, and QR and triangular solves the
 square-root information form of `laser`. `laser` certifies through
@@ -66,6 +66,12 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise BadStream("vector has non-finite entries")
     return v
+
+
+def check_finite(xs, ys) -> None:
+    """BadStream unless every input of xs and label of ys is finite."""
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise BadStream("stream has non-finite inputs or labels")
 
 
 def as_integer(value, name: str | None = None) -> int:

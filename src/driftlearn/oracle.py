@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BadStream,
     DomainError,
     LengthMismatch,
     NotPositiveDefinite,
@@ -56,8 +55,7 @@ def checked_stream(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.shape != xs.shape[:1]:
         raise LengthMismatch(f"inputs {xs.shape} and labels {ys.shape} are not aligned")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise BadStream("stream has non-finite inputs or labels")
+    linalg.check_finite(xs, ys)
     return xs, ys
 
 
@@ -223,22 +221,15 @@ def logdet_bound_rhs(logdet_DT, trace_sum, d: int, b: float, c: float):
     return rhs
 
 
-def logdet_bound_sides(quad_trace, D_traj, b: float, c: float) -> tuple[float, float]:
+def logdet_bound_sides(quad_trace, logdet_DT: float, trace_sum: float, d: int, b: float,
+                       c: float) -> tuple[float, float]:
     """Both sides of the log-det inequality
 
         sum_t x_t^T D_t^{-1} x_t  <=  ln|D_T / b| + c^{-1} sum_t Tr(D_{t-1})
 
-    D_traj must be the full trajectory [D_0, D_1, ..., D_T].
-    """
-    quad_trace = np.asarray(quad_trace, dtype=float)
-    T = len(quad_trace)
-    if len(D_traj) != T + 1:
-        raise LengthMismatch(f"need T+1 = {T + 1} matrices, got {len(D_traj)}")
-    d = np.asarray(D_traj[0]).shape[0]
-    lhs = float(np.sum(quad_trace))
-    trace_sum = sum(float(np.trace(np.asarray(D_traj[t]))) for t in range(T))
-    rhs = logdet_bound_rhs(linalg.logdet(np.asarray(D_traj[-1])), trace_sum, d, b, c)
-    return lhs, float(rhs)
+    from the per-round x_t^T D_t^{-1} x_t, ln det D_T and the trace sum
+    (see logdet_bound_rhs)."""
+    return float(np.sum(quad_trace)), float(logdet_bound_rhs(logdet_DT, trace_sum, d, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -491,25 +482,24 @@ def tuned_params(
     """Self-consistent (b, c) for a tuned run: compute c from the regime
     formula, set b = eps_ratio * c, then validate the regime precondition
     with the resulting mu/M. HIGH's M depends on b = eps * c, so its c is
-    the scalar fixed point of the formula, iterated from M = 3 X^2.
+    the scalar fixed point of the formula, iterated from M = 3 X^2;
+    RegimeViolation if 100 iterations do not reach it.
     """
     if not 0.0 < eps_ratio < 1.0:
         raise DomainError(f"eps_ratio must lie in (0, 1), got {eps_ratio}")
     if V <= 0:
         raise RegimeViolation("V = 0 admits no finite tuning; use c = inf")
-    c = _regime_c(regime, T, d, Y, X, max(3.0 * X * X, X * X), V)
+    c = _regime_c(regime, T, d, Y, X, 3.0 * X * X, V)
     if regime is DriftRegime.HIGH:
         for _ in range(100):
             M = max(3.0 * X * X, eps_ratio * c + X * X)
             c, c_prev = _regime_c(regime, T, d, Y, X, M, V), c
             if abs(c - c_prev) <= 1e-13 * max(1.0, c_prev):
                 break
+        else:
+            raise RegimeViolation(f"tuning did not reach a fixed point: c = {c:.6g}")
     inputs = BoundInputs(Y=Y, X=X, b=eps_ratio * c, c=c, d=d, T=T)
-    tuned = tuned_c(regime, inputs, V)  # re-validates the precondition
-    if abs(tuned - c) > 1e-9 * max(1.0, c):
-        raise RegimeViolation(
-            f"tuning did not reach a fixed point: c={c:.6g} vs {tuned:.6g}"
-        )
+    _check_regime(regime, inputs, V)
     return inputs
 
 

@@ -78,7 +78,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteResult:
         for t in range(T):
             state = laser.laser_update(state, xs[t], ys[t])
         value, _ = oracle.brute_min_cost(xs, ys, float(lo), float(hi))
-        gap = abs(laser.laser_min_cost(state) - value) / (1.0 + abs(value))
+        gap = abs(state.min_cost - value) / (1.0 + abs(value))
         worst = max(worst, gap)
     return SuiteResult("offline-optimum oracle equivalence", trials, worst, 1e-8)
 

@@ -56,8 +56,8 @@ def test_hand_trace_fixture():
             abs(state.D[0, 0] - expect["D"][i]),
             abs(state.e[0] - expect["e"][i]),
             abs(state.f - expect["f"][i]),
-            abs(laser.laser_min_cost(state) - expect["min_cost"][i]),
-            abs(laser.laser_min_cost(state) - brute_value),
+            abs(state.min_cost - expect["min_cost"][i]),
+            abs(state.min_cost - brute_value),
         )
     _report(
         "two-round hand-trace fixture",

@@ -105,6 +105,29 @@ def test_single_state_step_on_overflowing_inputs_is_bad_stream(learner):
     assert not [str(w.message) for w in caught]
 
 
+# each multi-member loop on xs (T, S, d) and ys (T, S)
+LOOPS = {
+    "laser": lambda xs, ys: laser.laser_trajectories([laser.LaserParams(1.0, 10.0)], xs, ys),
+    "nlms": lambda xs, ys: baselines.nlms_trajectories([baselines.nlms_init(2, 0.5)], xs, ys),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan label", "inf input"])
+@pytest.mark.parametrize("loop", LOOPS)
+def test_loop_refuses_a_non_finite_stream_before_round_1(loop, bad):
+    # not NaN predictions and weights, and not a numpy warning before the refusal
+    xs, ys = np.ones((3, 1, 2)), np.ones((3, 1))
+    if bad == "nan label":
+        ys[1] = math.nan
+    else:
+        xs[1, 0, 0] = math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(BadStream, match="stream has non-finite inputs or labels"):
+            LOOPS[loop](xs, ys)
+    assert not [str(w.message) for w in caught]
+
+
 def test_crrls_first_step_trace():
     st = baselines.crrls_init(1, reset_period=10, b_reset=1.0)
     yhat, st = baselines.crrls_step(st, [1.0], 1.0)

@@ -1,4 +1,4 @@
-"""Every name the benchmark's tracer patches exists.
+"""Every name the benchmark's tracer patches exists, each a distinct object.
 
 `perfbench/tracing.py` replaces driftlearn functions by (module, attribute)
 while `--trace 1` is on; a name deleted or renamed here would make that
@@ -20,3 +20,7 @@ def test_every_traced_name_exists():
     missing = [f"{module}.{attr}" for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert len(targets) > 40 and missing == []
+    # the tracer patches by object identity: an alias of another traced
+    # function would have its calls counted under that function's span
+    objects = {id(getattr(importlib.import_module(module), attr)) for module, attr in targets}
+    assert len(objects) == len(targets)

@@ -75,7 +75,7 @@ def test_kernel_matches_direct_recursion(seed):
         np.testing.assert_allclose(state.D, ref.Ds[t], rtol=0, atol=1e-10 * scale)
         np.testing.assert_allclose(state.e, ref.es[t], rtol=0, atol=1e-10 * scale)
         assert state.f == pytest.approx(ref.fs[t], rel=1e-10, abs=1e-10)
-    mins = np.array([laser.laser_min_cost(s) for s in states[1:]])
+    mins = np.array([s.min_cost for s in states[1:]])
     np.testing.assert_allclose(mins, ref.min_costs, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose([s.last_x_quad for s in states[1:]], ref.quads, atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_innovation_min_cost_matches_brute_force():
         xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
         _, states = kernel_run(xs, ys, float(lo), float(hi))
         value, _ = oracle.brute_min_cost(xs, ys, float(lo), float(hi))
-        assert laser.laser_min_cost(states[-1]) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert states[-1].min_cost == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_hinf_matches_direct_recursion():

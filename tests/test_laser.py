@@ -36,6 +36,7 @@ def test_init_matches_closed_form():
     np.testing.assert_allclose(state.D, [[2.0]])  # bc/(c-b) = 2
     np.testing.assert_allclose(state.e, [0.0])
     assert state.t == 0
+    assert state.min_cost == 0.0  # the minimum over the empty prefix
 
 
 def test_init_stationary_sentinel():
@@ -60,7 +61,7 @@ def test_hand_trace_all_quantities():
         assert state.D[0, 0] == pytest.approx(TRACE_D[i], abs=1e-12)
         assert state.e[0] == pytest.approx(TRACE_E[i], abs=1e-12)
         assert state.f == pytest.approx(TRACE_F[i], abs=1e-12)
-        assert laser.laser_min_cost(state) == pytest.approx(TRACE_MIN_COST[i], abs=1e-12)
+        assert state.min_cost == pytest.approx(TRACE_MIN_COST[i], abs=1e-12)
 
 
 def test_trace_matches_brute_force():
@@ -172,7 +173,7 @@ def test_per_step_regret_identity():
             y = rng.standard_normal()
             yhat = laser.laser_predict(state, x)
             state = laser.laser_update(state, x, y)
-            cost = laser.laser_min_cost(state)
+            cost = state.min_cost
             lhs = (y - yhat) ** 2 + prev_cost - cost
             rhs = y * y * state.last_x_quad
             assert lhs <= rhs + 1e-9
@@ -190,19 +191,13 @@ def test_clip_bound_applies_to_predictions():
     assert yhat == pytest.approx(0.1)  # unclipped value is 0.25
 
 
-def test_min_cost_requires_history():
-    state = laser.laser_init(laser.LaserParams(b=1.0, c=2.0), 1)
-    with pytest.raises(ValueError):
-        laser.laser_min_cost(state)
-
-
 def test_zero_labels_give_zero_min_cost():
     params = laser.LaserParams(b=1.0, c=2.0)
     state = laser.laser_init(params, 2)
     rng = np.random.default_rng(16)
     for _ in range(10):
         state = laser.laser_update(state, rng.standard_normal(2), 0.0)
-    assert laser.laser_min_cost(state) == pytest.approx(0.0, abs=1e-12)
+    assert state.min_cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_a_huge_c_names_the_round_whose_drift_update_fails():
@@ -323,8 +318,8 @@ def test_cov_rounds_mixed_rows_match_their_own_calls():
         (s.xs, s.ys, laser.CovMember(0.5 * I, 1 / 50, 7.0, 8.0, keep_w=True)),
         (*late(3), laser.CovMember(I, laser=laser.LaserParams(1.0))),  # b = 1, c = inf: AAR
         (zero, zero[:, 0], laser.CovMember(2.0 * I, reset=5)),
-        (*late(5), laser.laser_member(drifting, d)),  # guarded: drifts, no spectra
-        (*late(8), laser.laser_member(clipped, d)._replace(keep_w=True)),
+        (*late(5), laser.laser_init(drifting, d).member),  # guarded: drifts, no spectra
+        (*late(8), laser.laser_init(clipped, d).member._replace(keep_w=True)),
     ]
     assert [laser._switch_round(rows[i][2].laser, np.maximum.accumulate(np.vecdot(x, x)))
             for i, x in ((5, big), (7, late(3)[0]), (9, late(5)[0]), (10, late(8)[0]))] \
@@ -362,7 +357,7 @@ SQRT_PARAMS = laser.LaserParams(b=0.05, c=math.inf)
 
 def test_kept_weights_of_a_switching_member_are_the_single_state_weights():
     s = SQRT_DESK
-    member = laser.laser_member(SQRT_PARAMS, s.dim)._replace(keep_w=True)
+    member = laser.laser_init(SQRT_PARAMS, s.dim).member._replace(keep_w=True)
     (traj,) = laser.cov_rounds([member], s.xs[:, None], s.ys[:, None])
     assert _switched(traj.state)
     state, ws = laser.laser_init(SQRT_PARAMS, s.dim), []
@@ -430,6 +425,40 @@ def test_cov_step_predicts_as_the_loop():
         assert _same(yhats, traj.yhats)
     assert np.abs(trajs[0].yhats).max() == 2.0 < np.abs(trajs[0].xw / (1.0 + trajs[0].q)).max()
     assert _switched(trajs[1].state)
+
+
+def _stepped(state, *xs):
+    """state after rounds on the inputs xs, with label 1."""
+    for x in xs:
+        state = laser.laser_update(state, x, 1.0)
+    return state
+
+
+def test_laser_predict_is_cov_steps_prediction():
+    # at b = 0.01, c = 1e6 the covariance form holds while |x|^2 < 100, and the
+    # input (30, 40) moves the state to square-root form
+    switching = _stepped(laser.laser_init(laser.LaserParams(0.01, 1e6), 2), [1.0, 2.0])
+    cases = [  # (state, its next input)
+        (_stepped(laser.laser_init(laser.LaserParams(1.0, 10.0, 0.3), 2), [1.0, 2.0]),
+         [0.5, -1.0]),
+        (_stepped(baselines.aar_init(0.5, 2), [1.0, 2.0], [-1.0, 0.5]), [2.0, 1.0]),
+        (switching, [30.0, 40.0]),
+        (_stepped(switching, [30.0, 40.0]), [0.5, -1.0]),
+    ]
+    assert [_switched(st) for st, _ in cases] == [False, False, False, True]
+    assert _switched(laser.cov_step(switching, [30.0, 40.0], 0.0)[1])
+    for state, x in cases:
+        arrays = (state.w, *(state.form if _switched(state) else (state.form,)))
+        before = [a.copy() for a in arrays]
+        for y in (0.0, 1.5, -1e3):
+            assert _same(laser.laser_predict(state, x), laser.cov_step(state, x, y)[0])
+        assert all(map(_same, arrays, before))
+    # hinf and CR-RLS records predict x . w
+    for state in (hinf.hinf_init(hinf.HInfParams(a=2.0, b=1.0, c=10.0), 2),
+                  baselines.crrls_init(2, 7, 0.5)):
+        state = _stepped(state, [1.0, 2.0], [-1.0, 0.5])
+        x = np.array([2.0, 1.0])
+        assert _same(laser.laser_predict(state, x), float(np.vecdot(x, state.w)))
 
 
 def test_stationary_report_in_square_root_form_reads_ln_det_D():

@@ -295,11 +295,11 @@ def test_logdet_bound_hand_and_empty_cases():
     # T=1, b=1, c=2: quad = 0.5, rhs = ln 2 + 0.5 * Tr(D0) = ln 2 + 1
     D0 = np.array([[2.0]])
     D1 = np.array([[2.0]])
-    lhs, rhs = oracle.logdet_bound_sides([0.5], [D0, D1], 1.0, 2.0)
+    lhs, rhs = oracle.logdet_bound_sides([0.5], linalg.logdet(D1), np.trace(D0), 1, 1.0, 2.0)
     assert lhs == pytest.approx(0.5)
     assert rhs == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
 
-    lhs, rhs = oracle.logdet_bound_sides([], [D0], 1.0, 2.0)
+    lhs, rhs = oracle.logdet_bound_sides([], linalg.logdet(D0), 0.0, 1, 1.0, 2.0)
     assert lhs == 0.0
     assert rhs == pytest.approx(math.log(2.0), abs=1e-12)
     assert lhs <= rhs
@@ -320,7 +320,8 @@ def test_logdet_bound_random_trajectories():
             state = laser.laser_update(state, x, rng.standard_normal())
             quads.append(state.last_x_quad)
             D_traj.append(state.D)
-        lhs, rhs = oracle.logdet_bound_sides(quads, D_traj, b, c)
+        trace_sum = sum(float(np.trace(D)) for D in D_traj[:-1])
+        lhs, rhs = oracle.logdet_bound_sides(quads, linalg.logdet(D_traj[-1]), trace_sum, d, b, c)
         assert lhs <= rhs + 1e-9
 
 
